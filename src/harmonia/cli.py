@@ -103,7 +103,15 @@ def _cut_angle_from_env() -> float:
     raw = os.environ.get("HARMONIA_CUT_ANGLE")
     if raw is None:
         return DEFAULT_CUT_ANGLE
-    return float(raw)
+    try:
+        angle = float(raw)
+        if not abs(angle) <= 2.0 * math.pi:
+            raise ValueError
+    except ValueError:
+        raise ValueError(
+            f"HARMONIA_CUT_ANGLE must be a finite angle in [-2pi, 2pi] radians, got {raw!r}"
+        ) from None
+    return angle
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -382,6 +390,13 @@ def cmd_reflect(spec: RunSpec) -> int:
     solution = _pair(payload["solution"], cut)
     data = BivariateLaurentExpr.from_json(payload.get("data", []))
     smap = SchwarzMap.from_json(payload["map"]) if "map" in payload else SchwarzMap.unit_circle()
+    formula = spec.formula or "neumann"
+    unit = smap.kind != "line" and smap.center == 0 and smap.radius == 1.0
+    if formula in ("neumann", "robin") and not unit:
+        raise ValueError(
+            f"the {formula} formula holds only for the unit circle; "
+            "use --formula schwarz to reflect across another map"
+        )
     if spec.point is not None:
         r, th = spec.point
         p = BiPoint.from_polar(r, th)
@@ -396,7 +411,6 @@ def cmd_reflect(spec: RunSpec) -> int:
             )
     else:
         p = BiPoint.from_polar(0.8, 0.0)
-    formula = spec.formula or "neumann"
     if formula == "dirichlet":
         result = reflect_dirichlet_study(solution, data, smap, p)
     elif formula == "neumann":

@@ -353,23 +353,48 @@ _DERIV_CEIL = 1e14
 class SqrtBranch:
     """A continuous square root of a derivative function along a path.
 
-    Values are tabulated on a dense sample of the path; off-sample points
-    are continued from the nearest sample by sign-matching, which is
-    accurate as long as queries stay near the path (quadrature nodes do).
+    Values are tabulated at anchors equally spaced along a straight line,
+    which is how both ``PathSpec`` kinds sample; the constructor rejects
+    any other anchors.  A query tau is continued by sign-matching from the
+    nearest anchor, which is accurate as long as queries stay near the
+    path (quadrature nodes do).  The nearest anchor takes O(1): with step
+    d between anchors, the squared distance from tau to anchor i is
+    perp^2 + (s - i)^2 |d|^2, where s = Re((tau - a_0) conj(d)) / |d|^2,
+    so it is anchor ceil(s - 1/2) clamped to the table, ties going to the
+    lower index.
     """
 
+    __slots__ = ("_deriv", "_points", "_values", "_origin", "_axis", "_last")
+
     def __init__(self, deriv: Callable[[complex], complex], points: Sequence[complex], values: Sequence[complex]):
+        points = tuple(complex(p) for p in points)
+        n = len(points)
+        if n < 2 or len(values) != n or points[0] == points[-1]:
+            raise ValueError("a branch needs two or more distinct anchors, one value each")
+        origin = points[0]
+        step = (points[-1] - origin) / (n - 1)
+        tol = 1e-9 * max(abs(origin), abs(points[-1]))
+        if any(abs(p - (origin + i * step)) > tol for i, p in enumerate(points)):
+            raise ValueError("branch anchors must be equally spaced along a line")
         self._deriv = deriv
-        self._points = np.asarray(points, dtype=complex)
-        self._values = list(values)
+        self._points = points
+        self._values = tuple(values)
+        self._origin = origin
+        self._axis = step.conjugate() / abs(step) ** 2
+        self._last = n - 1
 
     def __call__(self, tau: complex) -> complex:
-        i = int(np.argmin(np.abs(self._points - tau)))
-        return _sqrt_step(self._deriv, self._values[i], tau)
+        return _sqrt_step(self._deriv, self._values[self.nearest_anchor(tau)], tau)
+
+    def nearest_anchor(self, tau: complex) -> int:
+        """Index of the anchor nearest to tau (the lower one on a tie)."""
+        s = ((tau - self._origin) * self._axis).real
+        # written so that s = inf or nan still gives a valid index
+        return math.ceil(min(s, self._last) - 0.5) if s > 0.5 else 0
 
     @property
     def anchor_points(self) -> tuple:
-        return tuple(self._points.tolist())
+        return self._points
 
 
 def _sqrt_step(deriv: Callable[[complex], complex], v_prev: complex, tau: complex) -> complex:
@@ -412,7 +437,7 @@ def _anchored_branch(
 ) -> SqrtBranch:
     values = _continued_values(deriv, points)
     residuals = [residual_of(p) for p in points]
-    i0 = int(np.argmin(residuals))
+    i0 = min(range(len(residuals)), key=residuals.__getitem__)
     p0 = points[i0]
     if residuals[i0] > 0.1 * (1.0 + abs(p0)):
         raise BranchSelectionError(

@@ -96,8 +96,11 @@ def integrate_path(
     cfg = cfg or QuadratureConfig()
     panels = max(1, path.subdivision)
 
+    # both path kinds have constant velocity
+    point, velocity = path.point, path.velocity(0.0)
+
     def g(t: float) -> complex:
-        return f(path.point(t)) * path.velocity(t)
+        return f(point(t)) * velocity
 
     panel_cfg = QuadratureConfig(cfg.abs_tol / panels, cfg.max_depth)
     total = 0j
@@ -114,6 +117,16 @@ def fd_laplacian(field: Callable[[float, float], float], x: float, y: float, h: 
         field(x + h, y) + field(x - h, y) + field(x, y + h) + field(x, y - h)
         - 4.0 * field(x, y)
     ) / (h * h)
+
+
+def _fd_laplacian4(field: Callable[[float, float], float], x: float, y: float, h: float) -> float:
+    """Fourth-order 9-point Laplacian: per axis
+    (-f(+-2h) + 16 f(+-h) - 30 f) / (12 h^2), summed over both axes."""
+    return (
+        16.0 * (field(x + h, y) + field(x - h, y) + field(x, y + h) + field(x, y - h))
+        - (field(x + 2 * h, y) + field(x - 2 * h, y) + field(x, y + 2 * h) + field(x, y - 2 * h))
+        - 60.0 * field(x, y)
+    ) / (12.0 * h * h)
 
 
 @dataclass(frozen=True)
@@ -499,13 +512,15 @@ def _check_fd_harmonicity(ctx):
     pairs.append(dirichlet_from_robin_pair(pairs[2], params))
     worst = 0.0
     count = 0
-    h = 1e-4
+    # the 5-point stencil's O(h^2) truncation error alone reaches the
+    # tolerance for some seeded pairs; this one is O(h^4)
+    h = 1e-3
     for pair in pairs:
         field = lambda x, y: eval_real(pair, x, y)
         for r in np.linspace(0.75, 1.3, 5):
             for th in np.linspace(-2.0, 2.0, 5):
                 x, y = r * math.cos(th), r * math.sin(th)
-                residual = abs(fd_laplacian(field, x, y, h)) / field_scale(pair, x, y)
+                residual = abs(_fd_laplacian4(field, x, y, h)) / field_scale(pair, x, y)
                 worst = max(worst, residual)
                 count += 1
     return count, worst, 1e-5

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from harmonia.cli import main
 
 
@@ -219,6 +221,33 @@ def test_reflect_dirichlet_and_schwarz_from_file(tmp_path, capsys):
     code, out = run_main(capsys, "reflect", "--formula", "schwarz", "--input", str(path))
     assert code == 0
     assert json.loads(out)["formula"] == "neumann_arc"
+
+
+def test_reflect_circle_formulas_reject_other_maps(tmp_path, capsys):
+    payload = {
+        "solution": {
+            "part_z": [{"re": 0.5, "im": 0.0, "k": 2, "m": 0}],
+            "part_zeta": [{"re": 0.5, "im": 0.0, "k": 2, "m": 0}],
+        },
+        "data": [{"re": 1.0, "im": 0.0, "kz": 0, "kzeta": 0}],
+        "map": {"kind": "circle", "center": {"re": 0.5, "im": 0.0}, "radius": 2.0},
+    }
+    path = tmp_path / "offcentre.json"
+    path.write_text(json.dumps(payload))
+    for formula in ("neumann", "robin"):
+        assert main(["reflect", "--formula", formula, "--input", str(path)]) == 2
+        assert "--formula schwarz" in capsys.readouterr().err
+    assert run_main(capsys, "reflect", "--formula", "schwarz", "--input", str(path))[0] == 0
+    payload["map"] = {"kind": "unit_circle"}
+    path.write_text(json.dumps(payload))
+    assert run_main(capsys, "reflect", "--formula", "neumann", "--input", str(path))[0] == 0
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e300", "7.0", "two"])
+def test_bad_cut_angle_is_exit_two(raw, monkeypatch, capsys):
+    monkeypatch.setenv("HARMONIA_CUT_ANGLE", raw)
+    assert main(["field", "--example", "dtn-log"]) == 2
+    assert "HARMONIA_CUT_ANGLE" in capsys.readouterr().err
 
 
 def test_reflect_bad_json_is_exit_two(tmp_path, capsys):

@@ -13,6 +13,8 @@ from harmonia.geometry import (
     BiPoint,
     PathSpec,
     SchwarzMap,
+    SqrtBranch,
+    _sqrt_step,
     anti_conformal_reflect,
     inverse_schwarz_value,
     reflect_bipoint,
@@ -20,6 +22,7 @@ from harmonia.geometry import (
     sqrt_inverse_schwarz_derivative,
     sqrt_schwarz_derivative,
 )
+from harmonia.numerics import integrate_path
 
 MAPS = [
     SchwarzMap.unit_circle(),
@@ -165,6 +168,86 @@ def test_sqrt_branch_needs_curve_contact():
     smap = SchwarzMap.unit_circle()
     with pytest.raises(BranchSelectionError):
         sqrt_schwarz_derivative(smap, PathSpec.segment(3.0 + 3.0j, 4.0 + 4.0j))
+
+
+LOOKUP_PATHS = [
+    PathSpec.segment(0.75 + 0j, 1.0 + 0j),
+    PathSpec.radial_ray(0.7, 0.6, 1.3, subdivision=5),
+]
+
+
+def _scan_index(branch, tau):
+    """The first nearest anchor by a scan over all of them."""
+    return int(np.argmin(np.abs(np.asarray(branch.anchor_points) - tau)))
+
+
+def _lookup_queries(path):
+    """Quadrature nodes, exact half-way parameters between anchors, points
+    0.05-0.4 off the path on both sides, and points beyond both ends."""
+    branch = sqrt_schwarz_derivative(SchwarzMap.unit_circle(), path)
+    nodes = []
+    integrate_path(lambda tau: nodes.append(tau) or branch(tau), path)
+    m = 2 * (len(branch.anchor_points) - 1)
+    halfway = [path.point(k / m) for k in range(m + 1)]
+    normal = 1j * path.velocity(0.0) / abs(path.velocity(0.0))
+    off = [
+        path.point(k / 40) + side * d * normal
+        for k in range(41) for d in (0.05, 0.2, 0.4) for side in (1, -1)
+    ]
+    beyond = [path.point(t) for t in (-0.5, -0.01, 1.01, 1.5)]
+    return branch, nodes + halfway + off + beyond
+
+
+@pytest.mark.parametrize("path", LOOKUP_PATHS, ids=lambda p: p.kind)
+def test_sqrt_branch_lookup_is_nearest_anchor(path):
+    branch, queries = _lookup_queries(path)
+    anchors = np.asarray(branch.anchor_points)
+    step = abs(anchors[1] - anchors[0])
+    agree = 0
+    for tau in queries:
+        i, j = branch.nearest_anchor(tau), _scan_index(branch, tau)
+        dist = np.abs(anchors - tau)
+        # the scan may break an exact half-way tie either way by rounding
+        assert i == j or abs(dist[i] - dist[j]) <= 1e-12 * step, (tau, i, j)
+        agree += i == j
+    assert agree > 0.9 * len(queries)
+    start, end = path.endpoints
+    assert branch.nearest_anchor(start - 0.5 * (end - start)) == 0
+    assert branch.nearest_anchor(end + 0.5 * (end - start)) == len(anchors) - 1
+
+
+@pytest.mark.parametrize("path", LOOKUP_PATHS, ids=lambda p: p.kind)
+def test_sqrt_branch_lookup_matches_scan_values(path):
+    branch, queries = _lookup_queries(path)
+    deriv = SchwarzMap.unit_circle().derivative
+    for tau in queries:
+        scanned = _sqrt_step(deriv, branch._values[_scan_index(branch, tau)], tau)
+        assert branch(tau) == scanned, tau
+
+
+def test_sqrt_branch_rejects_anchors_off_an_even_line():
+    deriv = lambda tau: 1.0 + 0j
+    for points in (
+        [0j, 0.1 + 0j, 0.3 + 0j, 0.4 + 0j],  # collinear, uneven
+        [0j, 0.1 + 0.01j, 0.2 + 0j],  # even in x, bent
+        [0.5 + 0j],
+        [1.0 + 1j, 1.0 + 1j],
+    ):
+        with pytest.raises(ValueError):
+            SqrtBranch(deriv, points, [1.0 + 0j] * len(points))
+    with pytest.raises(ValueError):
+        SqrtBranch(deriv, [0j, 1.0 + 0j], [1.0 + 0j])
+    branch = SqrtBranch(deriv, PathSpec.radial_ray(2.0, 0.5, 1.5).samples(9), [1.0 + 0j] * 9)
+    assert branch.nearest_anchor(cmath.rect(1.0, 2.0)) == 4
+
+
+def test_sqrt_branch_lookup_tie_takes_lower_anchor():
+    # exactly representable anchors, so the tie at 2.5 is exact
+    branch = SqrtBranch(lambda tau: 1.0 + 0j, [complex(k) for k in range(9)], [1.0 + 0j] * 9)
+    for tau in (2.5 + 0j, 2.5 + 3j, 2.5 - 0.25j):
+        assert branch.nearest_anchor(tau) == 2 == _scan_index(branch, tau)
+    assert branch.nearest_anchor(complex("nan+0j")) == 0
+    assert branch.nearest_anchor(complex("inf+0j")) == 8
 
 
 def test_pathspec_validation():

@@ -131,6 +131,14 @@ def test_suite_full_pass_and_failures_listing():
     assert len(report.checks) >= 25
 
 
+@pytest.mark.parametrize("seed", [14, 20])
+def test_suite_passes_at_seeds_once_failing_fd_harmonicity(seed):
+    # with a 5-point stencil at h = 1e-4, fd_harmonicity read 1.3e-5 and
+    # 1.1e-5 at these seeds against its 1e-5 tolerance
+    report = run_verification_suite(seed=seed)
+    assert report.all_passed, report.failures
+
+
 def test_suite_negative_control():
     report = run_verification_suite(
         targets=["boundary_recovery_dirichlet"], corrupt="dtn_sign_flip"
