@@ -10,7 +10,6 @@ from .algebra import (
     LogLaurentExpr,
     LogLaurentTerm,
     branch_log,
-    restrict_bivariate_to_circle,
 )
 from .errors import (
     BranchPointOnPathError,
@@ -29,9 +28,7 @@ from .geometry import (
     PathSpec,
     SchwarzMap,
     anti_conformal_reflect,
-    inverse_schwarz_value,
     reflect_bipoint,
-    schwarz_value,
     sqrt_inverse_schwarz_derivative,
     sqrt_schwarz_derivative,
 )

@@ -39,7 +39,6 @@ __all__ = [
     "LogLaurentTerm",
     "LogLaurentExpr",
     "BivariateLaurentExpr",
-    "restrict_bivariate_to_circle",
 ]
 
 DEFAULT_CUT_ANGLE = math.pi
@@ -81,8 +80,12 @@ def _accumulate(acc: dict, key: tuple, coeff: complex) -> None:
     acc[key] = acc.get(key, 0j) + coeff
 
 
-def _normalize(acc: dict) -> dict:
-    return {key: c for key, c in acc.items() if abs(c) >= COEFF_EPS}
+def _merge(items) -> dict:
+    """Sum the coefficients of (exponent pair, coefficient) items per pair."""
+    acc: dict = {}
+    for (a, b), c in items:
+        _accumulate(acc, (int(a), int(b)), complex(c))
+    return acc
 
 
 TermsLike = Union[
@@ -91,7 +94,97 @@ TermsLike = Union[
 ]
 
 
-class LogLaurentExpr:
+class _SparseSum:
+    """An immutable finite sum of terms, each a complex coefficient keyed by
+    a pair of integer exponents.
+
+    Subclasses name the two exponents in ``_EXPONENTS`` (also their JSON
+    keys), print them in ``_factors`` and rebuild an expression of their own
+    kind from merged terms in ``_like``; ``_context`` adds what else == and
+    hash compare.  Arithmetic accepts only operands of the same class.
+    """
+
+    __slots__ = ("_terms",)
+    _EXPONENTS: tuple
+
+    def __init__(self, acc: dict):
+        for c in acc.values():
+            if not cmath.isfinite(c):
+                raise ValueError(f"non-finite coefficient {c!r}")
+        object.__setattr__(
+            self, "_terms", {key: c for key, c in acc.items() if abs(c) >= COEFF_EPS}
+        )
+
+    def __setattr__(self, name, value):  # immutability guard
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _context(self) -> tuple:
+        """What == and hash compare besides the terms."""
+        return ()
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._terms == other._terms and self._context() == other._context()
+
+    def __hash__(self):
+        return hash((frozenset(self._terms.items()), *self._context()))
+
+    def __repr__(self) -> str:
+        body = " + ".join(
+            f"({c:.6g})" + self._factors(*key) for key, c in sorted(self._terms.items())
+        )
+        return f"{type(self).__name__}({body or 0})"
+
+    # -- arithmetic ------------------------------------------------------------
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        acc = dict(self._terms)
+        for key, c in other._terms.items():
+            _accumulate(acc, key, c)
+        return self._like(acc)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self._terms.items()})
+
+    def __mul__(self, other):
+        if type(other) is type(self):
+            acc: dict = {}
+            for (a1, b1), c1 in self._terms.items():
+                for (a2, b2), c2 in other._terms.items():
+                    _accumulate(acc, (a1 + a2, b1 + b2), c1 * c2)
+            return self._like(acc)
+        if isinstance(other, (int, float, complex)):
+            return self._like({key: c * other for key, c in self._terms.items()})
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def to_json(self) -> list:
+        """JSON array of term records {re, im} plus the two exponent names."""
+        a, b = self._EXPONENTS
+        return [
+            {"re": c.real, "im": c.imag, a: p, b: q}
+            for (p, q), c in sorted(self._terms.items())
+        ]
+
+
+def _log_term_item(t) -> tuple:
+    if isinstance(t, LogLaurentTerm):
+        return (t.power, t.logpow), t.coeff
+    c, k, *rest = t
+    return (k, rest[0] if rest else 0), c
+
+
+class LogLaurentExpr(_SparseSum):
     """A normalized finite sum of log-Laurent terms.
 
     Instances are immutable; all operations return new expressions.  The
@@ -99,32 +192,30 @@ class LogLaurentExpr:
     derived expressions.
     """
 
-    __slots__ = ("_terms", "_cut_angle")
+    __slots__ = ("_cut_angle",)
+    _EXPONENTS = ("k", "m")
 
     def __init__(self, terms: TermsLike = (), cut_angle: float = DEFAULT_CUT_ANGLE):
-        acc: dict = {}
-        if isinstance(terms, Mapping):
-            items = terms.items()
-            for (k, m), c in items:
-                _accumulate(acc, (int(k), int(m)), complex(c))
-        else:
-            for t in terms:
-                if isinstance(t, LogLaurentTerm):
-                    c, k, m = t.coeff, t.power, t.logpow
-                else:
-                    c, k, *rest = t
-                    m = rest[0] if rest else 0
-                _accumulate(acc, (int(k), int(m)), complex(c))
-        for (k, m), c in acc.items():
+        items = terms.items() if isinstance(terms, Mapping) else map(_log_term_item, terms)
+        acc = _merge(items)
+        for _, m in acc:
             if m < 0:
                 raise ValueError(f"negative log power {m}")
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise ValueError(f"non-finite coefficient {c!r}")
-        object.__setattr__(self, "_terms", _normalize(acc))
+        super().__init__(acc)
         object.__setattr__(self, "_cut_angle", float(cut_angle))
 
-    def __setattr__(self, name, value):  # immutability guard
-        raise AttributeError("LogLaurentExpr is immutable")
+    def _like(self, acc: dict) -> "LogLaurentExpr":
+        return LogLaurentExpr(acc, self._cut_angle)
+
+    def _context(self) -> tuple:
+        return (self._cut_angle,)
+
+    @staticmethod
+    def _factors(k: int, m: int) -> str:
+        s = f"*z^{k}" if k else ""
+        if m:
+            s += f"*log(z)^{m}" if m > 1 else "*log(z)"
+        return s
 
     # -- construction helpers -------------------------------------------------
 
@@ -159,66 +250,11 @@ class LogLaurentExpr:
             LogLaurentTerm(c, k, m) for (k, m), c in sorted(self._terms.items())
         )
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def has_log(self) -> bool:
         return any(m > 0 for (_, m) in self._terms)
 
     def coefficient(self, power: int, logpow: int = 0) -> complex:
         return self._terms.get((power, logpow), 0j)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LogLaurentExpr):
-            return NotImplemented
-        return self._terms == other._terms and self._cut_angle == other._cut_angle
-
-    def __hash__(self):
-        return hash((frozenset(self._terms.items()), self._cut_angle))
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "LogLaurentExpr(0)"
-        parts = []
-        for (k, m), c in sorted(self._terms.items()):
-            s = f"({c:.6g})"
-            if k:
-                s += f"*z^{k}"
-            if m:
-                s += f"*log(z)^{m}" if m > 1 else "*log(z)"
-            parts.append(s)
-        return "LogLaurentExpr(" + " + ".join(parts) + ")"
-
-    # -- arithmetic ------------------------------------------------------------
-
-    def __add__(self, other: "LogLaurentExpr") -> "LogLaurentExpr":
-        if not isinstance(other, LogLaurentExpr):
-            return NotImplemented
-        acc = dict(self._terms)
-        for key, c in other._terms.items():
-            _accumulate(acc, key, c)
-        return LogLaurentExpr(acc, self._cut_angle)
-
-    def __sub__(self, other: "LogLaurentExpr") -> "LogLaurentExpr":
-        return self + (-other)
-
-    def __neg__(self) -> "LogLaurentExpr":
-        return LogLaurentExpr({key: -c for key, c in self._terms.items()}, self._cut_angle)
-
-    def __mul__(self, other):
-        if isinstance(other, LogLaurentExpr):
-            acc: dict = {}
-            for (k1, m1), c1 in self._terms.items():
-                for (k2, m2), c2 in other._terms.items():
-                    _accumulate(acc, (k1 + k2, m1 + m2), c1 * c2)
-            return LogLaurentExpr(acc, self._cut_angle)
-        if isinstance(other, (int, float, complex)):
-            return LogLaurentExpr(
-                {key: c * other for key, c in self._terms.items()}, self._cut_angle
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     # -- evaluation ------------------------------------------------------------
 
@@ -259,7 +295,7 @@ class LogLaurentExpr:
                 _accumulate(acc, (k - 1, m), c * k)
             if m:
                 _accumulate(acc, (k - 1, m - 1), c * m)
-        return LogLaurentExpr(acc, self._cut_angle)
+        return self._like(acc)
 
     def antiderivative_over_arg(self) -> "LogLaurentExpr":
         """Exact primitive A with A'(z) = self(z)/z and integration constant 0.
@@ -268,21 +304,20 @@ class LogLaurentExpr:
 
             k == 0:  c (log z)^(m+1) / (m+1)
             k != 0:  c z^k (log z)^m / k  minus  (m/k) times the primitive
-                     of c z^(k-1) (log z)^(m-1), recursively.
+                     of c z^(k-1) (log z)^(m-1), unrolled down to m = 0.
         """
         acc: dict = {}
         for (k, m), c in self._terms.items():
-            self._primitive_into(acc, k, m, c)
-        return LogLaurentExpr(acc, self._cut_angle)
-
-    @staticmethod
-    def _primitive_into(acc: dict, k: int, m: int, c: complex) -> None:
-        if k == 0:
-            _accumulate(acc, (0, m + 1), c / (m + 1))
-            return
-        _accumulate(acc, (k, m), c / k)
-        if m:
-            LogLaurentExpr._primitive_into(acc, k, m - 1, -c * m / k)
+            if k == 0:
+                _accumulate(acc, (0, m + 1), c / (m + 1))
+                continue
+            while True:
+                _accumulate(acc, (k, m), c / k)
+                if not m:
+                    break
+                c = -c * m / k
+                m -= 1
+        return self._like(acc)
 
     def restrict_to_ray(self, theta: float, margin: float = CUT_MARGIN) -> "LogLaurentExpr":
         """Substitute z = rho * exp(i theta); the result is an expression in rho.
@@ -307,7 +342,7 @@ class LogLaurentExpr:
                     (k, j),
                     base * math.comb(m, j) * (1j * theta_adj) ** (m - j),
                 )
-        return LogLaurentExpr(acc, self._cut_angle)
+        return self._like(acc)
 
     def invert_argument(self) -> "LogLaurentExpr":
         """Substitute z -> 1/z:  c z^k log^m  ->  c (-1)^m z^(-k) log^m.
@@ -315,7 +350,7 @@ class LogLaurentExpr:
         Valid off the cut, where log(1/z) = -log(z).
         """
         acc = {(-k, m): c * (-1) ** m for (k, m), c in self._terms.items()}
-        return LogLaurentExpr(acc, self._cut_angle)
+        return self._like(acc)
 
     def conjugate_mirror(self) -> "LogLaurentExpr":
         """Coefficient-conjugated copy.
@@ -324,19 +359,12 @@ class LogLaurentExpr:
         from the cut (the default cut is conjugation symmetric).
         """
         acc = {key: c.conjugate() for key, c in self._terms.items()}
-        return LogLaurentExpr(acc, self._cut_angle)
+        return self._like(acc)
 
     def with_cut_angle(self, cut_angle: float) -> "LogLaurentExpr":
         return LogLaurentExpr(self._terms, cut_angle)
 
     # -- serialization ----------------------------------------------------------
-
-    def to_json(self) -> list:
-        """JSON array of term records {re, im, k, m}."""
-        return [
-            {"re": c.real, "im": c.imag, "k": k, "m": m}
-            for (k, m), c in sorted(self._terms.items())
-        ]
 
     @classmethod
     def from_json(cls, data: list, cut_angle: float = DEFAULT_CUT_ANGLE) -> "LogLaurentExpr":
@@ -347,26 +375,22 @@ class LogLaurentExpr:
         return cls(terms, cut_angle)
 
 
-class BivariateLaurentExpr:
+class BivariateLaurentExpr(_SparseSum):
     """A finite Laurent sum c * z**kz * zeta**kzeta in two complex variables."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+    _EXPONENTS = ("kz", "kzeta")
 
     def __init__(self, terms=()):
-        acc: dict = {}
-        if isinstance(terms, Mapping):
-            for (kz, kzeta), c in terms.items():
-                _accumulate(acc, (int(kz), int(kzeta)), complex(c))
-        else:
-            for c, kz, kzeta in terms:
-                _accumulate(acc, (int(kz), int(kzeta)), complex(c))
-        for c in acc.values():
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise ValueError(f"non-finite coefficient {c!r}")
-        object.__setattr__(self, "_terms", _normalize(acc))
+        items = terms.items() if isinstance(terms, Mapping) else (((a, b), c) for c, a, b in terms)
+        super().__init__(_merge(items))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BivariateLaurentExpr is immutable")
+    def _like(self, acc: dict) -> "BivariateLaurentExpr":
+        return BivariateLaurentExpr(acc)
+
+    @staticmethod
+    def _factors(kz: int, kzeta: int) -> str:
+        return (f"*z^{kz}" if kz else "") + (f"*zeta^{kzeta}" if kzeta else "")
 
     @classmethod
     def zero(cls) -> "BivariateLaurentExpr":
@@ -384,57 +408,6 @@ class BivariateLaurentExpr:
     def terms(self) -> tuple:
         """Normalized (coeff, zpow, zetapow) triples, sorted by powers."""
         return tuple((c, kz, kzeta) for (kz, kzeta), c in sorted(self._terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BivariateLaurentExpr):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "BivariateLaurentExpr(0)"
-        parts = []
-        for (kz, kzeta), c in sorted(self._terms.items()):
-            s = f"({c:.6g})"
-            if kz:
-                s += f"*z^{kz}"
-            if kzeta:
-                s += f"*zeta^{kzeta}"
-            parts.append(s)
-        return "BivariateLaurentExpr(" + " + ".join(parts) + ")"
-
-    def __add__(self, other: "BivariateLaurentExpr") -> "BivariateLaurentExpr":
-        if not isinstance(other, BivariateLaurentExpr):
-            return NotImplemented
-        acc = dict(self._terms)
-        for key, c in other._terms.items():
-            _accumulate(acc, key, c)
-        return BivariateLaurentExpr(acc)
-
-    def __sub__(self, other: "BivariateLaurentExpr") -> "BivariateLaurentExpr":
-        return self + (-other)
-
-    def __neg__(self) -> "BivariateLaurentExpr":
-        return BivariateLaurentExpr({key: -c for key, c in self._terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, BivariateLaurentExpr):
-            acc: dict = {}
-            for (a1, b1), c1 in self._terms.items():
-                for (a2, b2), c2 in other._terms.items():
-                    _accumulate(acc, (a1 + a2, b1 + b2), c1 * c2)
-            return BivariateLaurentExpr(acc)
-        if isinstance(other, (int, float, complex)):
-            return BivariateLaurentExpr({key: c * other for key, c in self._terms.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def eval(self, z: complex, zeta: complex) -> complex:
         z = complex(z)
@@ -460,13 +433,6 @@ class BivariateLaurentExpr:
             _accumulate(acc, (kz - kzeta, 0), c)
         return LogLaurentExpr(acc, cut_angle)
 
-    def to_json(self) -> list:
-        """JSON array of term records {re, im, kz, kzeta}."""
-        return [
-            {"re": c.real, "im": c.imag, "kz": kz, "kzeta": kzeta}
-            for (kz, kzeta), c in sorted(self._terms.items())
-        ]
-
     @classmethod
     def from_json(cls, data: list) -> "BivariateLaurentExpr":
         return cls(
@@ -475,10 +441,3 @@ class BivariateLaurentExpr:
                 for rec in data
             ]
         )
-
-
-def restrict_bivariate_to_circle(
-    phi: BivariateLaurentExpr, cut_angle: float = DEFAULT_CUT_ANGLE
-) -> LogLaurentExpr:
-    """Functional form of :meth:`BivariateLaurentExpr.restrict_to_circle`."""
-    return phi.restrict_to_circle(cut_angle)

@@ -59,6 +59,9 @@ class GridSpec:
     n_theta: int
 
     def __post_init__(self):
+        bounds = (self.r_min, self.r_max, self.theta_min, self.theta_max)
+        if not all(math.isfinite(b) for b in bounds):
+            raise ValueError(f"--grid bounds must be finite numbers, got {bounds}")
         if self.n_r < 2 or self.n_theta < 2:
             raise ValueError("grid counts must be >= 2")
         if not self.r_min > 0:
@@ -494,6 +497,8 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
     if getattr(args, "point", None):
         r_text, th_text = args.point.split(":")
         point = (float(r_text), float(th_text))
+        if not all(math.isfinite(v) for v in point):
+            raise ValueError(f"--point must be two finite numbers r:theta, got {args.point!r}")
     targets = None
     if getattr(args, "targets", None):
         targets = tuple(t.strip() for t in args.targets.split(",") if t.strip())
@@ -530,7 +535,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[spec.command](spec)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, OverflowError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, HarmoniaError):
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_FAIL

@@ -33,8 +33,6 @@ __all__ = [
     "BiPoint",
     "SchwarzMap",
     "PathSpec",
-    "schwarz_value",
-    "inverse_schwarz_value",
     "reflect_bipoint",
     "anti_conformal_reflect",
     "SqrtBranch",
@@ -224,16 +222,6 @@ class SchwarzMap:
         raise ValueError(f"unknown Schwarz map kind {kind!r}")
 
 
-def schwarz_value(smap: SchwarzMap, z: complex) -> complex:
-    """Functional form of :meth:`SchwarzMap.value`."""
-    return smap.value(z)
-
-
-def inverse_schwarz_value(smap: SchwarzMap, zeta: complex) -> complex:
-    """Functional form of :meth:`SchwarzMap.inverse_value`."""
-    return smap.inverse_value(zeta)
-
-
 def reflect_bipoint(smap: SchwarzMap, p: BiPoint) -> BiPoint:
     """Reflection across the complexified curve: (z, zeta) -> (S~(zeta), S(z)).
 
@@ -247,6 +235,17 @@ def anti_conformal_reflect(smap: SchwarzMap, x: float, y: float) -> tuple:
     """Real-plane anticonformal reflection conj(S(z)); identity on the curve."""
     w = smap.value(complex(x, y)).conjugate()
     return (w.real, w.imag)
+
+
+def _segment_pole_distance(a: complex, b: complex, pole: complex) -> float:
+    """Distance from ``pole`` to the closed segment [a, b]."""
+    d = b - a
+    denom = abs(d) ** 2
+    if denom == 0:
+        return abs(pole - a)
+    t = ((pole - a) * d.conjugate()).real / denom
+    t = min(1.0, max(0.0, t))
+    return abs(pole - (a + t * d))
 
 
 @dataclass(frozen=True)

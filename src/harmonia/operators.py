@@ -38,6 +38,7 @@ from .geometry import (
     BiPoint,
     PathSpec,
     SchwarzMap,
+    _segment_pole_distance,
     sqrt_inverse_schwarz_derivative,
     sqrt_schwarz_derivative,
 )
@@ -214,16 +215,6 @@ def neumann_from_dirichlet_disk(
         return trig.dirichlet_value(rho * rz, theta) / rho
 
     return float(complex(adaptive_simpson(integrand, 0.0, 1.0, cfg)).real)
-
-
-def _segment_pole_distance(a: complex, b: complex, pole: complex) -> float:
-    d = b - a
-    denom = abs(d) ** 2
-    if denom == 0:
-        return abs(pole - a)
-    t = ((pole - a) * d.conjugate()).real / denom
-    t = min(1.0, max(0.0, t))
-    return abs(pole - (a + t * d))
 
 
 class ArcNeumannField:

@@ -27,7 +27,7 @@ from typing import Callable, Union
 
 from .algebra import BivariateLaurentExpr, LogLaurentExpr
 from .errors import DomainError, HarmoniaError, PoleError
-from .geometry import BiPoint, PathSpec, SchwarzMap, sqrt_schwarz_derivative
+from .geometry import BiPoint, PathSpec, SchwarzMap, _segment_pole_distance, sqrt_schwarz_derivative
 from .harmonic import HarmonicPair, RobinParams, eval_pair
 from .numerics import QuadratureConfig, integrate_path
 
@@ -243,11 +243,8 @@ def reflect_neumann_schwarz(
         correction = 0j
     else:
         pole = smap.pole
-        if pole is not None:
-            from .operators import _segment_pole_distance
-
-            if _segment_pole_distance(zr, p.z, pole) < 1e-9:
-                raise PoleError("reflection segment passes through the map pole")
+        if pole is not None and _segment_pole_distance(zr, p.z, pole) < 1e-9:
+            raise PoleError("reflection segment passes through the map pole")
         seg = PathSpec.segment(zr, p.z)
         branch = sqrt_schwarz_derivative(smap, seg)
         correction = 1j * integrate_path(

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from harmonia.algebra import (
+    COEFF_EPS,
     BivariateLaurentExpr,
     LogLaurentExpr,
     branch_log,
-    restrict_bivariate_to_circle,
 )
 from harmonia.errors import CutProximityError, DomainError
 
@@ -95,6 +95,24 @@ def test_antiderivative_log_power_recursion():
     prim = e.antiderivative_over_arg()
     over_z = LogLaurentExpr.monomial(1.0, -1)
     assert (prim.differentiate() - e * over_z).is_zero()
+
+
+def test_antiderivative_deep_log_power():
+    # 1200 nested steps, past the default recursion limit; coefficients decay
+    # since (j+1)/k <= 1, so the round trip differs from the input only by the
+    # terms normalization dropped (each below COEFF_EPS, times k or j)
+    k = m = 1200
+    e = expr((1.0, k, m))
+    prim = e.antiderivative_over_arg()
+    assert prim.coefficient(k, m) == 1.0 / k
+    residual = prim.differentiate() - e * LogLaurentExpr.monomial(1.0, -1)
+    assert all(abs(t.coeff) <= COEFF_EPS * (k + m) for t in residual.terms)
+
+
+def test_antiderivative_overflow_is_value_error():
+    # the coefficients m!/j! of the primitive of log^1500 z overflow binary64
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        expr((1.0, 1, 1500)).antiderivative_over_arg()
 
 
 def test_round_trip_property():
@@ -219,7 +237,7 @@ def test_multiplication():
 )
 def test_restrict_bivariate_to_circle(terms, expected):
     phi = BivariateLaurentExpr([(c, kz, kzeta) for c, kz, kzeta in terms])
-    got = restrict_bivariate_to_circle(phi)
+    got = phi.restrict_to_circle()
     assert (got - LogLaurentExpr(expected)).is_zero()
 
 
@@ -246,3 +264,60 @@ def test_bivariate_eval_and_serialization():
     assert (phi - back).is_zero()
     with pytest.raises(DomainError):
         phi.eval(1.0, 0.0)
+
+
+def test_repr_of_both_classes():
+    assert repr(LogLaurentExpr()) == "LogLaurentExpr(0)"
+    assert repr(expr((1.5, 0, 0), (2 - 1j, 2, 1), (0.25j, -1, 3), (-1 / 3, 1, 0))) == (
+        "LogLaurentExpr((0+0.25j)*z^-1*log(z)^3 + (1.5+0j) + (-0.333333+0j)*z^1"
+        " + (2-1j)*z^2*log(z))"
+    )
+    assert repr(BivariateLaurentExpr()) == "BivariateLaurentExpr(0)"
+    phi = BivariateLaurentExpr([(1.0, 2, 0), (2.0, 1, 1), (-1.0, 0, -1), (0.5, 0, 0)])
+    assert repr(phi) == (
+        "BivariateLaurentExpr((-1+0j)*zeta^-1 + (0.5+0j) + (2+0j)*z^1*zeta^1 + (1+0j)*z^2)"
+    )
+
+
+def test_expression_classes_never_mix():
+    assert LogLaurentExpr() != BivariateLaurentExpr()
+    assert LogLaurentExpr.constant(1.0) != BivariateLaurentExpr.constant(1.0)
+    with pytest.raises(TypeError):
+        LogLaurentExpr.constant(1.0) + BivariateLaurentExpr.constant(1.0)
+    with pytest.raises(TypeError):
+        LogLaurentExpr.constant(1.0) * BivariateLaurentExpr.constant(1.0)
+
+
+def test_equality_and_hash():
+    a = expr((1.0, 2, 1), (0.5j, -1, 0))
+    b = expr((0.5j, -1, 0), (0.25, 2, 1), (0.75, 2, 1))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    rotated = a.with_cut_angle(2.0)
+    assert rotated != a and rotated.terms == a.terms
+    assert rotated == b.with_cut_angle(2.0) and hash(rotated) == hash(b.with_cut_angle(2.0))
+    p = BivariateLaurentExpr([(1.0, 1, 2), (2.0, 0, -1)])
+    q = BivariateLaurentExpr([(2.0, 0, -1), (1.0, 1, 2)])
+    assert p == q and hash(p) == hash(q)
+    assert p != BivariateLaurentExpr([(1.0, 2, 1), (2.0, 0, -1)])
+
+
+@pytest.mark.parametrize(
+    "e", [LogLaurentExpr.monomial(1.0, 2, 1), BivariateLaurentExpr.monomial(1.0, 2, 1)]
+)
+def test_expressions_are_immutable(e):
+    before = e.to_json()
+    with pytest.raises(AttributeError):
+        e._terms = {}
+    with pytest.raises(AttributeError):
+        e.extra = 1
+    assert e.to_json() == before
+
+
+def test_to_json_uses_each_class_keys():
+    log_rec = expr((2.0 - 1j, 3, 1)).to_json()
+    assert log_rec == [{"re": 2.0, "im": -1.0, "k": 3, "m": 1}]
+    biv_rec = BivariateLaurentExpr([(2.0 - 1j, 3, -1)]).to_json()
+    assert biv_rec == [{"re": 2.0, "im": -1.0, "kz": 3, "kzeta": -1}]
+    assert list(log_rec[0]) == ["re", "im", "k", "m"]
+    assert list(biv_rec[0]) == ["re", "im", "kz", "kzeta"]

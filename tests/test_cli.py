@@ -165,6 +165,35 @@ def test_field_bad_grid_is_exit_two(capsys):
     assert run_main(capsys, "field", "--example", "dtn-log", "--grid", "0.5:1.5:1:-1:1:5")[0] == 2
 
 
+def test_field_non_finite_grid_is_exit_two(capsys):
+    grids = ("0.5:inf:5:-1:1:5", "nan:1.5:5:-1:1:5", "0.5:1.5:5:-inf:1:5", "0.5:1.5:5:-1:nan:5")
+    for grid in grids:
+        assert main(["field", "--example", "dtn-log", "--grid", grid]) == 2
+        assert "--grid" in capsys.readouterr().err
+
+
+def _pair_field_input(tmp_path, kind, k, m):
+    terms = [{"re": 1.0, "im": 0.0, "k": k, "m": m}]
+    pair = {"part_z": terms, "part_zeta": terms}
+    field = {"kind": kind, "u" if kind == "dtn_pair" else "pair": pair}
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"field": field}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "kind, k, m",
+    [
+        ("dtn_pair", 1, 1500),  # the primitive's coefficients m!/j! overflow
+        ("pair", 5000, 0),  # z**5000 overflows at r > 1
+    ],
+)
+def test_field_overflow_is_exit_two(tmp_path, kind, k, m):
+    result = run_cli("field", "--input", _pair_field_input(tmp_path, kind, k, m))
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
+
+
 def test_field_requires_source(capsys):
     assert run_main(capsys, "field")[0] == 2
 
@@ -248,6 +277,17 @@ def test_bad_cut_angle_is_exit_two(raw, monkeypatch, capsys):
     monkeypatch.setenv("HARMONIA_CUT_ANGLE", raw)
     assert main(["field", "--example", "dtn-log"]) == 2
     assert "HARMONIA_CUT_ANGLE" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("formula", ["dirichlet", "neumann", "robin", "schwarz"])
+@pytest.mark.parametrize("point", ["nan:0", "inf:0", "0.8:nan", "0.8:-inf"])
+def test_reflect_non_finite_point_is_exit_two(formula, point, capsys):
+    code = main(
+        ["reflect", "--formula", formula, "--example", "neumann-reflect-constant",
+         "--point", point, "--check"]
+    )
+    assert code == 2
+    assert "--point" in capsys.readouterr().err
 
 
 def test_reflect_bad_json_is_exit_two(tmp_path, capsys):

@@ -16,9 +16,7 @@ from harmonia.geometry import (
     SqrtBranch,
     _sqrt_step,
     anti_conformal_reflect,
-    inverse_schwarz_value,
     reflect_bipoint,
-    schwarz_value,
     sqrt_inverse_schwarz_derivative,
     sqrt_schwarz_derivative,
 )
@@ -36,27 +34,27 @@ MAPS = [
 def test_unit_circle_values():
     smap = SchwarzMap.unit_circle()
     z = cmath.exp(0.7j)
-    assert abs(schwarz_value(smap, z) - z.conjugate()) < 1e-15
-    assert abs(schwarz_value(smap, 2.0 + 0j) - 0.5) < 1e-15
-    assert abs(inverse_schwarz_value(smap, 0.5 + 0j) - 2.0) < 1e-15
+    assert abs(smap.value(z) - z.conjugate()) < 1e-15
+    assert abs(smap.value(2.0 + 0j) - 0.5) < 1e-15
+    assert abs(smap.inverse_value(0.5 + 0j) - 2.0) < 1e-15
 
 
 def test_offset_circle_on_curve_value():
     # z = 3 lies on |z - 1| = 2, so S(3) = conj(3) = 3
     smap = SchwarzMap.circle(1.0 + 0j, 2.0)
-    assert abs(schwarz_value(smap, 3.0 + 0j) - 3.0) < 1e-15
+    assert abs(smap.value(3.0 + 0j) - 3.0) < 1e-15
 
 
 def test_centered_circle_inverse():
     smap = SchwarzMap.circle(0j, 2.0)
-    assert abs(inverse_schwarz_value(smap, 1.0 + 0j) - 4.0) < 1e-15
+    assert abs(smap.inverse_value(1.0 + 0j) - 4.0) < 1e-15
 
 
 def test_real_axis_schwarz_is_identity():
     smap = SchwarzMap.line(0j, 0.0)
     w = 3.0 - 1.0j
-    assert abs(schwarz_value(smap, w) - w) < 1e-15
-    assert abs(inverse_schwarz_value(smap, w) - w) < 1e-15
+    assert abs(smap.value(w) - w) < 1e-15
+    assert abs(smap.inverse_value(w) - w) < 1e-15
 
 
 @pytest.mark.parametrize("smap", MAPS, ids=lambda m: m.kind + str(m.center))
