@@ -15,6 +15,10 @@ Coefficients are binary64 complex.  Terms are merged on (power, logpow)
 and coefficients with ``|c| < COEFF_EPS`` are dropped during
 normalization, so identity tests can demand exact term equality.
 
+Expressions are immutable, so what is derived from one expression again
+and again is kept on it: whether it carries logarithms, its derivative,
+and (bivariate) its last restriction to the circle.
+
 The logarithm is a principal-style branch with a configurable cut
 direction (default: the negative real axis, ``cut_angle = pi``).
 Evaluating an expression that actually contains logarithms rejects points
@@ -25,8 +29,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 from .errors import CutProximityError, DomainError
 
@@ -102,6 +107,14 @@ class _SparseSum:
     keys), print them in ``_factors`` and rebuild an expression of their own
     kind from merged terms in ``_like``; ``_context`` adds what else == and
     hash compare.  Arithmetic accepts only operands of the same class.
+
+    ``__init__`` here normalizes an accumulator that already holds int
+    exponent pairs and complex coefficients: it rejects non-finite
+    coefficients and drops those below ``COEFF_EPS``.  The public
+    constructors merge and coerce user input first; derived expressions
+    come from ``_build``, which skips that step.  Subclass slots other than
+    ``_terms`` and the context are caches, which ==, hash, repr and JSON
+    ignore.
     """
 
     __slots__ = ("_terms",)
@@ -117,6 +130,15 @@ class _SparseSum:
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _build(cls, acc: dict, *context):
+        """An expression from an accumulator of int exponent pairs and complex
+        coefficients, bypassing the public constructor; ``context`` is what
+        ``_setup`` takes after the accumulator."""
+        expr = object.__new__(cls)
+        expr._setup(acc, *context)
+        return expr
 
     def _context(self) -> tuple:
         """What == and hash compare besides the terms."""
@@ -163,6 +185,7 @@ class _SparseSum:
                     _accumulate(acc, (a1 + a2, b1 + b2), c1 * c2)
             return self._like(acc)
         if isinstance(other, (int, float, complex)):
+            other = complex(other)
             return self._like({key: c * other for key, c in self._terms.items()})
         return NotImplemented
 
@@ -192,7 +215,7 @@ class LogLaurentExpr(_SparseSum):
     derived expressions.
     """
 
-    __slots__ = ("_cut_angle",)
+    __slots__ = ("_cut_angle", "_has_log", "_derivative")
     _EXPONENTS = ("k", "m")
 
     def __init__(self, terms: TermsLike = (), cut_angle: float = DEFAULT_CUT_ANGLE):
@@ -201,11 +224,16 @@ class LogLaurentExpr(_SparseSum):
         for _, m in acc:
             if m < 0:
                 raise ValueError(f"negative log power {m}")
-        super().__init__(acc)
-        object.__setattr__(self, "_cut_angle", float(cut_angle))
+        self._setup(acc, float(cut_angle))
+
+    def _setup(self, acc: dict, cut_angle: float) -> None:
+        _SparseSum.__init__(self, acc)
+        object.__setattr__(self, "_cut_angle", cut_angle)
+        object.__setattr__(self, "_has_log", any(m for _, m in self._terms))
+        object.__setattr__(self, "_derivative", None)
 
     def _like(self, acc: dict) -> "LogLaurentExpr":
-        return LogLaurentExpr(acc, self._cut_angle)
+        return LogLaurentExpr._build(acc, self._cut_angle)
 
     def _context(self) -> tuple:
         return (self._cut_angle,)
@@ -251,7 +279,7 @@ class LogLaurentExpr(_SparseSum):
         )
 
     def has_log(self) -> bool:
-        return any(m > 0 for (_, m) in self._terms)
+        return self._has_log
 
     def coefficient(self, power: int, logpow: int = 0) -> complex:
         return self._terms.get((power, logpow), 0j)
@@ -268,7 +296,7 @@ class LogLaurentExpr(_SparseSum):
         if z == 0:
             raise DomainError("expression is singular at z = 0")
         lg = None
-        if self.has_log():
+        if self._has_log:
             if cut_distance(cmath.phase(z), self._cut_angle) < margin:
                 raise CutProximityError(
                     f"point at angle {cmath.phase(z):.6g} is within {margin:g} rad "
@@ -288,14 +316,19 @@ class LogLaurentExpr(_SparseSum):
     # -- calculus --------------------------------------------------------------
 
     def differentiate(self) -> "LogLaurentExpr":
-        """Termwise d/dz: c z^k log^m -> c k z^(k-1) log^m + c m z^(k-1) log^(m-1)."""
-        acc: dict = {}
-        for (k, m), c in self._terms.items():
-            if k:
-                _accumulate(acc, (k - 1, m), c * k)
-            if m:
-                _accumulate(acc, (k - 1, m - 1), c * m)
-        return self._like(acc)
+        """Termwise d/dz: c z^k log^m -> c k z^(k-1) log^m + c m z^(k-1) log^(m-1).
+
+        Computed on the first call and returned by later calls.
+        """
+        if self._derivative is None:
+            acc: dict = {}
+            for (k, m), c in self._terms.items():
+                if k:
+                    _accumulate(acc, (k - 1, m), c * k)
+                if m:
+                    _accumulate(acc, (k - 1, m - 1), c * m)
+            object.__setattr__(self, "_derivative", self._like(acc))
+        return self._derivative
 
     def antiderivative_over_arg(self) -> "LogLaurentExpr":
         """Exact primitive A with A'(z) = self(z)/z and integration constant 0.
@@ -329,7 +362,7 @@ class LogLaurentExpr(_SparseSum):
         """
         theta = float(theta)
         theta_adj = theta - _TWO_PI * math.ceil((theta - self._cut_angle) / _TWO_PI)
-        if self.has_log() and cut_distance(theta, self._cut_angle) < margin:
+        if self._has_log and cut_distance(theta, self._cut_angle) < margin:
             raise CutProximityError(
                 f"ray angle {theta:.6g} is within {margin:g} rad of the branch cut"
             )
@@ -362,7 +395,7 @@ class LogLaurentExpr(_SparseSum):
         return self._like(acc)
 
     def with_cut_angle(self, cut_angle: float) -> "LogLaurentExpr":
-        return LogLaurentExpr(self._terms, cut_angle)
+        return LogLaurentExpr._build(self._terms, float(cut_angle))
 
     # -- serialization ----------------------------------------------------------
 
@@ -378,15 +411,19 @@ class LogLaurentExpr(_SparseSum):
 class BivariateLaurentExpr(_SparseSum):
     """A finite Laurent sum c * z**kz * zeta**kzeta in two complex variables."""
 
-    __slots__ = ()
+    __slots__ = ("_circle",)
     _EXPONENTS = ("kz", "kzeta")
 
     def __init__(self, terms=()):
         items = terms.items() if isinstance(terms, Mapping) else (((a, b), c) for c, a, b in terms)
-        super().__init__(_merge(items))
+        self._setup(_merge(items))
+
+    def _setup(self, acc: dict) -> None:
+        _SparseSum.__init__(self, acc)
+        object.__setattr__(self, "_circle", None)  # (cut angle, restriction)
 
     def _like(self, acc: dict) -> "BivariateLaurentExpr":
-        return BivariateLaurentExpr(acc)
+        return BivariateLaurentExpr._build(acc)
 
     @staticmethod
     def _factors(kz: int, kzeta: int) -> str:
@@ -426,12 +463,16 @@ class BivariateLaurentExpr(_SparseSum):
 
         Term c z^kz zeta^kzeta maps to c z^(kz - kzeta); the result is the
         restriction to the complexified unit circle.  Multiples of
-        (z*zeta - 1) vanish identically under this map.
+        (z*zeta - 1) vanish identically under this map.  The result for the
+        last cut angle asked for is kept and returned again.
         """
-        acc: dict = {}
-        for (kz, kzeta), c in self._terms.items():
-            _accumulate(acc, (kz - kzeta, 0), c)
-        return LogLaurentExpr(acc, cut_angle)
+        cut_angle = float(cut_angle)
+        if self._circle is None or self._circle[0] != cut_angle:
+            acc: dict = {}
+            for (kz, kzeta), c in self._terms.items():
+                _accumulate(acc, (kz - kzeta, 0), c)
+            object.__setattr__(self, "_circle", (cut_angle, LogLaurentExpr._build(acc, cut_angle)))
+        return self._circle[1]
 
     @classmethod
     def from_json(cls, data: list) -> "BivariateLaurentExpr":

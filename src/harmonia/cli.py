@@ -11,9 +11,11 @@ Subcommands:
   result record; ``--check`` also evaluates the supplied solution at the
   reflected point and reports the residual.
 
-Exit codes: 0 success, 1 residual failures, 2 malformed input.  The
-environment variable ``HARMONIA_CUT_ANGLE`` overrides the branch-cut
-direction used when parsing expressions.
+Exit codes: 0 success, 1 residual failures, 2 malformed input or input
+the library rejects.  ``--seed`` belongs to ``verify`` and ``--tol`` to
+``examples``, ``verify`` and ``reflect``; ``--input`` and ``--example``
+exclude each other.  The environment variable ``HARMONIA_CUT_ANGLE``
+overrides the branch-cut direction used when parsing expressions.
 """
 
 from __future__ import annotations
@@ -381,6 +383,20 @@ def _example_reflect_input(example_id: str) -> dict:
     raise ValueError(f"example id {example_id!r} is not a reflection fixture")
 
 
+def _input_point(rec: dict, path: str) -> BiPoint:
+    """The point of a ``reflect --input`` file, held to the ``--point`` rule."""
+    if "r" in rec:
+        values = (rec["r"], rec["theta"])
+    else:
+        z, zeta = rec["z"], rec["zeta"]
+        values = (z["re"], z.get("im", 0.0), zeta["re"], zeta.get("im", 0.0))
+    if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in values):
+        raise ValueError(f"the point in {path} must be finite numbers, got {rec!r}")
+    if "r" in rec:
+        return BiPoint.from_polar(*values)
+    return BiPoint(complex(values[0], values[1]), complex(values[2], values[3]))
+
+
 def cmd_reflect(spec: RunSpec) -> int:
     if spec.example:
         payload = _example_reflect_input(spec.example)
@@ -404,14 +420,7 @@ def cmd_reflect(spec: RunSpec) -> int:
         r, th = spec.point
         p = BiPoint.from_polar(r, th)
     elif "point" in payload:
-        rec = payload["point"]
-        if "r" in rec:
-            p = BiPoint.from_polar(rec["r"], rec["theta"])
-        else:
-            p = BiPoint(
-                complex(rec["z"]["re"], rec["z"].get("im", 0.0)),
-                complex(rec["zeta"]["re"], rec["zeta"].get("im", 0.0)),
-            )
+        p = _input_point(payload["point"], spec.input)
     else:
         p = BiPoint.from_polar(0.8, 0.0)
     if formula == "dirichlet":
@@ -434,7 +443,7 @@ def cmd_reflect(spec: RunSpec) -> int:
         residual = abs(direct - result.value)
         record["check_residual"] = residual
         tol = spec.tolerance if spec.tolerance is not None else 1e-10
-        if residual > tol:
+        if not (residual <= tol):
             exit_code = EXIT_FAIL
     _emit(json.dumps(record, indent=2), spec.output)
     return exit_code
@@ -449,16 +458,25 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, fmt_choices, fmt_default):
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="suite seed")
         p.add_argument("--format", choices=fmt_choices, default=fmt_default)
         p.add_argument("--output", default=None, help="write to file instead of stdout")
 
+    def tolerance(p):
+        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+
+    def source(p, input_help, example_help):
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--input", default=None, help=input_help)
+        group.add_argument("--example", default=None, help=example_help)
+
     p = sub.add_parser("examples", help="replay the packaged golden cases")
     common(p, ("table", "json", "csv"), "table")
+    tolerance(p)
 
     p = sub.add_parser("verify", help="run the invariant verification suite")
     common(p, ("table", "json"), "json")
+    tolerance(p)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="suite seed")
     p.add_argument(
         "--targets",
         default=None,
@@ -467,14 +485,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("field", help="sample a field over a polar grid")
     common(p, ("csv", "json"), "csv")
-    p.add_argument("--input", default=None, help="JSON file describing the field")
-    p.add_argument("--example", default=None, help="packaged example id as the field")
+    source(p, "JSON file describing the field", "packaged example id as the field")
     p.add_argument("--grid", default="0.6:1.4:10:-2.0:2.0:10", help="rmin:rmax:nr:tmin:tmax:nt")
 
     p = sub.add_parser("reflect", help="evaluate a reflection formula at a point")
     common(p, ("json",), "json")
-    p.add_argument("--input", default=None, help="JSON file with solution/data/point")
-    p.add_argument("--example", default=None, help="packaged reflection example id")
+    tolerance(p)
+    source(p, "JSON file with solution/data/point", "packaged reflection example id")
     p.add_argument(
         "--formula",
         choices=("dirichlet", "neumann", "robin", "schwarz"),
@@ -508,8 +525,8 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
         example=getattr(args, "example", None),
         output=args.output,
         fmt=args.format,
-        tolerance=args.tol,
-        seed=args.seed,
+        tolerance=getattr(args, "tol", None),
+        seed=getattr(args, "seed", DEFAULT_SEED),
         grid=grid,
         formula=getattr(args, "formula", None),
         check=getattr(args, "check", False),
@@ -535,10 +552,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[spec.command](spec)
-    except (OSError, OverflowError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, HarmoniaError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_FAIL
+    except (OSError, ArithmeticError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        # HarmoniaError is a ValueError: input the library rejects is bad input,
+        # and so is input whose arithmetic overflows or divides by zero
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

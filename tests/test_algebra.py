@@ -321,3 +321,133 @@ def test_to_json_uses_each_class_keys():
     assert biv_rec == [{"re": 2.0, "im": -1.0, "kz": 3, "kzeta": -1}]
     assert list(log_rec[0]) == ["re", "im", "k", "m"]
     assert list(biv_rec[0]) == ["re", "im", "kz", "kzeta"]
+
+
+def test_derivative_is_computed_once():
+    e = expr((1.0, 3, 2), (0.5j, -1, 0))
+    d = e.differentiate()
+    assert e.differentiate() is d
+    assert d.differentiate() is d.differentiate()
+    assert d == expr((3.0, 2, 2), (2.0, 2, 1), (-0.5j, -2, 0))
+
+
+def test_has_log_after_each_operation():
+    free = expr((1.0, 2, 0), (2.0, -1, 0))
+    logged = expr((1.0, 1, 1))
+    assert not LogLaurentExpr().has_log()
+    assert not free.has_log() and logged.has_log()
+    assert (free + logged).has_log() and not (free + free).has_log()
+    assert (free * logged).has_log() and not (free * free).has_log()
+    assert not (logged - logged).has_log()
+    # the primitive of z^0/z is log z, and logs survive inversion
+    assert LogLaurentExpr.constant(1.0).antiderivative_over_arg().has_log()
+    assert not free.antiderivative_over_arg().has_log()
+    assert logged.invert_argument().has_log() and not free.invert_argument().has_log()
+    assert not logged.differentiate().differentiate().has_log()
+
+
+def test_circle_restriction_keeps_the_cut():
+    phi = BivariateLaurentExpr([(1.0, 2, 0), (0.5, 0, 1)])
+    default = phi.restrict_to_circle()
+    assert default.cut_angle == math.pi
+    assert phi.restrict_to_circle() is default
+    rotated = phi.restrict_to_circle(2.0)
+    assert rotated.cut_angle == 2.0 and rotated.terms == default.terms
+    assert phi.restrict_to_circle(math.pi).cut_angle == math.pi
+    assert phi.restrict_to_circle(2) == rotated
+
+
+def _random_log_expr(rng):
+    return LogLaurentExpr(
+        [
+            (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+             int(rng.integers(-4, 5)), int(rng.integers(0, 3)))
+            for _ in range(int(rng.integers(0, 7)))
+        ],
+        float(rng.choice([math.pi, 2.0, -1.0])),
+    )
+
+
+def _random_bivariate(rng):
+    return BivariateLaurentExpr(
+        [
+            (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+             int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
+            for _ in range(int(rng.integers(0, 7)))
+        ]
+    )
+
+
+def _hex_json(e):
+    return [{k: v.hex() if isinstance(v, float) else v for k, v in t.items()} for t in e.to_json()]
+
+
+def _assert_same_as_rebuilt(d, rebuilt):
+    assert type(rebuilt) is type(d)
+    assert d == rebuilt and hash(d) == hash(rebuilt)
+    assert repr(d) == repr(rebuilt)
+    assert _hex_json(d) == _hex_json(rebuilt)
+
+
+def test_derived_expressions_equal_their_public_rebuild():
+    # every derived result, built without the public constructor, must be
+    # the expression that constructor makes of the same terms
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        a, b = _random_log_expr(rng), _random_log_expr(rng)
+        b = b.with_cut_angle(a.cut_angle)
+        scalar = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        theta = float(rng.uniform(-2.5, 2.5))
+        derived = [
+            a + b, a - b, a * b, a * scalar, 0.5 * a, a * np.complex128(scalar), -a,
+            a.differentiate(), a.antiderivative_over_arg(), a.restrict_to_ray(theta),
+            a.conjugate_mirror(), a.invert_argument(),
+        ]
+        for d in derived:
+            assert all(type(c) is complex for c in d._terms.values())
+            rebuilt = LogLaurentExpr(dict(d._terms), d.cut_angle)
+            _assert_same_as_rebuilt(d, rebuilt)
+            assert d.cut_angle == a.cut_angle
+            assert d.has_log() == rebuilt.has_log()
+        p, q = _random_bivariate(rng), _random_bivariate(rng)
+        for d in (p + q, p - q, p * q, p * scalar, 3 * p, -p):
+            _assert_same_as_rebuilt(d, BivariateLaurentExpr(dict(d._terms)))
+        c = p.restrict_to_circle(a.cut_angle)
+        _assert_same_as_rebuilt(c, LogLaurentExpr(dict(c._terms), a.cut_angle))
+
+
+def test_derived_expressions_still_normalize():
+    e = expr((1.0, 2, 1))
+    with pytest.raises(ValueError, match="non-finite"):
+        e * 1e308 * 1e308
+    with pytest.raises(ValueError, match="non-finite"):
+        BivariateLaurentExpr.monomial(1.0, 1, 1) * 1e308 * 1e308
+    assert (e * 1e-16).is_zero()
+    assert (expr((1e-8, 2, 0)) * expr((1e-8, 1, 1))).is_zero()
+    assert (BivariateLaurentExpr.monomial(1e-8, 1, 0) * 1e-8).is_zero()
+    assert BivariateLaurentExpr([(1e-16, 2, 0), (1.0, 0, 0)]).restrict_to_circle().terms == (
+        expr((1.0, 0, 0)).terms
+    )
+
+
+def _log_with_caches():
+    e = expr((1.0, 2, 1))
+    return e, e.differentiate
+
+
+def _bivariate_with_caches():
+    phi = BivariateLaurentExpr.monomial(1.0, 2, 1)
+    return phi, phi.restrict_to_circle
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [(_log_with_caches, n) for n in ("_terms", "_cut_angle", "_has_log", "_derivative", "extra")]
+    + [(_bivariate_with_caches, n) for n in ("_terms", "_circle", "extra")],
+)
+def test_cached_expressions_stay_immutable(make, name):
+    e, derive = make()
+    first = derive()
+    with pytest.raises(AttributeError):
+        setattr(e, name, None)
+    assert derive() is first

@@ -317,3 +317,105 @@ def test_cut_angle_env_override():
     off_cut = [r for r in rows_rotated if abs(r["theta"] - 1.5) < 1e-12]
     assert on_cut and all(r["value"] is None and r["reason"] == "cut_proximity" for r in on_cut)
     assert off_cut and all(r["value"] is not None for r in off_cut)
+
+
+_REFLECT_SOLUTION = {
+    "part_z": [{"re": 0.5, "im": 0.0, "k": 2, "m": 0}],
+    "part_zeta": [{"re": 0.5, "im": 0.0, "k": 2, "m": 0}],
+}
+
+
+@pytest.mark.parametrize("formula", ["dirichlet", "neumann", "robin", "schwarz"])
+@pytest.mark.parametrize(
+    "point",
+    [
+        {"r": float("nan"), "theta": 0.0},
+        {"r": 0.8, "theta": float("inf")},
+        {"z": {"re": float("nan"), "im": 0.0}, "zeta": {"re": 0.8, "im": 0.0}},
+        {"z": {"re": 0.8}, "zeta": {"re": 0.8, "im": float("-inf")}},
+    ],
+)
+def test_reflect_input_non_finite_point_is_exit_two(formula, point, tmp_path, capsys):
+    payload = {
+        "solution": _REFLECT_SOLUTION,
+        "data": [{"re": 1.0, "im": 0.0, "kz": 0, "kzeta": 0}],
+        "point": point,
+    }
+    path = tmp_path / "non_finite_point.json"
+    path.write_text(json.dumps(payload))  # json writes NaN and Infinity, and reads them back
+    code = main(["reflect", "--formula", formula, "--input", str(path), "--check"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "non_finite_point.json" in err
+
+
+@pytest.mark.parametrize("formula", ["dirichlet", "neumann", "robin", "schwarz"])
+def test_reflect_nan_residual_fails_check(formula, tmp_path, capsys):
+    # at r = 2 the two parts overflow to +inf and -inf, so the value is NaN;
+    # a NaN residual must fail --check rather than pass it
+    payload = {
+        "solution": {
+            "part_z": [{"re": 1e308, "im": 0.0, "k": 3, "m": 0}],
+            "part_zeta": [{"re": -1e308, "im": 0.0, "k": 3, "m": 0}],
+        },
+        "data": [{"re": 1.0, "im": 0.0, "kz": 0, "kzeta": 0}],
+        "point": {"r": 2.0, "theta": 0.0},
+    }
+    path = tmp_path / "nan_residual.json"
+    path.write_text(json.dumps(payload))
+    code, out = run_main(capsys, "reflect", "--formula", formula, "--input", str(path), "--check")
+    assert code == 1
+    assert math.isnan(json.loads(out)["check_residual"])
+
+
+def test_library_rejection_is_exit_two(capsys):
+    code = main(["reflect", "--example", "neumann-reflect-constant", "--point", "0:0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "singular at the origin" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["field", "--seed", "1"],
+        ["field", "--tol", "5"],
+        ["examples", "--seed", "99"],
+        ["reflect", "--seed", "1"],
+        ["field", "--example", "dtn-log", "--input", "x.json"],
+        ["reflect", "--example", "neumann-reflect-constant", "--input", "x.json"],
+    ],
+)
+def test_options_outside_their_subcommand_are_exit_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_tolerance_accepted_on_verify_and_reflect(capsys):
+    code, _ = run_main(capsys, "verify", "--targets", "algebra", "--tol", "1e-6", "--seed", "3")
+    assert code == 0
+    code, _ = run_main(
+        capsys, "reflect", "--example", "neumann-reflect-constant", "--point", "0.8:0.0",
+        "--check", "--tol", "1e-12",
+    )
+    assert code == 0
+
+
+def test_reflect_underflowing_point_is_exit_two(tmp_path, capsys):
+    # e^{i theta}/r overflows at r = 1e-300, and the Robin self term then
+    # raises 0.0 to a negative power
+    payload = {
+        "solution": _REFLECT_SOLUTION,
+        "data": [{"re": 1.0, "im": 0.0, "kz": 1, "kzeta": 0}],
+        "point": {"r": 1e-300, "theta": 0.0},
+    }
+    path = tmp_path / "tiny_radius.json"
+    path.write_text(json.dumps(payload))
+    for formula in ("dirichlet", "neumann", "robin", "schwarz"):
+        assert main(["reflect", "--formula", formula, "--input", str(path), "--check"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
