@@ -49,6 +49,9 @@ __all__ = [
 DEFAULT_CUT_ANGLE = math.pi
 CUT_MARGIN = 1e-6
 COEFF_EPS = 1e-15
+# the largest log power a JSON term may carry: the primitive of a term of
+# log power m takes m steps, and its coefficients m!/j! overflow long before
+MAX_JSON_LOGPOW = 1024
 
 _TWO_PI = 2.0 * math.pi
 
@@ -91,6 +94,15 @@ def _merge(items) -> dict:
     for (a, b), c in items:
         _accumulate(acc, (int(a), int(b)), complex(c))
     return acc
+
+
+def _json_exponent(key: str, value) -> int:
+    """The exponent ``key`` of a JSON term, which must be an integral number."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ValueError(f"exponent {key!r} must be an integer, got {value!r}")
+    return int(value)
 
 
 TermsLike = Union[
@@ -401,10 +413,15 @@ class LogLaurentExpr(_SparseSum):
 
     @classmethod
     def from_json(cls, data: list, cut_angle: float = DEFAULT_CUT_ANGLE) -> "LogLaurentExpr":
-        terms = [
-            (complex(rec["re"], rec.get("im", 0.0)), rec["k"], rec.get("m", 0))
-            for rec in data
-        ]
+        terms = []
+        for rec in data:
+            coeff = complex(rec["re"], rec.get("im", 0.0))
+            k, m = _json_exponent("k", rec["k"]), _json_exponent("m", rec.get("m", 0))
+            if not 0 <= m <= MAX_JSON_LOGPOW:
+                raise ValueError(
+                    f"log power 'm' must be in [0, {MAX_JSON_LOGPOW}], got {rec['m']!r}"
+                )
+            terms.append((coeff, k, m))
         return cls(terms, cut_angle)
 
 
@@ -478,7 +495,11 @@ class BivariateLaurentExpr(_SparseSum):
     def from_json(cls, data: list) -> "BivariateLaurentExpr":
         return cls(
             [
-                (complex(rec["re"], rec.get("im", 0.0)), rec["kz"], rec["kzeta"])
+                (
+                    complex(rec["re"], rec.get("im", 0.0)),
+                    _json_exponent("kz", rec["kz"]),
+                    _json_exponent("kzeta", rec["kzeta"]),
+                )
                 for rec in data
             ]
         )

@@ -12,6 +12,7 @@ intermediate pairs in C^2 are often deliberately non-symmetric.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +92,8 @@ class RobinParams:
     b: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"Robin coefficients must be finite, got a={self.a!r}, b={self.b!r}")
         if self.b == 0:
             raise ValueError("Robin coefficient b must be nonzero")
 

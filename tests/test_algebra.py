@@ -6,6 +6,7 @@ import pytest
 
 from harmonia.algebra import (
     COEFF_EPS,
+    MAX_JSON_LOGPOW,
     BivariateLaurentExpr,
     LogLaurentExpr,
     branch_log,
@@ -264,6 +265,47 @@ def test_bivariate_eval_and_serialization():
     assert (phi - back).is_zero()
     with pytest.raises(DomainError):
         phi.eval(1.0, 0.0)
+
+
+def test_json_exponents_are_integral_numbers():
+    # a float that is an integer is read as that integer
+    e = LogLaurentExpr.from_json([{"re": 1.0, "k": 2.0, "m": float(MAX_JSON_LOGPOW)}])
+    assert e == LogLaurentExpr([(1.0, 2, MAX_JSON_LOGPOW)])
+    phi = BivariateLaurentExpr.from_json([{"re": 1.0, "kz": -1.0, "kzeta": 3}])
+    assert phi == BivariateLaurentExpr([(1.0, -1, 3)])
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        {"re": 1.0, "k": 1.5},  # int() would truncate it to 1
+        {"re": 1.0, "k": "2"},
+        {"re": 1.0, "k": True},
+        {"re": 1.0, "k": float("inf")},
+        {"re": 1.0, "k": float("nan")},
+        {"re": 1.0, "k": 1, "m": 0.5},
+        {"re": 1.0, "k": 1, "m": -1},
+        {"re": 1.0, "k": 1, "m": MAX_JSON_LOGPOW + 1},
+        {"re": 0.5, "k": 1, "m": 1e300},  # its primitive would take 10^300 steps
+        {"re": 1.0, "k": 1, "m": None},
+    ],
+)
+def test_log_json_rejects_bad_exponents(term):
+    with pytest.raises(ValueError):
+        LogLaurentExpr.from_json([term])
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        {"re": 1.0, "kz": 0.5, "kzeta": 0},
+        {"re": 1.0, "kz": 0, "kzeta": float("-inf")},
+        {"re": 1.0, "kz": [1], "kzeta": 0},
+    ],
+)
+def test_bivariate_json_rejects_bad_exponents(term):
+    with pytest.raises(ValueError):
+        BivariateLaurentExpr.from_json([term])
 
 
 def test_repr_of_both_classes():

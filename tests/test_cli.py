@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
@@ -419,3 +420,126 @@ def test_reflect_underflowing_point_is_exit_two(tmp_path, capsys):
         assert main(["reflect", "--formula", formula, "--input", str(path), "--check"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+_FIXTURES = json.loads(
+    resources.files("harmonia").joinpath("fixtures/examples.json").read_text("utf-8")
+)["examples"]
+
+
+def _write(tmp_path, name, payload) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _bad_input(capsys, *argv) -> str:
+    """Run the CLI on input it must reject; return its one error line."""
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1, captured.err
+    return captured.err
+
+
+@pytest.mark.parametrize("row", _FIXTURES, ids=lambda row: row["id"])
+def test_field_runs_every_fixture_kind(row, tmp_path, capsys):
+    argv = ["--grid", "0.6:1.4:3:-1.0:1.0:4", "--format", "json"]
+    code, out = run_main(capsys, "field", "--example", row["id"], *argv)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 12 and all(isinstance(r["value"], float) for r in rows)
+    # the fixture row itself is a field source
+    path = _write(tmp_path, "row.json", {"field": row})
+    assert run_main(capsys, "field", "--input", path, *argv) == (0, out)
+
+
+@pytest.mark.parametrize(
+    "row", [r for r in _FIXTURES if r["kind"].startswith("reflect_")], ids=lambda row: row["id"]
+)
+def test_reflect_check_on_every_reflection_fixture(row, capsys):
+    formula = "neumann" if row["kind"] == "reflect_neumann" else "robin"
+    code, out = run_main(
+        capsys, "reflect", "--example", row["id"], "--formula", formula, "--point", "0.75:0.4",
+        "--check",
+    )
+    assert code == 0
+    assert json.loads(out)["check_residual"] < 1e-10
+
+
+def test_field_unknown_kind_is_exit_two(tmp_path, capsys):
+    field = {"kind": "bogus", "pair": _REFLECT_SOLUTION}
+    path = _write(tmp_path, "unknown_kind.json", {"field": field})
+    assert "'bogus'" in _bad_input(capsys, "field", "--input", path)
+
+
+_OVERFLOWING_SOLUTION = {
+    "part_z": [{"re": 1e308, "im": 0.0, "k": 3, "m": 0}],
+    "part_zeta": [{"re": -1e308, "im": 0.0, "k": 3, "m": 0}],
+}
+
+
+@pytest.mark.parametrize("formula", ["dirichlet", "neumann", "robin", "schwarz"])
+def test_reflect_non_finite_result_is_exit_two(formula, tmp_path, capsys):
+    # without --check there is no residual to fail, so a NaN value is bad input
+    payload = {
+        "solution": _OVERFLOWING_SOLUTION,
+        "data": [{"re": 1.0, "im": 0.0, "kz": 0, "kzeta": 0}],
+        "point": {"r": 2.0, "theta": 0.0},
+    }
+    path = _write(tmp_path, "overflowing.json", payload)
+    err = _bad_input(capsys, "reflect", "--formula", formula, "--input", path)
+    assert path in err and "z = (2+0j)" in err and "not finite" in err
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["overflowing_point", "missing_re", "missing_k", "complex_exponentiation"],
+)
+def test_error_line_names_the_input(case, tmp_path, capsys):
+    if case == "overflowing_point":  # used to print (34, 'Numerical result out of range')
+        argv = ["reflect", "--formula", "schwarz", "--example", "neumann-reflect-constant",
+                "--point", "1e300:0"]
+        names = ["'neumann-reflect-constant'", "1e+300"]
+    elif case == "missing_re":
+        pair = {"part_z": [{"im": 1.0, "k": 1}], "part_zeta": []}
+        path = _write(tmp_path, "no_re.json", {"field": {"kind": "pair", "pair": pair}})
+        argv = ["field", "--input", path]
+        names = [path, "missing key 're'"]
+    elif case == "missing_k":
+        solution = {"part_z": [{"re": 1.0}], "part_zeta": []}
+        path = _write(tmp_path, "no_k.json", {"solution": solution, "data": []})
+        argv = ["reflect", "--input", path]
+        names = [path, "missing key 'k'"]
+    else:
+        payload = {
+            "solution": _REFLECT_SOLUTION,
+            "data": [{"re": 1.0, "im": 0.0, "kz": 1, "kzeta": 0}],
+            "point": {"r": 1e-300, "theta": 0.0},
+        }
+        path = _write(tmp_path, "tiny.json", payload)
+        argv = ["reflect", "--formula", "dirichlet", "--input", path, "--check"]
+        names = [path, "1e-300", "complex exponentiation"]
+    err = _bad_input(capsys, *argv)
+    assert all(name in err for name in names), err
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        # int(1e300) log steps in the primitive: this used to run until memory ran out
+        {"kind": "dtn_pair", "u": {"part_z": [{"re": 0.5, "k": 1, "m": 1e300}], "part_zeta": []}},
+        {"kind": "pair", "pair": {"part_z": [{"re": 0.5, "k": 1.5}], "part_zeta": []}},
+        # used to give NaN rows and exit 0
+        {**next(r for r in _FIXTURES if r["id"] == "robin-reflect-cos2"), "a": math.inf},
+        # used to give -inf rows and exit 0
+        {
+            **next(r for r in _FIXTURES if r["id"] == "neumann-reflect-cos2"),
+            "v": {"part_z": [{"re": 0.5, "im": 1e308, "k": 2}], "part_zeta": []},
+        },
+    ],
+    ids=["huge_log_power", "fractional_power", "infinite_robin_coefficient", "overflowing_value"],
+)
+def test_field_rejects_input_that_hung_or_gave_non_finite_rows(field, tmp_path, capsys):
+    path = _write(tmp_path, "field.json", {"field": field})
+    _bad_input(capsys, "field", "--input", path)

@@ -1,0 +1,116 @@
+"""Seeded fuzz test of the CLI's exit-code policy.
+
+After Claessen and Hughes, "QuickCheck: a lightweight tool for random
+testing of Haskell programs" (ICFP 2000): the packaged fixture records are
+written out as ``field`` and ``reflect`` input files, mutated with
+non-finite, huge, tiny and wrongly typed values and with deleted keys, and
+run through ``cli.main`` in process, with the formula and ``--check``
+drawn at random.  Whatever the input:
+
+* the exit code is 0, 1 or 2, and no exception escapes;
+* exit 2 prints exactly one ``error:`` line and nothing on stdout;
+* exit 1 comes from a residual comparison, so the output holds a residual;
+* an exit-0 output holds no NaN or Infinity.
+
+The seed is fixed, so a failure replays; the case index and its input are
+in the assertion message.
+"""
+
+import copy
+import json
+import math
+import random
+from importlib import resources
+
+import pytest
+
+from harmonia.cli import main
+
+SEED = 2000
+CASES = 600
+
+_FIXTURES = json.loads(
+    resources.files("harmonia").joinpath("fixtures/examples.json").read_text("utf-8")
+)["examples"]
+
+# the keys a field source reads; mutating the others (ids, expected values)
+# would test nothing
+_FIELD_KEYS = ("kind", "pair", "u", "v", "w", "data", "a", "b")
+
+_VALUES = (
+    math.nan, math.inf, -math.inf, 1e308, -1e308, 1e300, -1e300, 1e-300, 0, -1, 2.5,
+    "x", "1", None, True, [], [1.0], {},
+)
+
+
+def _mutate(rng: random.Random, record):
+    """A copy of a JSON record with one or two values replaced or deleted.
+
+    Each mutation walks down from the root and stops at each level with
+    probability 0.4, so a top-level scalar such as a Robin coefficient is
+    hit about as often as a deep term coefficient.
+    """
+    record = copy.deepcopy(record)
+    for _ in range(rng.randint(1, 2)):
+        node = record
+        while node:
+            key = rng.choice(list(node) if isinstance(node, dict) else range(len(node)))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and rng.random() < 0.6:
+                node = child
+            elif rng.random() < 0.25:
+                del node[key]
+                break
+            else:
+                node[key] = copy.deepcopy(rng.choice(_VALUES))
+                break
+    return record
+
+
+def _reflect_payload(rng: random.Random, row):
+    payload = {
+        "solution": row["v" if row["kind"] == "reflect_neumann" else "w"],
+        "data": row["data"],
+        # outside the unit disk a coefficient near 1e308 overflows silently
+        "point": {"r": rng.choice((0.8, 2.0)), "theta": 0.3},
+    }
+    if "a" in row:
+        payload["params"] = {"a": row["a"], "b": row["b"]}
+    return payload
+
+
+def _case(rng: random.Random, path) -> list:
+    row = rng.choice(_FIXTURES)
+    if row["kind"].startswith("reflect_") and rng.random() < 0.5:
+        payload = _mutate(rng, _reflect_payload(rng, row))
+        formula = rng.choice(("dirichlet", "neumann", "robin", "schwarz"))
+        argv = ["reflect", "--input", str(path), "--formula", formula]
+        if rng.random() < 0.5:
+            argv.append("--check")
+    else:
+        source = {k: v for k, v in row.items() if k in _FIELD_KEYS}
+        payload = {"field": _mutate(rng, source)}
+        argv = ["field", "--input", str(path), "--grid", "0.6:1.4:3:-1.0:1.0:3", "--format", "json"]
+    path.write_text(json.dumps(payload))  # json writes NaN and Infinity, and reads them back
+    return argv
+
+
+def test_cli_keeps_its_exit_code_policy_on_mutated_fixtures(tmp_path, capsys):
+    rng = random.Random(SEED)
+    path = tmp_path / "case.json"
+    for i in range(CASES):
+        argv = _case(rng, path)
+        where = f"case {i}: harmonia {' '.join(argv)} on {path.read_text()}"
+        try:
+            code = main(argv)
+        except Exception as exc:  # the policy says none escapes
+            pytest.fail(f"{where} raised {exc!r}")
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), where
+        if code == 2:
+            assert out == "", where
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, f"{where}: {err}"
+        elif code == 1:
+            assert argv[0] == "reflect" and "check_residual" in json.loads(out), where
+        else:
+            assert err == "" and "NaN" not in out and "Infinity" not in out, where

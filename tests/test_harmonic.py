@@ -154,6 +154,12 @@ def test_robin_params_rejects_zero_b():
         RobinParams(1.0, 0.0)
 
 
+@pytest.mark.parametrize("a, b", [(math.inf, 1.0), (math.nan, 1.0), (1.0, -math.inf)])
+def test_robin_params_rejects_non_finite(a, b):
+    with pytest.raises(ValueError, match="finite"):
+        RobinParams(a, b)
+
+
 def test_pairs_are_harmonic_by_fd():
     rng = np.random.default_rng(24)
     h = 1e-4
