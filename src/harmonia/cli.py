@@ -54,6 +54,10 @@ _REFLECT_R = tuple(np.linspace(0.6, 0.95, 5))
 _REFLECT_TH = tuple(np.linspace(-2.0, 2.0, 4))
 
 
+class _OptionError(ValueError):
+    """A malformed command-line option value; the message names the option."""
+
+
 @dataclass(frozen=True)
 class GridSpec:
     r_min: float
@@ -66,7 +70,7 @@ class GridSpec:
     def __post_init__(self):
         bounds = (self.r_min, self.r_max, self.theta_min, self.theta_max)
         if not all(math.isfinite(b) for b in bounds):
-            raise ValueError(f"--grid bounds must be finite numbers, got {bounds}")
+            raise ValueError(f"bounds must be finite numbers, got {bounds}")
         if self.n_r < 2 or self.n_theta < 2:
             raise ValueError("grid counts must be >= 2")
         if not self.r_min > 0:
@@ -76,13 +80,14 @@ class GridSpec:
 
     @classmethod
     def parse(cls, text: str) -> "GridSpec":
-        parts = text.split(":")
-        if len(parts) != 6:
-            raise ValueError("grid must be rmin:rmax:nr:tmin:tmax:nt")
-        return cls(
-            float(parts[0]), float(parts[1]), int(parts[2]),
-            float(parts[3]), float(parts[4]), int(parts[5]),
-        )
+        """The grid of a ``--grid rmin:rmax:nr:tmin:tmax:nt`` option."""
+        try:
+            r_min, r_max, n_r, t_min, t_max, n_t = text.split(":")
+            return cls(float(r_min), float(r_max), int(n_r), float(t_min), float(t_max), int(n_t))
+        except ValueError as exc:
+            raise _OptionError(
+                f"--grid must be rmin:rmax:nr:tmin:tmax:nt, got {text!r}: {exc}"
+            ) from None
 
     def points(self):
         for r in np.linspace(self.r_min, self.r_max, self.n_r):
@@ -236,7 +241,12 @@ def _examples_csv(records: list) -> str:
 
 
 def cmd_examples(args: argparse.Namespace, cut: float) -> int:
-    records = [_run_example_row(row, cut, args.tol) for row in _load_fixture_examples()]
+    records = []
+    for row in _load_fixture_examples():
+        try:
+            records.append(_run_example_row(row, cut, args.tol))
+        except (ArithmeticError, ValueError) as exc:
+            raise ValueError(f"example {row['id']!r}: {exc}") from None
     if args.format == "json":
         text = json.dumps({"examples": records}, indent=2)
     elif args.format == "csv":
@@ -325,7 +335,7 @@ def cmd_field(args: argparse.Namespace, cut: float) -> int:
     return EXIT_OK
 
 
-def _input_point(rec: dict, path: str) -> BiPoint:
+def _input_point(rec: dict) -> BiPoint:
     """The point of a ``reflect --input`` file, held to the ``--point`` rule."""
     if "r" in rec:
         values = (rec["r"], rec["theta"])
@@ -333,20 +343,25 @@ def _input_point(rec: dict, path: str) -> BiPoint:
         z, zeta = rec["z"], rec["zeta"]
         values = (z["re"], z.get("im", 0.0), zeta["re"], zeta.get("im", 0.0))
     if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in values):
-        raise ValueError(f"the point in {path} must be finite numbers, got {rec!r}")
+        raise ValueError(f"the point must be finite numbers, got {rec!r}")
     if "r" in rec:
         return BiPoint.from_polar(*values)
     return BiPoint(complex(values[0], values[1]), complex(values[2], values[3]))
 
 
+def _parse_point(text: str) -> BiPoint:
+    """The point of a ``--point r:theta`` option."""
+    try:
+        r, theta = (float(v) for v in text.split(":"))
+    except ValueError:
+        r = theta = math.nan
+    if not (math.isfinite(r) and math.isfinite(theta)):
+        raise _OptionError(f"--point must be two finite numbers r:theta, got {text!r}")
+    return BiPoint.from_polar(r, theta)
+
+
 def cmd_reflect(args: argparse.Namespace, cut: float) -> int:
-    p = None
-    if args.point:
-        r_text, th_text = args.point.split(":")
-        point = (float(r_text), float(th_text))
-        if not all(math.isfinite(v) for v in point):
-            raise ValueError(f"--point must be two finite numbers r:theta, got {args.point!r}")
-        p = BiPoint.from_polar(*point)
+    p = None if args.point is None else _parse_point(args.point)
     if args.example:
         row = _fixture(args.example)
         if row is None or row["kind"] not in _REFLECT_KINDS:
@@ -371,7 +386,7 @@ def cmd_reflect(args: argparse.Namespace, cut: float) -> int:
             "use --formula schwarz to reflect across another map"
         )
     if p is None and "point" in payload:
-        p = _input_point(payload["point"], args.input)
+        p = _input_point(payload["point"])
     elif p is None:
         p = BiPoint.from_polar(0.8, 0.0)
     try:
@@ -481,9 +496,11 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         # input whose arithmetic overflows or divides by zero is bad input
         message = f"{_source(args)}: {exc}"
-    except (OSError, TypeError, ValueError) as exc:
-        # HarmoniaError is a ValueError: input the library rejects is bad input
+    except (OSError, _OptionError) as exc:
         message = str(exc)
+    except (TypeError, ValueError) as exc:
+        # HarmoniaError is a ValueError: input the library rejects is bad input
+        message = f"{args.input}: {exc}" if getattr(args, "input", None) else str(exc)
     print(f"error: {message}", file=sys.stderr)
     return EXIT_BAD_INPUT
 

@@ -543,3 +543,39 @@ def test_error_line_names_the_input(case, tmp_path, capsys):
 def test_field_rejects_input_that_hung_or_gave_non_finite_rows(field, tmp_path, capsys):
     path = _write(tmp_path, "field.json", {"field": field})
     _bad_input(capsys, "field", "--input", path)
+
+
+@pytest.mark.parametrize("point", ["0.8", "a:b", "0.8:0.1:2", ""])
+def test_reflect_malformed_point_names_the_option(point, capsys):
+    err = _bad_input(
+        capsys, "reflect", "--example", "neumann-reflect-constant", f"--point={point}"
+    )
+    assert err == f"error: --point must be two finite numbers r:theta, got {point!r}\n"
+
+
+@pytest.mark.parametrize("grid", ["0.5:1.5:x:-1:1:5", "0.5:1.5:5:-1:1:2.5", "a:1.5:5:-1:1:5"])
+def test_field_malformed_grid_names_the_option(grid, capsys):
+    err = _bad_input(capsys, "field", "--example", "dtn-log", "--grid", grid)
+    assert err.startswith(f"error: --grid must be rmin:rmax:nr:tmin:tmax:nt, got {grid!r}: "), err
+
+
+def test_input_file_that_is_not_json_is_named(tmp_path, capsys):
+    path = tmp_path / "not_json.json"
+    path.write_text("not json")
+    err = _bad_input(capsys, "field", "--input", str(path))
+    assert err.startswith(f"error: {path}: Expecting value"), err
+
+
+def test_input_file_with_nan_coefficient_is_named(tmp_path, capsys):
+    pair = {"part_z": [{"re": float("nan"), "k": 1}], "part_zeta": []}
+    path = _write(tmp_path, "nan_coefficient.json", {"field": {"kind": "pair", "pair": pair}})
+    err = _bad_input(capsys, "field", "--input", path)
+    assert err.startswith(f"error: {path}: non-finite coefficient"), err
+
+
+def test_examples_under_a_rotated_cut_name_the_row(monkeypatch, capsys):
+    # the fixed sample grids hold theta = +-2.0, so a cut at 2.0 runs through them
+    monkeypatch.setenv("HARMONIA_CUT_ANGLE", "2.0")
+    err = _bad_input(capsys, "examples")
+    assert any(err.startswith(f"error: example {row['id']!r}: ") for row in _FIXTURES), err
+    assert "branch cut" in err

@@ -8,6 +8,7 @@ import pytest
 from harmonia.algebra import BivariateLaurentExpr, LogLaurentExpr
 from harmonia.errors import NonzeroMeanError, QuadratureConvergenceError
 from harmonia.geometry import PathSpec
+from harmonia import numerics
 from harmonia.numerics import (
     QuadratureConfig,
     TrigPolynomial,
@@ -40,6 +41,62 @@ def test_integrate_nonconvergence():
     cfg = QuadratureConfig(abs_tol=1e-16, max_depth=1)
     with pytest.raises(QuadratureConvergenceError):
         integrate_path(lambda t: 1.0 / t, PathSpec.segment(0.01 + 0j, 2.0 + 0j, 1), cfg)
+
+
+def test_nonconvergence_names_the_panel():
+    # one bisection leaves [0, 1/2] in the parameter, z from 0.01 to 1.005,
+    # with half the tolerance
+    cfg = QuadratureConfig(abs_tol=1e-16, max_depth=1)
+    with pytest.raises(QuadratureConvergenceError) as exc:
+        integrate_path(lambda t: 1.0 / t, PathSpec.segment(0.01 + 0j, 2.0 + 0j, 1), cfg)
+    message = str(exc.value)
+    assert "from z = 0.01+0j to z = 1.005+0j" in message, message
+    assert "error estimate 1.01 exceeds the tolerance 5e-17" in message, message
+
+
+def test_gauss_rule_is_three_point_legendre():
+    nodes, weights = np.polynomial.legendre.leggauss(3)
+    x = numerics._GAUSS_X
+    w_side, w_centre = numerics._G3_WEIGHTS
+    assert np.allclose([-x, 0.0, x], nodes, rtol=0.0, atol=1e-15)
+    assert np.allclose([w_side, w_centre, w_side], weights, rtol=0.0, atol=1e-15)
+
+
+def test_kronrod_and_gauss_polynomial_degrees():
+    for k in range(12):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        kronrod, gauss = numerics._gauss_kronrod(lambda x: x**k, 0.0, 1.0)
+        assert abs(kronrod - exact) <= 1e-15, k
+        if k <= 5:
+            assert abs(gauss - exact) <= 1e-15, k
+
+
+def test_smooth_integrand_takes_one_rule_per_panel():
+    calls = []
+
+    def f(z):
+        calls.append(z)
+        return 2.5 + 0j
+
+    a, b = 0.3 + 0.1j, 1.2 - 0.7j
+    got = integrate_path(f, PathSpec.segment(a, b, 16))
+    assert len(calls) == 7 * 16
+    assert abs(got - 2.5 * (b - a)) < 1e-13
+
+
+def test_near_pole_integrand_bisects_to_tolerance():
+    # 1/(z - p) with p 1e-3 above the segment [0, 1]
+    pole = 0.5 + 1e-3j
+    calls = []
+
+    def f(z):
+        calls.append(z)
+        return 1.0 / (z - pole)
+
+    cfg = QuadratureConfig()
+    got = integrate_path(f, PathSpec.segment(0j, 1.0 + 0j, 16), cfg)
+    assert len(calls) > 7 * 16
+    assert abs(got - (cmath.log(1.0 - pole) - cmath.log(-pole))) <= cfg.abs_tol
 
 
 def test_quadrature_config_validation():
