@@ -17,7 +17,7 @@ normalization, so identity tests can demand exact term equality.
 
 Expressions are immutable, so what is derived from one expression again
 and again is kept on it: whether it carries logarithms, its derivative,
-and (bivariate) its last restriction to the circle.
+its primitive, and (bivariate) its last restriction to the circle.
 
 The logarithm is a principal-style branch with a configurable cut
 direction (default: the negative real axis, ``cut_angle = pi``).
@@ -70,9 +70,12 @@ def branch_log(z: complex, cut_angle: float = DEFAULT_CUT_ANGLE) -> complex:
     """
     if z == 0:
         raise DomainError("log is singular at z = 0")
-    phi = cmath.phase(z)
-    theta = phi - _TWO_PI * math.ceil((phi - cut_angle) / _TWO_PI)
-    return complex(math.log(abs(z)), theta)
+    return complex(math.log(abs(z)), _fold_angle(cmath.phase(z), cut_angle))
+
+
+def _fold_angle(theta: float, cut_angle: float) -> float:
+    """theta moved by a multiple of 2*pi into the window (cut_angle - 2*pi, cut_angle]."""
+    return theta - _TWO_PI * math.ceil((theta - cut_angle) / _TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -227,7 +230,7 @@ class LogLaurentExpr(_SparseSum):
     derived expressions.
     """
 
-    __slots__ = ("_cut_angle", "_has_log", "_derivative")
+    __slots__ = ("_cut_angle", "_has_log", "_derivative", "_primitive")
     _EXPONENTS = ("k", "m")
 
     def __init__(self, terms: TermsLike = (), cut_angle: float = DEFAULT_CUT_ANGLE):
@@ -243,6 +246,7 @@ class LogLaurentExpr(_SparseSum):
         object.__setattr__(self, "_cut_angle", cut_angle)
         object.__setattr__(self, "_has_log", any(m for _, m in self._terms))
         object.__setattr__(self, "_derivative", None)
+        object.__setattr__(self, "_primitive", None)
 
     def _like(self, acc: dict) -> "LogLaurentExpr":
         return LogLaurentExpr._build(acc, self._cut_angle)
@@ -315,6 +319,26 @@ class LogLaurentExpr(_SparseSum):
                     f"of the branch cut at {self._cut_angle:.6g}"
                 )
             lg = branch_log(z, self._cut_angle)
+        return self._sum(z, lg)
+
+    __call__ = eval
+
+    def eval_on_ray(self, rho: float, theta: float) -> complex:
+        """The value of ``restrict_to_ray(theta)`` at ``rho > 0``, without building it.
+
+        z = rho e^{i theta} and log z = log rho + i theta, with theta folded
+        into the branch window of the cut.  Unlike ``eval`` and
+        ``restrict_to_ray`` it rejects no ray near the cut: a difference of
+        values along one ray can be continuous across the cut when the values
+        are not (the primitive of log-free data jumps by a constant there), so
+        the caller guards what it must.
+        """
+        theta = _fold_angle(float(theta), self._cut_angle)
+        lg = complex(math.log(rho), theta) if self._has_log else None
+        return self._sum(rho * cmath.exp(1j * theta), lg)
+
+    def _sum(self, z: complex, lg: complex | None) -> complex:
+        """The terms at z, given log z (None when the expression has no logs)."""
         total = 0j
         for (k, m), c in self._terms.items():
             term = c * z**k
@@ -322,8 +346,6 @@ class LogLaurentExpr(_SparseSum):
                 term *= lg**m
             total += term
         return total
-
-    __call__ = eval
 
     # -- calculus --------------------------------------------------------------
 
@@ -350,19 +372,23 @@ class LogLaurentExpr(_SparseSum):
             k == 0:  c (log z)^(m+1) / (m+1)
             k != 0:  c z^k (log z)^m / k  minus  (m/k) times the primitive
                      of c z^(k-1) (log z)^(m-1), unrolled down to m = 0.
+
+        Computed on the first call and returned by later calls.
         """
-        acc: dict = {}
-        for (k, m), c in self._terms.items():
-            if k == 0:
-                _accumulate(acc, (0, m + 1), c / (m + 1))
-                continue
-            while True:
-                _accumulate(acc, (k, m), c / k)
-                if not m:
-                    break
-                c = -c * m / k
-                m -= 1
-        return self._like(acc)
+        if self._primitive is None:
+            acc: dict = {}
+            for (k, m), c in self._terms.items():
+                if k == 0:
+                    _accumulate(acc, (0, m + 1), c / (m + 1))
+                    continue
+                while True:
+                    _accumulate(acc, (k, m), c / k)
+                    if not m:
+                        break
+                    c = -c * m / k
+                    m -= 1
+            object.__setattr__(self, "_primitive", self._like(acc))
+        return self._primitive
 
     def restrict_to_ray(self, theta: float, margin: float = CUT_MARGIN) -> "LogLaurentExpr":
         """Substitute z = rho * exp(i theta); the result is an expression in rho.
@@ -373,7 +399,7 @@ class LogLaurentExpr(_SparseSum):
         evaluation at rho*e^{i theta}.
         """
         theta = float(theta)
-        theta_adj = theta - _TWO_PI * math.ceil((theta - self._cut_angle) / _TWO_PI)
+        theta_adj = _fold_angle(theta, self._cut_angle)
         if self._has_log and cut_distance(theta, self._cut_angle) < margin:
             raise CutProximityError(
                 f"ray angle {theta:.6g} is within {margin:g} rad of the branch cut"

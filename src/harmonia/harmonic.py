@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DEFAULT_CUT_ANGLE, LogLaurentExpr
+from .algebra import DEFAULT_CUT_ANGLE, LogLaurentExpr, branch_log
 from .errors import BranchSelectionError, DomainError, NonSymmetricPairError
 from .geometry import BiPoint, SchwarzMap
 
@@ -143,7 +143,8 @@ def field_scale(h: HarmonicPair, x: float, y: float) -> float:
 
     Unlike |value|, this cannot collapse through phase cancellation, which
     makes it the right denominator for relative residuals (finite
-    difference checks and the like).  Never smaller than 1.
+    difference checks and the like).  Logarithms are taken on each part's
+    own branch, as in evaluation.  Never smaller than 1.
     """
     z = complex(x, y)
     if z == 0:
@@ -152,7 +153,7 @@ def field_scale(h: HarmonicPair, x: float, y: float) -> float:
     for part, w in ((h.part_z, z), (h.part_zeta, z.conjugate())):
         if part.is_zero():
             continue
-        lg = abs(cmath.log(w)) if part.has_log() else 0.0
+        lg = abs(branch_log(w, part.cut_angle)) if part.has_log() else 0.0
         for t in part.terms:
             total += abs(t.coeff) * abs(w) ** t.power * (lg**t.logpow if t.logpow else 1.0)
     return max(1.0, total)

@@ -7,10 +7,17 @@ data-dependent correction:
 * Dirichlet data: the four-point identity on the complexified curve,
   u(reflected) = phi(S~(zeta), zeta) + phi(z, S(z)) - u(z, zeta).
 * Neumann data on the unit circle: v(reflected) = v(p) minus the radial
-  integral of the data restricted to the complexified circle (computed
-  exactly in the log-Laurent algebra).
+  integral from 1/r to r of phi(rho e^{i theta}, e^{-i theta}/rho)/rho.  Its
+  integrand is F'(rho e^{i theta}) e^{i theta} for the primitive F,
+  F'(z) = phi(z, 1/z)/z, of the kind the DtN operator builds, so the
+  integral is F(r e^{i theta}) - F(e^{i theta}/r): two evaluations of one
+  memoized primitive, exact in the log-Laurent algebra.
 * Robin data on the unit circle: adds the self-referential radial
-  integral of w, also exact (rho -> 1/rho keeps the algebra closed).
+  integral of w, the same way: the primitives P_z and P_zeta of
+  w.part_z(z)/z and w.part_zeta(zeta)/zeta (the DtN parts of w) evaluated
+  at both ends of the ray.  Both ends are taken on the branch of the ray,
+  log z = log rho + i theta, so a ray next to the cut is rejected only for
+  a part of w that carries logs.
 * Neumann data on a general Schwarz arc: the correction is a contour
   integral of phi(tau, S(tau)) sqrt(S'(tau)) evaluated by adaptive
   quadrature with a validated square-root branch.
@@ -25,8 +32,8 @@ import cmath
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .algebra import BivariateLaurentExpr, LogLaurentExpr
-from .errors import DomainError, HarmoniaError, PoleError
+from .algebra import CUT_MARGIN, BivariateLaurentExpr, LogLaurentExpr, cut_distance
+from .errors import CutProximityError, DomainError, HarmoniaError, PoleError
 from .geometry import BiPoint, PathSpec, SchwarzMap, _segment_pole_distance, sqrt_schwarz_derivative
 from .harmonic import HarmonicPair, RobinParams, eval_pair
 from .numerics import QuadratureConfig, integrate_path
@@ -107,11 +114,28 @@ def _ray_coordinates(p: BiPoint) -> tuple:
     return r, theta
 
 
-def _circle_data_primitive(phi: BivariateLaurentExpr, theta: float, cut_angle: float) -> LogLaurentExpr:
-    # restriction to the complexified circle is log-free, so the ray
-    # restriction never trips the cut guard; the primitive may carry logs
-    # but is only evaluated at positive radii
-    return phi.restrict_to_circle(cut_angle).restrict_to_ray(theta).antiderivative_over_arg()
+def _ray_change(prim: LogLaurentExpr, theta: float, r: float) -> complex:
+    """prim(e^{i theta}/r) - prim(r e^{i theta}), both on the branch of the ray."""
+    return prim.eval_on_ray(1.0 / r, theta) - prim.eval_on_ray(r, theta)
+
+
+def _data_correction(phi: BivariateLaurentExpr, theta: float, r: float, cut: float) -> complex:
+    """-int_{1/r}^{r} phi(rho e^{i theta}, e^{-i theta}/rho) / rho d rho, exactly.
+
+    The circle restriction of phi is log-free, so its primitive jumps across
+    the cut by a constant only, which the difference along one ray cancels:
+    no ray is rejected.
+    """
+    return _ray_change(phi.restrict_to_circle(cut).antiderivative_over_arg(), theta, r)
+
+
+def _check_ray(part: LogLaurentExpr, theta: float) -> None:
+    """Reject a ray next to the cut of a part that carries logs, across which
+    the part itself, and so its reflection, jumps."""
+    if part.has_log() and cut_distance(theta, part.cut_angle) < CUT_MARGIN:
+        raise CutProximityError(
+            f"ray angle {theta:.6g} is within {CUT_MARGIN:g} rad of the branch cut"
+        )
 
 
 def _numeric_data_integral(
@@ -139,12 +163,7 @@ def reflect_neumann_circle(
     and raises on disagreement.
     """
     r, theta = _ray_coordinates(p)
-    cut = v.part_z.cut_angle
-    if r == 1.0:
-        correction = 0j
-    else:
-        prim = _circle_data_primitive(phi, theta, cut)
-        correction = -(prim.eval(complex(r)) - prim.eval(complex(1.0 / r)))
+    correction = 0j if r == 1.0 else _data_correction(phi, theta, r, v.part_z.cut_angle)
     if verify_numeric and r != 1.0:
         shadow = -_numeric_data_integral(phi, theta, r, quad or QuadratureConfig())
         if abs(shadow - correction) > _SHADOW_TOL * max(1.0, abs(correction)):
@@ -176,23 +195,25 @@ def reflect_robin_circle(
 
     w(reflected) = w(p) - (a/b) int_r^1 [w(rho e^{i theta}) +
     w(e^{i theta}/rho)] / rho d rho - (1/b) int_{1/r}^r phi_w / rho d rho.
-    The reflected-argument integrand stays inside the log-Laurent algebra
-    because rho -> 1/rho maps it to itself; ``correction`` reports the
-    data term alone.
+    With Q(rho) = P_z(rho e^{i theta}) + P_zeta(rho e^{-i theta}), where
+    P_z and P_zeta are the memoized primitives of w.part_z(z)/z and
+    w.part_zeta(zeta)/zeta, the self integral is Q(1/r) - Q(r); the data
+    term is the Neumann correction of phi_w over b.  A part of w that
+    carries logs may not be reflected along a ray within ``CUT_MARGIN`` of
+    its cut.  ``correction`` reports the data term alone.
     """
     r, theta = _ray_coordinates(p)
-    cut = w.part_z.cut_angle
     if r == 1.0:
         self_term = 0j
         data_term = 0j
     else:
-        along = w.part_z.restrict_to_ray(theta) + w.part_zeta.restrict_to_ray(-theta)
-        prim_self = (along + along.invert_argument()).antiderivative_over_arg()
+        _check_ray(w.part_z, theta)
+        _check_ray(w.part_zeta, -theta)
         self_term = -(params.a / params.b) * (
-            prim_self.eval(complex(1.0)) - prim_self.eval(complex(r))
+            _ray_change(w.part_z.antiderivative_over_arg(), theta, r)
+            + _ray_change(w.part_zeta.antiderivative_over_arg(), -theta, r)
         )
-        prim_data = _circle_data_primitive(phi_w, theta, cut)
-        data_term = -(prim_data.eval(complex(r)) - prim_data.eval(complex(1.0 / r))) / params.b
+        data_term = _data_correction(phi_w, theta, r, w.part_z.cut_angle) / params.b
     if verify_numeric and r != 1.0:
         shadow = -_numeric_data_integral(phi_w, theta, r, quad or QuadratureConfig()) / params.b
         if abs(shadow - data_term) > _SHADOW_TOL * max(1.0, abs(data_term)):

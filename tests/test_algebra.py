@@ -10,6 +10,7 @@ from harmonia.algebra import (
     BivariateLaurentExpr,
     LogLaurentExpr,
     branch_log,
+    cut_distance,
 )
 from harmonia.errors import CutProximityError, DomainError
 
@@ -182,6 +183,38 @@ def test_restrict_to_ray_cut_proximity():
     # log-free expressions restrict fine on the cut direction
     got = expr((1.0, 1, 0)).restrict_to_ray(math.pi)
     assert abs(got.eval(2.0 + 0j) - (-2.0)) < 1e-15
+
+
+def test_eval_on_ray_is_the_value_at_the_point():
+    rng = np.random.default_rng(14)
+    for _ in range(60):
+        e = _random_log_expr(rng)
+        # directions beyond the branch window fold into it
+        theta = float(rng.uniform(-9.0, 9.0))
+        if e.has_log() and cut_distance(theta, e.cut_angle) < 1e-3:
+            continue
+        for rho in (0.3, 1.0, 2.5):
+            got = e.eval_on_ray(rho, theta)
+            want = e.eval(rho * cmath.exp(1j * theta))
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+            # the ray restriction agrees where its own log of rho > 0 is real,
+            # that is where the branch window holds the angle 0
+            if 0.0 <= e.cut_angle < 2.0 * math.pi:
+                ray = e.restrict_to_ray(theta).eval(complex(rho))
+                assert abs(got - ray) <= 1e-13 * max(1.0, abs(ray))
+
+
+def test_eval_on_ray_rejects_no_ray():
+    # a primitive of log-free data carries a log; along one ray next to the
+    # cut its values are on one branch, so their difference is the integral
+    prim = expr((1.0, 0, 0), (0.2, 1, 0)).antiderivative_over_arg()
+    assert prim.has_log()
+    theta = math.pi - 1e-9
+    with pytest.raises(CutProximityError):
+        prim.restrict_to_ray(theta)
+    diff = prim.eval_on_ray(2.0, theta) - prim.eval_on_ray(0.5, theta)
+    assert abs(diff - (math.log(4.0) + 0.2 * cmath.exp(1j * theta) * 1.5)) < 1e-14
+    assert prim.eval_on_ray(1.0, math.pi) == pytest.approx(1j * math.pi - 0.2)
 
 
 def test_invert_argument():
@@ -373,6 +406,21 @@ def test_derivative_is_computed_once():
     assert d == expr((3.0, 2, 2), (2.0, 2, 1), (-0.5j, -2, 0))
 
 
+def test_primitive_is_computed_once_and_invisible():
+    e = expr((1.0, 3, 2), (0.5j, 0, 0), (2.0, -1, 1))
+    twin = expr((2.0, -1, 1), (0.5j, 0, 0), (1.0, 3, 2))
+    prim = e.antiderivative_over_arg()
+    assert e.antiderivative_over_arg() is prim
+    # e carries its primitive and twin does not, yet they are the same expression
+    assert e == twin and hash(e) == hash(twin)
+    assert repr(e) == repr(twin)
+    assert _hex_json(e) == _hex_json(twin)
+    with pytest.raises(AttributeError):
+        e._primitive = None
+    assert e.antiderivative_over_arg() is prim
+    assert prim == twin.antiderivative_over_arg()
+
+
 def test_has_log_after_each_operation():
     free = expr((1.0, 2, 0), (2.0, -1, 0))
     logged = expr((1.0, 1, 1))
@@ -477,6 +525,11 @@ def _log_with_caches():
     return e, e.differentiate
 
 
+def _log_with_primitive():
+    e = expr((1.0, 2, 1), (0.5, 0, 0))
+    return e, e.antiderivative_over_arg
+
+
 def _bivariate_with_caches():
     phi = BivariateLaurentExpr.monomial(1.0, 2, 1)
     return phi, phi.restrict_to_circle
@@ -485,6 +538,7 @@ def _bivariate_with_caches():
 @pytest.mark.parametrize(
     "make, name",
     [(_log_with_caches, n) for n in ("_terms", "_cut_angle", "_has_log", "_derivative", "extra")]
+    + [(_log_with_primitive, n) for n in ("_primitive", "_derivative", "_terms")]
     + [(_bivariate_with_caches, n) for n in ("_terms", "_circle", "extra")],
 )
 def test_cached_expressions_stay_immutable(make, name):

@@ -95,22 +95,57 @@ def _case(rng: random.Random, path) -> list:
     return argv
 
 
+def _assert_policy(argv, where, capsys):
+    try:
+        code = main(argv)
+    except Exception as exc:  # the policy says none escapes
+        pytest.fail(f"{where} raised {exc!r}")
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2), where
+    if code == 2:
+        assert out == "", where
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, f"{where}: {err}"
+    elif code == 1:
+        assert argv[0] == "reflect" and "check_residual" in json.loads(out), where
+    else:
+        assert err == "" and "NaN" not in out and "Infinity" not in out, where
+    return code
+
+
 def test_cli_keeps_its_exit_code_policy_on_mutated_fixtures(tmp_path, capsys):
     rng = random.Random(SEED)
     path = tmp_path / "case.json"
     for i in range(CASES):
         argv = _case(rng, path)
-        where = f"case {i}: harmonia {' '.join(argv)} on {path.read_text()}"
-        try:
-            code = main(argv)
-        except Exception as exc:  # the policy says none escapes
-            pytest.fail(f"{where} raised {exc!r}")
-        out, err = capsys.readouterr()
-        assert code in (0, 1, 2), where
-        if code == 2:
-            assert out == "", where
-            assert err.startswith("error: ") and len(err.splitlines()) == 1, f"{where}: {err}"
-        elif code == 1:
-            assert argv[0] == "reflect" and "check_residual" in json.loads(out), where
+        _assert_policy(argv, f"case {i}: harmonia {' '.join(argv)} on {path.read_text()}", capsys)
+
+
+# the argument grid of ``reflect --point r:theta``: radii at and next to 0
+# and 1, angles on and next to the cut at +-pi, the extremes of binary64
+_RADII = (0.0, 5e-324, 1e-300, 1e-12, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 0.8, 2.0, 1e300, -0.5, math.nan)
+_ANGLES = (
+    math.pi, -math.pi, math.pi - 1e-7, -math.pi + 1e-7, math.pi - 1e-12, math.pi + 1e-9,
+    0.0, 0.3, 2.0, 1e300, -1e-300, math.nan,
+)
+_REFLECT_IDS = tuple(row["id"] for row in _FIXTURES if row["kind"].startswith("reflect_"))
+GRID_CASES = 300
+
+
+def test_cli_keeps_its_exit_code_policy_on_the_argument_grid(capsys, monkeypatch):
+    rng = random.Random(SEED + 1)
+    seen = set()
+    for i in range(GRID_CASES):
+        point = f"{rng.choice(_RADII)!r}:{rng.choice(_ANGLES)!r}"
+        formula = rng.choice(("dirichlet", "neumann", "robin", "schwarz"))
+        # the = form, so that argparse takes a leading minus sign as a value
+        argv = ["reflect", "--example", rng.choice(_REFLECT_IDS), f"--point={point}"]
+        argv += ["--formula", formula] + (["--check"] if rng.random() < 0.5 else [])
+        cut = rng.choice((None, None, "2.0", "-1.0"))
+        if cut is None:
+            monkeypatch.delenv("HARMONIA_CUT_ANGLE", raising=False)
         else:
-            assert err == "" and "NaN" not in out and "Infinity" not in out, where
+            monkeypatch.setenv("HARMONIA_CUT_ANGLE", cut)
+        seen.add((formula, _assert_policy(argv, f"case {i}: cut {cut}, harmonia {' '.join(argv)}", capsys)))
+    # the grid reaches every formula, and both a result and a rejection
+    assert {f for f, _ in seen} == {"dirichlet", "neumann", "robin", "schwarz"}
+    assert {c for _, c in seen} >= {0, 2}

@@ -175,6 +175,22 @@ def test_pairs_are_harmonic_by_fd():
                 assert abs(fd_laplacian(field, x, y, h)) / field_scale(pair, x, y) < 1e-5
 
 
+def test_field_scale_takes_logs_on_the_parts_branch():
+    # with the cut at 2.0, arg z = 2.5 - 2 pi on the branch, so |log z|^2 is
+    # ~14.3 where the principal log gives ~6.3; the scale of a sum of terms
+    # bounds the sum only if each term is measured as it is evaluated
+    cut = 2.0
+    part = LogLaurentExpr([(1.0, 0, 2)], cut)
+    pair = HarmonicPair(part, LogLaurentExpr.zero(cut))
+    z = 0.9 * cmath.exp(2.5j)
+    term = abs(part.eval(z))
+    assert term > 14.0
+    assert field_scale(pair, z.real, z.imag) >= term
+    # on the default cut the branch is the principal one
+    default = HarmonicPair(part.with_cut_angle(math.pi), LogLaurentExpr.zero())
+    assert field_scale(default, z.real, z.imag) == pytest.approx(abs(cmath.log(z)) ** 2)
+
+
 def test_pair_arithmetic_and_serialization():
     s = SADDLE + 2.0 * LINEAR - LOG_RADIAL
     assert abs(eval_real(s, 1.0, 0.5) - (eval_real(SADDLE, 1.0, 0.5)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from harmonia.algebra import BivariateLaurentExpr, LogLaurentExpr
-from harmonia.errors import DomainError, PoleError
-from harmonia.geometry import BiPoint, SchwarzMap, reflect_bipoint
+from harmonia.errors import CutProximityError, DomainError, PoleError
+from harmonia.geometry import BiPoint, PathSpec, SchwarzMap, reflect_bipoint
 from harmonia.harmonic import HarmonicPair, RobinParams, eval_pair
+from harmonia.numerics import integrate_path
 from harmonia.operators import neumann_from_dirichlet_pair
 from harmonia.reflection import (
     reflect_dirichlet_study,
@@ -251,6 +252,158 @@ def test_robin_extension_independence():
     base = reflect_robin_circle(w, phi_w, params, p).correction
     augmented = reflect_robin_circle(w, phi_w + psi * kernel, params, p).correction
     assert abs(base - augmented) < 1e-12
+
+
+# -- the circle corrections against a reference route -------------------------------
+#
+# The reference builds an expression in rho for each ray: the restriction of
+# the data (or of w) to the ray, its primitive over rho and, for the Robin
+# self term, the rho -> 1/rho image of the integrand.  It evaluates that at
+# positive rho, so it holds where the branch window of the cut holds the
+# angle 0; the cuts below do.
+
+
+def _reference_data_term(phi, theta, r, cut):
+    prim = phi.restrict_to_circle(cut).restrict_to_ray(theta).antiderivative_over_arg()
+    return -(prim.eval(complex(r)) - prim.eval(complex(1.0 / r)))
+
+
+def _reference_robin(w, phi_w, params, p):
+    r, theta = abs(p.z), cmath.phase(p.z)
+    if r == 1.0:
+        return eval_pair(w, p)
+    along = w.part_z.restrict_to_ray(theta) + w.part_zeta.restrict_to_ray(-theta)
+    prim = (along + along.invert_argument()).antiderivative_over_arg()
+    self_term = -(params.a / params.b) * (prim.eval(complex(1.0)) - prim.eval(complex(r)))
+    data = _reference_data_term(phi_w, theta, r, w.part_z.cut_angle) / params.b
+    return eval_pair(w, p) + self_term + data
+
+
+def _reference_neumann(v, phi, p):
+    r, theta = abs(p.z), cmath.phase(p.z)
+    data = 0j if r == 1.0 else _reference_data_term(phi, theta, r, v.part_z.cut_angle)
+    return eval_pair(v, p) + data
+
+
+def _random_log_pair(rng, cut):
+    def part():
+        return LogLaurentExpr(
+            [
+                (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                 int(rng.integers(-3, 4)), int(rng.integers(0, 3)))
+                for _ in range(int(rng.integers(1, 5)))
+            ],
+            cut,
+        )
+
+    return HarmonicPair(part(), part())
+
+
+def _random_bivariate_data(rng):
+    return BivariateLaurentExpr(
+        [
+            (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+             int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
+            for _ in range(int(rng.integers(1, 6)))
+        ]
+    )
+
+
+def _reference_cases(rng, cut):
+    """Radii below, at, above and next to 1; angles anywhere and within 1e-5
+    (but beyond the guard's 1e-6) of the cut, for z and for zeta."""
+    radii = (float(rng.uniform(0.3, 0.95)), float(rng.uniform(1.05, 3.0)), 1.0, 1.0 - 1e-9)
+    near = float(rng.choice([-1.0, 1.0])) * float(rng.uniform(2e-6, 1e-5))
+    thetas = (float(rng.uniform(-math.pi, math.pi)), cut + near, -cut + near)
+    for r in radii:
+        for th in thetas:
+            yield BiPoint.from_polar(r, th)
+
+
+@pytest.mark.parametrize("cut", [math.pi, 2.0])
+def test_circle_reflections_match_the_reference_route(cut):
+    rng = np.random.default_rng(60)
+    for _ in range(25):
+        w = _random_log_pair(rng, cut)
+        phi = _random_bivariate_data(rng)
+        b = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0))
+        params = RobinParams(float(rng.uniform(0.2, 2.0)), b)
+        for p in _reference_cases(rng, cut):
+            for got, want in (
+                (reflect_neumann_circle(w, phi, p).value, _reference_neumann(w, phi, p)),
+                (
+                    reflect_robin_circle(w, phi, params, p).value,
+                    _reference_robin(w, phi, params, p),
+                ),
+            ):
+                assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (p, got, want)
+
+
+def test_log_free_data_reflects_next_to_the_cut():
+    # the data's primitive carries log z from the constant term; along one
+    # ray its jump across the cut cancels, so no ray is rejected
+    phi = BivariateLaurentExpr([(1.0, 0, 0), (0.2, 1, 0)])
+    v = HarmonicPair.symmetric(LogLaurentExpr([(0.3, 1, 0), (0.1, 0, 0)]))
+    params = RobinParams(1.0, 2.0)
+    for theta in (math.pi - 1e-7, math.pi, -math.pi + 1e-9):
+        p = BiPoint.from_polar(0.8, theta)
+        res = reflect_neumann_circle(v, phi, p)
+        closed = -(2.0 * math.log(0.8) + 0.2 * cmath.exp(1j * theta) * (0.8 - 1.25))
+        assert abs(res.correction - closed) < 1e-14
+        assert abs(res.value - _reference_neumann(v, phi, p)) < 1e-14
+        robin = reflect_robin_circle(v, phi, params, p)
+        assert abs(robin.value - _reference_robin(v, phi, params, p)) < 1e-14
+    # with the cut along the positive real axis, the ends of the ray are
+    # still on one branch
+    zero_cut = HarmonicPair.zero(0.0)
+    p = BiPoint.from_polar(0.8, 1.0)
+    res = reflect_neumann_circle(zero_cut, BivariateLaurentExpr.constant(1.0), p)
+    assert abs(res.correction + 2.0 * math.log(0.8)) < 1e-14
+
+
+def test_a_part_with_logs_is_not_reflected_next_to_its_cut():
+    phi = BivariateLaurentExpr.constant(1.0)
+    params = RobinParams(1.0, 1.0)
+
+    def parts(cut):
+        logged = LogLaurentExpr([(0.5, 0, 1), (0.2, 1, 0)], cut)
+        return logged, LogLaurentExpr([(0.5, 1, 0)], cut)
+
+    logged, free = parts(math.pi)
+    p = BiPoint.from_polar(0.8, math.pi - 1e-7)
+    with pytest.raises(CutProximityError):
+        reflect_robin_circle(HarmonicPair(logged, free), phi, params, p)
+    # with the cut at 2, theta = -2 puts zeta next to the cut and z far from it
+    logged, free = parts(2.0)
+    p = BiPoint.from_polar(0.8, -2.0 + 1e-7)
+    with pytest.raises(CutProximityError):
+        reflect_robin_circle(HarmonicPair(free, logged), phi, params, p)
+    w = HarmonicPair(logged, free)
+    res = reflect_robin_circle(w, phi, params, p)
+    assert abs(res.value - _reference_robin(w, phi, params, p)) < 1e-14
+
+
+def test_robin_self_term_on_a_cut_that_excludes_the_positive_axis():
+    # with the cut at -1 the branch window (-1 - 2 pi, -1] misses the angle
+    # 0; the self integral is taken by quadrature along the ray as the oracle
+    cut = -1.0
+    w = HarmonicPair(
+        LogLaurentExpr([(0.5, 0, 1), (0.3, 2, 0), (0.2, -1, 2)], cut),
+        LogLaurentExpr([(0.5, 0, 1), (0.1j, 1, 1)], cut),
+    )
+    params = RobinParams(1.0, 1.0)
+    for r, theta in ((0.7, 0.5), (1.6, -2.5)):
+        p = BiPoint.from_polar(r, theta)
+        res = reflect_robin_circle(w, BivariateLaurentExpr.zero(), params, p)
+        ez = cmath.exp(1j * theta)
+
+        def integrand(t):
+            inner = eval_pair(w, BiPoint(t * ez, t / ez))
+            outer = eval_pair(w, BiPoint(ez / t, 1.0 / (t * ez)))
+            return (inner + outer) / t
+
+        oracle = -integrate_path(integrand, PathSpec.radial_ray(0.0, r, 1.0))
+        assert abs(res.value - eval_pair(w, p) - oracle) < 1e-10
 
 
 # -- Schwarz-arc Neumann --------------------------------------------------------------
