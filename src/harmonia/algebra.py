@@ -395,11 +395,15 @@ class LogLaurentExpr(_SparseSum):
 
         Each term c z^k log^m z becomes c e^{ik theta} rho^k (log rho + i theta)^m,
         expanded binomially.  ``theta`` is folded into the branch window of
-        the cut first, so evaluation at positive rho agrees with direct
-        evaluation at rho*e^{i theta}.
+        the cut first.  The result keeps the cut, so its own log of rho > 0 is
+        log|rho| + i rho_arg, with rho_arg the angle of 0 in that window; the
+        expansion therefore takes i (theta - rho_arg) in place of i theta.
+        Evaluation at positive rho then agrees with direct evaluation at
+        rho*e^{i theta} for every cut.
         """
         theta = float(theta)
         theta_adj = _fold_angle(theta, self._cut_angle)
+        rho_arg = _fold_angle(0.0, self._cut_angle)
         if self._has_log and cut_distance(theta, self._cut_angle) < margin:
             raise CutProximityError(
                 f"ray angle {theta:.6g} is within {margin:g} rad of the branch cut"
@@ -411,7 +415,7 @@ class LogLaurentExpr(_SparseSum):
                 _accumulate(
                     acc,
                     (k, j),
-                    base * math.comb(m, j) * (1j * theta_adj) ** (m - j),
+                    base * math.comb(m, j) * (1j * (theta_adj - rho_arg)) ** (m - j),
                 )
         return self._like(acc)
 

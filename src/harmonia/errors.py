@@ -39,12 +39,13 @@ class NonSymmetricPairError(HarmoniaError):
 
 
 class BranchSelectionError(HarmoniaError):
-    """The outward-normal validation of a square-root branch failed."""
+    """The outward-normal check of a square-root branch failed, or the path
+    never comes near the carrier curve."""
 
 
 class BranchPointOnPathError(BranchSelectionError):
-    """A square-root branch cannot be continued because the derivative
-    vanishes, blows up, or winds too fast along the path."""
+    """The pole of the Schwarz map (or of its inverse) lies within 1e-7 r of
+    the path, where the derivative blows up."""
 
 
 class QuadratureConvergenceError(HarmoniaError):

@@ -13,9 +13,11 @@ to (inverse_S(zeta), S(z)) and restricts on the real slice zeta = conj(z)
 to the classical anticonformal reflection conj(S(z)).
 
 The map contract (value, inverse, derivatives, outward normal, and a
-validated square-root branch of the derivative) is the extension point
-for other algebraic curves; only curves whose Schwarz function is
-single-valued on the caller's paths are supported.
+closed-form square root of the derivative, with its sign checked against
+the outward normal) is the extension point for other algebraic curves.
+For lines and circles that square root is one rational function, so no
+branch is continued along a path; a curve whose sqrt(S') branches needs
+its own closed form or continuation.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -252,8 +253,7 @@ def _segment_pole_distance(a: complex, b: complex, pole: complex) -> float:
 class PathSpec:
     """An integration path: a straight segment or a radial ray.
 
-    ``subdivision`` is a hint for initial quadrature panels and for the
-    sampling density used when continuing square-root branches.
+    ``subdivision`` is the number of initial quadrature panels.
     """
 
     kind: str
@@ -345,151 +345,125 @@ class PathSpec:
 
 # -- square-root branches ------------------------------------------------------
 
-_DERIV_FLOOR = 1e-14
-_DERIV_CEIL = 1e14
+_POLE_MARGIN = 1e-7  # pole-to-path distance below which |S'| exceeds 1e14 r^-2
 
 
 class SqrtBranch:
-    """A continuous square root of a derivative function along a path.
+    """sqrt(S') or sqrt(S~') along a path, in closed form.
 
-    Values are tabulated at anchors equally spaced along a straight line,
-    which is how both ``PathSpec`` kinds sample; the constructor rejects
-    any other anchors.  A query tau is continued by sign-matching from the
-    nearest anchor, which is accurate as long as queries stay near the
-    path (quadrature nodes do).  The nearest anchor takes O(1): with step
-    d between anchors, the squared distance from tau to anchor i is
-    perp^2 + (s - i)^2 |d|^2, where s = Re((tau - a_0) conj(d)) / |d|^2,
-    so it is anchor ceil(s - 1/2) clamped to the table, ties going to the
-    lower index.
+    For a circle of radius r the root is ``scale / (tau - pole)``, with
+    ``scale`` = i r and ``pole`` = c for S, and -i r and conj(c) for the
+    inverse map; for a line it is the constant ``scale`` (``pole`` None),
+    e^{-i alpha} or e^{i alpha}.  Each is single-valued off the pole, so no
+    continuation is needed.  ``p0`` is the path point where the sign was
+    checked against the outward normal.
     """
 
-    __slots__ = ("_deriv", "_points", "_values", "_origin", "_axis", "_last")
+    __slots__ = ("scale", "pole", "p0")
 
-    def __init__(self, deriv: Callable[[complex], complex], points: Sequence[complex], values: Sequence[complex]):
-        points = tuple(complex(p) for p in points)
-        n = len(points)
-        if n < 2 or len(values) != n or points[0] == points[-1]:
-            raise ValueError("a branch needs two or more distinct anchors, one value each")
-        origin = points[0]
-        step = (points[-1] - origin) / (n - 1)
-        tol = 1e-9 * max(abs(origin), abs(points[-1]))
-        if any(abs(p - (origin + i * step)) > tol for i, p in enumerate(points)):
-            raise ValueError("branch anchors must be equally spaced along a line")
-        self._deriv = deriv
-        self._points = points
-        self._values = tuple(values)
-        self._origin = origin
-        self._axis = step.conjugate() / abs(step) ** 2
-        self._last = n - 1
+    def __init__(self, scale: complex, pole: complex | None, p0: complex):
+        self.scale = scale
+        self.pole = pole
+        self.p0 = p0
 
     def __call__(self, tau: complex) -> complex:
-        return _sqrt_step(self._deriv, self._values[self.nearest_anchor(tau)], tau)
-
-    def nearest_anchor(self, tau: complex) -> int:
-        """Index of the anchor nearest to tau (the lower one on a tie)."""
-        s = ((tau - self._origin) * self._axis).real
-        # written so that s = inf or nan still gives a valid index
-        return math.ceil(min(s, self._last) - 0.5) if s > 0.5 else 0
+        return self.scale if self.pole is None else self.scale / (tau - self.pole)
 
     @property
     def anchor_points(self) -> tuple:
-        return self._points
+        return (self.p0,)
 
 
-def _sqrt_step(deriv: Callable[[complex], complex], v_prev: complex, tau: complex) -> complex:
-    try:
-        d = deriv(tau)
-    except PoleError as exc:
-        raise BranchPointOnPathError(f"derivative pole on path at {tau}") from exc
-    mag = abs(d)
-    if mag < _DERIV_FLOOR or mag > _DERIV_CEIL:
-        raise BranchPointOnPathError(
-            f"derivative magnitude {mag:.3g} at {tau} leaves the branch-safe range"
+def _circle_contact(a: complex, b: complex, center: complex, radius: float) -> complex:
+    """Where the segment [a, b] first crosses the circle, else its point
+    nearest to the circle."""
+    d = b - a
+    w = a - center
+    dd = abs(d) ** 2
+    half = (w * d.conjugate()).real
+    c0 = abs(w) ** 2 - radius**2
+    disc = half * half - dd * c0
+    if disc >= 0:
+        root = math.sqrt(disc)
+        for t in ((-half - root) / dd, (-half + root) / dd):
+            if 0.0 <= t <= 1.0:
+                return a + t * d
+    if c0 < 0:  # wholly inside: the farther end from the centre
+        return a if abs(w) >= abs(b - center) else b
+    return a + min(1.0, max(0.0, -half / dd)) * d
+
+
+def _line_contact(a: complex, b: complex, point: complex, angle: float) -> complex:
+    """Where the segment [a, b] crosses the line, else its end nearer to it."""
+    rot = cmath.exp(-1j * angle)
+    ha, hb = ((a - point) * rot).imag, ((b - point) * rot).imag
+    if ha * hb > 0:
+        return a if abs(ha) <= abs(hb) else b
+    return a if ha == hb else a + ha / (ha - hb) * (b - a)
+
+
+def _closed_form_branch(smap: SchwarzMap, path: PathSpec, inverse: bool) -> SqrtBranch:
+    """The closed-form root for ``smap`` (or its inverse map) on ``path``.
+
+    The inverse map's carrier is the mirror curve: the circle about conj(c)
+    or the line through conj(p) at angle -alpha.  Raises
+    ``BranchPointOnPathError`` when the pole lies within 1e-7 r of the path,
+    and ``BranchSelectionError`` when the path never nears the curve or the
+    root at the contact point p0 misses the outward-normal target.
+    """
+    a, b = path.endpoints
+    sign = -1 if inverse else 1
+    if smap._is_circle():
+        pole = smap.inverse_pole if inverse else smap.pole
+        if _segment_pole_distance(a, b, pole) <= _POLE_MARGIN * smap.radius:
+            raise BranchPointOnPathError(
+                f"the map pole {pole} lies within {_POLE_MARGIN:g} r of the path"
+            )
+        p0 = _circle_contact(a, b, pole, smap.radius)
+        branch = SqrtBranch(sign * 1j * smap.radius, pole, p0)
+    else:
+        p0 = _line_contact(
+            a,
+            b,
+            smap.point.conjugate() if inverse else smap.point,
+            -smap.angle if inverse else smap.angle,
         )
-    w = cmath.sqrt(d)
-    return w if abs(w - v_prev) <= abs(w + v_prev) else -w
-
-
-def _continued_values(deriv, points) -> list:
-    try:
-        d0 = deriv(points[0])
-    except PoleError as exc:
-        raise BranchPointOnPathError(f"derivative pole on path at {points[0]}") from exc
-    if not (_DERIV_FLOOR < abs(d0) < _DERIV_CEIL):
-        raise BranchPointOnPathError("derivative degenerate at the path start")
-    values = [cmath.sqrt(d0)]
-    for p in points[1:]:
-        w = _sqrt_step(deriv, values[-1], p)
-        # a jump comparable to the magnitude itself means the branch winds
-        # faster than the sampling can follow
-        if min(abs(w - values[-1]), abs(w + values[-1])) > 0.5 * (abs(w) + abs(values[-1])):
-            raise BranchPointOnPathError(f"square-root branch winds too fast near {p}")
-        values.append(w)
-    return values
-
-
-def _anchored_branch(
-    deriv,
-    points,
-    residual_of,
-    target_of,
-) -> SqrtBranch:
-    values = _continued_values(deriv, points)
-    residuals = [residual_of(p) for p in points]
-    i0 = min(range(len(residuals)), key=residuals.__getitem__)
-    p0 = points[i0]
-    if residuals[i0] > 0.1 * (1.0 + abs(p0)):
+        branch = SqrtBranch(cmath.exp(-sign * 1j * smap.angle), None, p0)
+    if inverse:
+        zhat = smap.inverse_value(p0)
+        residual = abs(zhat - p0.conjugate())
+        target = -1j * smap.outward_normal(smap.project_to_curve(zhat))
+    else:
+        residual = smap.on_curve_residual(p0)
+        target = 1j / smap.outward_normal(smap.project_to_curve(p0))
+    if residual > 0.1 * (1.0 + abs(p0)):
         raise BranchSelectionError(
             "path never comes near the carrier curve; cannot validate the branch sign"
         )
-    target = target_of(p0)
-    v0 = values[i0]
-    d_keep, d_flip = abs(v0 - target), abs(v0 + target)
-    if d_keep <= d_flip and d_keep < 0.5:
-        pass
-    elif d_flip < 0.5:
-        values = [-v for v in values]
-    else:
+    v0 = branch(p0)
+    if not abs(v0 - target) < 0.5:
         raise BranchSelectionError(
             f"branch validation failed: candidate {v0:.6g} vs outward-normal target {target:.6g}"
         )
-    return SqrtBranch(deriv, points, values)
-
-
-def _branch_samples(path: PathSpec) -> list:
-    return path.samples(max(65, 8 * path.subdivision + 1))
+    return branch
 
 
 def sqrt_schwarz_derivative(smap: SchwarzMap, path: PathSpec) -> SqrtBranch:
-    """A continuous branch of sqrt(S') along the path.
+    """The branch of sqrt(S') along the path.
 
-    The sign is fixed where the path meets the carrier curve: there the
-    branch must satisfy i / sqrt(S'(z)) = outward normal, which is what
-    makes the arc normal-derivative formula return the outward derivative.
-    Raises if S' degenerates on the path or if neither sign matches.
+    Its sign makes i / sqrt(S'(z)) the outward normal on the carrier curve,
+    which is what makes the arc normal-derivative formula return the
+    outward derivative; it is checked where the path meets the curve.
+    Raises if the map pole lies on the path or if the path never nears the
+    curve.
     """
-    points = _branch_samples(path)
-
-    def target(p: complex) -> complex:
-        zhat = smap.project_to_curve(p)
-        return 1j / smap.outward_normal(zhat)
-
-    return _anchored_branch(smap.derivative, points, smap.on_curve_residual, target)
+    return _closed_form_branch(smap, path, inverse=False)
 
 
 def sqrt_inverse_schwarz_derivative(smap: SchwarzMap, path: PathSpec) -> SqrtBranch:
-    """A continuous branch of the square root of the inverse-map derivative.
+    """The branch of the square root of the inverse-map derivative.
 
-    Anchored so that on the curve it is the reciprocal of the validated
-    sqrt(S') branch (the chain rule gives S~'(S(z)) * S'(z) = 1 there).
+    On the curve it is the reciprocal of the sqrt(S') branch (the chain
+    rule gives S~'(S(z)) * S'(z) = 1 there).
     """
-    points = _branch_samples(path)
-
-    def residual(xi: complex) -> float:
-        return abs(smap.inverse_value(xi) - complex(xi).conjugate())
-
-    def target(xi: complex) -> complex:
-        zhat = smap.project_to_curve(smap.inverse_value(xi))
-        return -1j * smap.outward_normal(zhat)
-
-    return _anchored_branch(smap.inverse_derivative, points, residual, target)
+    return _closed_form_branch(smap, path, inverse=True)

@@ -3,10 +3,10 @@
 Nothing here trusts the exact algebra: contour quadrature runs adaptive
 Gauss-Kronrod (3, 7) panels that bisect on failure, the radial integral of
 the disk Neumann solver is adaptive Simpson, the disk Neumann oracle is a
-brute-force Fourier series, and harmonicity is probed with a 5-point
-finite-difference stencil.  The verification suite replays every invariant
-promised by the other modules against these oracles and records residuals
-in a machine-readable report.
+brute-force Fourier series, and harmonicity is probed with the
+fourth-order 9-point finite-difference Laplacian.  The verification suite
+replays every invariant promised by the other modules against these
+oracles and records residuals in a machine-readable report.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ return new pairs or field evaluators:
   half the Robin data of the input.
 * Dirichlet from Robin: the algebraic combination (a/2) w + (b r/2) dw/dr.
 * A termwise solver for the first-order ODE a h + b z h' = z f' + g.
-* The Schwarz-map generalization with contour quadrature and validated
+* The Schwarz-map generalization with contour quadrature and closed-form
   square-root branches.
 
 Every operator fixes its free additive constant by a base-point
@@ -221,11 +221,11 @@ class ArcNeumannField:
     """Field evaluator returned by :func:`neumann_from_dirichlet_schwarz`.
 
     Evaluation integrates u1 sqrt(S') from z to the base point and u2
-    sqrt(S~') from zeta to its image, each along a straight segment with a
-    freshly continued, outward-validated square-root branch.  Paths must
-    stay inside the region where the Schwarz map is single-valued; the
-    evaluator only guards against running into the map poles and the log
-    cut.
+    sqrt(S~') from zeta to its image, each along a straight segment with the
+    closed-form square root, its sign checked against the outward normal
+    where the segment meets the curve.  Paths must stay inside the region
+    where the Schwarz map is single-valued; the evaluator only guards
+    against running into the map poles and the log cut.
     """
 
     def __init__(
@@ -286,9 +286,9 @@ def neumann_from_dirichlet_schwarz(
     v(z, zeta) = const + i * int_z^{z0} u1 sqrt(S') - i * int_zeta^{zeta0}
     u2 sqrt(S~').  The supplied paths must terminate at the base point
     (respectively its image under S); they are used at construction to
-    validate the square-root branches, which fails fast on sign or
-    branch-point trouble.  For the unit circle the field coincides with
-    :func:`neumann_from_dirichlet_pair`.
+    check the square-root signs, which fails fast on a pole on the path or
+    a path that never nears the curve.  For the unit circle the field
+    coincides with :func:`neumann_from_dirichlet_pair`.
     """
     if norm is None:
         norm = BasePointNormalization(z0=smap.default_base_point())
@@ -300,7 +300,7 @@ def neumann_from_dirichlet_schwarz(
         raise ValueError("path_z must terminate at the base point")
     if abs(path_zeta.endpoints[1] - zeta0) > 1e-9 * (1.0 + abs(zeta0)):
         raise ValueError("path_zeta must terminate at the image of the base point")
-    # fail fast: validate branch continuation along the declared paths
+    # fail fast: check the square-root signs along the declared paths
     sqrt_schwarz_derivative(smap, path_z)
     sqrt_inverse_schwarz_derivative(smap, path_zeta)
     return ArcNeumannField(

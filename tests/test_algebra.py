@@ -197,11 +197,8 @@ def test_eval_on_ray_is_the_value_at_the_point():
             got = e.eval_on_ray(rho, theta)
             want = e.eval(rho * cmath.exp(1j * theta))
             assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
-            # the ray restriction agrees where its own log of rho > 0 is real,
-            # that is where the branch window holds the angle 0
-            if 0.0 <= e.cut_angle < 2.0 * math.pi:
-                ray = e.restrict_to_ray(theta).eval(complex(rho))
-                assert abs(got - ray) <= 1e-13 * max(1.0, abs(ray))
+            ray = e.restrict_to_ray(theta).eval(complex(rho))
+            assert abs(got - ray) <= 1e-13 * max(1.0, abs(ray))
 
 
 def test_eval_on_ray_rejects_no_ray():

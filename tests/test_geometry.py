@@ -13,8 +13,6 @@ from harmonia.geometry import (
     BiPoint,
     PathSpec,
     SchwarzMap,
-    SqrtBranch,
-    _sqrt_step,
     anti_conformal_reflect,
     reflect_bipoint,
     sqrt_inverse_schwarz_derivative,
@@ -168,84 +166,113 @@ def test_sqrt_branch_needs_curve_contact():
         sqrt_schwarz_derivative(smap, PathSpec.segment(3.0 + 3.0j, 4.0 + 4.0j))
 
 
-LOOKUP_PATHS = [
-    PathSpec.segment(0.75 + 0j, 1.0 + 0j),
-    PathSpec.radial_ray(0.7, 0.6, 1.3, subdivision=5),
-]
+def _continued_reference(deriv, path, residual_of, target_of):
+    """The branch continuation the closed form replaced: sqrt(deriv) carried
+    by sign matching over max(65, 8 n + 1) samples of the path, its sign
+    fixed against the outward-normal target at the sample of least curve
+    residual, and a query continued from its nearest sample."""
+    points = path.samples(max(65, 8 * path.subdivision + 1))
+    values = [cmath.sqrt(deriv(points[0]))]
+    for p in points[1:]:
+        w = cmath.sqrt(deriv(p))
+        values.append(w if abs(w - values[-1]) <= abs(w + values[-1]) else -w)
+    i0 = min(range(len(points)), key=lambda i: residual_of(points[i]))
+    target = target_of(points[i0])
+    if abs(values[i0] + target) < abs(values[i0] - target):
+        values = [-v for v in values]
+    anchors = np.asarray(points)
+
+    def branch(tau):
+        v = values[int(np.argmin(np.abs(anchors - tau)))]
+        w = cmath.sqrt(deriv(tau))
+        return w if abs(w - v) <= abs(w + v) else -w
+
+    return branch
 
 
-def _scan_index(branch, tau):
-    """The first nearest anchor by a scan over all of them."""
-    return int(np.argmin(np.abs(np.asarray(branch.anchor_points) - tau)))
+def _reference_pair(smap):
+    """Reference continuations of sqrt(S') and of sqrt(S~')."""
+
+    def forward(path):
+        return _continued_reference(
+            smap.derivative,
+            path,
+            smap.on_curve_residual,
+            lambda z: 1j / smap.outward_normal(smap.project_to_curve(z)),
+        )
+
+    def inverse(path):
+        return _continued_reference(
+            smap.inverse_derivative,
+            path,
+            lambda xi: abs(smap.inverse_value(xi) - xi.conjugate()),
+            lambda xi: -1j * smap.outward_normal(smap.project_to_curve(smap.inverse_value(xi))),
+        )
+
+    return forward, inverse
 
 
-def _lookup_queries(path):
-    """Quadrature nodes, exact half-way parameters between anchors, points
-    0.05-0.4 off the path on both sides, and points beyond both ends."""
-    branch = sqrt_schwarz_derivative(SchwarzMap.unit_circle(), path)
-    nodes = []
-    integrate_path(lambda tau: nodes.append(tau) or branch(tau), path)
-    m = 2 * (len(branch.anchor_points) - 1)
-    halfway = [path.point(k / m) for k in range(m + 1)]
-    normal = 1j * path.velocity(0.0) / abs(path.velocity(0.0))
-    off = [
-        path.point(k / 40) + side * d * normal
-        for k in range(41) for d in (0.05, 0.2, 0.4) for side in (1, -1)
-    ]
-    beyond = [path.point(t) for t in (-0.5, -0.01, 1.01, 1.5)]
-    return branch, nodes + halfway + off + beyond
+def _crossing_paths(smap, rng, n):
+    """Segments across the curve, kept at least 0.4 r from a circle's centre,
+    and radial rays from the origin across it, at assorted subdivisions."""
+    scale = smap.radius if smap.kind != "line" else 1.0
+    paths = []
+    for _ in range(n):
+        if smap.kind == "line":
+            q = smap.point + float(rng.uniform(-2, 2)) * cmath.exp(1j * smap.angle)
+        else:
+            q = smap.center + smap.radius * cmath.exp(1j * float(rng.uniform(-math.pi, math.pi)))
+        nrm = smap.outward_normal(q)
+        s1, s2 = rng.uniform(0.05, 0.6, 2)
+        j1, j2 = rng.uniform(-0.3, 0.3, 2)
+        a = q + scale * (s1 + 1j * j1) * nrm
+        b = q + scale * (-s2 + 1j * j2) * nrm
+        sub = int(rng.choice([1, 5, 16]))
+        if rng.uniform() < 0.5:
+            a, b = b, a
+        paths.append(PathSpec.segment(a, b, sub))
+        theta = float(rng.uniform(0.8, 2.3)) if smap.kind == "line" else float(rng.uniform(-3, 3))
+        r_from, r_to = (0.2, 3.0) if smap.kind == "line" else (0.5, 2.5)
+        if rng.uniform() < 0.5:
+            r_from, r_to = r_to, r_from
+        paths.append(PathSpec.radial_ray(theta, r_from, r_to, sub))
+    return paths
 
 
-@pytest.mark.parametrize("path", LOOKUP_PATHS, ids=lambda p: p.kind)
-def test_sqrt_branch_lookup_is_nearest_anchor(path):
-    branch, queries = _lookup_queries(path)
-    anchors = np.asarray(branch.anchor_points)
-    step = abs(anchors[1] - anchors[0])
-    agree = 0
-    for tau in queries:
-        i, j = branch.nearest_anchor(tau), _scan_index(branch, tau)
-        dist = np.abs(anchors - tau)
-        # the scan may break an exact half-way tie either way by rounding
-        assert i == j or abs(dist[i] - dist[j]) <= 1e-12 * step, (tau, i, j)
-        agree += i == j
-    assert agree > 0.9 * len(queries)
-    start, end = path.endpoints
-    assert branch.nearest_anchor(start - 0.5 * (end - start)) == 0
-    assert branch.nearest_anchor(end + 0.5 * (end - start)) == len(anchors) - 1
+def _mirror(path):
+    """The path conjugated, which crosses the inverse map's carrier."""
+    if path.kind == "segment":
+        return PathSpec.segment(path.start.conjugate(), path.end.conjugate(), path.subdivision)
+    return PathSpec.radial_ray(-path.theta, path.r_from, path.r_to, path.subdivision)
 
 
-@pytest.mark.parametrize("path", LOOKUP_PATHS, ids=lambda p: p.kind)
-def test_sqrt_branch_lookup_matches_scan_values(path):
-    branch, queries = _lookup_queries(path)
-    deriv = SchwarzMap.unit_circle().derivative
-    for tau in queries:
-        scanned = _sqrt_step(deriv, branch._values[_scan_index(branch, tau)], tau)
-        assert branch(tau) == scanned, tau
-
-
-def test_sqrt_branch_rejects_anchors_off_an_even_line():
-    deriv = lambda tau: 1.0 + 0j
-    for points in (
-        [0j, 0.1 + 0j, 0.3 + 0j, 0.4 + 0j],  # collinear, uneven
-        [0j, 0.1 + 0.01j, 0.2 + 0j],  # even in x, bent
-        [0.5 + 0j],
-        [1.0 + 1j, 1.0 + 1j],
-    ):
-        with pytest.raises(ValueError):
-            SqrtBranch(deriv, points, [1.0 + 0j] * len(points))
-    with pytest.raises(ValueError):
-        SqrtBranch(deriv, [0j, 1.0 + 0j], [1.0 + 0j])
-    branch = SqrtBranch(deriv, PathSpec.radial_ray(2.0, 0.5, 1.5).samples(9), [1.0 + 0j] * 9)
-    assert branch.nearest_anchor(cmath.rect(1.0, 2.0)) == 4
-
-
-def test_sqrt_branch_lookup_tie_takes_lower_anchor():
-    # exactly representable anchors, so the tie at 2.5 is exact
-    branch = SqrtBranch(lambda tau: 1.0 + 0j, [complex(k) for k in range(9)], [1.0 + 0j] * 9)
-    for tau in (2.5 + 0j, 2.5 + 3j, 2.5 - 0.25j):
-        assert branch.nearest_anchor(tau) == 2 == _scan_index(branch, tau)
-    assert branch.nearest_anchor(complex("nan+0j")) == 0
-    assert branch.nearest_anchor(complex("inf+0j")) == 8
+@pytest.mark.parametrize(
+    "smap",
+    [SchwarzMap.unit_circle(), SchwarzMap.circle(0.3 - 0.2j, 1.7), SchwarzMap.line(0.5j, 0.3)],
+    ids=lambda m: m.kind + str(m.center),
+)
+def test_closed_form_branch_matches_the_continued_branch(smap):
+    # at quadrature nodes and at points along the path, for both maps; the
+    # sign is checked where the path crosses the map's carrier
+    ref_forward, ref_inverse = _reference_pair(smap)
+    mirror_curve = (
+        SchwarzMap.line(smap.point.conjugate(), -smap.angle)
+        if smap.kind == "line"
+        else SchwarzMap.circle(smap.center.conjugate(), smap.radius)
+    )
+    rng = np.random.default_rng(111)
+    for path in _crossing_paths(smap, rng, 12):
+        for build, ref, p, carrier in (
+            (sqrt_schwarz_derivative, ref_forward, path, smap),
+            (sqrt_inverse_schwarz_derivative, ref_inverse, _mirror(path), mirror_curve),
+        ):
+            branch, want = build(smap, p), ref(p)
+            (p0,) = branch.anchor_points
+            assert carrier.on_curve_residual(p0) < 1e-12 * (1.0 + abs(p0)), (p, p0)
+            nodes = p.samples(33)
+            integrate_path(lambda tau: nodes.append(tau) or 0j, p)
+            for tau in nodes:
+                assert abs(branch(tau) - want(tau)) <= 1e-13 * abs(want(tau)), (p, tau)
 
 
 def test_pathspec_validation():

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from harmonia.algebra import BivariateLaurentExpr, LogLaurentExpr
-from harmonia.errors import DomainError, NonzeroMeanError, ResonanceError
+from harmonia.errors import (
+    BranchPointOnPathError,
+    DomainError,
+    NonzeroMeanError,
+    ResonanceError,
+)
 from harmonia.geometry import BiPoint, PathSpec, SchwarzMap
 from harmonia.harmonic import (
     HarmonicPair,
@@ -363,6 +368,20 @@ def test_arc_operator_scaled_circle_constant_data():
     h = 1e-5
     fd = (field.eval_real(2.0 + h, 0.0) - field.eval_real(2.0 - h, 0.0)) / (2 * h)
     assert abs(fd - C) < 1e-6
+
+
+def test_arc_operator_near_the_pole():
+    # the segment from z to z0 = 1 passes ~0.0044 from the pole at 0, where
+    # sqrt(S') = i/z turns by nearly pi; a sampled continuation lost track
+    u = HarmonicPair.symmetric(LogLaurentExpr([(1.0, 1), (0.3, 2), (-0.2j, -1)]))
+    path = PathSpec.segment(0.75 + 0j, 1.0 + 0j)
+    field = neumann_from_dirichlet_schwarz(u, SchwarzMap.unit_circle(), path, path)
+    z = -0.8 + 0.008j
+    want = eval_real(neumann_from_dirichlet_pair(u), z.real, z.imag)
+    assert abs(field.eval_real(z.real, z.imag) - want) < 1e-12
+    # a segment within 1e-8 r of the pole is still refused
+    with pytest.raises(BranchPointOnPathError):
+        field.eval_real(-0.8, 1e-8)
 
 
 def test_arc_operator_validates_paths_and_base():
