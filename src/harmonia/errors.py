@@ -43,9 +43,11 @@ class BranchSelectionError(HarmoniaError):
     never comes near the carrier curve."""
 
 
-class BranchPointOnPathError(BranchSelectionError):
+class BranchPointOnPathError(BranchSelectionError, PoleError):
     """The pole of the Schwarz map (or of its inverse) lies within 1e-7 r of
-    the path, where the derivative blows up."""
+    the path, where the derivative blows up.  It is also a
+    :class:`PoleError`, so ``except PoleError`` catches a path through the
+    pole."""
 
 
 class QuadratureConvergenceError(HarmoniaError):

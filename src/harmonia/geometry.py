@@ -7,17 +7,19 @@ carriers,
     circle |z - c| = r :  S(z) = conj(c) + r^2/(z - c)
     line through p at angle alpha :  S(z) = conj(p) + e^{-2 i alpha}(z - p)
 
-with inverses of the same shape.  Points of the complexified plane are
+one anti-Möbius form centred at c or p (see ``SchwarzMap``), with inverse
+S~(zeta) = conj(S(conj(zeta))).  Points of the complexified plane are
 pairs (z, zeta); reflection across the complexified curve sends (z, zeta)
-to (inverse_S(zeta), S(z)) and restricts on the real slice zeta = conj(z)
-to the classical anticonformal reflection conj(S(z)).
+to (S~(zeta), S(z)) and restricts on the real slice zeta = conj(z) to the
+classical anticonformal reflection conj(S(z)).
 
-The map contract (value, inverse, derivatives, outward normal, and a
+The map contract (value, derivative, pole, outward normal, and a
 closed-form square root of the derivative, with its sign checked against
-the outward normal) is the extension point for other algebraic curves.
-For lines and circles that square root is one rational function, so no
-branch is continued along a path; a curve whose sqrt(S') branches needs
-its own closed form or continuation.
+the outward normal; the inverse side follows by conjugation) is the
+extension point for other algebraic curves.  For lines and circles that
+square root is one rational function, so no branch is continued along a
+path; a curve whose sqrt(S') branches needs its own closed form or
+continuation.
 """
 
 from __future__ import annotations
@@ -70,9 +72,18 @@ class BiPoint:
 class SchwarzMap:
     """Closed-form Schwarz function data for a line or a circle.
 
-    ``kind`` is one of ``"unit_circle"``, ``"circle"``, ``"line"``.  For
-    lines the outward normal is the left normal of the direction vector,
-    i.e. ``i * exp(i*angle)`` (upward for the real axis).
+    ``kind`` is one of ``"unit_circle"``, ``"circle"``, ``"line"``.  Both
+    are one anti-Möbius form centred at P (a circle's centre, a line's
+    point): with w = z - P, S(z) = conj(P) + (a w + b)/(g w + h), S'(z) =
+    (a h - b g)/(g w + h)^2 and sqrt(S'(z)) = k/(g w + h), where (a, b, g,
+    h, k) is (0, r^2, 1, 0, i r) for a circle and (e^{-2 i alpha}, 0, 0, 1,
+    e^{-i alpha}) for a line.  The pole is P - h/g (none for a line).  The
+    unit normal is a fixed factor times (g w + h)/|g w + h|: outward for
+    circles, i e^{i alpha} (upward for the real axis) for lines.  As
+    z -> conj(S(z)) is an involution, the inverse map is S~(zeta) =
+    conj(S(conj(zeta))).  The form is centred at P, not at 0, because an
+    origin-based (a z + b)/(c z + d) loses digits to cancellation on a
+    small circle far from 0.
     """
 
     kind: str
@@ -84,8 +95,18 @@ class SchwarzMap:
     def __post_init__(self):
         if self.kind not in ("unit_circle", "circle", "line"):
             raise ValueError(f"unknown Schwarz map kind {self.kind!r}")
-        if self.kind in ("unit_circle", "circle") and not self.radius > 0:
-            raise ValueError("circle radius must be positive")
+        if self._is_circle():
+            if not self.radius > 0:
+                raise ValueError("circle radius must be positive")
+            origin, abgh = self.center, (0, self.radius**2, 1, 0)
+            root, normal = 1j * self.radius, 1
+        else:
+            origin, abgh = self.point, (cmath.exp(-2j * self.angle), 0, 0, 1)
+            root, normal = cmath.exp(-1j * self.angle), 1j * cmath.exp(1j * self.angle)
+        a, b, g, h = map(complex, abgh)
+        # derived data, set past the frozen guard: ==, hash, repr and to_json see only the fields
+        form = (origin, origin.conjugate(), a, b, g, h)
+        vars(self).update(_form=form, _det=a * h - b * g, _root=root, _normal_factor=normal)
 
     # -- constructors ----------------------------------------------------------
 
@@ -108,52 +129,43 @@ class SchwarzMap:
 
     @property
     def pole(self) -> complex | None:
-        """Pole of S, or None for a line."""
-        return self.center if self._is_circle() else None
-
-    @property
-    def inverse_pole(self) -> complex | None:
-        """Pole of the inverse map, or None for a line."""
-        return self.center.conjugate() if self._is_circle() else None
+        """Pole of S, or None for a line; the inverse map's is its conjugate."""
+        P, _, _, _, g, h = self._form
+        return P - h / g if g else None
 
     def value(self, z: complex) -> complex:
         """S(z); equals conj(z) on the carrier curve."""
-        z = complex(z)
-        if self._is_circle():
-            w = z - self.center
-            if w == 0:
-                raise PoleError(f"Schwarz map has a pole at {self.center}")
-            return self.center.conjugate() + self.radius**2 / w
-        return self.point.conjugate() + cmath.exp(-2j * self.angle) * (z - self.point)
+        P, Pc, a, b, g, h = self._form
+        w = complex(z) - P
+        d = g * w + h
+        if not d:
+            raise PoleError(f"Schwarz map has a pole at {self.pole}")
+        return Pc + (a * w + b) / d
 
     def inverse_value(self, zeta: complex) -> complex:
-        """The inverse map; value(inverse_value(zeta)) = zeta."""
-        zeta = complex(zeta)
-        if self._is_circle():
-            w = zeta - self.center.conjugate()
-            if w == 0:
-                raise PoleError(f"inverse Schwarz map has a pole at {self.center.conjugate()}")
-            return self.center + self.radius**2 / w
-        return self.point + cmath.exp(2j * self.angle) * (zeta - self.point.conjugate())
+        """The inverse map conj(S(conj(zeta))); value(inverse_value(zeta)) = zeta."""
+        P, _, a, b, g, h = self._form
+        w = complex(zeta).conjugate() - P
+        d = g * w + h
+        if not d:
+            raise PoleError(f"inverse Schwarz map has a pole at {self.pole.conjugate()}")
+        return P + ((a * w + b) / d).conjugate()
 
     def derivative(self, z: complex) -> complex:
         """S'(z)."""
-        z = complex(z)
-        if self._is_circle():
-            w = z - self.center
-            if w == 0:
-                raise PoleError(f"Schwarz map has a pole at {self.center}")
-            return -(self.radius**2) / (w * w)
-        return cmath.exp(-2j * self.angle)
+        P, _, _, _, g, h = self._form
+        d = g * (complex(z) - P) + h
+        if not d:
+            raise PoleError(f"Schwarz map has a pole at {self.pole}")
+        return self._det / (d * d)
 
     def inverse_derivative(self, zeta: complex) -> complex:
-        zeta = complex(zeta)
-        if self._is_circle():
-            w = zeta - self.center.conjugate()
-            if w == 0:
-                raise PoleError(f"inverse Schwarz map has a pole at {self.center.conjugate()}")
-            return -(self.radius**2) / (w * w)
-        return cmath.exp(2j * self.angle)
+        """S~'(zeta) = conj(S'(conj(zeta)))."""
+        P, _, _, _, g, h = self._form
+        d = g * (complex(zeta).conjugate() - P) + h
+        if not d:
+            raise PoleError(f"inverse Schwarz map has a pole at {self.pole.conjugate()}")
+        return (self._det / (d * d)).conjugate()
 
     # -- curve geometry ----------------------------------------------------------
 
@@ -174,12 +186,11 @@ class SchwarzMap:
     def outward_normal(self, z: complex) -> complex:
         """Unit normal at a point of the curve (outward for circles,
         the left normal of the direction vector for lines)."""
-        if self._is_circle():
-            w = complex(z) - self.center
-            if w == 0:
-                raise PoleError("normal undefined at the circle center")
-            return w / abs(w)
-        return 1j * cmath.exp(1j * self.angle)
+        P, _, _, _, g, h = self._form
+        d = g * (complex(z) - P) + h
+        if not d:
+            raise PoleError("normal undefined at the circle center")
+        return self._normal_factor * d / abs(d)
 
     def curve_points(self, n: int, span: float = 2.0) -> list:
         """n sample points on the carrier curve (parameter span for lines)."""
@@ -351,12 +362,13 @@ _POLE_MARGIN = 1e-7  # pole-to-path distance below which |S'| exceeds 1e14 r^-2
 class SqrtBranch:
     """sqrt(S') or sqrt(S~') along a path, in closed form.
 
-    For a circle of radius r the root is ``scale / (tau - pole)``, with
-    ``scale`` = i r and ``pole`` = c for S, and -i r and conj(c) for the
-    inverse map; for a line it is the constant ``scale`` (``pole`` None),
-    e^{-i alpha} or e^{i alpha}.  Each is single-valued off the pole, so no
-    continuation is needed.  ``p0`` is the path point where the sign was
-    checked against the outward normal.
+    The root of S' is ``scale / (tau - pole)`` for a circle, with ``scale``
+    the root k = i r of the form's a h - b g and ``pole`` = c, and the
+    constant ``scale`` = e^{-i alpha} for a line (``pole`` None).  The
+    inverse map's root is the conjugate branch, conj(k) / (tau - conj(c)).
+    Each is single-valued off the pole, so no continuation is needed.
+    ``p0`` is the path point where the sign was checked against the
+    outward normal.
     """
 
     __slots__ = ("scale", "pole", "p0")
@@ -402,45 +414,30 @@ def _line_contact(a: complex, b: complex, point: complex, angle: float) -> compl
     return a if ha == hb else a + ha / (ha - hb) * (b - a)
 
 
-def _closed_form_branch(smap: SchwarzMap, path: PathSpec, inverse: bool) -> SqrtBranch:
-    """The closed-form root for ``smap`` (or its inverse map) on ``path``.
+def _closed_form_branch(smap: SchwarzMap, a: complex, b: complex) -> SqrtBranch:
+    """The closed-form root of S' on the segment [a, b].
 
-    The inverse map's carrier is the mirror curve: the circle about conj(c)
-    or the line through conj(p) at angle -alpha.  Raises
-    ``BranchPointOnPathError`` when the pole lies within 1e-7 r of the path,
-    and ``BranchSelectionError`` when the path never nears the curve or the
-    root at the contact point p0 misses the outward-normal target.
+    Raises ``BranchPointOnPathError`` when the pole lies within 1e-7 r of the
+    segment, and ``BranchSelectionError`` when the segment never nears the
+    curve or the root at the contact point p0 misses the outward-normal
+    target.
     """
-    a, b = path.endpoints
-    sign = -1 if inverse else 1
-    if smap._is_circle():
-        pole = smap.inverse_pole if inverse else smap.pole
+    pole = smap.pole
+    if pole is None:
+        p0 = _line_contact(a, b, smap.point, smap.angle)
+    else:
         if _segment_pole_distance(a, b, pole) <= _POLE_MARGIN * smap.radius:
             raise BranchPointOnPathError(
                 f"the map pole {pole} lies within {_POLE_MARGIN:g} r of the path"
             )
         p0 = _circle_contact(a, b, pole, smap.radius)
-        branch = SqrtBranch(sign * 1j * smap.radius, pole, p0)
-    else:
-        p0 = _line_contact(
-            a,
-            b,
-            smap.point.conjugate() if inverse else smap.point,
-            -smap.angle if inverse else smap.angle,
-        )
-        branch = SqrtBranch(cmath.exp(-sign * 1j * smap.angle), None, p0)
-    if inverse:
-        zhat = smap.inverse_value(p0)
-        residual = abs(zhat - p0.conjugate())
-        target = -1j * smap.outward_normal(smap.project_to_curve(zhat))
-    else:
-        residual = smap.on_curve_residual(p0)
-        target = 1j / smap.outward_normal(smap.project_to_curve(p0))
-    if residual > 0.1 * (1.0 + abs(p0)):
+    branch = SqrtBranch(smap._root, pole, p0)
+    if smap.on_curve_residual(p0) > 0.1 * (1.0 + abs(p0)):
         raise BranchSelectionError(
             "path never comes near the carrier curve; cannot validate the branch sign"
         )
     v0 = branch(p0)
+    target = 1j / smap.outward_normal(smap.project_to_curve(p0))
     if not abs(v0 - target) < 0.5:
         raise BranchSelectionError(
             f"branch validation failed: candidate {v0:.6g} vs outward-normal target {target:.6g}"
@@ -457,13 +454,22 @@ def sqrt_schwarz_derivative(smap: SchwarzMap, path: PathSpec) -> SqrtBranch:
     Raises if the map pole lies on the path or if the path never nears the
     curve.
     """
-    return _closed_form_branch(smap, path, inverse=False)
+    return _closed_form_branch(smap, *path.endpoints)
 
 
 def sqrt_inverse_schwarz_derivative(smap: SchwarzMap, path: PathSpec) -> SqrtBranch:
     """The branch of the square root of the inverse-map derivative.
 
-    On the curve it is the reciprocal of the sqrt(S') branch (the chain
-    rule gives S~'(S(z)) * S'(z) = 1 there).
+    S~' = conj(S'(conj(zeta))), so this is the conjugate of the sqrt(S')
+    branch on the conjugated path: on the curve it is the reciprocal of the
+    sqrt(S') branch (the chain rule gives S~'(S(z)) * S'(z) = 1 there).
     """
-    return _closed_form_branch(smap, path, inverse=True)
+    a, b = path.endpoints
+    try:
+        branch = _closed_form_branch(smap, a.conjugate(), b.conjugate())
+    except BranchPointOnPathError:
+        raise BranchPointOnPathError(
+            f"the map pole {smap.pole.conjugate()} lies within {_POLE_MARGIN:g} r of the path"
+        ) from None
+    pole = None if branch.pole is None else branch.pole.conjugate()
+    return SqrtBranch(branch.scale.conjugate(), pole, branch.p0.conjugate())

@@ -31,14 +31,12 @@ from .algebra import LogLaurentExpr
 from .errors import (
     DomainError,
     NonzeroMeanError,
-    PoleError,
     ResonanceError,
 )
 from .geometry import (
     BiPoint,
     PathSpec,
     SchwarzMap,
-    _segment_pole_distance,
     sqrt_inverse_schwarz_derivative,
     sqrt_schwarz_derivative,
 )
@@ -244,25 +242,17 @@ class ArcNeumannField:
         self.quad = quad
         self.subdivision = subdivision
 
-    def _side_integral(self, start, end, expr, branch_maker, pole) -> complex:
+    def _side_integral(self, start, end, expr, branch_maker) -> complex:
         if abs(end - start) < 1e-13 * (1.0 + abs(end)):
             return 0j
-        if pole is not None and _segment_pole_distance(start, end, pole) < 1e-9:
-            raise PoleError(f"integration segment passes through the map pole {pole}")
         seg = PathSpec.segment(start, end, self.subdivision)
         branch = branch_maker(self.smap, seg)
         return integrate_path(lambda t: expr.eval(t) * branch(t), seg, self.quad)
 
     def eval(self, p: BiPoint) -> complex:
-        iz = self._side_integral(
-            p.z, self.z0, self.u.part_z, sqrt_schwarz_derivative, self.smap.pole
-        )
+        iz = self._side_integral(p.z, self.z0, self.u.part_z, sqrt_schwarz_derivative)
         izeta = self._side_integral(
-            p.zeta,
-            self.zeta0,
-            self.u.part_zeta,
-            sqrt_inverse_schwarz_derivative,
-            self.smap.inverse_pole,
+            p.zeta, self.zeta0, self.u.part_zeta, sqrt_inverse_schwarz_derivative
         )
         return self.value_at_base + 1j * iz - 1j * izeta
 

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 from .algebra import CUT_MARGIN, BivariateLaurentExpr, LogLaurentExpr, cut_distance
-from .errors import CutProximityError, DomainError, HarmoniaError, PoleError
-from .geometry import BiPoint, PathSpec, SchwarzMap, _segment_pole_distance, sqrt_schwarz_derivative
+from .errors import CutProximityError, DomainError, HarmoniaError
+from .geometry import BiPoint, PathSpec, SchwarzMap, sqrt_schwarz_derivative
 from .harmonic import HarmonicPair, RobinParams, eval_pair
 from .numerics import QuadratureConfig, integrate_path
 
@@ -263,9 +263,6 @@ def reflect_neumann_schwarz(
     if phi.is_zero() or abs(zr - p.z) < 1e-13 * (1.0 + abs(p.z)):
         correction = 0j
     else:
-        pole = smap.pole
-        if pole is not None and _segment_pole_distance(zr, p.z, pole) < 1e-9:
-            raise PoleError("reflection segment passes through the map pole")
         seg = PathSpec.segment(zr, p.z)
         branch = sqrt_schwarz_derivative(smap, seg)
         correction = 1j * integrate_path(

@@ -442,6 +442,15 @@ def _bad_input(capsys, *argv) -> str:
     return captured.err
 
 
+def test_reflect_at_the_inverse_pole_names_the_inverse_map(capsys):
+    # zeta = 0 is the pole of the inverse map S~(zeta) = 1/zeta
+    err = _bad_input(
+        capsys, "reflect", "--formula", "schwarz", "--example", "neumann-reflect-constant",
+        "--point", "0:0",
+    )
+    assert "inverse Schwarz map has a pole" in err
+
+
 @pytest.mark.parametrize("row", _FIXTURES, ids=lambda row: row["id"])
 def test_field_runs_every_fixture_kind(row, tmp_path, capsys):
     argv = ["--grid", "0.6:1.4:3:-1.0:1.0:4", "--format", "json"]

@@ -123,6 +123,54 @@ def test_pole_errors():
         smap.inverse_value(1.0 - 2.0j)
 
 
+def _written_out(smap):
+    """S, S~, S', S~', the pole and the on-curve normal, written out per
+    carrier: the reference the one centred form must reproduce."""
+    if smap.kind == "line":
+        p, a = smap.point, smap.angle
+        return (
+            lambda z: p.conjugate() + cmath.exp(-2j * a) * (z - p),
+            lambda xi: p + cmath.exp(2j * a) * (xi - p.conjugate()),
+            lambda z: cmath.exp(-2j * a),
+            lambda xi: cmath.exp(2j * a),
+            None,
+            lambda z: 1j * cmath.exp(1j * a),
+        )
+    c, r = smap.center, smap.radius
+    return (
+        lambda z: c.conjugate() + r**2 / (z - c),
+        lambda xi: c + r**2 / (xi - c.conjugate()),
+        lambda z: -(r**2) / (z - c) ** 2,
+        lambda xi: -(r**2) / (xi - c.conjugate()) ** 2,
+        c,
+        lambda z: (z - c) / abs(z - c),
+    )
+
+
+@pytest.mark.parametrize(
+    "smap", MAPS + [SchwarzMap.circle(100 + 100j, 0.01)], ids=lambda m: m.kind + str(m.center)
+)
+def test_map_matches_the_written_out_formulas(smap):
+    # a small circle far from 0 catches evaluation in an origin-based
+    # (a z + b)/(c z + d), which loses ~1e-12 relative to cancellation there
+    value, inverse, deriv, inverse_deriv, pole, normal = _written_out(smap)
+    assert smap.pole == pole
+    scale = smap.radius if smap.kind != "line" else 1.0
+    on_curve = smap.curve_points(12)
+    for q in on_curve:
+        assert abs(smap.outward_normal(q) - normal(q)) <= 1e-14
+        for s in (-0.6, -0.2, 0.3, 1.5):
+            for z in (q + s * scale * normal(q), q + s * scale * (1 + 0.7j) * normal(q)):
+                xi = z.conjugate()
+                for got, want in (
+                    (smap.value(z), value(z)),
+                    (smap.inverse_value(xi), inverse(xi)),
+                    (smap.derivative(z), deriv(z)),
+                    (smap.inverse_derivative(xi), inverse_deriv(xi)),
+                ):
+                    assert abs(got - want) <= 1e-14 * abs(want), (z, got, want)
+
+
 def test_sqrt_branch_unit_circle_radial():
     # along a radial ray into the boundary the validated branch is i/tau
     smap = SchwarzMap.unit_circle()

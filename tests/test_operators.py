@@ -379,9 +379,11 @@ def test_arc_operator_near_the_pole():
     z = -0.8 + 0.008j
     want = eval_real(neumann_from_dirichlet_pair(u), z.real, z.imag)
     assert abs(field.eval_real(z.real, z.imag) - want) < 1e-12
-    # a segment within 1e-8 r of the pole is still refused
-    with pytest.raises(BranchPointOnPathError):
-        field.eval_real(-0.8, 1e-8)
+    # a segment 5.6e-9 or 5.6e-10 from the pole is refused by the branch's
+    # relative check, with the same error type at either distance
+    for y in (1e-8, 1e-9):
+        with pytest.raises(BranchPointOnPathError):
+            field.eval_real(-0.8, y)
 
 
 def test_arc_operator_validates_paths_and_base():
