@@ -246,7 +246,7 @@ def cmd_examples(args: argparse.Namespace, cut: float) -> int:
         try:
             records.append(_run_example_row(row, cut, args.tol))
         except (ArithmeticError, ValueError) as exc:
-            raise ValueError(f"example {row['id']!r}: {exc}") from None
+            raise ValueError(f"example {row['id']!r}: {_error_text(exc)}") from None
     if args.format == "json":
         text = json.dumps({"examples": records}, indent=2)
     elif args.format == "csv":
@@ -412,7 +412,7 @@ def cmd_reflect(args: argparse.Namespace, cut: float) -> int:
         if exit_code == EXIT_OK and not finite:  # a failed --check reports its residual
             raise ArithmeticError("the result is not finite")
     except ArithmeticError as exc:
-        raise ArithmeticError(f"at z = {p.z}, zeta = {p.zeta}: {exc}") from None
+        raise ArithmeticError(f"at z = {p.z}, zeta = {p.zeta}: {_error_text(exc)}") from None
     _emit(json.dumps(record, indent=2), args.output)
     return exit_code
 
@@ -487,6 +487,14 @@ def _source(args: argparse.Namespace) -> str:
     return f"harmonia {args.command}"
 
 
+def _error_text(exc: Exception) -> str:
+    """The error line's account of ``exc``: an overflow says so, where
+    math's own text is (34, 'Numerical result out of range')."""
+    if isinstance(exc, OverflowError) and exc.args:
+        return f"overflow: {exc.args[-1]}"
+    return str(exc)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -495,7 +503,7 @@ def main(argv=None) -> int:
         message = f"{_source(args)}: missing key {exc}"
     except ArithmeticError as exc:
         # input whose arithmetic overflows or divides by zero is bad input
-        message = f"{_source(args)}: {exc}"
+        message = f"{_source(args)}: {_error_text(exc)}"
     except (OSError, _OptionError) as exc:
         message = str(exc)
     except (TypeError, ValueError) as exc:

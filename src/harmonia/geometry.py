@@ -155,17 +155,21 @@ class SchwarzMap:
         """S'(z)."""
         P, _, _, _, g, h = self._form
         d = g * (complex(z) - P) + h
-        if not d:
+        dd = d * d  # near the pole it underflows to 0, or det/dd overflows
+        slope = self._det / dd if dd else math.inf
+        if cmath.isinf(slope):
             raise PoleError(f"Schwarz map has a pole at {self.pole}")
-        return self._det / (d * d)
+        return slope
 
     def inverse_derivative(self, zeta: complex) -> complex:
         """S~'(zeta) = conj(S'(conj(zeta)))."""
         P, _, _, _, g, h = self._form
         d = g * (complex(zeta).conjugate() - P) + h
-        if not d:
+        dd = d * d
+        slope = self._det / dd if dd else math.inf
+        if cmath.isinf(slope):
             raise PoleError(f"inverse Schwarz map has a pole at {self.pole.conjugate()}")
-        return (self._det / (d * d)).conjugate()
+        return slope.conjugate()
 
     # -- curve geometry ----------------------------------------------------------
 
@@ -260,11 +264,15 @@ def _segment_pole_distance(a: complex, b: complex, pole: complex) -> float:
     return abs(pole - (a + t * d))
 
 
+DEFAULT_SUBDIVISION = 4  # initial quadrature panels of a path
+
+
 @dataclass(frozen=True)
 class PathSpec:
     """An integration path: a straight segment or a radial ray.
 
-    ``subdivision`` is the number of initial quadrature panels.
+    ``subdivision`` is the number of initial quadrature panels; the default
+    of 4 suits the Gauss-Kronrod (7, 15) panels of ``integrate_path``.
     """
 
     kind: str
@@ -273,7 +281,7 @@ class PathSpec:
     theta: float = 0.0
     r_from: float = 1.0
     r_to: float = 1.0
-    subdivision: int = 16
+    subdivision: int = DEFAULT_SUBDIVISION
 
     def __post_init__(self):
         if self.kind not in ("segment", "radial_ray"):
@@ -289,12 +297,14 @@ class PathSpec:
                 raise ValueError("radial ray endpoints must be distinct")
 
     @classmethod
-    def segment(cls, start: complex, end: complex, subdivision: int = 16) -> "PathSpec":
+    def segment(
+        cls, start: complex, end: complex, subdivision: int = DEFAULT_SUBDIVISION
+    ) -> "PathSpec":
         return cls("segment", start=complex(start), end=complex(end), subdivision=subdivision)
 
     @classmethod
     def radial_ray(
-        cls, theta: float, r_from: float, r_to: float, subdivision: int = 16
+        cls, theta: float, r_from: float, r_to: float, subdivision: int = DEFAULT_SUBDIVISION
     ) -> "PathSpec":
         return cls(
             "radial_ray",
@@ -342,16 +352,15 @@ class PathSpec:
 
     @classmethod
     def from_json(cls, rec: dict) -> "PathSpec":
+        subdivision = rec.get("subdivision", DEFAULT_SUBDIVISION)
         if rec["kind"] == "segment":
             s, e = rec["start"], rec["end"]
             return cls.segment(
                 complex(s["re"], s.get("im", 0.0)),
                 complex(e["re"], e.get("im", 0.0)),
-                rec.get("subdivision", 16),
+                subdivision,
             )
-        return cls.radial_ray(
-            rec["theta"], rec["r_from"], rec["r_to"], rec.get("subdivision", 16)
-        )
+        return cls.radial_ray(rec["theta"], rec["r_from"], rec["r_to"], subdivision)
 
 
 # -- square-root branches ------------------------------------------------------

@@ -1,7 +1,7 @@
 """Independent numerical oracles and the verification-report generator.
 
 Nothing here trusts the exact algebra: contour quadrature runs adaptive
-Gauss-Kronrod (3, 7) panels that bisect on failure, the radial integral of
+Gauss-Kronrod (7, 15) panels that bisect on failure, the radial integral of
 the disk Neumann solver is adaptive Simpson, the disk Neumann oracle is a
 brute-force Fourier series, and harmonicity is probed with the
 fourth-order 9-point finite-difference Laplacian.  The verification suite
@@ -48,9 +48,9 @@ class QuadratureConfig:
     """Absolute tolerance and bisection cap for adaptive quadrature.
 
     ``integrate_path`` splits ``abs_tol`` evenly across its initial panels
-    and halves a panel's share each time it bisects the panel, at most
-    ``max_depth`` times; ``adaptive_simpson`` reads both the same way on
-    its one interval.
+    (4 unless the path says otherwise) and halves a panel's share each time
+    it bisects the panel, at most ``max_depth`` times; ``adaptive_simpson``
+    reads both the same way on its one interval.
     """
 
     abs_tol: float = 1e-10
@@ -92,46 +92,55 @@ def adaptive_simpson(
     return _simpson_recurse(g, a, b, fa, fm, fb, whole, cfg.abs_tol, cfg.max_depth)
 
 
-# Gauss-Kronrod (3, 7) on [-1, 1] (Piessens et al., QUADPACK, 1983): the
-# 3-point Gauss-Legendre rule samples 0 and +-_GAUSS_X, and the 7-point
-# Kronrod rule adds +-_KRONROD_X.  Values to 30 digits.
-_GAUSS_X = 0.774596669241483377035853079956  # sqrt(0.6)
-_KRONROD_X = (0.960491268708020283423507092629, 0.434243749346802558002071502845)
-_G3_WEIGHTS = (5.0 / 9.0, 8.0 / 9.0)  # at +-_GAUSS_X, at 0
-_K7_WEIGHTS = (  # at +-_KRONROD_X[0], +-_GAUSS_X, +-_KRONROD_X[1], 0
-    0.104656226026467265193823857192,
-    0.268488089868333440728569280667,
-    0.401397414775962222905051818618,
-    0.450916538658474142345110087046,
+# Gauss-Kronrod (7, 15) on [-1, 1] (Piessens et al., QUADPACK, 1983, qk15):
+# the 7-point Gauss-Legendre rule samples 0 and +-x at its three nodes, and
+# the 15-point Kronrod rule adds four more pairs.  Values to 30 digits.
+_SHARED_NODES = (  # (x, Kronrod weight, Gauss weight) of each Gauss pair
+    (0.949107912342758524526189684048, 0.063092092629978553290700663189,
+     0.129484966168869693270611432679),
+    (0.741531185599394439863864773281, 0.140653259715525918745189590510,
+     0.279705391489276667901467771424),
+    (0.405845151377397166906606412077, 0.190350578064785409913256402421,
+     0.381830050505118944950369775489),
+)
+_KRONROD_NODES = (  # (x, Kronrod weight) of each pair the Kronrod rule adds
+    (0.991455371120812639206854697526, 0.022935322010529224963732008059),
+    (0.864864423359769072789712788641, 0.104790010322250183839876322542),
+    (0.586087235467691130294144845693, 0.169004726639267902826583426599),
+    (0.207784955007898467600689403773, 0.204432940075298892414161999235),
+)
+_CENTRE_WEIGHTS = (  # Kronrod and Gauss weights at 0
+    0.209482141084727828012999174892,
+    0.417959183673469387755102040816,
 )
 
 
 def _gauss_kronrod(f: Callable[[complex], complex], c: complex, h: complex) -> tuple:
-    """The K7 and G3 estimates of the integral of f along the segment from
-    c - h to c + h, from 7 evaluations."""
-    d0, dg, d1 = h * _KRONROD_X[0], h * _GAUSS_X, h * _KRONROD_X[1]
+    """The K15 and G7 estimates of the integral of f along the segment from
+    c - h to c + h, from 15 evaluations."""
     f0 = f(c)
-    fg = f(c - dg) + f(c + dg)
-    gauss = h * (_G3_WEIGHTS[0] * fg + _G3_WEIGHTS[1] * f0)
-    kronrod = h * (
-        _K7_WEIGHTS[0] * (f(c - d0) + f(c + d0))
-        + _K7_WEIGHTS[1] * fg
-        + _K7_WEIGHTS[2] * (f(c - d1) + f(c + d1))
-        + _K7_WEIGHTS[3] * f0
-    )
-    return kronrod, gauss
+    kronrod, gauss = _CENTRE_WEIGHTS[0] * f0, _CENTRE_WEIGHTS[1] * f0
+    for x, wk, wg in _SHARED_NODES:
+        d = h * x
+        pair = f(c - d) + f(c + d)
+        kronrod += wk * pair
+        gauss += wg * pair
+    for x, wk in _KRONROD_NODES:
+        d = h * x
+        kronrod += wk * (f(c - d) + f(c + d))
+    return h * kronrod, h * gauss
 
 
 def integrate_path(
     f: Callable[[complex], complex], path: PathSpec, cfg: QuadratureConfig | None = None
 ) -> complex:
     """Contour integral of f along the path, by adaptive Gauss-Kronrod
-    (3, 7) panels.
+    (7, 15) panels.
 
-    The path's subdivision hint sets the number of initial panels; the
-    absolute tolerance is split evenly across them.  A panel whose error
-    estimate |K7 - G3| exceeds its tolerance is bisected, each half with
-    half the tolerance, down to ``cfg.max_depth`` levels.
+    The path's subdivision hint sets the number of initial panels (4 by
+    default); the absolute tolerance is split evenly across them.  A panel
+    whose error estimate |K15 - G7| exceeds its tolerance is bisected, each
+    half with half the tolerance, down to ``cfg.max_depth`` levels.
     """
     cfg = cfg or QuadratureConfig()
     panels = max(1, path.subdivision)

@@ -219,11 +219,13 @@ class ArcNeumannField:
     """Field evaluator returned by :func:`neumann_from_dirichlet_schwarz`.
 
     Evaluation integrates u1 sqrt(S') from z to the base point and u2
-    sqrt(S~') from zeta to its image, each along a straight segment with the
-    closed-form square root, its sign checked against the outward normal
-    where the segment meets the curve.  Paths must stay inside the region
-    where the Schwarz map is single-valued; the evaluator only guards
-    against running into the map poles and the log cut.
+    sqrt(S~') from zeta to its image, each along a straight segment by
+    Gauss-Kronrod (7, 15) panels, starting from the larger subdivision of
+    the declared paths (4 panels by default), with the closed-form square
+    root, its sign checked against the outward normal where the segment
+    meets the curve.  Paths must stay inside the region where the Schwarz
+    map is single-valued; the evaluator only guards against running into
+    the map poles and the log cut.
     """
 
     def __init__(

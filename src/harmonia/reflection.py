@@ -20,7 +20,7 @@ data-dependent correction:
   a part of w that carries logs.
 * Neumann data on a general Schwarz arc: the correction is a contour
   integral of phi(tau, S(tau)) sqrt(S'(tau)) evaluated by Gauss-Kronrod
-  (3, 7) panels with the closed-form square root of S'.
+  (7, 15) panels, 4 to start, with the closed-form square root of S'.
 
 The circle corrections are exact; numeric quadrature is available as a
 shadow oracle behind ``verify_numeric``.
@@ -251,10 +251,10 @@ def reflect_neumann_schwarz(
     """Continuation across a Schwarz arc for Neumann data phi.
 
     v(S~(zeta), S(z)) = v(z, zeta) + i int_{S~(zeta)}^{z} phi(tau, S(tau))
-    sqrt(S'(tau)) d tau, by Gauss-Kronrod (3, 7) panels along the straight
-    segment, with the closed-form sqrt(S') whose sign is checked against the
-    outward normal where the segment meets the curve.  Reduces to the exact
-    circle formula when the map is the unit circle.
+    sqrt(S'(tau)) d tau, by Gauss-Kronrod (7, 15) panels along the straight
+    segment (4 initial panels), with the closed-form sqrt(S') whose sign is
+    checked against the outward normal where the segment meets the curve.
+    Reduces to the exact circle formula when the map is the unit circle.
     """
     cfg = quad or QuadratureConfig()
     zr = smap.inverse_value(p.zeta)

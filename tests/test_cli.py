@@ -506,10 +506,10 @@ def test_reflect_non_finite_result_is_exit_two(formula, tmp_path, capsys):
     ["overflowing_point", "missing_re", "missing_k", "complex_exponentiation"],
 )
 def test_error_line_names_the_input(case, tmp_path, capsys):
-    if case == "overflowing_point":  # used to print (34, 'Numerical result out of range')
+    if case == "overflowing_point":  # math's own text is (34, 'Numerical result out of range')
         argv = ["reflect", "--formula", "schwarz", "--example", "neumann-reflect-constant",
                 "--point", "1e300:0"]
-        names = ["'neumann-reflect-constant'", "1e+300"]
+        names = ["'neumann-reflect-constant'", "z = (1e+300+0j)", ": overflow: "]
     elif case == "missing_re":
         pair = {"part_z": [{"im": 1.0, "k": 1}], "part_zeta": []}
         path = _write(tmp_path, "no_re.json", {"field": {"kind": "pair", "pair": pair}})

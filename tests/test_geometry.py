@@ -123,6 +123,15 @@ def test_pole_errors():
         smap.inverse_value(1.0 - 2.0j)
 
 
+@pytest.mark.parametrize("z", [1e-300, 1e-300j, 1e-160])
+@pytest.mark.parametrize("method", ["derivative", "inverse_derivative"])
+def test_derivative_within_underflow_of_the_pole_raises(method, z):
+    # (g w + h)^2 underflows to 0 at 1e-300, and det/(g w + h)^2 overflows
+    # at 1e-160; neither may escape as ZeroDivisionError or an infinite S'
+    with pytest.raises(PoleError, match="has a pole at"):
+        getattr(SchwarzMap.unit_circle(), method)(z)
+
+
 def _written_out(smap):
     """S, S~, S', S~', the pole and the on-curve normal, written out per
     carrier: the reference the one centred form must reproduce."""

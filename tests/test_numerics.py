@@ -51,24 +51,29 @@ def test_nonconvergence_names_the_panel():
         integrate_path(lambda t: 1.0 / t, PathSpec.segment(0.01 + 0j, 2.0 + 0j, 1), cfg)
     message = str(exc.value)
     assert "from z = 0.01+0j to z = 1.005+0j" in message, message
-    assert "error estimate 1.01 exceeds the tolerance 5e-17" in message, message
+    assert "error estimate 0.258 exceeds the tolerance 5e-17" in message, message
 
 
-def test_gauss_rule_is_three_point_legendre():
-    nodes, weights = np.polynomial.legendre.leggauss(3)
-    x = numerics._GAUSS_X
-    w_side, w_centre = numerics._G3_WEIGHTS
-    assert np.allclose([-x, 0.0, x], nodes, rtol=0.0, atol=1e-15)
-    assert np.allclose([w_side, w_centre, w_side], weights, rtol=0.0, atol=1e-15)
+def test_gauss_rule_is_seven_point_legendre():
+    nodes, weights = np.polynomial.legendre.leggauss(7)
+    xs = [x for x, _, _ in numerics._SHARED_NODES]
+    ws = [w for _, _, w in numerics._SHARED_NODES]
+    gauss_x = [-x for x in xs] + [0.0] + xs[::-1]
+    gauss_w = ws + [numerics._CENTRE_WEIGHTS[1]] + ws[::-1]
+    assert np.allclose(gauss_x, nodes, rtol=0.0, atol=1e-15)
+    assert np.allclose(gauss_w, weights, rtol=0.0, atol=1e-15)
 
 
 def test_kronrod_and_gauss_polynomial_degrees():
-    for k in range(12):
+    for k in range(23):
         exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
         kronrod, gauss = numerics._gauss_kronrod(lambda x: x**k, 0.0, 1.0)
         assert abs(kronrod - exact) <= 1e-15, k
-        if k <= 5:
+        if k <= 13:
             assert abs(gauss - exact) <= 1e-15, k
+    # neither is exact one even degree higher, so |K15 - G7| measures G7
+    assert abs(numerics._gauss_kronrod(lambda x: x**24, 0.0, 1.0)[0] - 2.0 / 25) > 1e-9
+    assert abs(numerics._gauss_kronrod(lambda x: x**14, 0.0, 1.0)[1] - 2.0 / 15) > 1e-5
 
 
 def test_smooth_integrand_takes_one_rule_per_panel():
@@ -80,7 +85,7 @@ def test_smooth_integrand_takes_one_rule_per_panel():
 
     a, b = 0.3 + 0.1j, 1.2 - 0.7j
     got = integrate_path(f, PathSpec.segment(a, b, 16))
-    assert len(calls) == 7 * 16
+    assert len(calls) == 15 * 16
     assert abs(got - 2.5 * (b - a)) < 1e-13
 
 
@@ -95,8 +100,33 @@ def test_near_pole_integrand_bisects_to_tolerance():
 
     cfg = QuadratureConfig()
     got = integrate_path(f, PathSpec.segment(0j, 1.0 + 0j, 16), cfg)
-    assert len(calls) > 7 * 16
+    assert len(calls) > 15 * 16
     assert abs(got - (cmath.log(1.0 - pole) - cmath.log(-pole))) <= cfg.abs_tol
+
+
+def test_near_pole_integrals_are_right_or_raise():
+    # the per-panel error control: 1/(z - p)^k near a pole either comes back
+    # within 1e-9 of the closed form or raises, never silently wrong
+    rng = np.random.default_rng(2024)
+    returned = raised = 0
+    for _ in range(300):
+        a, b = (complex(*rng.uniform(-2.0, 2.0, size=2)) for _ in range(2))
+        k = int(rng.integers(1, 5))
+        distance = 10.0 ** rng.uniform(-3.0, math.log10(2.0))
+        normal = 1j * (b - a) / abs(b - a) * rng.choice((-1.0, 1.0))
+        pole = a + rng.uniform(0.0, 1.0) * (b - a) + distance * normal
+        if k == 1:
+            exact = cmath.log((b - pole) / (a - pole))
+        else:
+            exact = ((b - pole) ** (1 - k) - (a - pole) ** (1 - k)) / (1 - k)
+        try:
+            got = integrate_path(lambda z: (z - pole) ** -k, PathSpec.segment(a, b))
+        except QuadratureConvergenceError:
+            raised += 1
+            continue
+        returned += 1
+        assert abs(got - exact) <= 1e-9, (a, b, k, pole, abs(got - exact))
+    assert returned > 200 and raised > 0
 
 
 def test_quadrature_config_validation():
