@@ -4,9 +4,20 @@ Splitting a harmonic function into a z-part and a zeta-part makes the
 mixed second derivative vanish identically, so every pair built from
 log-Laurent parts is harmonic by construction.  On the real slice
 zeta = conj(z) the pair represents an ordinary real harmonic field
-whenever the zeta-part mirrors the z-part with conjugated coefficients;
-that symmetry is checked numerically, not structurally, because
-intermediate pairs in C^2 are often deliberately non-symmetric.
+whenever the zeta-part mirrors the z-part with conjugated coefficients.
+
+A pair records that symmetry in its derived ``mirrored`` flag: both parts
+take the cut at pi, and the zeta-part's terms equal the z-part's
+conjugated terms.  The cut must be pi because only on the window
+(-pi, pi] is log conj(z) = conj(log z).  ``HarmonicPair.symmetric`` sets
+the flag; any other pair compares its parts once, on first use.  At a
+point exactly on the slice, a mirrored pair's zeta-part gives the
+conjugate of the z-part's value, so evaluation computes the z-part only
+(u = 2 Re u1(z)).  ``radial_derivative`` takes (r, theta), not a point: its
+zeta point is the conjugate ray by construction, so it computes the z-part
+only for every mirrored pair.  Every other pair and point takes the
+two-part sum, because intermediate pairs in C^2 are often deliberately
+non-symmetric.
 """
 
 from __future__ import annotations
@@ -14,6 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +55,18 @@ class HarmonicPair:
     part_z: LogLaurentExpr
     part_zeta: LogLaurentExpr
 
+    @cached_property
+    def mirrored(self) -> bool:
+        """Whether part_zeta is part_z with conjugated coefficients, both on the cut at pi.
+
+        Derived and kept on the instance, not a field: ==, hash, repr and
+        JSON do not see it.
+        """
+        return (
+            self.part_z.cut_angle == DEFAULT_CUT_ANGLE
+            and self.part_zeta == self.part_z.conjugate_mirror()
+        )
+
     @classmethod
     def zero(cls, cut_angle: float = DEFAULT_CUT_ANGLE) -> "HarmonicPair":
         return cls(LogLaurentExpr.zero(cut_angle), LogLaurentExpr.zero(cut_angle))
@@ -55,7 +79,10 @@ class HarmonicPair:
     @classmethod
     def symmetric(cls, part_z: LogLaurentExpr) -> "HarmonicPair":
         """Pair with the zeta-part mirroring the z-part; real on the real slice."""
-        return cls(part_z, part_z.conjugate_mirror())
+        pair = cls(part_z, part_z.conjugate_mirror())
+        # the mirror holds by construction; only the cut is left to test
+        vars(pair)["mirrored"] = part_z.cut_angle == DEFAULT_CUT_ANGLE
+        return pair
 
     def __add__(self, other: "HarmonicPair") -> "HarmonicPair":
         return HarmonicPair(self.part_z + other.part_z, self.part_zeta + other.part_zeta)
@@ -99,7 +126,14 @@ class RobinParams:
 
 
 def eval_pair(h: HarmonicPair, p: BiPoint) -> complex:
-    """u1(z) + u2(zeta) at a C^2 point."""
+    """u1(z) + u2(zeta) at a C^2 point.
+
+    For a ``mirrored`` pair at a point exactly on the real slice (zeta ==
+    conj(z)), u2(zeta) is the conjugate of u1(z), so only the z-part is
+    evaluated: the value is 2 Re u1(z), with imaginary part 0.
+    """
+    if h.mirrored and p.zeta == p.z.conjugate():
+        return complex(2.0 * h.part_z.eval(p.z).real, 0.0)
     return h.part_z.eval(p.z) + h.part_zeta.eval(p.zeta)
 
 
@@ -125,7 +159,8 @@ def eval_real(h: HarmonicPair, x: float, y: float) -> float:
     """Real-slice value at the plane point (x, y).
 
     Raises when the imaginary residue exceeds the reality tolerance,
-    which flags pairs that are not conjugate-symmetric.
+    which flags pairs that are not conjugate-symmetric.  A ``mirrored``
+    pair is real by construction: ``eval_pair`` gives it 2 Re u1(z).
     """
     z = complex(x, y)
     if z == 0:
@@ -162,12 +197,16 @@ def field_scale(h: HarmonicPair, x: float, y: float) -> float:
 def radial_derivative(h: HarmonicPair, r: float, theta: float) -> complex:
     """d/dr of u along the ray parameterization (r e^{i theta}, r e^{-i theta}).
 
-    Equals u1'(z) e^{i theta} + u2'(zeta) e^{-i theta}.
+    Equals u1'(z) e^{i theta} + u2'(zeta) e^{-i theta}.  For a ``mirrored``
+    pair it is 2 Re(u1'(z) e^{i theta}), at every (r, theta): the zeta point
+    r e^{-i theta} is the conjugate ray by construction, so only the z-part
+    is evaluated.
     """
     ez = cmath.exp(1j * theta)
-    z = r * ez
-    zeta = r / ez
-    return h.part_z.differentiate().eval(z) * ez + h.part_zeta.differentiate().eval(zeta) / ez
+    along_z = h.part_z.differentiate().eval(r * ez) * ez
+    if h.mirrored:
+        return complex(2.0 * along_z.real, 0.0)
+    return along_z + h.part_zeta.differentiate().eval(r / ez) / ez
 
 
 def normal_derivative_schwarz(h: HarmonicPair, smap: SchwarzMap, z: complex) -> complex:

@@ -77,14 +77,31 @@ def _require_unit_circle_base(norm: BasePointNormalization) -> complex:
     return z0
 
 
-def _pin_constant(
-    part_z: LogLaurentExpr,
-    part_zeta: LogLaurentExpr,
-    z0: complex,
-    zeta0: complex,
-    value_at_base: float,
+def _partwise(
+    u: HarmonicPair,
+    build,
+    norm: BasePointNormalization | None = None,
 ) -> HarmonicPair:
-    residual = value_at_base - (part_z.eval(z0) + part_zeta.eval(zeta0))
+    """The pair (build(u.part_z), build(u.part_zeta)), pinned to
+    ``norm.value_at_base`` at the base point (z0, 1/z0) when ``norm`` is given.
+
+    ``build`` takes real coefficients only, so it commutes with the
+    conjugate mirror.  A ``mirrored`` u then gives a mirrored result: when
+    the base point lies exactly on the real slice, only the z-part is built
+    and pinned, with a real constant, and its symmetric pair is returned.
+    """
+    z0 = None if norm is None else _require_unit_circle_base(norm)
+    zeta0 = None if z0 is None else 1.0 / z0
+    part_z = build(u.part_z)
+    if u.mirrored and (z0 is None or zeta0 == z0.conjugate()):
+        if z0 is not None:
+            residual = norm.value_at_base - 2.0 * part_z.eval(z0).real
+            part_z = part_z + LogLaurentExpr.constant(residual / 2.0, part_z.cut_angle)
+        return HarmonicPair.symmetric(part_z)
+    part_zeta = build(u.part_zeta)
+    if z0 is None:
+        return HarmonicPair(part_z, part_zeta)
+    residual = norm.value_at_base - (part_z.eval(z0) + part_zeta.eval(zeta0))
     half = LogLaurentExpr.constant(residual / 2.0, part_z.cut_angle)
     return HarmonicPair(part_z + half, part_zeta + half)
 
@@ -99,12 +116,9 @@ def neumann_from_dirichlet_pair(
     the circle equals the Dirichlet trace of u.  The result is pinned to
     ``value_at_base`` at the base point.
     """
-    norm = norm or BasePointNormalization()
-    z0 = _require_unit_circle_base(norm)
-    zeta0 = 1.0 / z0
-    part_z = u.part_z.antiderivative_over_arg()
-    part_zeta = u.part_zeta.antiderivative_over_arg()
-    return _pin_constant(part_z, part_zeta, z0, zeta0, norm.value_at_base)
+    return _partwise(
+        u, LogLaurentExpr.antiderivative_over_arg, norm or BasePointNormalization()
+    )
 
 
 def neumann_from_robin_pair(
@@ -116,14 +130,13 @@ def neumann_from_robin_pair(
     harmonic v = const + (b/2) w + (a/2) * (primitives of w/tau), whose
     outward normal derivative on the circle is data/2.
     """
-    norm = norm or BasePointNormalization()
-    z0 = _require_unit_circle_base(norm)
-    zeta0 = 1.0 / z0
     half_b = 0.5 * params.b
     half_a = 0.5 * params.a
-    part_z = w.part_z * half_b + w.part_z.antiderivative_over_arg() * half_a
-    part_zeta = w.part_zeta * half_b + w.part_zeta.antiderivative_over_arg() * half_a
-    return _pin_constant(part_z, part_zeta, z0, zeta0, norm.value_at_base)
+    return _partwise(
+        w,
+        lambda part: part * half_b + part.antiderivative_over_arg() * half_a,
+        norm or BasePointNormalization(),
+    )
 
 
 def dirichlet_from_robin_pair(w: HarmonicPair, params: RobinParams) -> HarmonicPair:
@@ -134,9 +147,7 @@ def dirichlet_from_robin_pair(w: HarmonicPair, params: RobinParams) -> HarmonicP
     """
     half_a = 0.5 * params.a
     half_b = 0.5 * params.b
-    part_z = w.part_z * half_a + (_Z * w.part_z.differentiate()) * half_b
-    part_zeta = w.part_zeta * half_a + (_Z * w.part_zeta.differentiate()) * half_b
-    return HarmonicPair(part_z, part_zeta)
+    return _partwise(w, lambda part: part * half_a + (_Z * part.differentiate()) * half_b)
 
 
 _NEAR_RESONANCE = 1e-12
@@ -225,7 +236,9 @@ class ArcNeumannField:
     root, its sign checked against the outward normal where the segment
     meets the curve.  Paths must stay inside the region where the Schwarz
     map is single-valued; the evaluator only guards against running into
-    the map poles and the log cut.
+    the map poles and the log cut.  For a ``mirrored`` u with zeta0 =
+    conj(z0), at a point exactly on the real slice, the zeta-side integral
+    is the conjugate of the z-side one and is not computed.
     """
 
     def __init__(
@@ -240,6 +253,7 @@ class ArcNeumannField:
         self.smap = smap
         self.z0 = complex(norm.z0)
         self.zeta0 = smap.value(self.z0)
+        self._mirrored_base = u.mirrored and self.zeta0 == self.z0.conjugate()
         self.value_at_base = norm.value_at_base
         self.quad = quad
         self.subdivision = subdivision
@@ -253,6 +267,10 @@ class ArcNeumannField:
 
     def eval(self, p: BiPoint) -> complex:
         iz = self._side_integral(p.z, self.z0, self.u.part_z, sqrt_schwarz_derivative)
+        if self._mirrored_base and p.zeta == p.z.conjugate():
+            # the inverse branch is the forward one conjugated, so for a
+            # mirrored u the zeta-side integral is the conjugate of iz
+            return complex(self.value_at_base - 2.0 * iz.imag, 0.0)
         izeta = self._side_integral(
             p.zeta, self.zeta0, self.u.part_zeta, sqrt_inverse_schwarz_derivative
         )

@@ -200,7 +200,9 @@ def reflect_robin_circle(
     w.part_zeta(zeta)/zeta, the self integral is Q(1/r) - Q(r); the data
     term is the Neumann correction of phi_w over b.  A part of w that
     carries logs may not be reflected along a ray within ``CUT_MARGIN`` of
-    its cut.  ``correction`` reports the data term alone.
+    its cut.  For a ``mirrored`` w at a point exactly on the real slice
+    the zeta-part's change is the conjugate of the z-part's and is not
+    computed.  ``correction`` reports the data term alone.
     """
     r, theta = _ray_coordinates(p)
     if r == 1.0:
@@ -209,10 +211,15 @@ def reflect_robin_circle(
     else:
         _check_ray(w.part_z, theta)
         _check_ray(w.part_zeta, -theta)
-        self_term = -(params.a / params.b) * (
-            _ray_change(w.part_z.antiderivative_over_arg(), theta, r)
-            + _ray_change(w.part_zeta.antiderivative_over_arg(), -theta, r)
-        )
+        change = _ray_change(w.part_z.antiderivative_over_arg(), theta, r)
+        # the self term reads only (r, theta), so the slice test guards no value:
+        # it keeps points off the slice on the two-part route, bit for bit
+        if w.mirrored and p.zeta == p.z.conjugate():
+            # P_zeta mirrors P_z, so its change along the conjugate ray is conj(change)
+            change = 2.0 * change.real
+        else:
+            change += _ray_change(w.part_zeta.antiderivative_over_arg(), -theta, r)
+        self_term = -(params.a / params.b) * change
         data_term = _data_correction(phi_w, theta, r, w.part_z.cut_angle) / params.b
     if verify_numeric and r != 1.0:
         shadow = -_numeric_data_integral(phi_w, theta, r, quad or QuadratureConfig()) / params.b

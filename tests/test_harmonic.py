@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,14 @@ from harmonia.harmonic import (
     robin_trace_circle,
 )
 from harmonia.numerics import fd_laplacian
+from mirror_helpers import (
+    MIRROR_RADII,
+    MIRROR_THETAS,
+    one_ulp_off,
+    outcome,
+    seeded_expr,
+    two_part,
+)
 
 SADDLE = HarmonicPair.symmetric(LogLaurentExpr.monomial(0.5, 2))      # x^2 - y^2
 LINEAR = HarmonicPair.symmetric(LogLaurentExpr.monomial(0.5, 1))      # x
@@ -199,3 +208,116 @@ def test_pair_arithmetic_and_serialization():
     back = HarmonicPair.from_json(s.to_json())
     assert (back.part_z - s.part_z).is_zero()
     assert (back.part_zeta - s.part_zeta).is_zero()
+
+
+# -- the mirrored route ----------------------------------------------------------
+
+def two_part_sum(h, z, zeta):
+    return h.part_z.eval(z) + h.part_zeta.eval(zeta)
+
+
+def two_part_real(h, x, y):
+    """eval_real's two-part route, written out."""
+    value = two_part_sum(h, complex(x, y), complex(x, -y))
+    if abs(value.imag) > 1e-11 * max(1.0, abs(value)):
+        raise NonSymmetricPairError("imaginary residue")
+    return value.real
+
+
+def two_part_radial(h, r, theta):
+    ez = cmath.exp(1j * theta)
+    return (
+        h.part_z.differentiate().eval(r * ez) * ez
+        + h.part_zeta.differentiate().eval(r / ez) / ez
+    )
+
+
+def test_mirrored_flag_is_derived_and_not_a_field():
+    rng = np.random.default_rng(141)
+    f = seeded_expr(rng)
+    sym = HarmonicPair.symmetric(f)
+    assert sym.mirrored
+    # a pair not built by symmetric() compares its parts once
+    assert HarmonicPair(f, f.conjugate_mirror()).mirrored
+    assert HarmonicPair.constant(2.5).mirrored and HarmonicPair.zero().mirrored
+    assert not one_ulp_off(sym).mirrored
+    assert not HarmonicPair.symmetric(f.with_cut_angle(2.0)).mirrored
+    assert not HarmonicPair(f, f).mirrored
+    cleared = two_part(sym)
+    assert cleared == sym and hash(cleared) == hash(sym)
+    assert cleared.to_json() == sym.to_json()
+    assert "mirrored" not in {fld.name for fld in dataclasses.fields(HarmonicPair)}
+
+
+def test_mirrored_route_matches_the_two_part_sum():
+    rng = np.random.default_rng(142)
+    for _ in range(4):
+        h = HarmonicPair.symmetric(seeded_expr(rng))
+        d = HarmonicPair(h.part_z.differentiate(), h.part_zeta.differentiate())
+        for r in MIRROR_RADII:
+            for th in MIRROR_THETAS:
+                z = r * cmath.exp(1j * th)
+                x, y = z.real, z.imag
+                scale = field_scale(h, x, y)
+                want = two_part_sum(h, z, z.conjugate())
+                got = eval_pair(h, BiPoint(z, z.conjugate()))
+                assert got.imag == 0.0
+                assert abs(got - want) <= 1e-13 * scale
+                assert abs(eval_real(h, x, y) - want.real) <= 1e-13 * scale
+                got_d = radial_derivative(h, r, th)
+                assert got_d.imag == 0.0
+                assert abs(got_d - two_part_radial(h, r, th)) <= 1e-13 * field_scale(d, x, y)
+
+
+def test_other_inputs_take_the_two_part_route_bit_for_bit():
+    rng = np.random.default_rng(143)
+    for _ in range(3):
+        f = seeded_expr(rng)
+        sym = HarmonicPair.symmetric(f)
+        ulp, cut2 = one_ulp_off(sym), HarmonicPair.symmetric(f.with_cut_angle(2.0))
+        off_slice = 0
+        for r in MIRROR_RADII:
+            for th in MIRROR_THETAS:
+                ez = cmath.exp(1j * th)
+                z = r * ez
+                x, y = z.real, z.imag
+                for h in (ulp, cut2):
+                    assert outcome(lambda: eval_pair(h, BiPoint(z, z.conjugate()))) == outcome(
+                        lambda: two_part_sum(h, z, z.conjugate())
+                    )
+                    assert outcome(lambda: eval_real(h, x, y)) == outcome(
+                        lambda: two_part_real(h, x, y)
+                    )
+                    assert outcome(lambda: radial_derivative(h, r, th)) == outcome(
+                        lambda: two_part_radial(h, r, th)
+                    )
+                # r / e^{i theta} is conj(z) only up to rounding
+                p = BiPoint(z, r / ez)
+                off_slice += p.zeta != z.conjugate()
+                assert outcome(lambda: eval_pair(sym, p)) == outcome(
+                    lambda: two_part_sum(sym, p.z, p.zeta)
+                )
+        assert off_slice > 100
+
+
+def test_mirrored_route_evaluates_the_z_part_only(monkeypatch):
+    evaluated = []
+    original = LogLaurentExpr.eval
+
+    def eval_noting(expr, z, *args):
+        evaluated.append(expr)
+        return original(expr, z, *args)
+
+    monkeypatch.setattr(LogLaurentExpr, "eval", eval_noting)
+    h = HarmonicPair.symmetric(LogLaurentExpr([(0.3 - 0.2j, 2, 1), (1.1j, -1)]))
+    z = 0.7 + 0.4j
+    for call, n_parts in (
+        (lambda: eval_pair(h, BiPoint(z, z.conjugate())), 1),
+        (lambda: eval_real(h, z.real, z.imag), 1),
+        (lambda: radial_derivative(h, 0.8, 0.5), 1),
+        (lambda: eval_pair(h, BiPoint(z, z.conjugate() * (1 + 1e-15))), 2),
+        (lambda: eval_pair(two_part(h), BiPoint(z, z.conjugate())), 2),
+    ):
+        evaluated.clear()
+        call()
+        assert len(evaluated) == n_parts

@@ -31,6 +31,7 @@ from harmonia.operators import (
     neumann_from_robin_pair,
     solve_robin_analytic,
 )
+from mirror_helpers import seeded_expr, two_part
 
 CONSTANT = HarmonicPair.constant(1.0)
 LOG_RADIAL = HarmonicPair.symmetric(LogLaurentExpr.monomial(0.5, 0, 1))
@@ -59,6 +60,29 @@ def symmetric_pair(rng, n_terms=4, kmax=3, allow_log=True):
         for _ in range(n_terms)
     ]
     return HarmonicPair.symmetric(LogLaurentExpr(terms))
+
+
+def test_builders_keep_the_mirror():
+    # a mirrored input gives a mirrored output, built from its z-part alone
+    # (the flag is set at construction) and equal, term for term, to the
+    # output of the two-part construction
+    rng = np.random.default_rng(148)
+    norms = (None, BasePointNormalization(1.0, 0.4), BasePointNormalization(1j, -1.5))
+    for _ in range(40):
+        w = HarmonicPair.symmetric(seeded_expr(rng, int(rng.integers(1, 7)), max_logpow=4))
+        params = RobinParams(float(rng.uniform(-2, 2)), float(rng.uniform(0.2, 2)))
+        norm = norms[int(rng.integers(0, len(norms)))]
+        for build in (
+            lambda u: neumann_from_dirichlet_pair(u, norm),
+            lambda u: neumann_from_robin_pair(u, params, norm),
+            lambda u: dirichlet_from_robin_pair(u, params),
+        ):
+            got, want = build(w), build(two_part(w))
+            assert vars(got).get("mirrored") is True
+            assert "mirrored" not in vars(want)
+            assert got.part_z.terms == want.part_z.terms
+            assert got.part_zeta.terms == want.part_zeta.terms
+            assert got == want and want.mirrored
 
 
 # -- Dirichlet -> Neumann, exact pair form ------------------------------------

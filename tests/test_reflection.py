@@ -7,14 +7,22 @@ import pytest
 from harmonia.algebra import BivariateLaurentExpr, LogLaurentExpr
 from harmonia.errors import CutProximityError, DomainError, PoleError
 from harmonia.geometry import BiPoint, PathSpec, SchwarzMap, reflect_bipoint
-from harmonia.harmonic import HarmonicPair, RobinParams, eval_pair
+from harmonia.harmonic import HarmonicPair, RobinParams, eval_pair, field_scale
 from harmonia.numerics import integrate_path
-from harmonia.operators import neumann_from_dirichlet_pair
+from harmonia.operators import neumann_from_dirichlet_pair, neumann_from_dirichlet_schwarz
 from harmonia.reflection import (
     reflect_dirichlet_study,
     reflect_neumann_circle,
     reflect_neumann_schwarz,
     reflect_robin_circle,
+)
+from mirror_helpers import (
+    MIRROR_RADII,
+    MIRROR_THETAS,
+    one_ulp_off,
+    outcome,
+    seeded_expr,
+    two_part,
 )
 
 UNIT = SchwarzMap.unit_circle()
@@ -484,3 +492,95 @@ def test_reflection_result_serialization():
     assert rec["formula"] == "neumann_circle"
     assert set(rec) == {"formula", "point", "reflected", "value", "correction"}
     assert abs(rec["reflected"]["z"]["re"] - res.reflected_point.z.real) < 1e-15
+
+
+# -- the mirrored route ----------------------------------------------------------
+
+def _slice_points():
+    for r in MIRROR_RADII:
+        for th in MIRROR_THETAS:
+            z = r * cmath.exp(1j * th)
+            yield BiPoint(z, z.conjugate())
+
+
+def _robin_self_scale(w, p):
+    """Term magnitudes of w at p and of its primitives at both ends of the ray."""
+    prims = HarmonicPair(w.part_z.antiderivative_over_arg(), w.part_zeta.antiderivative_over_arg())
+    back = reflect_bipoint(UNIT, p)
+    return sum(field_scale(h, q.z.real, q.z.imag) for h, q in ((w, p), (prims, p), (prims, back)))
+
+
+def test_mirrored_robin_self_term_matches_the_two_part_sum():
+    rng = np.random.default_rng(144)
+    no_data = BivariateLaurentExpr.zero()
+    for _ in range(4):
+        w = HarmonicPair.symmetric(seeded_expr(rng))
+        params = RobinParams(float(rng.uniform(0.2, 2.0)), float(rng.uniform(-2.0, -0.2)))
+        for p in _slice_points():
+            got = reflect_robin_circle(w, no_data, params, p).value
+            want = reflect_robin_circle(two_part(w), no_data, params, p).value
+            assert got.imag == 0.0
+            assert abs(got - want) <= 1e-13 * _robin_self_scale(w, p), (p, got, want)
+
+
+def test_other_robin_inputs_take_the_two_part_route_bit_for_bit():
+    rng = np.random.default_rng(145)
+    data = _random_bivariate_data(rng)
+    params = RobinParams(0.7, 1.3)
+    for _ in range(3):
+        f = seeded_expr(rng)
+        sym = HarmonicPair.symmetric(f)
+        for w in (one_ulp_off(sym), HarmonicPair.symmetric(f.with_cut_angle(2.0))):
+            assert not w.mirrored
+            for p in _slice_points():
+                assert outcome(lambda: reflect_robin_circle(w, data, params, p).value) == (
+                    outcome(lambda: reflect_robin_circle(two_part(w), data, params, p).value)
+                )
+        # off the slice, with a log-free pair also on the ray at angle pi,
+        # whose zeta ray -pi folds back to pi
+        log_free = HarmonicPair.symmetric(LogLaurentExpr([(t.coeff, t.power) for t in f.terms]))
+        for r in MIRROR_RADII:
+            for th in (*MIRROR_THETAS, math.pi):
+                z = complex(-r, 0.0) if th == math.pi else r * cmath.exp(1j * th)
+                off = BiPoint(z, r / cmath.exp(1j * th))
+                for w in (sym, log_free):
+                    assert outcome(lambda: reflect_robin_circle(w, data, params, off).value) == (
+                        outcome(
+                            lambda: reflect_robin_circle(two_part(w), data, params, off).value
+                        )
+                    )
+
+
+def test_mirrored_arc_field_matches_the_two_part_sum():
+    rng = np.random.default_rng(146)
+    path = PathSpec.segment(0.75 + 0j, 1.0 + 0j)
+    u = HarmonicPair.symmetric(seeded_expr(rng))
+    field = neumann_from_dirichlet_schwarz(u, UNIT, path, path)
+    reference = neumann_from_dirichlet_schwarz(two_part(u), UNIT, path, path)
+    exact = neumann_from_dirichlet_pair(u)
+    for p in _slice_points():
+        got, want = outcome(lambda: field.eval(p)), outcome(lambda: reference.eval(p))
+        if isinstance(want, type):  # a path the quadrature refuses, on either route
+            assert got is want
+            continue
+        got, want = complex(got), complex(want)
+        assert got.imag == 0.0
+        assert abs(got - want) <= 1e-13 * field_scale(exact, p.z.real, p.z.imag)
+
+
+def test_other_arc_field_inputs_take_the_two_part_route_bit_for_bit():
+    rng = np.random.default_rng(147)
+    path = PathSpec.segment(0.75 + 0j, 1.0 + 0j)
+    f = seeded_expr(rng, n_terms=4)
+    sym = HarmonicPair.symmetric(f)
+    points = list(_slice_points())[::6]
+    for u in (one_ulp_off(sym), HarmonicPair.symmetric(f.with_cut_angle(2.0))):
+        field = neumann_from_dirichlet_schwarz(u, UNIT, path, path)
+        reference = neumann_from_dirichlet_schwarz(two_part(u), UNIT, path, path)
+        for p in points:
+            assert outcome(lambda: field.eval(p)) == outcome(lambda: reference.eval(p))
+    field = neumann_from_dirichlet_schwarz(sym, UNIT, path, path)
+    reference = neumann_from_dirichlet_schwarz(two_part(sym), UNIT, path, path)
+    for p in points:
+        off = BiPoint(p.z, abs(p.z) / cmath.exp(1j * cmath.phase(p.z)))
+        assert outcome(lambda: field.eval(off)) == outcome(lambda: reference.eval(off))
