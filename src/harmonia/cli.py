@@ -37,7 +37,7 @@ from .algebra import DEFAULT_CUT_ANGLE, BivariateLaurentExpr
 from .errors import HarmoniaError
 from .geometry import BiPoint, SchwarzMap, reflect_bipoint
 from .harmonic import HarmonicPair, RobinParams, eval_pair, eval_real
-from .numerics import DEFAULT_SEED, run_verification_suite
+from .numerics import DEFAULT_SEED, run_verification_suite, worst_residual
 from .operators import neumann_from_dirichlet_pair, neumann_from_robin_pair
 from .reflection import (
     reflect_dirichlet_study,
@@ -156,17 +156,12 @@ def _reflector(rec: dict, cut: float):
 _EXAMPLE_GRID = GridSpec(0.6, 1.4, 10, -2.0, 2.0, 10)
 
 
-def _grid_residual_mod_constant(computed: HarmonicPair, expected: HarmonicPair, grid: GridSpec) -> float:
+def _grid_residuals_mod_constant(computed: HarmonicPair, expected: HarmonicPair, grid: GridSpec):
     pin_c = eval_real(computed, 1.0, 0.0)
     pin_e = eval_real(expected, 1.0, 0.0)
-    worst = 0.0
     for r, th in grid.points():
         x, y = r * math.cos(th), r * math.sin(th)
-        worst = max(
-            worst,
-            abs((eval_real(computed, x, y) - pin_c) - (eval_real(expected, x, y) - pin_e)),
-        )
-    return worst
+        yield abs((eval_real(computed, x, y) - pin_c) - (eval_real(expected, x, y) - pin_e))
 
 
 def _run_example_row(row: dict, cut: float, tol_override: float | None) -> dict:
@@ -178,38 +173,39 @@ def _run_example_row(row: dict, cut: float, tol_override: float | None) -> dict:
         "kind": kind,
         "tolerance": tol,
     }
+    ratio = row.get("alt_coefficient_ratio")
+    alt_residuals = []
     if kind in _OPERATOR_KINDS:
         expected = HarmonicPair.from_json(row["expected_v"], cut)
-        residual = _grid_residual_mod_constant(_operator_output(row, cut), expected, _EXAMPLE_GRID)
-        record.update(samples=_EXAMPLE_GRID.n_r * _EXAMPLE_GRID.n_theta, max_residual=residual)
-        record["status"] = "PASS" if residual <= tol else "FAIL"
-        return record
-    if kind in _REFLECT_KINDS:
+        computed = _operator_output(row, cut)
+        residuals = list(_grid_residuals_mod_constant(computed, expected, _EXAMPLE_GRID))
+    elif kind in _REFLECT_KINDS:
         solution, reflect = _reflector(row, cut)
         expected = HarmonicPair.from_json(row["expected_correction"], cut)
         smap = SchwarzMap.unit_circle()
-        worst = alt_worst = 0.0
-        ratio = row.get("alt_coefficient_ratio")
+        residuals = []
         for r in _REFLECT_R:
             for th in _REFLECT_TH:
                 p = BiPoint.from_polar(float(r), float(th))
                 res = reflect(p, verify_numeric=True)
                 expected_corr = eval_pair(expected, p)
                 direct = eval_pair(solution, reflect_bipoint(smap, p))
-                worst = max(worst, abs(res.correction - expected_corr), abs(res.value - direct))
+                residuals.append(
+                    worst_residual((abs(res.correction - expected_corr), abs(res.value - direct)))
+                )
                 if ratio is not None:
-                    alt_worst = max(alt_worst, abs(res.correction - ratio * expected_corr))
-        record.update(samples=len(_REFLECT_R) * len(_REFLECT_TH), max_residual=worst)
-        if row.get("discrepancy"):
-            record["status"] = "DISCREPANCY"
-            record["passed_derived"] = worst <= tol
-            record["alt_coefficient_ratio"] = ratio
-            record["alt_residual"] = alt_worst
-            record["note"] = row.get("note", "")
-        else:
-            record["status"] = "PASS" if worst <= tol else "FAIL"
-        return record
-    raise ValueError(f"unknown example kind {kind!r}")
+                    alt_residuals.append(abs(res.correction - ratio * expected_corr))
+    else:
+        raise ValueError(f"unknown example kind {kind!r}")
+    worst = worst_residual(residuals)
+    record.update(samples=len(residuals), max_residual=worst, status="PASS" if worst <= tol else "FAIL")
+    if row.get("discrepancy"):
+        record["status"] = "DISCREPANCY"
+        record["passed_derived"] = worst <= tol
+        record["alt_coefficient_ratio"] = ratio
+        record["alt_residual"] = worst_residual(alt_residuals)
+        record["note"] = row.get("note", "")
+    return record
 
 
 def _examples_table(records: list) -> str:
@@ -430,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="write to file instead of stdout")
 
     def tolerance(p):
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+        p.add_argument("--tol", type=float, default=None, help="tolerance override, >= 0")
 
     def source(p, input_help, example_help):
         group = p.add_mutually_exclusive_group()
@@ -498,6 +494,9 @@ def _error_text(exc: Exception) -> str:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        tol = getattr(args, "tol", None)
+        if tol is not None and not 0 <= tol < math.inf:
+            raise _OptionError(f"--tol must be a finite number >= 0, got {tol!r}")
         return args.run(args, _cut_angle_from_env())
     except KeyError as exc:
         message = f"{_source(args)}: missing key {exc}"

@@ -404,6 +404,31 @@ def test_tolerance_accepted_on_verify_and_reflect(capsys):
         "--check", "--tol", "1e-12",
     )
     assert code == 0
+    # several checks hold a tolerance of 0.0, so 0 is a valid override
+    code, _ = run_main(capsys, "verify", "--targets", "antiderivative_round_trip", "--tol", "0")
+    assert code == 0
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [["examples"], ["verify"], ["reflect", "--example", "neumann-reflect-constant", "--check"]],
+    ids=["examples", "verify", "reflect"],
+)
+def test_tolerance_must_be_finite_and_non_negative(argv, tol, capsys):
+    # nan and -1 used to exit 1 as residual failures, and inf to pass
+    err = _bad_input(capsys, *argv, "--tol", tol)
+    assert err == f"error: --tol must be a finite number >= 0, got {float(tol)!r}\n"
+
+
+def test_nan_operator_residual_fails_examples(monkeypatch, capsys):
+    # a running max(worst, nan) from 0.0 dropped this and passed every row
+    monkeypatch.setattr("harmonia.cli.eval_real", lambda *args: float("nan"))
+    code, out = run_main(capsys, "examples", "--format", "json")
+    assert code == 1
+    operator_rows = [r for r in json.loads(out)["examples"] if r["kind"] in ("dtn_pair", "rtn_pair")]
+    assert len(operator_rows) == 5
+    assert all(r["status"] == "FAIL" and math.isnan(r["max_residual"]) for r in operator_rows)
 
 
 def test_reflect_underflowing_point_is_exit_two(tmp_path, capsys):

@@ -263,3 +263,60 @@ def test_suite_summary_table_shape():
     report = run_verification_suite(targets=["algebra"])
     table = report.summary_table()
     assert "PASS" in table and "antiderivative_round_trip" in table
+
+
+def test_worst_residual_keeps_a_nan():
+    assert numerics.worst_residual([]) == 0.0
+    assert numerics.worst_residual(iter([0.5, 2.0, 1.0])) == 2.0
+    for residuals in ([math.nan, 1.0, 2.0], [1.0, 2.0, math.nan], [math.nan]):
+        assert math.isnan(numerics.worst_residual(residuals))
+
+
+def test_nan_residual_fails_its_check(monkeypatch, capsys):
+    from harmonia import harmonic
+    from harmonia.cli import main
+
+    # a running max(worst, nan) from 0.0 dropped this and passed the check
+    monkeypatch.setattr(harmonic, "radial_derivative", lambda *args: float("nan"))
+    (record,) = run_verification_suite(targets=["boundary_recovery_dirichlet"]).checks
+    assert math.isnan(record.max_residual) and record.passed is False
+    assert main(["verify", "--targets", "boundary_recovery_dirichlet"]) == 1
+    assert '"max_residual": NaN' in capsys.readouterr().out
+
+
+# (samples, tolerance) of each check at the default seed, as the suite gave
+# them when every check still reduced its own residuals
+_REPORT_SHAPE = {
+    "antiderivative_round_trip": (50, 0.0),
+    "eval_homomorphism": (50, 1e-13),
+    "ray_restriction_consistency": (50, 1e-11),
+    "circle_restriction_kernel": (50, 0.0),
+    "on_curve_identity": (192, 1e-12),
+    "inverse_map_roundtrip": (144, 1e-12),
+    "reflection_involution": (72, 1e-12),
+    "real_slice_reflection": (48, 1e-12),
+    "fd_harmonicity": (150, 1e-05),
+    "real_slice_reality": (80, 1e-11),
+    "normal_vs_radial_derivative": (60, 1e-10),
+    "robin_trace_linearity": (50, 1e-11),
+    "boundary_recovery_dirichlet": (320, 1e-10),
+    "boundary_recovery_robin": (384, 1e-10),
+    "robin_chain_constant_field": (20, 1e-18),
+    "robin_ode_identity": (21, 0.0),
+    "disk_operator_vs_pair": (50, 1e-08),
+    "quadrature_vs_exact_algebra": (50, 1e-09),
+    "fourier_oracle_vs_pair": (125, 1e-08),
+    "fd_laplacian_scaling": (4, 0.0001),
+    "reflection_fixed_points": (60, 1e-11),
+    "dirichlet_reflection_involution": (40, 1e-11),
+    "extension_independence": (50, 1e-12),
+    "neumann_reflection_pipeline": (20, 1e-10),
+    "robin_reflection_pipeline": (24, 1e-10),
+    "even_continuation": (30, 1e-12),
+    "arc_circle_reduction": (20, 1e-09),
+}
+
+
+def test_report_shape_at_the_default_seed():
+    shape = [(c.name, (c.samples, c.tolerance)) for c in run_verification_suite().checks]
+    assert shape == list(_REPORT_SHAPE.items())
