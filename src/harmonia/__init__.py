@@ -45,7 +45,6 @@ from .harmonic import (
 from .numerics import (
     CheckRecord,
     DEFAULT_SEED,
-    QuadratureConfig,
     TrigPolynomial,
     VerificationReport,
     fd_laplacian,

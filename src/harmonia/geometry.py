@@ -264,103 +264,40 @@ def _segment_pole_distance(a: complex, b: complex, pole: complex) -> float:
     return abs(pole - (a + t * d))
 
 
-DEFAULT_SUBDIVISION = 4  # initial quadrature panels of a path
-
-
 @dataclass(frozen=True)
 class PathSpec:
-    """An integration path: a straight segment or a radial ray.
+    """A straight integration path from ``start`` to ``end``, at parameter
+    t in [0, 1] the point start + t (end - start)."""
 
-    ``subdivision`` is the number of initial quadrature panels; the default
-    of 4 suits the Gauss-Kronrod (7, 15) panels of ``integrate_path``.
-    """
-
-    kind: str
-    start: complex = 0j
-    end: complex = 1.0 + 0j
-    theta: float = 0.0
-    r_from: float = 1.0
-    r_to: float = 1.0
-    subdivision: int = DEFAULT_SUBDIVISION
+    start: complex
+    end: complex
 
     def __post_init__(self):
-        if self.kind not in ("segment", "radial_ray"):
-            raise ValueError(f"unknown path kind {self.kind!r}")
-        if self.subdivision < 1:
-            raise ValueError("subdivision must be >= 1")
-        if self.kind == "segment" and self.start == self.end:
-            raise ValueError("segment endpoints must be distinct")
-        if self.kind == "radial_ray":
-            if self.r_from <= 0 or self.r_to <= 0:
-                raise ValueError("radial ray radii must be positive")
-            if self.r_from == self.r_to:
-                raise ValueError("radial ray endpoints must be distinct")
+        if self.start == self.end:
+            raise ValueError("path endpoints must be distinct")
 
     @classmethod
-    def segment(
-        cls, start: complex, end: complex, subdivision: int = DEFAULT_SUBDIVISION
-    ) -> "PathSpec":
-        return cls("segment", start=complex(start), end=complex(end), subdivision=subdivision)
+    def segment(cls, start: complex, end: complex) -> "PathSpec":
+        return cls(complex(start), complex(end))
 
     @classmethod
-    def radial_ray(
-        cls, theta: float, r_from: float, r_to: float, subdivision: int = DEFAULT_SUBDIVISION
-    ) -> "PathSpec":
-        return cls(
-            "radial_ray",
-            theta=float(theta),
-            r_from=float(r_from),
-            r_to=float(r_to),
-            subdivision=subdivision,
-        )
+    def radial_ray(cls, theta: float, r_from: float, r_to: float) -> "PathSpec":
+        """The segment from r_from e^{i theta} to r_to e^{i theta}."""
+        if r_from <= 0 or r_to <= 0:
+            raise ValueError("radial ray radii must be positive")
+        direction = cmath.exp(1j * float(theta))
+        return cls(float(r_from) * direction, float(r_to) * direction)
 
     def point(self, t: float) -> complex:
         """Path point at parameter t in [0, 1]."""
-        if self.kind == "segment":
-            return self.start + t * (self.end - self.start)
-        r = self.r_from + t * (self.r_to - self.r_from)
-        return r * cmath.exp(1j * self.theta)
-
-    def velocity(self, t: float) -> complex:
-        """d(path)/dt, constant for both supported kinds."""
-        if self.kind == "segment":
-            return self.end - self.start
-        return (self.r_to - self.r_from) * cmath.exp(1j * self.theta)
+        return self.start + t * (self.end - self.start)
 
     @property
     def endpoints(self) -> tuple:
-        return (self.point(0.0), self.point(1.0))
+        return (self.start, self.end)
 
     def samples(self, n: int) -> list:
         return [self.point(i / (n - 1)) for i in range(n)]
-
-    def to_json(self) -> dict:
-        if self.kind == "segment":
-            return {
-                "kind": "segment",
-                "start": {"re": self.start.real, "im": self.start.imag},
-                "end": {"re": self.end.real, "im": self.end.imag},
-                "subdivision": self.subdivision,
-            }
-        return {
-            "kind": "radial_ray",
-            "theta": self.theta,
-            "r_from": self.r_from,
-            "r_to": self.r_to,
-            "subdivision": self.subdivision,
-        }
-
-    @classmethod
-    def from_json(cls, rec: dict) -> "PathSpec":
-        subdivision = rec.get("subdivision", DEFAULT_SUBDIVISION)
-        if rec["kind"] == "segment":
-            s, e = rec["start"], rec["end"]
-            return cls.segment(
-                complex(s["re"], s.get("im", 0.0)),
-                complex(e["re"], e.get("im", 0.0)),
-                subdivision,
-            )
-        return cls.radial_ray(rec["theta"], rec["r_from"], rec["r_to"], subdivision)
 
 
 # -- square-root branches ------------------------------------------------------

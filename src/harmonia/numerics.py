@@ -2,7 +2,8 @@
 
 Nothing here trusts the exact algebra: contour quadrature runs adaptive
 Gauss-Kronrod (7, 15) panels that bisect on failure, the radial integral of
-the disk Neumann solver is adaptive Simpson, the disk Neumann oracle is a
+the disk Neumann solver is adaptive Simpson, both to a fixed absolute
+tolerance of 1e-10 with no settings, the disk Neumann oracle is a
 brute-force Fourier series, and harmonicity is probed with the
 fourth-order 9-point finite-difference Laplacian.  The verification suite
 replays every invariant promised by the other modules against these
@@ -29,7 +30,6 @@ from .geometry import PathSpec
 from .harmonic import HarmonicPair
 
 __all__ = [
-    "QuadratureConfig",
     "TrigPolynomial",
     "integrate_path",
     "fd_laplacian",
@@ -44,24 +44,12 @@ __all__ = [
 DEFAULT_SEED = 1729
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Absolute tolerance and bisection cap for adaptive quadrature.
-
-    ``integrate_path`` splits ``abs_tol`` evenly across its initial panels
-    (4 unless the path says otherwise) and halves a panel's share each time
-    it bisects the panel, at most ``max_depth`` times; ``adaptive_simpson``
-    reads both the same way on its one interval.
-    """
-
-    abs_tol: float = 1e-10
-    max_depth: int = 30
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+# Adaptive quadrature error control: an absolute tolerance, split evenly over
+# the initial panels of ``integrate_path`` and halved with each bisection of a
+# panel (or of ``adaptive_simpson``'s one interval), at most MAX_DEPTH times.
+ABS_TOL = 1e-10
+INITIAL_PANELS = 4
+MAX_DEPTH = 30
 
 
 def _simpson_recurse(g, a, b, fa, fm, fb, whole, tol, depth):
@@ -83,14 +71,11 @@ def _simpson_recurse(g, a, b, fa, fm, fb, whole, tol, depth):
     ) + _simpson_recurse(g, m, b, fm, frm, fb, right, half, depth - 1)
 
 
-def adaptive_simpson(
-    g: Callable[[float], complex], a: float, b: float, cfg: QuadratureConfig | None = None
-) -> complex:
+def adaptive_simpson(g: Callable[[float], complex], a: float, b: float) -> complex:
     """Integral of g over [a, b] with interval-halving error control."""
-    cfg = cfg or QuadratureConfig()
     fa, fm, fb = g(a), g(0.5 * (a + b)), g(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_recurse(g, a, b, fa, fm, fb, whole, cfg.abs_tol, cfg.max_depth)
+    return _simpson_recurse(g, a, b, fa, fm, fb, whole, ABS_TOL, MAX_DEPTH)
 
 
 # Gauss-Kronrod (7, 15) on [-1, 1] (Piessens et al., QUADPACK, 1983, qk15):
@@ -132,23 +117,16 @@ def _gauss_kronrod(f: Callable[[complex], complex], c: complex, h: complex) -> t
     return h * kronrod, h * gauss
 
 
-def integrate_path(
-    f: Callable[[complex], complex], path: PathSpec, cfg: QuadratureConfig | None = None
-) -> complex:
+def integrate_path(f: Callable[[complex], complex], path: PathSpec) -> complex:
     """Contour integral of f along the path, by adaptive Gauss-Kronrod
     (7, 15) panels.
 
-    The path's subdivision hint sets the number of initial panels (4 by
-    default); the absolute tolerance is split evenly across them.  A panel
-    whose error estimate |K15 - G7| exceeds its tolerance is bisected, each
-    half with half the tolerance, down to ``cfg.max_depth`` levels.
+    The path starts as INITIAL_PANELS panels, over which ABS_TOL is split
+    evenly.  A panel whose error estimate |K15 - G7| exceeds its tolerance
+    is bisected, each half with half the tolerance, down to MAX_DEPTH
+    levels.
     """
-    cfg = cfg or QuadratureConfig()
-    panels = max(1, path.subdivision)
-
-    # both path kinds are straight with constant velocity, so the parameter
-    # interval [a, b] is the segment from point(a) to point(b)
-    start, velocity = path.point(0.0), path.velocity(0.0)
+    start, velocity = path.start, path.end - path.start
 
     def panel(a: float, b: float, tol: float, depth: int) -> complex:
         centre = start + 0.5 * (a + b) * velocity
@@ -159,16 +137,16 @@ def integrate_path(
         if depth <= 0:
             raise QuadratureConvergenceError(
                 f"Gauss-Kronrod quadrature did not converge on the panel from "
-                f"z = {path.point(a):.6g} to z = {path.point(b):.6g}: error "
+                f"z = {path.point(a)!r} to z = {path.point(b)!r}: error "
                 f"estimate {estimate:.3g} exceeds the tolerance {tol:.3g}"
             )
         m, half = 0.5 * (a + b), 0.5 * tol
         return panel(a, m, half, depth - 1) + panel(m, b, half, depth - 1)
 
-    tol = cfg.abs_tol / panels
+    tol = ABS_TOL / INITIAL_PANELS
     total = 0j
-    for i in range(panels):
-        total += panel(i / panels, (i + 1) / panels, tol, cfg.max_depth)
+    for i in range(INITIAL_PANELS):
+        total += panel(i / INITIAL_PANELS, (i + 1) / INITIAL_PANELS, tol, MAX_DEPTH)
     return total
 
 

@@ -41,12 +41,7 @@ from .geometry import (
     sqrt_schwarz_derivative,
 )
 from .harmonic import HarmonicPair, RobinParams
-from .numerics import (
-    QuadratureConfig,
-    TrigPolynomial,
-    adaptive_simpson,
-    integrate_path,
-)
+from .numerics import TrigPolynomial, adaptive_simpson, integrate_path
 
 __all__ = [
     "BasePointNormalization",
@@ -189,9 +184,7 @@ def solve_robin_analytic(
     return LogLaurentExpr(acc, f.cut_angle)
 
 
-def neumann_from_dirichlet_disk(
-    phi, z: complex, quad: QuadratureConfig | None = None
-) -> float:
+def neumann_from_dirichlet_disk(phi, z: complex) -> float:
     """Disk Neumann solution by radial quadrature of the Dirichlet solution.
 
     ``phi`` is boundary data as a bivariate Laurent expression whose circle
@@ -201,7 +194,6 @@ def neumann_from_dirichlet_disk(
     V(0) = 0.  An independent second route to the fields produced by
     :func:`neumann_from_dirichlet_pair`.
     """
-    cfg = quad or QuadratureConfig()
     trig = TrigPolynomial.from_bivariate_circle_trace(phi)
     if abs(trig.mean) > 1e-10:
         raise NonzeroMeanError(
@@ -223,7 +215,7 @@ def neumann_from_dirichlet_disk(
             return limit0
         return trig.dirichlet_value(rho * rz, theta) / rho
 
-    return float(complex(adaptive_simpson(integrand, 0.0, 1.0, cfg)).real)
+    return float(complex(adaptive_simpson(integrand, 0.0, 1.0)).real)
 
 
 class ArcNeumannField:
@@ -231,39 +223,29 @@ class ArcNeumannField:
 
     Evaluation integrates u1 sqrt(S') from z to the base point and u2
     sqrt(S~') from zeta to its image, each along a straight segment by
-    Gauss-Kronrod (7, 15) panels, starting from the larger subdivision of
-    the declared paths (4 panels by default), with the closed-form square
-    root, its sign checked against the outward normal where the segment
-    meets the curve.  Paths must stay inside the region where the Schwarz
-    map is single-valued; the evaluator only guards against running into
-    the map poles and the log cut.  For a ``mirrored`` u with zeta0 =
+    Gauss-Kronrod (7, 15) panels, starting from 4, with the closed-form
+    square root, its sign checked against the outward normal where the
+    segment meets the curve.  Paths must stay inside the region where the
+    Schwarz map is single-valued; the evaluator only guards against running
+    into the map poles and the log cut.  For a ``mirrored`` u with zeta0 =
     conj(z0), at a point exactly on the real slice, the zeta-side integral
     is the conjugate of the z-side one and is not computed.
     """
 
-    def __init__(
-        self,
-        u: HarmonicPair,
-        smap: SchwarzMap,
-        norm: BasePointNormalization,
-        quad: QuadratureConfig,
-        subdivision: int,
-    ):
+    def __init__(self, u: HarmonicPair, smap: SchwarzMap, norm: BasePointNormalization):
         self.u = u
         self.smap = smap
         self.z0 = complex(norm.z0)
         self.zeta0 = smap.value(self.z0)
         self._mirrored_base = u.mirrored and self.zeta0 == self.z0.conjugate()
         self.value_at_base = norm.value_at_base
-        self.quad = quad
-        self.subdivision = subdivision
 
     def _side_integral(self, start, end, expr, branch_maker) -> complex:
         if abs(end - start) < 1e-13 * (1.0 + abs(end)):
             return 0j
-        seg = PathSpec.segment(start, end, self.subdivision)
+        seg = PathSpec.segment(start, end)
         branch = branch_maker(self.smap, seg)
-        return integrate_path(lambda t: expr.eval(t) * branch(t), seg, self.quad)
+        return integrate_path(lambda t: expr.eval(t) * branch(t), seg)
 
     def eval(self, p: BiPoint) -> complex:
         iz = self._side_integral(p.z, self.z0, self.u.part_z, sqrt_schwarz_derivative)
@@ -289,7 +271,6 @@ def neumann_from_dirichlet_schwarz(
     path_z: PathSpec,
     path_zeta: PathSpec,
     norm: BasePointNormalization | None = None,
-    quad: QuadratureConfig | None = None,
 ) -> ArcNeumannField:
     """Dirichlet-to-Neumann conversion across an arc of a Schwarz carrier.
 
@@ -313,10 +294,4 @@ def neumann_from_dirichlet_schwarz(
     # fail fast: check the square-root signs along the declared paths
     sqrt_schwarz_derivative(smap, path_z)
     sqrt_inverse_schwarz_derivative(smap, path_zeta)
-    return ArcNeumannField(
-        u,
-        smap,
-        norm,
-        quad or QuadratureConfig(),
-        max(path_z.subdivision, path_zeta.subdivision),
-    )
+    return ArcNeumannField(u, smap, norm)

@@ -36,7 +36,7 @@ from .algebra import CUT_MARGIN, BivariateLaurentExpr, LogLaurentExpr, cut_dista
 from .errors import CutProximityError, DomainError, HarmoniaError
 from .geometry import BiPoint, PathSpec, SchwarzMap, sqrt_schwarz_derivative
 from .harmonic import HarmonicPair, RobinParams, eval_pair
-from .numerics import QuadratureConfig, integrate_path
+from .numerics import integrate_path
 
 __all__ = [
     "ReflectionResult",
@@ -138,14 +138,12 @@ def _check_ray(part: LogLaurentExpr, theta: float) -> None:
         )
 
 
-def _numeric_data_integral(
-    phi: BivariateLaurentExpr, theta: float, r: float, cfg: QuadratureConfig
-) -> complex:
+def _numeric_data_integral(phi: BivariateLaurentExpr, theta: float, r: float) -> complex:
     if r == 1.0:
         return 0j
     ez = cmath.exp(1j * theta)
     path = PathSpec.radial_ray(0.0, 1.0 / r, r)
-    return integrate_path(lambda t: phi.eval(t * ez, 1.0 / (t * ez)) / t, path, cfg)
+    return integrate_path(lambda t: phi.eval(t * ez, 1.0 / (t * ez)) / t, path)
 
 
 def reflect_neumann_circle(
@@ -153,7 +151,6 @@ def reflect_neumann_circle(
     phi: BivariateLaurentExpr,
     p: BiPoint,
     verify_numeric: bool = False,
-    quad: QuadratureConfig | None = None,
 ) -> ReflectionResult:
     """Continuation across the unit circle for Neumann data phi.
 
@@ -165,7 +162,7 @@ def reflect_neumann_circle(
     r, theta = _ray_coordinates(p)
     correction = 0j if r == 1.0 else _data_correction(phi, theta, r, v.part_z.cut_angle)
     if verify_numeric and r != 1.0:
-        shadow = -_numeric_data_integral(phi, theta, r, quad or QuadratureConfig())
+        shadow = -_numeric_data_integral(phi, theta, r)
         if abs(shadow - correction) > _SHADOW_TOL * max(1.0, abs(correction)):
             raise HarmoniaError(
                 f"exact correction {correction:.12g} disagrees with quadrature "
@@ -189,7 +186,6 @@ def reflect_robin_circle(
     params: RobinParams,
     p: BiPoint,
     verify_numeric: bool = False,
-    quad: QuadratureConfig | None = None,
 ) -> ReflectionResult:
     """Continuation across the unit circle for Robin data phi_w.
 
@@ -222,7 +218,7 @@ def reflect_robin_circle(
         self_term = -(params.a / params.b) * change
         data_term = _data_correction(phi_w, theta, r, w.part_z.cut_angle) / params.b
     if verify_numeric and r != 1.0:
-        shadow = -_numeric_data_integral(phi_w, theta, r, quad or QuadratureConfig()) / params.b
+        shadow = -_numeric_data_integral(phi_w, theta, r) / params.b
         if abs(shadow - data_term) > _SHADOW_TOL * max(1.0, abs(data_term)):
             raise HarmoniaError(
                 f"exact data term {data_term:.12g} disagrees with quadrature {shadow:.12g}"
@@ -253,7 +249,6 @@ def reflect_neumann_schwarz(
     phi: BivariateLaurentExpr,
     smap: SchwarzMap,
     p: BiPoint,
-    quad: QuadratureConfig | None = None,
 ) -> ReflectionResult:
     """Continuation across a Schwarz arc for Neumann data phi.
 
@@ -263,7 +258,6 @@ def reflect_neumann_schwarz(
     checked against the outward normal where the segment meets the curve.
     Reduces to the exact circle formula when the map is the unit circle.
     """
-    cfg = quad or QuadratureConfig()
     zr = smap.inverse_value(p.zeta)
     zetar = smap.value(p.z)
     reflected = BiPoint(zr, zetar)
@@ -272,9 +266,7 @@ def reflect_neumann_schwarz(
     else:
         seg = PathSpec.segment(zr, p.z)
         branch = sqrt_schwarz_derivative(smap, seg)
-        correction = 1j * integrate_path(
-            lambda t: phi.eval(t, smap.value(t)) * branch(t), seg, cfg
-        )
+        correction = 1j * integrate_path(lambda t: phi.eval(t, smap.value(t)) * branch(t), seg)
     value = _field_value(v, p) + correction
     return ReflectionResult(
         point=p,

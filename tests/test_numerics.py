@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from harmonia.errors import NonzeroMeanError, QuadratureConvergenceError
 from harmonia.geometry import PathSpec
 from harmonia import numerics
 from harmonia.numerics import (
-    QuadratureConfig,
     TrigPolynomial,
     fd_laplacian,
     fourier_neumann_oracle,
@@ -38,20 +38,34 @@ def test_integrate_constant_segment():
 
 
 def test_integrate_nonconvergence():
-    cfg = QuadratureConfig(abs_tol=1e-16, max_depth=1)
     with pytest.raises(QuadratureConvergenceError):
-        integrate_path(lambda t: 1.0 / t, PathSpec.segment(0.01 + 0j, 2.0 + 0j, 1), cfg)
+        integrate_path(lambda t: 1.0 / t, PathSpec.segment(-1.0 + 0j, 1.0 + 0j))
 
 
 def test_nonconvergence_names_the_panel():
-    # one bisection leaves [0, 1/2] in the parameter, z from 0.01 to 1.005,
-    # with half the tolerance
-    cfg = QuadratureConfig(abs_tol=1e-16, max_depth=1)
+    # the first panel to reach the bisection cap lies next to the pole at 0:
+    # 30 halvings of a quarter of [-1, 1] leave panels 2^-31 long, this one
+    # from -25 to -24 such lengths, with tolerance 1e-10 / 4 / 2^30
     with pytest.raises(QuadratureConvergenceError) as exc:
-        integrate_path(lambda t: 1.0 / t, PathSpec.segment(0.01 + 0j, 2.0 + 0j, 1), cfg)
+        integrate_path(lambda t: 1.0 / t, PathSpec.segment(-1.0 + 0j, 1.0 + 0j))
     message = str(exc.value)
-    assert "from z = 0.01+0j to z = 1.005+0j" in message, message
-    assert "error estimate 0.258 exceeds the tolerance 5e-17" in message, message
+    ends = f"from z = {complex(-25 * 2.0**-31)!r} to z = {complex(-24 * 2.0**-31)!r}:"
+    assert ends == "from z = (-1.1641532182693481e-08+0j) to z = (-1.1175870895385742e-08+0j):"
+    assert ends in message, message
+    assert "error estimate 6.94e-18 exceeds the tolerance 2.33e-20" in message, message
+
+
+def test_nonconvergence_panel_ends_print_apart():
+    # a step at 0.3 keeps bisecting to a panel 2^-32 long, whose ends agree
+    # to more than six significant digits
+    with pytest.raises(QuadratureConvergenceError) as exc:
+        integrate_path(lambda z: 1.0 if z.real < 0.3 else 0.0, PathSpec.segment(0, 1))
+    message = str(exc.value)
+    ends = re.search(r"from z = (\S+) to z = (\S+):", message)
+    assert ends, message
+    start, end = ends.groups()
+    assert start != end, message
+    assert complex(start).real < 0.3 <= complex(end).real, message
 
 
 def test_gauss_rule_is_seven_point_legendre():
@@ -84,8 +98,8 @@ def test_smooth_integrand_takes_one_rule_per_panel():
         return 2.5 + 0j
 
     a, b = 0.3 + 0.1j, 1.2 - 0.7j
-    got = integrate_path(f, PathSpec.segment(a, b, 16))
-    assert len(calls) == 15 * 16
+    got = integrate_path(f, PathSpec.segment(a, b))
+    assert len(calls) == 15 * numerics.INITIAL_PANELS == 60
     assert abs(got - 2.5 * (b - a)) < 1e-13
 
 
@@ -98,10 +112,9 @@ def test_near_pole_integrand_bisects_to_tolerance():
         calls.append(z)
         return 1.0 / (z - pole)
 
-    cfg = QuadratureConfig()
-    got = integrate_path(f, PathSpec.segment(0j, 1.0 + 0j, 16), cfg)
-    assert len(calls) > 15 * 16
-    assert abs(got - (cmath.log(1.0 - pole) - cmath.log(-pole))) <= cfg.abs_tol
+    got = integrate_path(f, PathSpec.segment(0j, 1.0 + 0j))
+    assert len(calls) > 15 * numerics.INITIAL_PANELS == 60
+    assert abs(got - (cmath.log(1.0 - pole) - cmath.log(-pole))) <= numerics.ABS_TOL == 1e-10
 
 
 def test_near_pole_integrals_are_right_or_raise():
@@ -127,13 +140,6 @@ def test_near_pole_integrals_are_right_or_raise():
         returned += 1
         assert abs(got - exact) <= 1e-9, (a, b, k, pole, abs(got - exact))
     assert returned > 200 and raised > 0
-
-
-def test_quadrature_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_depth=0)
 
 
 def test_quadrature_vs_exact_property():
