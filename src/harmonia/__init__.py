@@ -54,7 +54,6 @@ from .numerics import (
 )
 from .operators import (
     ArcNeumannField,
-    BasePointNormalization,
     dirichlet_from_robin_pair,
     neumann_from_dirichlet_disk,
     neumann_from_dirichlet_pair,

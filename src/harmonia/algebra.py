@@ -302,10 +302,10 @@ class LogLaurentExpr(_SparseSum):
 
     # -- evaluation ------------------------------------------------------------
 
-    def eval(self, z: complex, margin: float = CUT_MARGIN) -> complex:
+    def eval(self, z: complex) -> complex:
         """Evaluate at a nonzero point off the branch cut.
 
-        Points within ``margin`` radians of the cut ray are rejected when
+        Points within ``CUT_MARGIN`` radians of the cut ray are rejected when
         (and only when) the expression carries logarithm terms.
         """
         z = complex(z)
@@ -313,9 +313,9 @@ class LogLaurentExpr(_SparseSum):
             raise DomainError("expression is singular at z = 0")
         lg = None
         if self._has_log:
-            if cut_distance(cmath.phase(z), self._cut_angle) < margin:
+            if cut_distance(cmath.phase(z), self._cut_angle) < CUT_MARGIN:
                 raise CutProximityError(
-                    f"point at angle {cmath.phase(z):.6g} is within {margin:g} rad "
+                    f"point at angle {cmath.phase(z):.6g} is within {CUT_MARGIN:g} rad "
                     f"of the branch cut at {self._cut_angle:.6g}"
                 )
             lg = branch_log(z, self._cut_angle)
@@ -390,7 +390,7 @@ class LogLaurentExpr(_SparseSum):
             object.__setattr__(self, "_primitive", self._like(acc))
         return self._primitive
 
-    def restrict_to_ray(self, theta: float, margin: float = CUT_MARGIN) -> "LogLaurentExpr":
+    def restrict_to_ray(self, theta: float) -> "LogLaurentExpr":
         """Substitute z = rho * exp(i theta); the result is an expression in rho.
 
         Each term c z^k log^m z becomes c e^{ik theta} rho^k (log rho + i theta)^m,
@@ -404,9 +404,9 @@ class LogLaurentExpr(_SparseSum):
         theta = float(theta)
         theta_adj = _fold_angle(theta, self._cut_angle)
         rho_arg = _fold_angle(0.0, self._cut_angle)
-        if self._has_log and cut_distance(theta, self._cut_angle) < margin:
+        if self._has_log and cut_distance(theta, self._cut_angle) < CUT_MARGIN:
             raise CutProximityError(
-                f"ray angle {theta:.6g} is within {margin:g} rad of the branch cut"
+                f"ray angle {theta:.6g} is within {CUT_MARGIN:g} rad of the branch cut"
             )
         acc: dict = {}
         for (k, m), c in self._terms.items():

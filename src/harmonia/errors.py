@@ -27,7 +27,7 @@ class DomainError(HarmoniaError):
 
 
 class CutProximityError(DomainError):
-    """Point or ray lies within the configured angular margin of the log cut."""
+    """Point or ray lies within ``algebra.CUT_MARGIN`` radians of the log cut."""
 
 
 class PoleError(DomainError):

@@ -61,11 +61,12 @@ class BiPoint:
         z = r * cmath.exp(1j * theta)
         return cls(z, r * cmath.exp(-1j * theta))
 
-    def is_real_slice(self, tol: float = 1e-12) -> bool:
-        return abs(self.zeta - self.z.conjugate()) <= tol * (1.0 + abs(self.z))
+    def is_real_slice(self) -> bool:
+        return abs(self.zeta - self.z.conjugate()) <= 1e-12 * (1.0 + abs(self.z))
 
-    def to_xy(self) -> tuple:
-        return (self.z.real, self.z.imag)
+
+# the JSON keys of each map kind besides "kind"
+_JSON_FIELDS = {"unit_circle": (), "circle": ("center", "radius"), "line": ("point", "angle")}
 
 
 @dataclass(frozen=True)
@@ -196,14 +197,14 @@ class SchwarzMap:
             raise PoleError("normal undefined at the circle center")
         return self._normal_factor * d / abs(d)
 
-    def curve_points(self, n: int, span: float = 2.0) -> list:
-        """n sample points on the carrier curve (parameter span for lines)."""
+    def curve_points(self, n: int) -> list:
+        """n sample points on the carrier curve (line parameter in [-2, 2])."""
         if self._is_circle():
             return [
                 self.center + self.radius * cmath.exp(2j * math.pi * j / n)
                 for j in range(n)
             ]
-        ts = np.linspace(-span, span, n)
+        ts = np.linspace(-2.0, 2.0, n)
         return [self.point + float(t) * cmath.exp(1j * self.angle) for t in ts]
 
     def default_base_point(self) -> complex:
@@ -216,26 +217,30 @@ class SchwarzMap:
 
     def to_json(self) -> dict:
         rec = {"kind": self.kind}
-        if self._is_circle():
+        if self.kind == "circle":
             rec["center"] = {"re": self.center.real, "im": self.center.imag}
             rec["radius"] = self.radius
-        else:
+        elif self.kind == "line":
             rec["point"] = {"re": self.point.real, "im": self.point.imag}
             rec["angle"] = self.angle
         return rec
 
     @classmethod
     def from_json(cls, rec: dict) -> "SchwarzMap":
+        """Inverse of ``to_json``; a key outside the kind's fields is rejected."""
         kind = rec["kind"]
+        if kind not in _JSON_FIELDS:
+            raise ValueError(f"unknown Schwarz map kind {kind!r}")
+        for key in rec:
+            if key != "kind" and key not in _JSON_FIELDS[kind]:
+                raise ValueError(f"a {kind} Schwarz map takes no key {key!r}")
         if kind == "unit_circle":
             return cls.unit_circle()
         if kind == "circle":
             c = rec.get("center", {"re": 0.0, "im": 0.0})
             return cls.circle(complex(c["re"], c.get("im", 0.0)), rec["radius"])
-        if kind == "line":
-            p = rec.get("point", {"re": 0.0, "im": 0.0})
-            return cls.line(complex(p["re"], p.get("im", 0.0)), rec.get("angle", 0.0))
-        raise ValueError(f"unknown Schwarz map kind {kind!r}")
+        p = rec.get("point", {"re": 0.0, "im": 0.0})
+        return cls.line(complex(p["re"], p.get("im", 0.0)), rec.get("angle", 0.0))
 
 
 def reflect_bipoint(smap: SchwarzMap, p: BiPoint) -> BiPoint:

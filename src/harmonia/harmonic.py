@@ -137,20 +137,18 @@ def eval_pair(h: HarmonicPair, p: BiPoint) -> complex:
     return h.part_z.eval(p.z) + h.part_zeta.eval(p.zeta)
 
 
-def is_conjugate_symmetric(
-    h: HarmonicPair, tol: float = _REALITY_TOL, n_samples: int = 16
-) -> bool:
+def is_conjugate_symmetric(h: HarmonicPair) -> bool:
     """Numerically check that the pair is real on the real slice.
 
-    Samples two rings avoiding the branch cut; a pair passing here
-    represents a real harmonic field near the unit circle.
+    Samples 8 angles on each of two rings avoiding the branch cut; a pair
+    passing here represents a real harmonic field near the unit circle.
     """
-    thetas = np.linspace(-2.4, 2.4, max(2, n_samples // 2))
+    thetas = np.linspace(-2.4, 2.4, 8)
     for r in (0.8, 1.25):
         for theta in thetas:
             p = BiPoint.from_polar(r, float(theta))
             value = eval_pair(h, p)
-            if abs(value.imag) > tol * max(1.0, abs(value)):
+            if abs(value.imag) > _REALITY_TOL * max(1.0, abs(value)):
                 return False
     return True
 

@@ -239,29 +239,27 @@ class TrigPolynomial:
         return BivariateLaurentExpr(terms)
 
     @classmethod
-    def from_bivariate_circle_trace(
-        cls, phi: BivariateLaurentExpr, tol: float = 1e-10
-    ) -> "TrigPolynomial":
+    def from_bivariate_circle_trace(cls, phi: BivariateLaurentExpr) -> "TrigPolynomial":
         """Fourier coefficients of phi restricted to the unit circle.
 
-        The circle trace must be real; materially complex coefficients are
-        rejected.
+        The circle trace must be real: a Fourier coefficient whose imaginary
+        part exceeds 1e-10 max(1, largest |coefficient|) is rejected.
         """
         lau = phi.restrict_to_circle()
         powers = [t.power for t in lau.terms]
         degree = max((abs(k) for k in powers), default=0)
         cos = [0.0] * (degree + 1)
         sin = [0.0] * (degree + 1)
-        scale = max(1.0, max((abs(t.coeff) for t in lau.terms), default=0.0))
+        bound = 1e-10 * max(1.0, max((abs(t.coeff) for t in lau.terms), default=0.0))
         c0 = lau.coefficient(0)
-        if abs(c0.imag) > tol * scale:
+        if abs(c0.imag) > bound:
             raise ValueError("circle trace is not real (mean has imaginary part)")
         cos[0] = c0.real
         for n in range(1, degree + 1):
             cn, cmn = lau.coefficient(n), lau.coefficient(-n)
             a_n = cn + cmn
             b_n = 1j *(cn - cmn)
-            if abs(a_n.imag) > tol * scale or abs(b_n.imag) > tol * scale:
+            if abs(a_n.imag) > bound or abs(b_n.imag) > bound:
                 raise ValueError(f"circle trace is not real at harmonic {n}")
             cos[n] = a_n.real
             sin[n] = b_n.real
@@ -320,7 +318,6 @@ class VerificationReport:
 
     seed: int
     checks: tuple
-    corrupt: Optional[str] = None
 
     @property
     def all_passed(self) -> bool:
@@ -333,7 +330,6 @@ class VerificationReport:
     def to_json(self, indent: int | None = 2) -> str:
         payload = {
             "seed": self.seed,
-            "corrupt": self.corrupt,
             "all_passed": self.all_passed,
             "checks": [c.to_json() for c in self.checks],
         }
@@ -353,9 +349,8 @@ class VerificationReport:
 
 
 class _SuiteContext:
-    def __init__(self, seed: int, corrupt: Optional[str]):
+    def __init__(self, seed: int):
         self.rng = np.random.default_rng(seed)
-        self.corrupt = corrupt
 
 
 def _random_expr(rng, max_terms=4, kmax=4, mmax=2, allow_log=True) -> LogLaurentExpr:
@@ -596,8 +591,6 @@ def _check_boundary_recovery_dirichlet(ctx):
     for _ in range(10):
         u = _random_symmetric_pair(ctx.rng, max_terms=8)
         v = neumann_from_dirichlet_pair(u)
-        if ctx.corrupt == "dtn_sign_flip":
-            v = v * -1.0
         for th in np.linspace(-2.0, 2.0, 32):
             trace = eval_pair(u, BiPoint.from_polar(1.0, float(th)))
             yield abs(radial_derivative(v, 1.0, float(th)) - trace)
@@ -906,7 +899,6 @@ def available_checks() -> tuple:
 def run_verification_suite(
     targets: Optional[Iterable[str]] = None,
     seed: int = DEFAULT_SEED,
-    corrupt: Optional[str] = None,
 ) -> VerificationReport:
     """Run the registered invariant checks and collect residuals.
 
@@ -915,10 +907,8 @@ def run_verification_suite(
     if any residual is NaN.
 
     ``targets`` selects checks by name or tag (None runs everything; an
-    empty selection yields an empty, passing report).  ``corrupt`` is a
-    negative-control hook: "dtn_sign_flip" flips the sign of the
-    Dirichlet-to-Neumann output inside the boundary-recovery check, which
-    must make that check fail.  Failures are recorded, never raised.
+    empty selection yields an empty, passing report).  Failures are
+    recorded, never raised.
     """
     if targets is None:
         selected = list(_CHECKS)
@@ -929,7 +919,7 @@ def run_verification_suite(
         if unknown:
             raise ValueError(f"unknown verification targets: {sorted(unknown)}")
         selected = [c for c in _CHECKS if c[0] in wanted or c[1] in wanted]
-    ctx = _SuiteContext(seed, corrupt)
+    ctx = _SuiteContext(seed)
     records = []
     for name, tag, tol, check in selected:
         residuals = list(check(ctx))
@@ -942,4 +932,4 @@ def run_verification_suite(
                 tolerance=tol,
             )
         )
-    return VerificationReport(seed=seed, checks=tuple(records), corrupt=corrupt)
+    return VerificationReport(seed=seed, checks=tuple(records))

@@ -16,16 +16,16 @@ return new pairs or field evaluators:
 * The Schwarz-map generalization with contour quadrature and closed-form
   square-root branches.
 
-Every operator fixes its free additive constant by a base-point
-normalization (default: value 0 at z = 1); golden comparisons are made
-modulo such a constant.
+Operators pin their free additive constant at one fixed point: the pair
+operators to the value 0 at z = 1 (zeta = 1), the arc field to the value 0
+at the map's default base point.  Golden comparisons are made modulo such
+a constant.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .algebra import LogLaurentExpr
 from .errors import (
@@ -44,7 +44,6 @@ from .harmonic import HarmonicPair, RobinParams
 from .numerics import TrigPolynomial, adaptive_simpson, integrate_path
 
 __all__ = [
-    "BasePointNormalization",
     "neumann_from_dirichlet_pair",
     "neumann_from_robin_pair",
     "dirichlet_from_robin_pair",
@@ -57,68 +56,41 @@ __all__ = [
 _Z = LogLaurentExpr.monomial(1.0, 1)
 
 
-@dataclass(frozen=True)
-class BasePointNormalization:
-    """Base point on the carrier curve and the field value pinned there."""
-
-    z0: complex = 1.0 + 0j
-    value_at_base: float = 0.0
-
-
-def _require_unit_circle_base(norm: BasePointNormalization) -> complex:
-    z0 = complex(norm.z0)
-    if abs(abs(z0) - 1.0) > 1e-9:
-        raise DomainError(f"base point {z0} is not on the unit circle")
-    return z0
-
-
-def _partwise(
-    u: HarmonicPair,
-    build,
-    norm: BasePointNormalization | None = None,
-) -> HarmonicPair:
-    """The pair (build(u.part_z), build(u.part_zeta)), pinned to
-    ``norm.value_at_base`` at the base point (z0, 1/z0) when ``norm`` is given.
+def _partwise(u: HarmonicPair, build, pin: bool) -> HarmonicPair:
+    """The pair (build(u.part_z), build(u.part_zeta)), pinned to the value 0
+    at (z, zeta) = (1, 1) when ``pin`` is set.
 
     ``build`` takes real coefficients only, so it commutes with the
-    conjugate mirror.  A ``mirrored`` u then gives a mirrored result: when
-    the base point lies exactly on the real slice, only the z-part is built
-    and pinned, with a real constant, and its symmetric pair is returned.
+    conjugate mirror.  A ``mirrored`` u then gives a mirrored result: only
+    the z-part is built and pinned, with a real constant, and its symmetric
+    pair is returned.
     """
-    z0 = None if norm is None else _require_unit_circle_base(norm)
-    zeta0 = None if z0 is None else 1.0 / z0
     part_z = build(u.part_z)
-    if u.mirrored and (z0 is None or zeta0 == z0.conjugate()):
-        if z0 is not None:
-            residual = norm.value_at_base - 2.0 * part_z.eval(z0).real
+    if u.mirrored:
+        if pin:
+            residual = 0.0 - 2.0 * part_z.eval(1 + 0j).real
             part_z = part_z + LogLaurentExpr.constant(residual / 2.0, part_z.cut_angle)
         return HarmonicPair.symmetric(part_z)
     part_zeta = build(u.part_zeta)
-    if z0 is None:
+    if not pin:
         return HarmonicPair(part_z, part_zeta)
-    residual = norm.value_at_base - (part_z.eval(z0) + part_zeta.eval(zeta0))
+    residual = 0.0 - (part_z.eval(1 + 0j) + part_zeta.eval(1.0 / (1 + 0j)))
     half = LogLaurentExpr.constant(residual / 2.0, part_z.cut_angle)
     return HarmonicPair(part_z + half, part_zeta + half)
 
 
-def neumann_from_dirichlet_pair(
-    u: HarmonicPair, norm: BasePointNormalization | None = None
-) -> HarmonicPair:
+def neumann_from_dirichlet_pair(u: HarmonicPair) -> HarmonicPair:
     """Exact Dirichlet-to-Neumann conversion on the unit circle.
 
     Integrating u(tau)/tau from z to the base point (and likewise in
     zeta) yields the harmonic pair v whose outward normal derivative on
-    the circle equals the Dirichlet trace of u.  The result is pinned to
-    ``value_at_base`` at the base point.
+    the circle equals the Dirichlet trace of u.  The result is pinned to 0
+    at the base point z = 1.
     """
-    return _partwise(
-        u, LogLaurentExpr.antiderivative_over_arg, norm or BasePointNormalization()
-    )
+    return _partwise(u, LogLaurentExpr.antiderivative_over_arg, True)
 
 
-def neumann_from_robin_pair(
-    w: HarmonicPair, params: RobinParams, norm: BasePointNormalization | None = None
-) -> HarmonicPair:
+def neumann_from_robin_pair(w: HarmonicPair, params: RobinParams) -> HarmonicPair:
     """Robin-to-Neumann conversion on the unit circle.
 
     For w satisfying a*w + b*dw/dn = data on the circle, returns the
@@ -130,7 +102,7 @@ def neumann_from_robin_pair(
     return _partwise(
         w,
         lambda part: part * half_b + part.antiderivative_over_arg() * half_a,
-        norm or BasePointNormalization(),
+        True,
     )
 
 
@@ -142,7 +114,7 @@ def dirichlet_from_robin_pair(w: HarmonicPair, params: RobinParams) -> HarmonicP
     """
     half_a = 0.5 * params.a
     half_b = 0.5 * params.b
-    return _partwise(w, lambda part: part * half_a + (_Z * part.differentiate()) * half_b)
+    return _partwise(w, lambda part: part * half_a + (_Z * part.differentiate()) * half_b, False)
 
 
 _NEAR_RESONANCE = 1e-12
@@ -227,18 +199,19 @@ class ArcNeumannField:
     square root, its sign checked against the outward normal where the
     segment meets the curve.  Paths must stay inside the region where the
     Schwarz map is single-valued; the evaluator only guards against running
-    into the map poles and the log cut.  For a ``mirrored`` u with zeta0 =
-    conj(z0), at a point exactly on the real slice, the zeta-side integral
-    is the conjugate of the z-side one and is not computed.
+    into the map poles and the log cut.  The base point z0 is the map's
+    default base point, where the field is pinned to 0.  For a ``mirrored``
+    u with zeta0 = conj(z0), at a point exactly on the real slice, the
+    zeta-side integral is the conjugate of the z-side one and is not
+    computed.
     """
 
-    def __init__(self, u: HarmonicPair, smap: SchwarzMap, norm: BasePointNormalization):
+    def __init__(self, u: HarmonicPair, smap: SchwarzMap):
         self.u = u
         self.smap = smap
-        self.z0 = complex(norm.z0)
+        self.z0 = complex(smap.default_base_point())
         self.zeta0 = smap.value(self.z0)
         self._mirrored_base = u.mirrored and self.zeta0 == self.z0.conjugate()
-        self.value_at_base = norm.value_at_base
 
     def _side_integral(self, start, end, expr, branch_maker) -> complex:
         if abs(end - start) < 1e-13 * (1.0 + abs(end)):
@@ -252,11 +225,11 @@ class ArcNeumannField:
         if self._mirrored_base and p.zeta == p.z.conjugate():
             # the inverse branch is the forward one conjugated, so for a
             # mirrored u the zeta-side integral is the conjugate of iz
-            return complex(self.value_at_base - 2.0 * iz.imag, 0.0)
+            return complex(0.0 - 2.0 * iz.imag, 0.0)
         izeta = self._side_integral(
             p.zeta, self.zeta0, self.u.part_zeta, sqrt_inverse_schwarz_derivative
         )
-        return self.value_at_base + 1j * iz - 1j * izeta
+        return 0.0 + 1j * iz - 1j * izeta
 
     __call__ = eval
 
@@ -266,27 +239,20 @@ class ArcNeumannField:
 
 
 def neumann_from_dirichlet_schwarz(
-    u: HarmonicPair,
-    smap: SchwarzMap,
-    path_z: PathSpec,
-    path_zeta: PathSpec,
-    norm: BasePointNormalization | None = None,
+    u: HarmonicPair, smap: SchwarzMap, path_z: PathSpec, path_zeta: PathSpec
 ) -> ArcNeumannField:
     """Dirichlet-to-Neumann conversion across an arc of a Schwarz carrier.
 
-    v(z, zeta) = const + i * int_z^{z0} u1 sqrt(S') - i * int_zeta^{zeta0}
-    u2 sqrt(S~').  The supplied paths must terminate at the base point
-    (respectively its image under S); they are used at construction to
-    check the square-root signs, which fails fast on a pole on the path or
-    a path that never nears the curve.  For the unit circle the field
-    coincides with :func:`neumann_from_dirichlet_pair`.
+    v(z, zeta) = i * int_z^{z0} u1 sqrt(S') - i * int_zeta^{zeta0} u2
+    sqrt(S~'), so v is 0 at the map's default base point z0.  The supplied
+    paths must terminate at z0 (respectively its image zeta0 = S(z0)); they
+    are used at construction to check the square-root signs, which fails
+    fast on a pole on the path or a path that never nears the curve.  For
+    the unit circle the field coincides with
+    :func:`neumann_from_dirichlet_pair`.
     """
-    if norm is None:
-        norm = BasePointNormalization(z0=smap.default_base_point())
-    z0 = complex(norm.z0)
-    if smap.on_curve_residual(z0) > 1e-8 * (1.0 + abs(z0)):
-        raise DomainError(f"base point {z0} does not lie on the carrier curve")
-    zeta0 = smap.value(z0)
+    field = ArcNeumannField(u, smap)
+    z0, zeta0 = field.z0, field.zeta0
     if abs(path_z.endpoints[1] - z0) > 1e-9 * (1.0 + abs(z0)):
         raise ValueError("path_z must terminate at the base point")
     if abs(path_zeta.endpoints[1] - zeta0) > 1e-9 * (1.0 + abs(zeta0)):
@@ -294,4 +260,4 @@ def neumann_from_dirichlet_schwarz(
     # fail fast: check the square-root signs along the declared paths
     sqrt_schwarz_derivative(smap, path_z)
     sqrt_inverse_schwarz_derivative(smap, path_zeta)
-    return ArcNeumannField(u, smap, norm)
+    return field

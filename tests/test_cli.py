@@ -69,6 +69,7 @@ def test_verify_json_zero_failures(capsys):
     code, out = run_main(capsys, "verify")
     assert code == 0
     payload = json.loads(out)
+    assert list(payload) == ["seed", "all_passed", "checks"]
     assert payload["all_passed"] is True
     assert payload["seed"] == 1729
     assert all(c["passed"] for c in payload["checks"])
@@ -271,6 +272,23 @@ def test_reflect_circle_formulas_reject_other_maps(tmp_path, capsys):
     payload["map"] = {"kind": "unit_circle"}
     path.write_text(json.dumps(payload))
     assert run_main(capsys, "reflect", "--formula", "neumann", "--input", str(path))[0] == 0
+
+
+def test_reflect_map_key_of_another_kind_is_exit_two(tmp_path, capsys):
+    # a unit circle has no radius or centre to set; taking the map as the
+    # unit circle would reflect across a curve the input did not describe
+    payload = {
+        "solution": _REFLECT_SOLUTION,
+        "map": {"kind": "unit_circle", "radius": 2.0, "center": {"re": 5.0}},
+    }
+    path = tmp_path / "unit_with_radius.json"
+    path.write_text(json.dumps(payload))
+    code = main(["reflect", "--formula", "schwarz", "--input", str(path)])
+    assert code == 2
+    assert "'radius'" in capsys.readouterr().err
+    payload["map"] = {"kind": "line", "point": {"re": 0.0}, "radius": 2.0}
+    path.write_text(json.dumps(payload))
+    assert main(["reflect", "--formula", "schwarz", "--input", str(path)]) == 2
 
 
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e300", "7.0", "two"])

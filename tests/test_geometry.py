@@ -366,3 +366,19 @@ def test_bipoint_helpers():
 def test_serialization_round_trips():
     for smap in MAPS:
         assert SchwarzMap.from_json(smap.to_json()) == smap
+
+
+@pytest.mark.parametrize(
+    "rec, key",
+    [
+        ({"kind": "unit_circle", "radius": 2.0, "center": {"re": 5.0}}, "radius"),
+        ({"kind": "unit_circle", "point": {"re": 1.0}}, "point"),
+        ({"kind": "circle", "radius": 2.0, "angle": 0.3}, "angle"),
+        ({"kind": "line", "angle": 0.3, "radius": 2.0}, "radius"),
+        ({"kind": "line", "point": {"re": 1.0}, "centre": {"re": 1.0}}, "centre"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v["kind"],
+)
+def test_map_from_json_rejects_keys_of_another_kind(rec, key):
+    with pytest.raises(ValueError, match=repr(key)):
+        SchwarzMap.from_json(rec)

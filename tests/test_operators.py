@@ -23,7 +23,6 @@ from harmonia.harmonic import (
 )
 from harmonia.numerics import TrigPolynomial, fd_laplacian, fourier_neumann_oracle
 from harmonia.operators import (
-    BasePointNormalization,
     dirichlet_from_robin_pair,
     neumann_from_dirichlet_disk,
     neumann_from_dirichlet_pair,
@@ -67,14 +66,13 @@ def test_builders_keep_the_mirror():
     # (the flag is set at construction) and equal, term for term, to the
     # output of the two-part construction
     rng = np.random.default_rng(148)
-    norms = (None, BasePointNormalization(1.0, 0.4), BasePointNormalization(1j, -1.5))
     for _ in range(40):
         w = HarmonicPair.symmetric(seeded_expr(rng, int(rng.integers(1, 7)), max_logpow=4))
         params = RobinParams(float(rng.uniform(-2, 2)), float(rng.uniform(0.2, 2)))
-        norm = norms[int(rng.integers(0, len(norms)))]
+        rng.integers(0, 3)  # discarded: the inputs drawn after it depend on this stream position
         for build in (
-            lambda u: neumann_from_dirichlet_pair(u, norm),
-            lambda u: neumann_from_robin_pair(u, params, norm),
+            neumann_from_dirichlet_pair,
+            lambda u: neumann_from_robin_pair(u, params),
             lambda u: dirichlet_from_robin_pair(u, params),
         ):
             got, want = build(w), build(two_part(w))
@@ -116,12 +114,11 @@ def test_dtn_linear_trace():
 
 
 def test_dtn_base_point_normalization():
-    norm = BasePointNormalization(z0=cmath.exp(0.5j), value_at_base=2.0)
-    v = neumann_from_dirichlet_pair(SADDLE, norm)
-    p = BiPoint.from_polar(1.0, 0.5)
-    assert abs(eval_pair(v, p) - 2.0) < 1e-12
-    with pytest.raises(DomainError):
-        neumann_from_dirichlet_pair(SADDLE, BasePointNormalization(z0=2.0 + 0j))
+    # the constant is pinned to 0 at (z, zeta) = (1, 1), on the mirrored
+    # route and on the two-part route alike
+    base = BiPoint(1 + 0j, 1 + 0j)
+    for u in (SADDLE, HarmonicPair(SADDLE.part_z, 1.5 * SADDLE.part_zeta)):
+        assert eval_pair(neumann_from_dirichlet_pair(u), base) == 0
 
 
 def test_dtn_boundary_recovery_property():
@@ -374,10 +371,9 @@ def test_arc_operator_reduces_to_circle():
 def test_arc_operator_zero_input_is_constant():
     smap = SchwarzMap.unit_circle()
     path = PathSpec.segment(0.8 + 0j, 1.0 + 0j)
-    norm = BasePointNormalization(value_at_base=1.5)
-    field = neumann_from_dirichlet_schwarz(HarmonicPair.zero(), smap, path, path, norm)
+    field = neumann_from_dirichlet_schwarz(HarmonicPair.zero(), smap, path, path)
     for p in (BiPoint.from_polar(0.7, 0.5), BiPoint.from_polar(0.9, -1.2)):
-        assert abs(field.eval(p) - 1.5) < 1e-12
+        assert abs(field.eval(p)) < 1e-12
 
 
 def test_arc_operator_scaled_circle_constant_data():
@@ -416,7 +412,3 @@ def test_arc_operator_validates_paths_and_base():
     stray = PathSpec.segment(0.8 + 0j, 0.9 + 0j)
     with pytest.raises(ValueError):
         neumann_from_dirichlet_schwarz(CONSTANT, smap, stray, good)
-    with pytest.raises(DomainError):
-        neumann_from_dirichlet_schwarz(
-            CONSTANT, smap, good, good, BasePointNormalization(z0=1.5 + 0j)
-        )
