@@ -37,7 +37,6 @@ from .harmonic import (
     RobinParams,
     eval_pair,
     eval_real,
-    is_conjugate_symmetric,
     normal_derivative_schwarz,
     radial_derivative,
     robin_trace_circle,

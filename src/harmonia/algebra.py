@@ -99,6 +99,14 @@ def _merge(items) -> dict:
     return acc
 
 
+def check_json_keys(rec: dict, allowed: tuple, what: str) -> None:
+    """Reject a key of the JSON record ``rec`` outside ``allowed``; the
+    error names the key."""
+    for key in rec:
+        if key not in allowed:
+            raise ValueError(f"{what} takes no key {key!r}")
+
+
 def _json_exponent(key: str, value) -> int:
     """The exponent ``key`` of a JSON term, which must be an integral number."""
     if isinstance(value, bool) or not (
@@ -445,6 +453,7 @@ class LogLaurentExpr(_SparseSum):
     def from_json(cls, data: list, cut_angle: float = DEFAULT_CUT_ANGLE) -> "LogLaurentExpr":
         terms = []
         for rec in data:
+            check_json_keys(rec, ("re", "im", "k", "m"), "a term")
             coeff = complex(rec["re"], rec.get("im", 0.0))
             k, m = _json_exponent("k", rec["k"]), _json_exponent("m", rec.get("m", 0))
             if not 0 <= m <= MAX_JSON_LOGPOW:
@@ -523,13 +532,10 @@ class BivariateLaurentExpr(_SparseSum):
 
     @classmethod
     def from_json(cls, data: list) -> "BivariateLaurentExpr":
-        return cls(
-            [
-                (
-                    complex(rec["re"], rec.get("im", 0.0)),
-                    _json_exponent("kz", rec["kz"]),
-                    _json_exponent("kzeta", rec["kzeta"]),
-                )
-                for rec in data
-            ]
-        )
+        terms = []
+        for rec in data:
+            check_json_keys(rec, ("re", "im", "kz", "kzeta"), "a bivariate term")
+            coeff = complex(rec["re"], rec.get("im", 0.0))
+            kz, kzeta = _json_exponent("kz", rec["kz"]), _json_exponent("kzeta", rec["kzeta"])
+            terms.append((coeff, kz, kzeta))
+        return cls(terms)

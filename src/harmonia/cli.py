@@ -33,7 +33,7 @@ from importlib import resources
 
 import numpy as np
 
-from .algebra import DEFAULT_CUT_ANGLE, BivariateLaurentExpr
+from .algebra import DEFAULT_CUT_ANGLE, BivariateLaurentExpr, check_json_keys
 from .errors import HarmoniaError
 from .geometry import BiPoint, SchwarzMap, reflect_bipoint
 from .harmonic import HarmonicPair, RobinParams, eval_pair, eval_real
@@ -334,9 +334,13 @@ def cmd_field(args: argparse.Namespace, cut: float) -> int:
 def _input_point(rec: dict) -> BiPoint:
     """The point of a ``reflect --input`` file, held to the ``--point`` rule."""
     if "r" in rec:
+        check_json_keys(rec, ("r", "theta"), "a polar point")
         values = (rec["r"], rec["theta"])
     else:
+        check_json_keys(rec, ("z", "zeta"), "a C^2 point")
         z, zeta = rec["z"], rec["zeta"]
+        check_json_keys(z, ("re", "im"), "a point's z")
+        check_json_keys(zeta, ("re", "im"), "a point's zeta")
         values = (z["re"], z.get("im", 0.0), zeta["re"], zeta.get("im", 0.0))
     if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in values):
         raise ValueError(f"the point must be finite numbers, got {rec!r}")
@@ -375,8 +379,7 @@ def cmd_reflect(args: argparse.Namespace, cut: float) -> int:
     data = BivariateLaurentExpr.from_json(payload.get("data", []))
     smap = SchwarzMap.from_json(payload["map"]) if "map" in payload else SchwarzMap.unit_circle()
     formula = args.formula
-    unit = smap.kind != "line" and smap.center == 0 and smap.radius == 1.0
-    if formula in ("neumann", "robin") and not unit:
+    if formula in ("neumann", "robin") and smap != SchwarzMap.unit_circle():
         raise ValueError(
             f"the {formula} formula holds only for the unit circle; "
             "use --formula schwarz to reflect across another map"

@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .algebra import check_json_keys
 from .errors import BranchPointOnPathError, BranchSelectionError, PoleError
 
 __all__ = [
@@ -52,39 +53,33 @@ class BiPoint:
     zeta: complex
 
     @classmethod
-    def from_xy(cls, x: float, y: float) -> "BiPoint":
-        z = complex(x, y)
-        return cls(z, z.conjugate())
-
-    @classmethod
     def from_polar(cls, r: float, theta: float) -> "BiPoint":
         z = r * cmath.exp(1j * theta)
         return cls(z, r * cmath.exp(-1j * theta))
 
-    def is_real_slice(self) -> bool:
-        return abs(self.zeta - self.z.conjugate()) <= 1e-12 * (1.0 + abs(self.z))
 
-
-# the JSON keys of each map kind besides "kind"
-_JSON_FIELDS = {"unit_circle": (), "circle": ("center", "radius"), "line": ("point", "angle")}
+# the fields of each map kind, which are its JSON keys besides "kind"
+_KIND_FIELDS = {"circle": ("center", "radius"), "line": ("point", "angle")}
 
 
 @dataclass(frozen=True)
 class SchwarzMap:
-    """Closed-form Schwarz function data for a line or a circle.
+    """Closed-form Schwarz function data for a circle or a line.
 
-    ``kind`` is one of ``"unit_circle"``, ``"circle"``, ``"line"``.  Both
-    are one anti-Möbius form centred at P (a circle's centre, a line's
-    point): with w = z - P, S(z) = conj(P) + (a w + b)/(g w + h), S'(z) =
-    (a h - b g)/(g w + h)^2 and sqrt(S'(z)) = k/(g w + h), where (a, b, g,
-    h, k) is (0, r^2, 1, 0, i r) for a circle and (e^{-2 i alpha}, 0, 0, 1,
-    e^{-i alpha}) for a line.  The pole is P - h/g (none for a line).  The
-    unit normal is a fixed factor times (g w + h)/|g w + h|: outward for
-    circles, i e^{i alpha} (upward for the real axis) for lines.  As
-    z -> conj(S(z)) is an involution, the inverse map is S~(zeta) =
-    conj(S(conj(zeta))).  The form is centred at P, not at 0, because an
-    origin-based (a z + b)/(c z + d) loses digits to cancellation on a
-    small circle far from 0.
+    ``kind`` is ``"circle"`` (fields ``center`` and ``radius``) or
+    ``"line"`` (fields ``point`` and ``angle``); a field of the other kind
+    keeps its default, and every field is finite.  The unit circle is
+    ``circle(0, 1)``.  Both are one anti-Möbius form centred at P (a
+    circle's centre, a line's point): with w = z - P, S(z) = conj(P) +
+    (a w + b)/(g w + h), S'(z) = (a h - b g)/(g w + h)^2 and sqrt(S'(z)) =
+    k/(g w + h), where (a, b, g, h, k) is (0, r^2, 1, 0, i r) for a circle
+    and (e^{-2 i alpha}, 0, 0, 1, e^{-i alpha}) for a line.  The pole is
+    P - h/g (none for a line).  The unit normal is a fixed factor times
+    (g w + h)/|g w + h|: outward for circles, i e^{i alpha} (upward for the
+    real axis) for lines.  As z -> conj(S(z)) is an involution, the inverse
+    map is S~(zeta) = conj(S(conj(zeta))).  The form is centred at P, not
+    at 0, because an origin-based (a z + b)/(c z + d) loses digits to
+    cancellation on a small circle far from 0.
     """
 
     kind: str
@@ -94,9 +89,15 @@ class SchwarzMap:
     angle: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("unit_circle", "circle", "line"):
+        if self.kind not in _KIND_FIELDS:
             raise ValueError(f"unknown Schwarz map kind {self.kind!r}")
-        if self._is_circle():
+        for f in fields(self)[1:]:  # every field but kind
+            value = getattr(self, f.name)
+            if not cmath.isfinite(value):
+                raise ValueError(f"Schwarz map {f.name} must be finite, got {value!r}")
+            if f.name not in _KIND_FIELDS[self.kind] and value != f.default:
+                raise ValueError(f"a {self.kind} Schwarz map takes no {f.name}, got {value!r}")
+        if self.kind == "circle":
             if not self.radius > 0:
                 raise ValueError("circle radius must be positive")
             origin, abgh = self.center, (0, self.radius**2, 1, 0)
@@ -113,7 +114,7 @@ class SchwarzMap:
 
     @classmethod
     def unit_circle(cls) -> "SchwarzMap":
-        return cls("unit_circle", center=0j, radius=1.0)
+        return cls.circle(0j, 1.0)
 
     @classmethod
     def circle(cls, center: complex, radius: float) -> "SchwarzMap":
@@ -122,9 +123,6 @@ class SchwarzMap:
     @classmethod
     def line(cls, point: complex, angle: float) -> "SchwarzMap":
         return cls("line", point=complex(point), angle=float(angle))
-
-    def _is_circle(self) -> bool:
-        return self.kind in ("unit_circle", "circle")
 
     # -- map values ------------------------------------------------------------
 
@@ -180,7 +178,7 @@ class SchwarzMap:
 
     def project_to_curve(self, z: complex) -> complex:
         z = complex(z)
-        if self._is_circle():
+        if self.kind == "circle":
             w = z - self.center
             if w == 0:
                 raise PoleError("cannot project the circle center")
@@ -199,7 +197,7 @@ class SchwarzMap:
 
     def curve_points(self, n: int) -> list:
         """n sample points on the carrier curve (line parameter in [-2, 2])."""
-        if self._is_circle():
+        if self.kind == "circle":
             return [
                 self.center + self.radius * cmath.exp(2j * math.pi * j / n)
                 for j in range(n)
@@ -209,38 +207,39 @@ class SchwarzMap:
 
     def default_base_point(self) -> complex:
         """A canonical point on the curve (rightmost point of a circle)."""
-        if self._is_circle():
+        if self.kind == "circle":
             return self.center + self.radius
         return self.point
 
     # -- serialization -------------------------------------------------------------
 
     def to_json(self) -> dict:
-        rec = {"kind": self.kind}
         if self.kind == "circle":
-            rec["center"] = {"re": self.center.real, "im": self.center.imag}
-            rec["radius"] = self.radius
-        elif self.kind == "line":
-            rec["point"] = {"re": self.point.real, "im": self.point.imag}
-            rec["angle"] = self.angle
-        return rec
+            center = {"re": self.center.real, "im": self.center.imag}
+            return {"kind": "circle", "center": center, "radius": self.radius}
+        point = {"re": self.point.real, "im": self.point.imag}
+        return {"kind": "line", "point": point, "angle": self.angle}
 
     @classmethod
     def from_json(cls, rec: dict) -> "SchwarzMap":
-        """Inverse of ``to_json``; a key outside the kind's fields is rejected."""
+        """Inverse of ``to_json``; a key outside the kind's fields, or inside
+        a ``center`` or ``point`` record outside ``re`` and ``im``, is
+        rejected.  The kind ``"unit_circle"`` reads as ``circle(0, 1)`` and
+        takes no other key."""
         kind = rec["kind"]
-        if kind not in _JSON_FIELDS:
-            raise ValueError(f"unknown Schwarz map kind {kind!r}")
-        for key in rec:
-            if key != "kind" and key not in _JSON_FIELDS[kind]:
-                raise ValueError(f"a {kind} Schwarz map takes no key {key!r}")
         if kind == "unit_circle":
+            check_json_keys(rec, ("kind",), "a unit_circle Schwarz map")
             return cls.unit_circle()
+        if kind not in _KIND_FIELDS:
+            raise ValueError(f"unknown Schwarz map kind {kind!r}")
+        check_json_keys(rec, ("kind",) + _KIND_FIELDS[kind], f"a {kind} Schwarz map")
+        name = _KIND_FIELDS[kind][0]
+        c = rec.get(name, {"re": 0.0})
+        check_json_keys(c, ("re", "im"), f"a map {name}")
+        origin = complex(c["re"], c.get("im", 0.0))
         if kind == "circle":
-            c = rec.get("center", {"re": 0.0, "im": 0.0})
-            return cls.circle(complex(c["re"], c.get("im", 0.0)), rec["radius"])
-        p = rec.get("point", {"re": 0.0, "im": 0.0})
-        return cls.line(complex(p["re"], p.get("im", 0.0)), rec.get("angle", 0.0))
+            return cls.circle(origin, rec["radius"])
+        return cls.line(origin, rec.get("angle", 0.0))
 
 
 def reflect_bipoint(smap: SchwarzMap, p: BiPoint) -> BiPoint:
@@ -296,10 +295,6 @@ class PathSpec:
     def point(self, t: float) -> complex:
         """Path point at parameter t in [0, 1]."""
         return self.start + t * (self.end - self.start)
-
-    @property
-    def endpoints(self) -> tuple:
-        return (self.start, self.end)
 
     def samples(self, n: int) -> list:
         return [self.point(i / (n - 1)) for i in range(n)]
@@ -405,7 +400,7 @@ def sqrt_schwarz_derivative(smap: SchwarzMap, path: PathSpec) -> SqrtBranch:
     Raises if the map pole lies on the path or if the path never nears the
     curve.
     """
-    return _closed_form_branch(smap, *path.endpoints)
+    return _closed_form_branch(smap, path.start, path.end)
 
 
 def sqrt_inverse_schwarz_derivative(smap: SchwarzMap, path: PathSpec) -> SqrtBranch:
@@ -415,9 +410,8 @@ def sqrt_inverse_schwarz_derivative(smap: SchwarzMap, path: PathSpec) -> SqrtBra
     branch on the conjugated path: on the curve it is the reciprocal of the
     sqrt(S') branch (the chain rule gives S~'(S(z)) * S'(z) = 1 there).
     """
-    a, b = path.endpoints
     try:
-        branch = _closed_form_branch(smap, a.conjugate(), b.conjugate())
+        branch = _closed_form_branch(smap, path.start.conjugate(), path.end.conjugate())
     except BranchPointOnPathError:
         raise BranchPointOnPathError(
             f"the map pole {smap.pole.conjugate()} lies within {_POLE_MARGIN:g} r of the path"

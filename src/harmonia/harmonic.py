@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .algebra import DEFAULT_CUT_ANGLE, LogLaurentExpr, branch_log
 from .errors import BranchSelectionError, DomainError, NonSymmetricPairError
 from .geometry import BiPoint, SchwarzMap
@@ -42,7 +40,6 @@ __all__ = [
     "radial_derivative",
     "normal_derivative_schwarz",
     "robin_trace_circle",
-    "is_conjugate_symmetric",
 ]
 
 _REALITY_TOL = 1e-11
@@ -135,22 +132,6 @@ def eval_pair(h: HarmonicPair, p: BiPoint) -> complex:
     if h.mirrored and p.zeta == p.z.conjugate():
         return complex(2.0 * h.part_z.eval(p.z).real, 0.0)
     return h.part_z.eval(p.z) + h.part_zeta.eval(p.zeta)
-
-
-def is_conjugate_symmetric(h: HarmonicPair) -> bool:
-    """Numerically check that the pair is real on the real slice.
-
-    Samples 8 angles on each of two rings avoiding the branch cut; a pair
-    passing here represents a real harmonic field near the unit circle.
-    """
-    thetas = np.linspace(-2.4, 2.4, 8)
-    for r in (0.8, 1.25):
-        for theta in thetas:
-            p = BiPoint.from_polar(r, float(theta))
-            value = eval_pair(h, p)
-            if abs(value.imag) > _REALITY_TOL * max(1.0, abs(value)):
-                return False
-    return True
 
 
 def eval_real(h: HarmonicPair, x: float, y: float) -> float:

@@ -196,12 +196,6 @@ class TrigPolynomial:
     def mean(self) -> float:
         return self.cos[0]
 
-    def boundary_value(self, theta: float) -> float:
-        total = 0.0
-        for n in range(len(self.cos)):
-            total += self.cos[n] * math.cos(n * theta) + self.sin[n] * math.sin(n * theta)
-        return total
-
     def dirichlet_value(self, r: float, theta: float) -> float:
         """The harmonic extension into the disk with this boundary trace."""
         total = 0.0
@@ -385,27 +379,18 @@ def _random_zero_mean_trig(rng, degree=6) -> TrigPolynomial:
     return TrigPolynomial(tuple(cos), tuple(sin))
 
 
-def _symmetric_pair_trace_bivariate(u: HarmonicPair) -> BivariateLaurentExpr:
-    # log-free pairs only: z-part powers become z powers, zeta-part powers
-    # become zeta powers
-    terms = []
-    for t in u.part_z.terms:
-        if t.logpow:
-            raise ValueError("trace extension needs a log-free pair")
-        terms.append((t.coeff, t.power, 0))
-    for t in u.part_zeta.terms:
-        if t.logpow:
-            raise ValueError("trace extension needs a log-free pair")
-        terms.append((t.coeff, 0, t.power))
-    return BivariateLaurentExpr(terms)
-
-
 def _robin_trace_bivariate(w: HarmonicPair, a: float, b: float) -> BivariateLaurentExpr:
-    # termwise a + b*k multiplier realizes a*w + b*r dw/dr on the circle
+    # log-free pairs only: a z-part power k becomes the z power k and a
+    # zeta-part power the zeta power, times a + b k, which realizes
+    # a w + b r dw/dr on the circle; (a, b) = (1, 0) gives the trace of w
     terms = []
     for t in w.part_z.terms:
+        if t.logpow:
+            raise ValueError("trace extension needs a log-free pair")
         terms.append((t.coeff * (a + b * t.power), t.power, 0))
     for t in w.part_zeta.terms:
+        if t.logpow:
+            raise ValueError("trace extension needs a log-free pair")
         terms.append((t.coeff * (a + b * t.power), 0, t.power))
     return BivariateLaurentExpr(terms)
 
@@ -725,7 +710,7 @@ def _check_reflection_fixed_points(ctx):
     params = RobinParams(1.0, 1.0)
     for _ in range(10):
         u = _random_symmetric_pair(ctx.rng, allow_log=False)
-        phi = _symmetric_pair_trace_bivariate(u)
+        phi = _robin_trace_bivariate(u, 1.0, 0.0)
         for th in _sample_thetas(6):
             p = BiPoint.from_polar(1.0, float(th))
             direct = eval_pair(u, p)
@@ -747,7 +732,7 @@ def _check_dirichlet_involution(ctx):
     smap = SchwarzMap.unit_circle()
     for _ in range(8):
         u = _random_symmetric_pair(ctx.rng, allow_log=False)
-        phi = _symmetric_pair_trace_bivariate(u)
+        phi = _robin_trace_bivariate(u, 1.0, 0.0)
         for th in _sample_thetas(5):
             p = BiPoint.from_polar(float(ctx.rng.uniform(0.6, 0.95)), float(th))
             q = reflect_bipoint(smap, p)
@@ -764,7 +749,7 @@ def _check_extension_independence(ctx):
     params = RobinParams(1.0, 1.0)
     for _ in range(10):
         u = _random_symmetric_pair(ctx.rng, allow_log=False)
-        phi = _symmetric_pair_trace_bivariate(u)
+        phi = _robin_trace_bivariate(u, 1.0, 0.0)
         psi = _random_bivariate(ctx.rng, max_terms=6)
         phi2 = phi + psi * kernel
         for th in _sample_thetas(5):
@@ -790,7 +775,7 @@ def _check_neumann_pipeline(ctx):
     smap = SchwarzMap.unit_circle()
     for _ in range(10):
         u = _random_symmetric_pair(ctx.rng, allow_log=False)
-        phi = _symmetric_pair_trace_bivariate(u)
+        phi = _robin_trace_bivariate(u, 1.0, 0.0)
         v = neumann_from_dirichlet_pair(u)
         for _ in range(2):
             p = BiPoint.from_polar(
@@ -840,7 +825,7 @@ def _check_circle_reduction(ctx):
 
     smap = SchwarzMap.unit_circle()
     u = _random_symmetric_pair(ctx.rng, allow_log=False)
-    phi = _symmetric_pair_trace_bivariate(u)
+    phi = _robin_trace_bivariate(u, 1.0, 0.0)
     v_exact = neumann_from_dirichlet_pair(u)
     path = PathSpec.segment(0.75 + 0j, 1.0 + 0j)
     v_arc = neumann_from_dirichlet_schwarz(u, smap, path, path)

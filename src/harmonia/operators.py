@@ -233,10 +233,6 @@ class ArcNeumannField:
 
     __call__ = eval
 
-    def eval_real(self, x: float, y: float) -> float:
-        z = complex(x, y)
-        return self.eval(BiPoint(z, z.conjugate())).real
-
 
 def neumann_from_dirichlet_schwarz(
     u: HarmonicPair, smap: SchwarzMap, path_z: PathSpec, path_zeta: PathSpec
@@ -253,9 +249,9 @@ def neumann_from_dirichlet_schwarz(
     """
     field = ArcNeumannField(u, smap)
     z0, zeta0 = field.z0, field.zeta0
-    if abs(path_z.endpoints[1] - z0) > 1e-9 * (1.0 + abs(z0)):
+    if abs(path_z.end - z0) > 1e-9 * (1.0 + abs(z0)):
         raise ValueError("path_z must terminate at the base point")
-    if abs(path_zeta.endpoints[1] - zeta0) > 1e-9 * (1.0 + abs(zeta0)):
+    if abs(path_zeta.end - zeta0) > 1e-9 * (1.0 + abs(zeta0)):
         raise ValueError("path_zeta must terminate at the image of the base point")
     # fail fast: check the square-root signs along the declared paths
     sqrt_schwarz_derivative(smap, path_z)

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Callable, Union
 
 from .algebra import CUT_MARGIN, BivariateLaurentExpr, LogLaurentExpr, cut_distance
 from .errors import CutProximityError, DomainError, HarmoniaError
@@ -235,20 +234,8 @@ def reflect_robin_circle(
     )
 
 
-FieldLike = Union[HarmonicPair, Callable[[BiPoint], complex]]
-
-
-def _field_value(v: FieldLike, p: BiPoint) -> complex:
-    if isinstance(v, HarmonicPair):
-        return eval_pair(v, p)
-    return complex(v(p))
-
-
 def reflect_neumann_schwarz(
-    v: FieldLike,
-    phi: BivariateLaurentExpr,
-    smap: SchwarzMap,
-    p: BiPoint,
+    v: HarmonicPair, phi: BivariateLaurentExpr, smap: SchwarzMap, p: BiPoint
 ) -> ReflectionResult:
     """Continuation across a Schwarz arc for Neumann data phi.
 
@@ -267,7 +254,7 @@ def reflect_neumann_schwarz(
         seg = PathSpec.segment(zr, p.z)
         branch = sqrt_schwarz_derivative(smap, seg)
         correction = 1j * integrate_path(lambda t: phi.eval(t, smap.value(t)) * branch(t), seg)
-    value = _field_value(v, p) + correction
+    value = eval_pair(v, p) + correction
     return ReflectionResult(
         point=p,
         reflected_point=reflected,

@@ -338,6 +338,21 @@ def test_bivariate_json_rejects_bad_exponents(term):
         BivariateLaurentExpr.from_json([term])
 
 
+@pytest.mark.parametrize(
+    "cls, term, key",
+    [
+        (LogLaurentExpr, {"re": 1, "imag": 2, "k": 1}, "imag"),
+        (LogLaurentExpr, {"re": 1, "k": 1, "kz": 1}, "kz"),
+        (BivariateLaurentExpr, {"re": 1, "Im": 2, "kz": 1, "kzeta": 0}, "Im"),
+        (BivariateLaurentExpr, {"re": 1, "kz": 1, "kzeta": 0, "m": 0}, "m"),
+    ],
+)
+def test_json_term_rejects_an_unknown_key(cls, term, key):
+    # a misspelt "im" used to be dropped, so {"re": 1, "imag": 2, "k": 1} read as 1*z
+    with pytest.raises(ValueError, match=repr(key)):
+        cls.from_json([term])
+
+
 def test_repr_of_both_classes():
     assert repr(LogLaurentExpr()) == "LogLaurentExpr(0)"
     assert repr(expr((1.5, 0, 0), (2 - 1j, 2, 1), (0.25j, -1, 3), (-1 / 3, 1, 0))) == (

@@ -8,6 +8,7 @@ from importlib import resources
 import pytest
 
 from harmonia.cli import main
+from harmonia.geometry import SchwarzMap
 
 
 def run_cli(*args):
@@ -289,6 +290,56 @@ def test_reflect_map_key_of_another_kind_is_exit_two(tmp_path, capsys):
     payload["map"] = {"kind": "line", "point": {"re": 0.0}, "radius": 2.0}
     path.write_text(json.dumps(payload))
     assert main(["reflect", "--formula", "schwarz", "--input", str(path)]) == 2
+
+
+_MISSPELT_KEYS = {
+    "term": ({"solution": {"part_z": [{"re": 0.5, "k": 2, "imag": 1.0}], "part_zeta": []}}, "imag"),
+    "data_term": ({"data": [{"re": 1.0, "kz": 0, "kzeta": 0, "k": 1}]}, "k"),
+    "map_center": (
+        {"map": {"kind": "circle", "center": {"re": 0.5, "imag": 3.0}, "radius": 2.0}},
+        "imag",
+    ),
+    "map_point": ({"map": {"kind": "line", "point": {"re": 0.5, "iM": 3.0}}}, "iM"),
+    "polar_point": ({"point": {"r": 0.8, "theta": 0.1, "phi": 0.2}}, "phi"),
+    "point": ({"point": {"z": {"re": 0.8}, "zeta": {"re": 0.8}, "w": {"re": 0.0}}}, "w"),
+    "point_z": ({"point": {"z": {"re": 0.8, "imag": 0.1}, "zeta": {"re": 0.8}}}, "imag"),
+    "point_zeta": ({"point": {"z": {"re": 0.8}, "zeta": {"re": 0.8, "img": 0.1}}}, "img"),
+}
+
+
+@pytest.mark.parametrize("where", sorted(_MISSPELT_KEYS))
+def test_reflect_input_rejects_an_unknown_key_in_a_complex_record(where, tmp_path, capsys):
+    # a misspelt "im" used to be dropped and read as 0
+    change, key = _MISSPELT_KEYS[where]
+    payload = {"solution": _REFLECT_SOLUTION, "map": {"kind": "circle", "radius": 1.0}, **change}
+    path = _write(tmp_path, "misspelt.json", payload)
+    err = _bad_input(capsys, "reflect", "--formula", "schwarz", "--input", path)
+    assert repr(key) in err
+
+
+_NON_FINITE_MAPS = {
+    "center": ("circle", complex(math.nan, 1.0), 2.0),
+    "radius": ("circle", 0.5 + 0j, math.inf),
+    "point": ("line", complex(0.0, -math.inf), 0.3),
+    "angle": ("line", 0.5j, math.nan),
+}
+
+
+@pytest.mark.parametrize("call", ["library", "cli"])
+@pytest.mark.parametrize("field", sorted(_NON_FINITE_MAPS))
+def test_non_finite_map_field_is_rejected(field, call, tmp_path, capsys):
+    # an infinite radius used to fail later, as "branch validation failed:
+    # candidate nan+nanj", and a NaN centre gave S(z) = nan+nanj
+    kind, origin, size = _NON_FINITE_MAPS[field]
+    message = f"Schwarz map {field} must be finite"
+    if call == "library":
+        with pytest.raises(ValueError, match=message):
+            getattr(SchwarzMap, kind)(origin, size)
+        return
+    names = ("center", "radius") if kind == "circle" else ("point", "angle")
+    rec = {"kind": kind, names[0]: {"re": origin.real, "im": origin.imag}, names[1]: size}
+    path = _write(tmp_path, "non_finite_map.json", {"solution": _REFLECT_SOLUTION, "map": rec})
+    assert message in _bad_input(capsys, "reflect", "--formula", "schwarz", "--input", path)
 
 
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e300", "7.0", "two"])

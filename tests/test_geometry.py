@@ -29,6 +29,11 @@ MAPS = [
 ]
 
 
+def _map_id(smap):
+    """A test id; the unit circle keeps the name it had as a map kind."""
+    return ("unit_circle" if smap == SchwarzMap.unit_circle() else smap.kind) + str(smap.center)
+
+
 def test_unit_circle_values():
     smap = SchwarzMap.unit_circle()
     z = cmath.exp(0.7j)
@@ -55,13 +60,13 @@ def test_real_axis_schwarz_is_identity():
     assert abs(smap.inverse_value(w) - w) < 1e-15
 
 
-@pytest.mark.parametrize("smap", MAPS, ids=lambda m: m.kind + str(m.center))
+@pytest.mark.parametrize("smap", MAPS, ids=_map_id)
 def test_on_curve_identity(smap):
     for z in smap.curve_points(64):
         assert smap.on_curve_residual(z) < 1e-12
 
 
-@pytest.mark.parametrize("smap", MAPS, ids=lambda m: m.kind + str(m.center))
+@pytest.mark.parametrize("smap", MAPS, ids=_map_id)
 def test_inverse_consistency_near_curve(smap):
     for z in smap.curve_points(16):
         for offset in (0.25, -0.2, 0.1):
@@ -88,7 +93,7 @@ def test_reflect_bipoint_scaled_circle():
     assert abs(q.z - 4.0) < 1e-14 and abs(q.zeta - 4.0) < 1e-14
 
 
-@pytest.mark.parametrize("smap", MAPS, ids=lambda m: m.kind + str(m.center))
+@pytest.mark.parametrize("smap", MAPS, ids=_map_id)
 def test_reflection_involution(smap):
     for z in smap.curve_points(8):
         w = z + 0.2 * smap.outward_normal(smap.project_to_curve(z))
@@ -105,7 +110,7 @@ def test_anti_conformal_examples():
     assert np.allclose(anti_conformal_reflect(SchwarzMap.line(0j, 0.0), 3.0, 1.0), (3.0, -1.0))
 
 
-@pytest.mark.parametrize("smap", MAPS, ids=lambda m: m.kind + str(m.center))
+@pytest.mark.parametrize("smap", MAPS, ids=_map_id)
 def test_real_slice_compatibility(smap):
     for z in smap.curve_points(8):
         w = z + 0.15 * smap.outward_normal(smap.project_to_curve(z))
@@ -157,7 +162,7 @@ def _written_out(smap):
 
 
 @pytest.mark.parametrize(
-    "smap", MAPS + [SchwarzMap.circle(100 + 100j, 0.01)], ids=lambda m: m.kind + str(m.center)
+    "smap", MAPS + [SchwarzMap.circle(100 + 100j, 0.01)], ids=_map_id
 )
 def test_map_matches_the_written_out_formulas(smap):
     # a small circle far from 0 catches evaluation in an origin-based
@@ -304,7 +309,7 @@ def _mirror(path):
 @pytest.mark.parametrize(
     "smap",
     [SchwarzMap.unit_circle(), SchwarzMap.circle(0.3 - 0.2j, 1.7), SchwarzMap.line(0.5j, 0.3)],
-    ids=lambda m: m.kind + str(m.center),
+    ids=_map_id,
 )
 def test_closed_form_branch_matches_the_continued_branch(smap):
     # at quadrature nodes and at points along the path, for both maps; the
@@ -345,7 +350,7 @@ def test_path_points_and_velocity():
     seg = PathSpec.segment(1.0 + 0j, 1.0 + 2.0j)
     assert abs(seg.point(0.5) - (1.0 + 1.0j)) < 1e-15
     assert seg.point(1.0) - seg.point(0.0) == seg.end - seg.start == 2.0j
-    assert seg.endpoints == (1.0 + 0j, 1.0 + 2.0j)
+    assert (seg.start, seg.end) == (1.0 + 0j, 1.0 + 2.0j)
     ray = PathSpec.radial_ray(math.pi / 2, 1.0, 2.0)
     assert abs(ray.point(1.0) - 2.0j) < 1e-15
     theta, r0, r1 = 0.7, 0.5, 2.5
@@ -355,12 +360,9 @@ def test_path_points_and_velocity():
 
 
 def test_bipoint_helpers():
-    p = BiPoint.from_xy(1.0, 2.0)
-    assert p.z == 1.0 + 2.0j and p.zeta == 1.0 - 2.0j
-    assert p.is_real_slice()
-    assert not BiPoint(1.0 + 2.0j, 5.0 + 0j).is_real_slice()
     q = BiPoint.from_polar(2.0, 0.5)
     assert abs(q.z - 2.0 * cmath.exp(0.5j)) < 1e-15
+    assert abs(q.zeta - 2.0 * cmath.exp(-0.5j)) < 1e-15
 
 
 def test_serialization_round_trips():
@@ -376,9 +378,35 @@ def test_serialization_round_trips():
         ({"kind": "circle", "radius": 2.0, "angle": 0.3}, "angle"),
         ({"kind": "line", "angle": 0.3, "radius": 2.0}, "radius"),
         ({"kind": "line", "point": {"re": 1.0}, "centre": {"re": 1.0}}, "centre"),
+        # a misspelt "im" used to be dropped: this centre read as 0.5
+        ({"kind": "circle", "center": {"re": 0.5, "imag": 3.0}, "radius": 2.0}, "imag"),
+        ({"kind": "line", "point": {"re": 0.5, "Im": 1.0}, "angle": 0.3}, "Im"),
     ],
     ids=lambda v: v if isinstance(v, str) else v["kind"],
 )
 def test_map_from_json_rejects_keys_of_another_kind(rec, key):
     with pytest.raises(ValueError, match=repr(key)):
         SchwarzMap.from_json(rec)
+
+
+def test_unit_circle_is_the_circle_at_zero_of_radius_one():
+    unit = SchwarzMap.unit_circle()
+    assert unit == SchwarzMap.circle(0, 1)
+    assert SchwarzMap.from_json({"kind": "unit_circle"}) == unit
+    assert unit.to_json() == {"kind": "circle", "center": {"re": 0.0, "im": 0.0}, "radius": 1.0}
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"kind": "unit_circle", "radius": 2.0, "center": 5 + 0j}, "kind"),
+        ({"kind": "circle", "radius": 2.0, "angle": 0.3}, "angle"),
+        ({"kind": "circle", "point": 1j}, "point"),
+        ({"kind": "line", "angle": 0.3, "radius": 2.0}, "radius"),
+        ({"kind": "line", "center": 1 + 1j}, "center"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v["kind"],
+)
+def test_map_fields_must_belong_to_its_kind(kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        SchwarzMap(**kwargs)

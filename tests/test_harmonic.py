@@ -14,7 +14,6 @@ from harmonia.harmonic import (
     eval_pair,
     eval_real,
     field_scale,
-    is_conjugate_symmetric,
     normal_derivative_schwarz,
     radial_derivative,
     robin_trace_circle,
@@ -70,13 +69,6 @@ def test_eval_real_rejects_non_symmetric():
         eval_real(lopsided, 0.0, 1.0)
     with pytest.raises(DomainError):
         eval_real(SADDLE, 0.0, 0.0)
-
-
-def test_is_conjugate_symmetric():
-    assert is_conjugate_symmetric(SADDLE)
-    assert not is_conjugate_symmetric(
-        HarmonicPair(LogLaurentExpr.monomial(1.0, 1), LogLaurentExpr.zero())
-    )
 
 
 def fd_radial(h, r, theta, step=1e-6):

@@ -9,6 +9,7 @@ import pytest
 from harmonia.algebra import BivariateLaurentExpr, LogLaurentExpr
 from harmonia.errors import NonzeroMeanError, QuadratureConvergenceError
 from harmonia.geometry import PathSpec
+from harmonia.harmonic import HarmonicPair
 from harmonia import numerics
 from harmonia.numerics import (
     TrigPolynomial,
@@ -203,10 +204,19 @@ def test_trig_polynomial_round_trips():
     pair = trig.to_harmonic_pair()
     for th in np.linspace(-3.0, 3.0, 7):
         z = cmath.exp(1j * th)
-        expected = trig.boundary_value(float(th))
+        expected = trig.dirichlet_value(1.0, float(th))
         assert abs(phi.eval(z, z.conjugate()) - expected) < 1e-12
         assert abs(pair.part_z.eval(z) + pair.part_zeta.eval(z.conjugate()) - expected) < 1e-12
-    assert abs(trig.dirichlet_value(1.0, 0.9) - trig.boundary_value(0.9)) < 1e-13
+
+
+def test_suite_trace_extension_takes_log_free_pairs_only():
+    saddle = HarmonicPair.symmetric(LogLaurentExpr.monomial(0.5, 2))
+    trace = numerics._robin_trace_bivariate(saddle, 1.0, 0.0)
+    assert trace == BivariateLaurentExpr([(0.5, 2, 0), (0.5, 0, 2)])
+    log_pair = HarmonicPair.symmetric(LogLaurentExpr([(0.5, 1, 1)]))
+    for a, b in ((1.0, 0.0), (2.0, -1.0)):
+        with pytest.raises(ValueError, match="log-free"):
+            numerics._robin_trace_bivariate(log_pair, a, b)
 
 
 def test_trig_polynomial_validation():

@@ -439,16 +439,6 @@ def test_schwarz_zero_data_is_exact():
     assert abs(res.value - eval_pair(v, p)) < 1e-14
 
 
-def test_schwarz_accepts_field_evaluator():
-    u = SADDLE
-    phi = laurent_pair_trace(u)
-    v = neumann_from_dirichlet_pair(u)
-    p = BiPoint.from_polar(0.85, -0.3)
-    as_pair = reflect_neumann_schwarz(v, phi, UNIT, p)
-    as_callable = reflect_neumann_schwarz(lambda q: eval_pair(v, q), phi, UNIT, p)
-    assert abs(as_pair.value - as_callable.value) < 1e-12
-
-
 def test_schwarz_scaled_circle_constant_data():
     # data C on |z| = 2: correction is -2C log(r^2/4), twice the naive
     # rescaling guess because Neumann data scales with the radius; verified
