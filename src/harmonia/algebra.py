@@ -7,7 +7,9 @@ Univariate expressions are finite sums
 with integer powers ``k`` and nonnegative integer log-powers ``m``.  This
 is the smallest class containing Laurent polynomials that is closed under
 d/dz and under primitives of e(z)/z, which is exactly the closure needed
-by the boundary-operator integrals in this package.  Bivariate
+by the boundary-operator integrals in this package.  The Euler operator
+z d/dz (``z_derivative``), which is r d/dr on a holomorphic part, is
+computed in one pass, without the product by z.  Bivariate
 expressions are plain Laurent sums ``c * z**kz * zeta**kzeta`` and carry
 boundary data extended holomorphically to two complex variables.
 
@@ -87,16 +89,25 @@ class LogLaurentTerm:
     logpow: int = 0
 
 
-def _accumulate(acc: dict, key: tuple, coeff: complex) -> None:
-    acc[key] = acc.get(key, 0j) + coeff
-
-
 def _merge(items) -> dict:
     """Sum the coefficients of (exponent pair, coefficient) items per pair."""
     acc: dict = {}
     for (a, b), c in items:
-        _accumulate(acc, (int(a), int(b)), complex(c))
+        key = (int(a), int(b))
+        acc[key] = acc.get(key, 0j) + complex(c)
     return acc
+
+
+def check_finite(acc: dict) -> None:
+    """Reject the first non-finite coefficient of the accumulator ``acc``.
+
+    A non-finite coefficient makes the sum non-finite, so one sum decides
+    whether to look; finite coefficients whose sum overflows pass.
+    """
+    if not cmath.isfinite(sum(acc.values())):
+        for c in acc.values():
+            if not cmath.isfinite(c):
+                raise ValueError(f"non-finite coefficient {c!r}")
 
 
 def check_json_keys(rec: dict, allowed: tuple, what: str) -> None:
@@ -116,6 +127,14 @@ def _json_exponent(key: str, value) -> int:
     return int(value)
 
 
+def json_number(key: str, value):
+    """The value ``key`` of a JSON record, which must be an int or a float,
+    not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key!r} must be a number, got {value!r}")
+    return value
+
+
 TermsLike = Union[
     Mapping[tuple, complex],
     Iterable,  # of LogLaurentTerm or (coeff, power[, logpow]) tuples
@@ -133,23 +152,22 @@ class _SparseSum:
 
     ``__init__`` here normalizes an accumulator that already holds int
     exponent pairs and complex coefficients: it rejects non-finite
-    coefficients and drops those below ``COEFF_EPS``.  The public
-    constructors merge and coerce user input first; derived expressions
-    come from ``_build``, which skips that step.  Subclass slots other than
-    ``_terms`` and the context are caches, which ==, hash, repr and JSON
-    ignore.
+    coefficients and drops those below ``COEFF_EPS``.  It keeps the
+    accumulator itself when nothing is dropped, so a caller hands over a
+    fresh dict.  The public constructors merge and coerce user input first;
+    derived expressions come from ``_build``, which skips that step.
+    Subclass slots other than ``_terms`` and the context are caches, which
+    ==, hash, repr and JSON ignore.
     """
 
     __slots__ = ("_terms",)
     _EXPONENTS: tuple
 
     def __init__(self, acc: dict):
-        for c in acc.values():
-            if not cmath.isfinite(c):
-                raise ValueError(f"non-finite coefficient {c!r}")
-        object.__setattr__(
-            self, "_terms", {key: c for key, c in acc.items() if abs(c) >= COEFF_EPS}
-        )
+        check_finite(acc)
+        if min(map(abs, acc.values()), default=COEFF_EPS) < COEFF_EPS:
+            acc = {key: c for key, c in acc.items() if abs(c) >= COEFF_EPS}
+        object.__setattr__(self, "_terms", acc)
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -191,8 +209,31 @@ class _SparseSum:
             return NotImplemented
         acc = dict(self._terms)
         for key, c in other._terms.items():
-            _accumulate(acc, key, c)
+            acc[key] = acc.get(key, 0j) + c
         return self._like(acc)
+
+    def _scaled_sum(self, a: complex, other, b: complex):
+        """self * a + other * b, term for term, built as one expression.
+
+        A scaled term below ``COEFF_EPS`` is left out of the sum, as the
+        scaled expression would drop it.  When a coefficient is not finite
+        or too large for ``abs``, the three-expression route runs instead,
+        to raise its error.
+        """
+        a, b = complex(a), complex(b)
+        try:
+            acc: dict = {}
+            for key, c in self._terms.items():
+                c *= a
+                if not abs(c) < COEFF_EPS:
+                    acc[key] = c
+            for key, c in other._terms.items():
+                c *= b
+                if not abs(c) < COEFF_EPS:
+                    acc[key] = acc.get(key, 0j) + c
+            return self._like(acc)
+        except (ValueError, OverflowError):
+            return self * a + other * b
 
     def __sub__(self, other):
         return self + (-other)
@@ -205,7 +246,8 @@ class _SparseSum:
             acc: dict = {}
             for (a1, b1), c1 in self._terms.items():
                 for (a2, b2), c2 in other._terms.items():
-                    _accumulate(acc, (a1 + a2, b1 + b2), c1 * c2)
+                    key = (a1 + a2, b1 + b2)
+                    acc[key] = acc.get(key, 0j) + c1 * c2
             return self._like(acc)
         if isinstance(other, (int, float, complex)):
             other = complex(other)
@@ -321,12 +363,13 @@ class LogLaurentExpr(_SparseSum):
             raise DomainError("expression is singular at z = 0")
         lg = None
         if self._has_log:
-            if cut_distance(cmath.phase(z), self._cut_angle) < CUT_MARGIN:
+            phase = cmath.phase(z)
+            if cut_distance(phase, self._cut_angle) < CUT_MARGIN:
                 raise CutProximityError(
-                    f"point at angle {cmath.phase(z):.6g} is within {CUT_MARGIN:g} rad "
+                    f"point at angle {phase:.6g} is within {CUT_MARGIN:g} rad "
                     f"of the branch cut at {self._cut_angle:.6g}"
                 )
-            lg = branch_log(z, self._cut_angle)
+            lg = complex(math.log(abs(z)), _fold_angle(phase, self._cut_angle))
         return self._sum(z, lg)
 
     __call__ = eval
@@ -366,11 +409,30 @@ class LogLaurentExpr(_SparseSum):
             acc: dict = {}
             for (k, m), c in self._terms.items():
                 if k:
-                    _accumulate(acc, (k - 1, m), c * k)
+                    key = (k - 1, m)
+                    acc[key] = acc.get(key, 0j) + c * k
                 if m:
-                    _accumulate(acc, (k - 1, m - 1), c * m)
+                    key = (k - 1, m - 1)
+                    acc[key] = acc.get(key, 0j) + c * m
             object.__setattr__(self, "_derivative", self._like(acc))
         return self._derivative
+
+    def z_derivative(self) -> "LogLaurentExpr":
+        """The Euler operator z d/dz, termwise in one pass:
+        c z^k log^m -> c k z^k log^m + c m z^k log^(m-1).
+
+        Equal term for term to ``monomial(1, 1) * differentiate()``; on a
+        holomorphic part it is r d/dr.
+        """
+        acc: dict = {}
+        for (k, m), c in self._terms.items():
+            if k:
+                key = (k, m)
+                acc[key] = acc.get(key, 0j) + c * k
+            if m:
+                key = (k, m - 1)
+                acc[key] = acc.get(key, 0j) + c * m
+        return self._like(acc)
 
     def antiderivative_over_arg(self) -> "LogLaurentExpr":
         """Exact primitive A with A'(z) = self(z)/z and integration constant 0.
@@ -387,10 +449,12 @@ class LogLaurentExpr(_SparseSum):
             acc: dict = {}
             for (k, m), c in self._terms.items():
                 if k == 0:
-                    _accumulate(acc, (0, m + 1), c / (m + 1))
+                    key = (0, m + 1)
+                    acc[key] = acc.get(key, 0j) + c / (m + 1)
                     continue
                 while True:
-                    _accumulate(acc, (k, m), c / k)
+                    key = (k, m)
+                    acc[key] = acc.get(key, 0j) + c / k
                     if not m:
                         break
                     c = -c * m / k
@@ -420,10 +484,9 @@ class LogLaurentExpr(_SparseSum):
         for (k, m), c in self._terms.items():
             base = c * cmath.exp(1j * k * theta_adj)
             for j in range(m + 1):
-                _accumulate(
-                    acc,
-                    (k, j),
-                    base * math.comb(m, j) * (1j * (theta_adj - rho_arg)) ** (m - j),
+                key = (k, j)
+                acc[key] = acc.get(key, 0j) + (
+                    base * math.comb(m, j) * (1j * (theta_adj - rho_arg)) ** (m - j)
                 )
         return self._like(acc)
 
@@ -444,6 +507,21 @@ class LogLaurentExpr(_SparseSum):
         acc = {key: c.conjugate() for key, c in self._terms.items()}
         return self._like(acc)
 
+    def _plus_constant(self, value: complex) -> "LogLaurentExpr":
+        """self + constant(value), term for term, built as one expression.
+
+        When a coefficient is not finite or too large for ``abs``, the
+        two-expression route runs instead, to raise its error.
+        """
+        try:
+            acc = dict(self._terms)
+            c = 0j + complex(value)
+            if not abs(c) < COEFF_EPS:
+                acc[0, 0] = acc.get((0, 0), 0j) + c
+            return self._like(acc)
+        except (ValueError, OverflowError):
+            return self + LogLaurentExpr.constant(value, self._cut_angle)
+
     def with_cut_angle(self, cut_angle: float) -> "LogLaurentExpr":
         return LogLaurentExpr._build(self._terms, float(cut_angle))
 
@@ -454,7 +532,7 @@ class LogLaurentExpr(_SparseSum):
         terms = []
         for rec in data:
             check_json_keys(rec, ("re", "im", "k", "m"), "a term")
-            coeff = complex(rec["re"], rec.get("im", 0.0))
+            coeff = complex(json_number("re", rec["re"]), json_number("im", rec.get("im", 0.0)))
             k, m = _json_exponent("k", rec["k"]), _json_exponent("m", rec.get("m", 0))
             if not 0 <= m <= MAX_JSON_LOGPOW:
                 raise ValueError(
@@ -526,7 +604,8 @@ class BivariateLaurentExpr(_SparseSum):
         if self._circle is None or self._circle[0] != cut_angle:
             acc: dict = {}
             for (kz, kzeta), c in self._terms.items():
-                _accumulate(acc, (kz - kzeta, 0), c)
+                key = (kz - kzeta, 0)
+                acc[key] = acc.get(key, 0j) + c
             object.__setattr__(self, "_circle", (cut_angle, LogLaurentExpr._build(acc, cut_angle)))
         return self._circle[1]
 
@@ -535,7 +614,7 @@ class BivariateLaurentExpr(_SparseSum):
         terms = []
         for rec in data:
             check_json_keys(rec, ("re", "im", "kz", "kzeta"), "a bivariate term")
-            coeff = complex(rec["re"], rec.get("im", 0.0))
+            coeff = complex(json_number("re", rec["re"]), json_number("im", rec.get("im", 0.0)))
             kz, kzeta = _json_exponent("kz", rec["kz"]), _json_exponent("kzeta", rec["kzeta"])
             terms.append((coeff, kz, kzeta))
         return cls(terms)

@@ -33,7 +33,7 @@ from importlib import resources
 
 import numpy as np
 
-from .algebra import DEFAULT_CUT_ANGLE, BivariateLaurentExpr, check_json_keys
+from .algebra import DEFAULT_CUT_ANGLE, BivariateLaurentExpr, check_json_keys, json_number
 from .errors import HarmoniaError
 from .geometry import BiPoint, SchwarzMap, reflect_bipoint
 from .harmonic import HarmonicPair, RobinParams, eval_pair, eval_real
@@ -335,14 +335,17 @@ def _input_point(rec: dict) -> BiPoint:
     """The point of a ``reflect --input`` file, held to the ``--point`` rule."""
     if "r" in rec:
         check_json_keys(rec, ("r", "theta"), "a polar point")
-        values = (rec["r"], rec["theta"])
+        values = (json_number("r", rec["r"]), json_number("theta", rec["theta"]))
     else:
         check_json_keys(rec, ("z", "zeta"), "a C^2 point")
         z, zeta = rec["z"], rec["zeta"]
         check_json_keys(z, ("re", "im"), "a point's z")
         check_json_keys(zeta, ("re", "im"), "a point's zeta")
-        values = (z["re"], z.get("im", 0.0), zeta["re"], zeta.get("im", 0.0))
-    if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in values):
+        values = (
+            json_number("z.re", z["re"]), json_number("z.im", z.get("im", 0.0)),
+            json_number("zeta.re", zeta["re"]), json_number("zeta.im", zeta.get("im", 0.0)),
+        )
+    if not all(math.isfinite(v) for v in values):
         raise ValueError(f"the point must be finite numbers, got {rec!r}")
     if "r" in rec:
         return BiPoint.from_polar(*values)

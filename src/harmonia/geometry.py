@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .algebra import check_json_keys
+from .algebra import check_json_keys, json_number
 from .errors import BranchPointOnPathError, BranchSelectionError, PoleError
 
 __all__ = [
@@ -236,10 +236,12 @@ class SchwarzMap:
         name = _KIND_FIELDS[kind][0]
         c = rec.get(name, {"re": 0.0})
         check_json_keys(c, ("re", "im"), f"a map {name}")
-        origin = complex(c["re"], c.get("im", 0.0))
+        origin = complex(
+            json_number(f"{name}.re", c["re"]), json_number(f"{name}.im", c.get("im", 0.0))
+        )
         if kind == "circle":
-            return cls.circle(origin, rec["radius"])
-        return cls.line(origin, rec.get("angle", 0.0))
+            return cls.circle(origin, json_number("radius", rec["radius"]))
+        return cls.line(origin, json_number("angle", rec.get("angle", 0.0)))
 
 
 def reflect_bipoint(smap: SchwarzMap, p: BiPoint) -> BiPoint:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .algebra import LogLaurentExpr
+from .algebra import COEFF_EPS, LogLaurentExpr, check_finite
 from .errors import (
     DomainError,
     NonzeroMeanError,
@@ -53,8 +53,6 @@ __all__ = [
     "ArcNeumannField",
 ]
 
-_Z = LogLaurentExpr.monomial(1.0, 1)
-
 
 def _partwise(u: HarmonicPair, build, pin: bool) -> HarmonicPair:
     """The pair (build(u.part_z), build(u.part_zeta)), pinned to the value 0
@@ -69,14 +67,14 @@ def _partwise(u: HarmonicPair, build, pin: bool) -> HarmonicPair:
     if u.mirrored:
         if pin:
             residual = 0.0 - 2.0 * part_z.eval(1 + 0j).real
-            part_z = part_z + LogLaurentExpr.constant(residual / 2.0, part_z.cut_angle)
+            part_z = part_z._plus_constant(residual / 2.0)
         return HarmonicPair.symmetric(part_z)
     part_zeta = build(u.part_zeta)
     if not pin:
         return HarmonicPair(part_z, part_zeta)
     residual = 0.0 - (part_z.eval(1 + 0j) + part_zeta.eval(1.0 / (1 + 0j)))
-    half = LogLaurentExpr.constant(residual / 2.0, part_z.cut_angle)
-    return HarmonicPair(part_z + half, part_zeta + half)
+    half = residual / 2.0
+    return HarmonicPair(part_z._plus_constant(half), part_zeta._plus_constant(half))
 
 
 def neumann_from_dirichlet_pair(u: HarmonicPair) -> HarmonicPair:
@@ -100,21 +98,22 @@ def neumann_from_robin_pair(w: HarmonicPair, params: RobinParams) -> HarmonicPai
     half_b = 0.5 * params.b
     half_a = 0.5 * params.a
     return _partwise(
-        w,
-        lambda part: part * half_b + part.antiderivative_over_arg() * half_a,
-        True,
+        w, lambda part: part._scaled_sum(half_b, part.antiderivative_over_arg(), half_a), True
     )
 
 
 def dirichlet_from_robin_pair(w: HarmonicPair, params: RobinParams) -> HarmonicPair:
     """The pair u = (a/2) w + (b r / 2) dw/dr, realized termwise.
 
-    On the circle its Dirichlet trace is half the Robin trace of w; no
-    base-point constant is involved because the combination is algebraic.
+    On each holomorphic part r d/dr is the Euler operator z d/dz
+    (``z_derivative``), so a part is built in one pass as
+    (a/2) w + (b/2) z w'.  On the circle the Dirichlet trace of u is half
+    the Robin trace of w; no base-point constant is involved because the
+    combination is algebraic.
     """
     half_a = 0.5 * params.a
     half_b = 0.5 * params.b
-    return _partwise(w, lambda part: part * half_a + (_Z * part.differentiate()) * half_b, False)
+    return _partwise(w, lambda part: part._scaled_sum(half_a, part.z_derivative(), half_b), False)
 
 
 _NEAR_RESONANCE = 1e-12
@@ -131,29 +130,38 @@ def solve_robin_analytic(
     coefficient c / (b (m+1)).  The homogeneous solution, a non-integer
     power of z for general a/b, lies outside the log-Laurent algebra and
     is deliberately not added.
+
+    The right-hand side z f' + g (``z_derivative`` of f plus g) is summed
+    into a plain dict and read in (power, logpow) order, with the
+    normalization its expression would get; only h is built.
     """
-    rhs = _Z * f.differentiate() + g
+    rhs = dict(f.z_derivative()._terms)
+    for key, c in g._terms.items():
+        rhs[key] = rhs.get(key, 0j) + c
+    check_finite(rhs)
     acc: dict = {}
-    for t in rhs.terms:
-        s = params.a + params.b * t.power
-        scale = max(1.0, abs(params.a), abs(params.b * t.power))
+    for (k, m), c in sorted(rhs.items()):
+        if abs(c) < COEFF_EPS:
+            continue
+        s = params.a + params.b * k
+        scale = max(1.0, abs(params.a), abs(params.b * k))
         if s == 0.0:
-            key = (t.power, t.logpow + 1)
-            acc[key] = acc.get(key, 0j) + t.coeff / (params.b * (t.logpow + 1))
+            key = (k, m + 1)
+            acc[key] = acc.get(key, 0j) + c / (params.b * (m + 1))
             continue
         if abs(s) < _NEAR_RESONANCE * scale:
             raise ResonanceError(
-                f"a + b*k = {s:.3g} at power {t.power} is too close to resonance "
+                f"a + b*k = {s:.3g} at power {k} is too close to resonance "
                 "to solve stably"
             )
-        alpha = t.coeff / s
-        key = (t.power, t.logpow)
+        alpha = c / s
+        key = (k, m)
         acc[key] = acc.get(key, 0j) + alpha
-        for j in range(t.logpow - 1, -1, -1):
+        for j in range(m - 1, -1, -1):
             alpha = -params.b * (j + 1) * alpha / s
-            key = (t.power, j)
+            key = (k, j)
             acc[key] = acc.get(key, 0j) + alpha
-    return LogLaurentExpr(acc, f.cut_angle)
+    return LogLaurentExpr._build(acc, f.cut_angle)
 
 
 def neumann_from_dirichlet_disk(phi, z: complex) -> float:

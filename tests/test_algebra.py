@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -559,3 +560,91 @@ def test_cached_expressions_stay_immutable(make, name):
     with pytest.raises(AttributeError):
         setattr(e, name, None)
     assert derive() is first
+
+
+def _same_to_the_bit(got, want):
+    """Equal terms, in the same order (the order of summation in ``eval``),
+    with the same bits, signs of zero included."""
+    _assert_same_as_rebuilt(got, want)
+    assert list(got._terms) == list(want._terms)
+
+
+def test_z_derivative_is_z_times_the_derivative():
+    rng = np.random.default_rng(19)
+    for _ in range(300):
+        e = _random_log_expr(rng)
+        e = e + LogLaurentExpr.monomial(float(rng.uniform(-2, 2)), 0, 2, e.cut_angle)  # k = 0
+        z = LogLaurentExpr.monomial(1.0, 1, cut_angle=e.cut_angle)
+        _same_to_the_bit(e.z_derivative(), z * e.differentiate())
+    assert LogLaurentExpr().z_derivative().is_zero()
+    assert expr((3.0, 0, 0)).z_derivative().is_zero()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-15])  # 1e-15 drops scaled terms before the sum
+def test_scaled_sum_is_the_sum_of_scaled_expressions(scale):
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        x, y = _random_log_expr(rng), _random_log_expr(rng)
+        y = y.with_cut_angle(x.cut_angle)
+        a = complex(rng.uniform(-2, 2), rng.choice([0.0, rng.uniform(-2, 2)])) * scale
+        b = float(rng.uniform(-2, 2))
+        _same_to_the_bit(x._scaled_sum(a, y, b), x * a + y * b)
+        _same_to_the_bit(x._scaled_sum(a, x, b), x * a + x * b)
+        p, q = _random_bivariate(rng), _random_bivariate(rng)
+        _same_to_the_bit(p._scaled_sum(a, q, b), p * a + q * b)
+
+
+def test_scaled_sum_raises_as_the_scaled_expressions_do():
+    x, y = expr((1.0, 0, 0), (1e308, 1, 0)), expr((1e308, 1, 0), (2.0, 2, 0))
+    for a, b in ((1e10, 1.0), (1.0, 1e10), (1.0, 1.0)):
+        with pytest.raises(ValueError) as want:
+            x * a + y * b
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            x._scaled_sum(a, y, b)
+
+
+def test_plus_constant_is_the_sum_with_a_constant():
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        e = _random_log_expr(rng)
+        values = (
+            float(rng.uniform(-2, 2)), complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+            -e.coefficient(0), 1e-16, 0.0,
+        )
+        for value in values:
+            want = e + LogLaurentExpr.constant(value, e.cut_angle)
+            _same_to_the_bit(e._plus_constant(value), want)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=re.escape(f"non-finite coefficient {0j + value!r}")):
+            expr((1.0, 0, 0), (0.5j, 1, 0))._plus_constant(value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_a_non_finite_coefficient_is_named(bad):
+    # the first non-finite coefficient is named, also next to a sum that overflows
+    for cls, key in ((LogLaurentExpr, (2, 1)), (BivariateLaurentExpr, (2, 1))):
+        with pytest.raises(ValueError, match=re.escape(f"non-finite coefficient {0j + bad!r}")):
+            cls({(0, 0): 1e308, key: bad, (3, 0): 1e308, (4, 0): math.inf})
+
+
+def test_finite_coefficients_whose_sum_overflows_build():
+    e = LogLaurentExpr({(0, 0): 1e308, (1, 0): 1e308})
+    assert e.coefficient(0) == 1e308 and e.coefficient(1) == 1e308
+    phi = BivariateLaurentExpr({(0, 0): -1.7e308, (1, 0): -1.7e308})
+    assert phi.terms == ((-1.7e308, 0, 0), (-1.7e308, 1, 0))
+
+
+def test_coefficients_below_the_threshold_are_dropped():
+    e = LogLaurentExpr({(0, 0): 9.9e-16, (1, 0): COEFF_EPS, (2, 0): -5e-16j, (3, 1): 1.0})
+    assert list(e._terms) == [(1, 0), (3, 1)]
+    assert e.z_derivative().terms == expr((3.0, 3, 1), (1.0, 3, 0), (COEFF_EPS, 1, 0)).terms
+
+
+def test_the_constructor_keeps_no_reference_to_its_argument():
+    terms = {(0, 0): 1.0, (2, 1): 2.0}
+    e, phi = LogLaurentExpr(terms), BivariateLaurentExpr(terms)
+    terms[0, 0] = 5.0
+    terms[3, 0] = 1.0
+    del terms[2, 1]
+    assert e == expr((1.0, 0, 0), (2.0, 2, 1))
+    assert phi == BivariateLaurentExpr([(1.0, 0, 0), (2.0, 2, 1)])

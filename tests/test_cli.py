@@ -317,6 +317,37 @@ def test_reflect_input_rejects_an_unknown_key_in_a_complex_record(where, tmp_pat
     assert repr(key) in err
 
 
+_NOT_NUMBERS = {
+    # each read as a number before: {"re": true, "k": 1} as 1*z, "radius": "2"
+    # as the radius-2 circle, "radius": true as the unit circle
+    "term_re_bool": ({"solution": {"part_z": [{"re": True, "k": 1}], "part_zeta": []}}, "re"),
+    "term_im_str": (
+        {"solution": {"part_z": [{"re": 0.5, "im": "0", "k": 1}], "part_zeta": []}}, "im"
+    ),
+    "term_re_str": ({"solution": {"part_z": [{"re": "0.5", "k": 1}], "part_zeta": []}}, "re"),
+    "data_re": ({"data": [{"re": "1", "kz": 0, "kzeta": 0}]}, "re"),
+    "data_im": ({"data": [{"re": 1.0, "im": [0.0], "kz": 0, "kzeta": 0}]}, "im"),
+    "radius_str": ({"map": {"kind": "circle", "radius": "2"}}, "radius"),
+    "radius_bool": ({"map": {"kind": "circle", "radius": True}}, "radius"),
+    "center_re": ({"map": {"kind": "circle", "center": {"re": "0.5"}, "radius": 2.0}}, "center.re"),
+    "angle": ({"map": {"kind": "line", "angle": None}}, "angle"),
+    "point_im": ({"map": {"kind": "line", "point": {"re": 0.5, "im": True}}}, "point.im"),
+    "polar_r": ({"point": {"r": True, "theta": 0}}, "r"),
+    "polar_theta": ({"point": {"r": 0.8, "theta": "0"}}, "theta"),
+    "z_re": ({"point": {"z": {"re": "0.8"}, "zeta": {"re": 0.8}}}, "z.re"),
+    "zeta_im": ({"point": {"z": {"re": 0.8}, "zeta": {"re": 0.8, "im": False}}}, "zeta.im"),
+}
+
+
+@pytest.mark.parametrize("where", sorted(_NOT_NUMBERS))
+def test_reflect_input_numbers_must_be_json_numbers(where, tmp_path, capsys):
+    change, key = _NOT_NUMBERS[where]
+    payload = {"solution": _REFLECT_SOLUTION, "map": {"kind": "circle", "radius": 1.0}, **change}
+    path = _write(tmp_path, "not_a_number.json", payload)
+    err = _bad_input(capsys, "reflect", "--formula", "schwarz", "--input", path)
+    assert f"{key!r} must be a number" in err
+
+
 _NON_FINITE_MAPS = {
     "center": ("circle", complex(math.nan, 1.0), 2.0),
     "radius": ("circle", 0.5 + 0j, math.inf),

@@ -417,3 +417,86 @@ def test_arc_operator_validates_paths_and_base():
     stray = PathSpec.segment(0.8 + 0j, 0.9 + 0j)
     with pytest.raises(ValueError):
         neumann_from_dirichlet_schwarz(CONSTANT, smap, stray, good)
+
+
+# -- the one-pass builders against the formulas they replace -------------------
+
+_ZMUL = LogLaurentExpr.monomial(1.0, 1)
+
+
+def _pinned_reference(u, build, pin):
+    """The pair operators as three-expression arithmetic: build each part,
+    then add a constant expression that pins the value 0 at (1, 1)."""
+    part_z = build(u.part_z)
+    if u.mirrored:
+        if pin:
+            residual = 0.0 - 2.0 * part_z.eval(1 + 0j).real
+            part_z = part_z + LogLaurentExpr.constant(residual / 2.0, part_z.cut_angle)
+        return HarmonicPair.symmetric(part_z)
+    part_zeta = build(u.part_zeta)
+    if not pin:
+        return HarmonicPair(part_z, part_zeta)
+    residual = 0.0 - (part_z.eval(1 + 0j) + part_zeta.eval(1.0 / (1 + 0j)))
+    half = LogLaurentExpr.constant(residual / 2.0, part_z.cut_angle)
+    return HarmonicPair(part_z + half, part_zeta + half)
+
+
+def _solve_robin_reference(f, g, params):
+    """solve_robin_analytic over the public terms of the expression z f' + g."""
+    acc = {}
+    for t in (_ZMUL * f.differentiate() + g).terms:
+        s = params.a + params.b * t.power
+        if s == 0.0:
+            key = (t.power, t.logpow + 1)
+            acc[key] = acc.get(key, 0j) + t.coeff / (params.b * (t.logpow + 1))
+            continue
+        alpha = t.coeff / s
+        acc[t.power, t.logpow] = acc.get((t.power, t.logpow), 0j) + alpha
+        for j in range(t.logpow - 1, -1, -1):
+            alpha = -params.b * (j + 1) * alpha / s
+            acc[t.power, j] = acc.get((t.power, j), 0j) + alpha
+    return LogLaurentExpr(acc, f.cut_angle)
+
+
+def _bits(e):
+    """The terms of e in their order of summation, to the bit."""
+    return [(key, c.real.hex(), c.imag.hex()) for key, c in e._terms.items()], e.cut_angle
+
+
+def _assert_same_pair(got, want):
+    assert vars(got).get("mirrored") == vars(want).get("mirrored")
+    assert _bits(got.part_z) == _bits(want.part_z)
+    assert _bits(got.part_zeta) == _bits(want.part_zeta)
+
+
+def test_builders_equal_the_formulas_they_replace():
+    rng = np.random.default_rng(191)
+    for i in range(150):
+        f = seeded_expr(rng, int(rng.integers(1, 12)), max_logpow=4)
+        g = seeded_expr(rng, int(rng.integers(0, 8)), max_logpow=4)
+        a, b = float(rng.uniform(-3, 3)), float(rng.choice([-1, 1]) * rng.uniform(0.2, 2))
+        if i % 3 == 0:  # resonant: a + b k = 0 at a power of f
+            a = -b * f.terms[0].power
+        params = RobinParams(a, b)
+        half_a, half_b = 0.5 * a, 0.5 * b
+        rebuilt = HarmonicPair(f.with_cut_angle(2.0), g.with_cut_angle(2.0))
+        for u in (HarmonicPair.symmetric(f), two_part(HarmonicPair.symmetric(f)), rebuilt):
+            _assert_same_pair(
+                neumann_from_dirichlet_pair(u),
+                _pinned_reference(u, LogLaurentExpr.antiderivative_over_arg, True),
+            )
+            _assert_same_pair(
+                neumann_from_robin_pair(u, params),
+                _pinned_reference(
+                    u, lambda p: p * half_b + p.antiderivative_over_arg() * half_a, True
+                ),
+            )
+            _assert_same_pair(
+                dirichlet_from_robin_pair(u, params),
+                _pinned_reference(
+                    u, lambda p: p * half_a + (_ZMUL * p.differentiate()) * half_b, False
+                ),
+            )
+        for rhs_g in (g, LogLaurentExpr.zero()):
+            got = solve_robin_analytic(f, rhs_g, params)
+            assert _bits(got) == _bits(_solve_robin_reference(f, rhs_g, params))
