@@ -98,18 +98,6 @@ def _merge(items) -> dict:
     return acc
 
 
-def check_finite(acc: dict) -> None:
-    """Reject the first non-finite coefficient of the accumulator ``acc``.
-
-    A non-finite coefficient makes the sum non-finite, so one sum decides
-    whether to look; finite coefficients whose sum overflows pass.
-    """
-    if not cmath.isfinite(sum(acc.values())):
-        for c in acc.values():
-            if not cmath.isfinite(c):
-                raise ValueError(f"non-finite coefficient {c!r}")
-
-
 def check_json_keys(rec: dict, allowed: tuple, what: str) -> None:
     """Reject a key of the JSON record ``rec`` outside ``allowed``; the
     error names the key."""
@@ -153,8 +141,8 @@ class _SparseSum:
     ``__init__`` here normalizes an accumulator that already holds int
     exponent pairs and complex coefficients: it rejects non-finite
     coefficients and drops those below ``COEFF_EPS``.  It keeps the
-    accumulator itself when nothing is dropped, so a caller hands over a
-    fresh dict.  The public constructors merge and coerce user input first;
+    accumulator itself when nothing is dropped, so the caller must not
+    change that dict afterwards.  The public constructors merge and coerce user input first;
     derived expressions come from ``_build``, which skips that step.
     Subclass slots other than ``_terms`` and the context are caches, which
     ==, hash, repr and JSON ignore.
@@ -164,7 +152,12 @@ class _SparseSum:
     _EXPONENTS: tuple
 
     def __init__(self, acc: dict):
-        check_finite(acc)
+        # a non-finite coefficient makes the sum non-finite, so one sum
+        # decides whether to look; finite ones whose sum overflows pass
+        if not cmath.isfinite(sum(acc.values())):
+            for c in acc.values():
+                if not cmath.isfinite(c):
+                    raise ValueError(f"non-finite coefficient {c!r}")
         if min(map(abs, acc.values()), default=COEFF_EPS) < COEFF_EPS:
             acc = {key: c for key, c in acc.items() if abs(c) >= COEFF_EPS}
         object.__setattr__(self, "_terms", acc)
@@ -216,24 +209,19 @@ class _SparseSum:
         """self * a + other * b, term for term, built as one expression.
 
         A scaled term below ``COEFF_EPS`` is left out of the sum, as the
-        scaled expression would drop it.  When a coefficient is not finite
-        or too large for ``abs``, the three-expression route runs instead,
-        to raise its error.
+        scaled expression would drop it.
         """
         a, b = complex(a), complex(b)
-        try:
-            acc: dict = {}
-            for key, c in self._terms.items():
-                c *= a
-                if not abs(c) < COEFF_EPS:
-                    acc[key] = c
-            for key, c in other._terms.items():
-                c *= b
-                if not abs(c) < COEFF_EPS:
-                    acc[key] = acc.get(key, 0j) + c
-            return self._like(acc)
-        except (ValueError, OverflowError):
-            return self * a + other * b
+        acc: dict = {}
+        for key, c in self._terms.items():
+            c *= a
+            if not abs(c) < COEFF_EPS:
+                acc[key] = c
+        for key, c in other._terms.items():
+            c *= b
+            if not abs(c) < COEFF_EPS:
+                acc[key] = acc.get(key, 0j) + c
+        return self._like(acc)
 
     def __sub__(self, other):
         return self + (-other)
@@ -508,19 +496,12 @@ class LogLaurentExpr(_SparseSum):
         return self._like(acc)
 
     def _plus_constant(self, value: complex) -> "LogLaurentExpr":
-        """self + constant(value), term for term, built as one expression.
-
-        When a coefficient is not finite or too large for ``abs``, the
-        two-expression route runs instead, to raise its error.
-        """
-        try:
-            acc = dict(self._terms)
-            c = 0j + complex(value)
-            if not abs(c) < COEFF_EPS:
-                acc[0, 0] = acc.get((0, 0), 0j) + c
-            return self._like(acc)
-        except (ValueError, OverflowError):
-            return self + LogLaurentExpr.constant(value, self._cut_angle)
+        """self + constant(value), term for term, built as one expression."""
+        acc = dict(self._terms)
+        c = 0j + complex(value)
+        if not abs(c) < COEFF_EPS:
+            acc[0, 0] = acc.get((0, 0), 0j) + c
+        return self._like(acc)
 
     def with_cut_angle(self, cut_angle: float) -> "LogLaurentExpr":
         return LogLaurentExpr._build(self._terms, float(cut_angle))

@@ -133,12 +133,18 @@ _OPERATOR_KINDS = ("dtn_pair", "rtn_pair")
 _REFLECT_KINDS = ("reflect_neumann", "reflect_robin")
 
 
+def _robin_params(rec: dict, prefix: str) -> RobinParams:
+    """The Robin coefficients ``a`` and ``b`` of a JSON record; ``prefix``
+    names the record in an error."""
+    return RobinParams(json_number(prefix + "a", rec["a"]), json_number(prefix + "b", rec["b"]))
+
+
 def _operator_output(rec: dict, cut: float) -> HarmonicPair:
     """The Neumann pair of a ``dtn_pair`` or ``rtn_pair`` record."""
     if rec["kind"] == "dtn_pair":
         return neumann_from_dirichlet_pair(HarmonicPair.from_json(rec["u"], cut))
     w = HarmonicPair.from_json(rec["w"], cut)
-    return neumann_from_robin_pair(w, RobinParams(rec["a"], rec["b"]))
+    return neumann_from_robin_pair(w, _robin_params(rec, ""))
 
 
 def _reflector(rec: dict, cut: float):
@@ -149,7 +155,7 @@ def _reflector(rec: dict, cut: float):
     data = BivariateLaurentExpr.from_json(rec["data"])
     if neumann:
         return solution, partial(reflect_neumann_circle, solution, data)
-    params = RobinParams(rec["a"], rec["b"])
+    params = _robin_params(rec, "")
     return solution, partial(reflect_robin_circle, solution, data, params)
 
 
@@ -397,8 +403,7 @@ def cmd_reflect(args: argparse.Namespace, cut: float) -> int:
         elif formula == "neumann":
             result = reflect_neumann_circle(solution, data, p)
         elif formula == "robin":
-            params_rec = payload.get("params", {"a": 1.0, "b": 1.0})
-            params = RobinParams(params_rec["a"], params_rec["b"])
+            params = _robin_params(payload.get("params", {"a": 1.0, "b": 1.0}), "params.")
             result = reflect_robin_circle(solution, data, params, p)
         else:
             result = reflect_neumann_schwarz(solution, data, smap, p)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .algebra import COEFF_EPS, LogLaurentExpr, check_finite
+from .algebra import LogLaurentExpr
 from .errors import (
     DomainError,
     NonzeroMeanError,
@@ -131,18 +131,13 @@ def solve_robin_analytic(
     power of z for general a/b, lies outside the log-Laurent algebra and
     is deliberately not added.
 
-    The right-hand side z f' + g (``z_derivative`` of f plus g) is summed
-    into a plain dict and read in (power, logpow) order, with the
-    normalization its expression would get; only h is built.
+    The right-hand side z f' + g (``z_derivative`` of f plus g) is read in
+    (power, logpow) order from its terms dict, with no ``LogLaurentTerm``
+    objects; h is built from its accumulator without a second merge.
     """
-    rhs = dict(f.z_derivative()._terms)
-    for key, c in g._terms.items():
-        rhs[key] = rhs.get(key, 0j) + c
-    check_finite(rhs)
+    rhs = f.z_derivative() + g
     acc: dict = {}
-    for (k, m), c in sorted(rhs.items()):
-        if abs(c) < COEFF_EPS:
-            continue
+    for (k, m), c in sorted(rhs._terms.items()):
         s = params.a + params.b * k
         scale = max(1.0, abs(params.a), abs(params.b * k))
         if s == 0.0:

@@ -348,6 +348,29 @@ def test_reflect_input_numbers_must_be_json_numbers(where, tmp_path, capsys):
     assert f"{key!r} must be a number" in err
 
 
+_ROBIN_NOT_NUMBERS = {
+    # "a": true read as a = 1, and "a": "1" failed naming no key
+    "a_bool": ({"a": True}, "a"),
+    "b_str": ({"b": "1"}, "b"),
+}
+
+
+@pytest.mark.parametrize("where", sorted(_ROBIN_NOT_NUMBERS))
+@pytest.mark.parametrize("source", ["rtn-log", "robin-reflect-cos2", "reflect_params"])
+def test_robin_coefficients_must_be_json_numbers(where, source, tmp_path, capsys):
+    change, key = _ROBIN_NOT_NUMBERS[where]
+    if source == "reflect_params":
+        payload = {"solution": _REFLECT_SOLUTION, "params": {"a": 1.0, "b": 1.0, **change}}
+        path = _write(tmp_path, "params.json", payload)
+        err = _bad_input(capsys, "reflect", "--formula", "robin", "--input", path)
+        key = "params." + key
+    else:
+        field = {**next(r for r in _FIXTURES if r["id"] == source), **change}
+        path = _write(tmp_path, "field.json", {"field": field})
+        err = _bad_input(capsys, "field", "--input", path)
+    assert f"{key!r} must be a number" in err
+
+
 _NON_FINITE_MAPS = {
     "center": ("circle", complex(math.nan, 1.0), 2.0),
     "radius": ("circle", 0.5 + 0j, math.inf),
