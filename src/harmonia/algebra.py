@@ -142,8 +142,9 @@ class _SparseSum:
     exponent pairs and complex coefficients: it rejects non-finite
     coefficients and drops those below ``COEFF_EPS``.  It keeps the
     accumulator itself when nothing is dropped, so the caller must not
-    change that dict afterwards.  The public constructors merge and coerce user input first;
-    derived expressions come from ``_build``, which skips that step.
+    change that dict afterwards.  The public constructors merge and coerce
+    user input first; derived expressions come from ``_build``, which skips
+    that step.
     Subclass slots other than ``_terms`` and the context are caches, which
     ==, hash, repr and JSON ignore.
     """
