@@ -98,6 +98,12 @@ def _merge(items) -> dict:
     return acc
 
 
+def _modulus_overflow(c: complex) -> ValueError:
+    """The error for a finite coefficient whose modulus exceeds the float
+    range, where ``abs`` raises a bare ``OverflowError``."""
+    return ValueError(f"coefficient {c!r} has a modulus beyond the float range")
+
+
 def check_json_keys(rec: dict, allowed: tuple, what: str) -> None:
     """Reject a key of the JSON record ``rec`` outside ``allowed``; the
     error names the key."""
@@ -140,9 +146,9 @@ class _SparseSum:
 
     ``__init__`` here normalizes an accumulator that already holds int
     exponent pairs and complex coefficients: it rejects non-finite
-    coefficients and drops those below ``COEFF_EPS``.  It keeps the
-    accumulator itself when nothing is dropped, so the caller must not
-    change that dict afterwards.  The public constructors merge and coerce
+    coefficients and finite ones whose modulus overflows, and drops those
+    below ``COEFF_EPS``.  It keeps the accumulator itself when nothing is
+    dropped, so the caller must not change that dict afterwards.  The public constructors merge and coerce
     user input first; derived expressions come from ``_build``, which skips
     that step.
     Subclass slots other than ``_terms`` and the context are caches, which
@@ -159,7 +165,13 @@ class _SparseSum:
             for c in acc.values():
                 if not cmath.isfinite(c):
                     raise ValueError(f"non-finite coefficient {c!r}")
-        if min(map(abs, acc.values()), default=COEFF_EPS) < COEFF_EPS:
+        try:
+            small = min(map(abs, acc.values()), default=COEFF_EPS) < COEFF_EPS
+        except OverflowError:
+            raise _modulus_overflow(
+                next(c for c in acc.values() if math.hypot(c.real, c.imag) == math.inf)
+            ) from None
+        if small:
             acc = {key: c for key, c in acc.items() if abs(c) >= COEFF_EPS}
         object.__setattr__(self, "_terms", acc)
 
@@ -214,14 +226,17 @@ class _SparseSum:
         """
         a, b = complex(a), complex(b)
         acc: dict = {}
-        for key, c in self._terms.items():
-            c *= a
-            if not abs(c) < COEFF_EPS:
-                acc[key] = c
-        for key, c in other._terms.items():
-            c *= b
-            if not abs(c) < COEFF_EPS:
-                acc[key] = acc.get(key, 0j) + c
+        try:  # of these statements only abs raises OverflowError
+            for key, c in self._terms.items():
+                c *= a
+                if not abs(c) < COEFF_EPS:
+                    acc[key] = c
+            for key, c in other._terms.items():
+                c *= b
+                if not abs(c) < COEFF_EPS:
+                    acc[key] = acc.get(key, 0j) + c
+        except OverflowError:
+            raise _modulus_overflow(c) from None
         return self._like(acc)
 
     def __sub__(self, other):
@@ -345,7 +360,9 @@ class LogLaurentExpr(_SparseSum):
         """Evaluate at a nonzero point off the branch cut.
 
         Points within ``CUT_MARGIN`` radians of the cut ray are rejected when
-        (and only when) the expression carries logarithm terms.
+        (and only when) the expression carries logarithm terms.  z = 0 raises
+        ``DomainError`` on every call, before any term is read, whatever the
+        powers.  No power of a zero exponent is computed (see ``_sum``).
         """
         z = complex(z)
         if z == 0:
@@ -378,13 +395,20 @@ class LogLaurentExpr(_SparseSum):
         return self._sum(rho * cmath.exp(1j * theta), lg)
 
     def _sum(self, z: complex, lg: complex | None) -> complex:
-        """The terms at z, given log z (None when the expression has no logs)."""
+        """The terms at z, given log z (None when the expression has no logs).
+
+        No power of a zero exponent is computed: a term is c, times z**k
+        when k != 0, times lg**m when m != 0.  ``w**0`` is exactly 1 + 0j, and
+        a product by it moves at most the sign of a zero part, which the
+        running sum from 0j removes, so the value is the same bit for bit.
+        """
         total = 0j
         for (k, m), c in self._terms.items():
-            term = c * z**k
+            if k:
+                c *= z**k
             if m:
-                term *= lg**m
-            total += term
+                c *= lg**m
+            total += c
         return total
 
     # -- calculus --------------------------------------------------------------
@@ -500,7 +524,11 @@ class LogLaurentExpr(_SparseSum):
         """self + constant(value), term for term, built as one expression."""
         acc = dict(self._terms)
         c = 0j + complex(value)
-        if not abs(c) < COEFF_EPS:
+        try:
+            drop = abs(c) < COEFF_EPS
+        except OverflowError:
+            raise _modulus_overflow(c) from None
+        if not drop:
             acc[0, 0] = acc.get((0, 0), 0j) + c
         return self._like(acc)
 
@@ -563,13 +591,27 @@ class BivariateLaurentExpr(_SparseSum):
         return tuple((c, kz, kzeta) for (kz, kzeta), c in sorted(self._terms.items()))
 
     def eval(self, z: complex, zeta: complex) -> complex:
+        """The sum of c * z**kz * zeta**kzeta at (z, zeta).
+
+        The test for a negative power at 0, which raises ``DomainError``, runs
+        once per call and only when z or zeta is 0.  No power of a zero
+        exponent is computed: a term is (c * z**kz) * zeta**kzeta with each
+        factor left out when its exponent is 0, the same value bit for bit
+        (see ``LogLaurentExpr._sum``).
+        """
         z = complex(z)
         zeta = complex(zeta)
+        if z == 0 or zeta == 0:
+            for kz, kzeta in self._terms:
+                if (kz < 0 and z == 0) or (kzeta < 0 and zeta == 0):
+                    raise DomainError("negative power evaluated at 0")
         total = 0j
         for (kz, kzeta), c in self._terms.items():
-            if (kz < 0 and z == 0) or (kzeta < 0 and zeta == 0):
-                raise DomainError("negative power evaluated at 0")
-            total += c * z**kz * zeta**kzeta
+            if kz:
+                c *= z**kz
+            if kzeta:
+                c *= zeta**kzeta
+            total += c
         return total
 
     __call__ = eval

@@ -11,3 +11,18 @@ def default_cut_angle(monkeypatch):
     expect the default one. A test that wants a rotated cut sets it itself.
     """
     monkeypatch.delenv("HARMONIA_CUT_ANGLE", raising=False)
+
+
+@pytest.fixture
+def no_quadrature(monkeypatch):
+    """``integrate_path`` made to raise in every module that binds it, so a
+    test fails on any quadrature its code runs."""
+    # imported here, so that a tree where harmonia does not import still
+    # collects each test module on its own
+    from harmonia import numerics, operators, reflection
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate_path was called")
+
+    for module in (numerics, operators, reflection):
+        monkeypatch.setattr(module, "integrate_path", refuse)

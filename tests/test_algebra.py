@@ -10,6 +10,7 @@ from harmonia.algebra import (
     MAX_JSON_LOGPOW,
     BivariateLaurentExpr,
     LogLaurentExpr,
+    _fold_angle,
     branch_log,
     cut_distance,
 )
@@ -648,3 +649,160 @@ def test_the_constructor_keeps_no_reference_to_its_argument():
     del terms[2, 1]
     assert e == expr((1.0, 0, 0), (2.0, 2, 1))
     assert phi == BivariateLaurentExpr([(1.0, 0, 0), (2.0, 2, 1)])
+
+
+# -- the term loops against the loops they replaced ---------------------------
+
+
+def _log_sum_reference(e, z, lg):
+    """The sum, in ``_terms`` order, of c * z**k * lg**m, every power taken,
+    the zeroth ones too."""
+    total = 0j
+    for (k, m), c in e._terms.items():
+        total += c * z**k * lg**m
+    return total
+
+
+def _bivariate_reference(phi, z, zeta):
+    """The sum, in ``_terms`` order, of c * z**kz * zeta**kzeta, every power
+    taken and every term tested for a negative power at 0."""
+    total = 0j
+    for (kz, kzeta), c in phi._terms.items():
+        if (kz < 0 and z == 0) or (kzeta < 0 and zeta == 0):
+            raise DomainError("negative power evaluated at 0")
+        total += c * z**kz * zeta**kzeta
+    return total
+
+
+def _seeded_coeff(rng):
+    return complex(rng.uniform(-2, 2), rng.choice([0.0, rng.uniform(-2, 2)]))
+
+
+def _seeded_log_expr(rng):
+    """k in -4..4 and log powers 0..4 (or only 0), with at least one k = 0 term."""
+    top = int(rng.choice([0, 4]))
+    terms = [(_seeded_coeff(rng), 0, int(rng.integers(0, top + 1)))]
+    for _ in range(int(rng.integers(0, 8))):
+        terms.append((_seeded_coeff(rng), int(rng.integers(-4, 5)), int(rng.integers(0, top + 1))))
+    rng.shuffle(terms)
+    return LogLaurentExpr(terms, float(rng.choice([math.pi, 2.0, -1.0])))
+
+
+def _seeded_bivariate_expr(rng, lowest):
+    """A constant, a pure-z, a pure-zeta and mixed terms, powers in lowest..3."""
+
+    def power():
+        return int(rng.choice([p for p in range(lowest, 4) if p]))
+
+    terms = [(_seeded_coeff(rng), 0, 0), (_seeded_coeff(rng), power(), 0), (_seeded_coeff(rng), 0, power())]
+    for _ in range(int(rng.integers(1, 6))):
+        terms.append((_seeded_coeff(rng), power(), power()))
+    rng.shuffle(terms)
+    return BivariateLaurentExpr(terms)
+
+
+def _seeded_points(rng):
+    """Six random points, then four with a zero part of either sign."""
+    points = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(6)]
+    return points + [complex(1.5, 0.0), complex(-0.7, -0.0), complex(0.0, 2.0), complex(-0.0, -0.4)]
+
+
+def test_log_sum_equals_the_loop_with_every_power():
+    rng = np.random.default_rng(2101)
+    for _ in range(300):
+        e = _seeded_log_expr(rng)
+        cut = e.cut_angle
+        for z in _seeded_points(rng):
+            if e.has_log() and cut_distance(cmath.phase(z), cut) < 1e-3:
+                continue
+            want = _log_sum_reference(e, z, branch_log(z, cut))
+            assert e.eval(z) == want and e(z) == want
+        for rho in (0.3, 1.0, 2.5):
+            theta = float(rng.uniform(-9.0, 9.0))
+            folded = _fold_angle(theta, cut)
+            z, lg = rho * cmath.exp(1j * folded), complex(math.log(rho), folded)
+            assert e.eval_on_ray(rho, theta) == _log_sum_reference(e, z, lg)
+        with pytest.raises(DomainError):
+            e.eval(0j)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except DomainError:
+        return DomainError
+
+
+def test_bivariate_eval_equals_the_loop_with_every_power():
+    rng = np.random.default_rng(2102)
+    values_at_zero = poles_at_zero = 0
+    for _ in range(300):
+        phi = _seeded_bivariate_expr(rng, int(rng.choice([-3, 0])))
+        points = _seeded_points(rng)
+        w = points[0]
+        pairs = list(zip(points, points[::-1])) + [(0j, w), (w, 0j), (0j, 0j), (-0.0 + 0j, w)]
+        for z, zeta in pairs:
+            want = _outcome(_bivariate_reference, phi, z, zeta)
+            assert _outcome(phi.eval, z, zeta) == want
+            assert _outcome(phi, z, zeta) == want
+            pole = any((kz < 0 and z == 0) or (kzeta < 0 and zeta == 0) for kz, kzeta in phi._terms)
+            assert (want is DomainError) == pole
+            if z == 0 or zeta == 0:
+                values_at_zero += not pole
+                poles_at_zero += pole
+    assert values_at_zero > 300 and poles_at_zero > 300
+
+
+def test_bivariate_pole_test_reads_only_the_zero_variable():
+    phi = BivariateLaurentExpr([(1.0, -1, 0), (2.0, 0, 2)])  # 1/z + 2 zeta^2
+    for z, zeta in ((0j, 1.5), (0j, 0j), (-0.0, 2.0)):
+        with pytest.raises(DomainError, match="negative power evaluated at 0"):
+            phi.eval(z, zeta)
+    assert phi.eval(2.0, 0j) == 0.5
+    psi = BivariateLaurentExpr([(1.0, 2, -1), (3.0, 1, 0)])  # z^2/zeta + 3 z
+    assert psi.eval(0j, 4.0) == 0
+    with pytest.raises(DomainError):
+        psi(1.0, 0j)
+    assert BivariateLaurentExpr([(1.0, 0, 0), (2.0, 1, 1), (0.5j, 0, 3)]).eval(0j, 0j) == 1
+    # the pole test runs before any term: z**-2 at z = 1e-200, which comes
+    # first and divides by an underflowed 0, is not reached
+    chi = BivariateLaurentExpr([(1.0, -2, 0), (1.0, 0, -1)])
+    with pytest.raises(DomainError):
+        chi.eval(1e-200, 0j)
+
+
+# a finite coefficient whose modulus |c| is beyond the float range
+HUGE = complex(1.5e308, 1.5e308)
+
+
+def _modulus_message(c):
+    return re.escape(f"coefficient {c!r} has a modulus beyond the float range")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LogLaurentExpr([(HUGE, 0, 0)]),
+        lambda: LogLaurentExpr([(1.0, 1, 0), (HUGE, 2, 1), (0.5, 3, 0)]),
+        lambda: LogLaurentExpr({(1, 0): 1e308, (2, 0): HUGE, (3, 0): 1e308}),  # the sum overflows
+        lambda: BivariateLaurentExpr([(HUGE, 0, 0)]),
+        lambda: BivariateLaurentExpr([(1.0, 1, 0), (HUGE, 1, -1)]),
+        lambda: expr((1.0, 0, 0))._plus_constant(HUGE),
+    ],
+    ids=["log", "log-among-others", "log-sum-overflows", "bivariate", "bivariate-among-others",
+         "plus-constant"],
+)
+def test_a_coefficient_whose_modulus_overflows_is_named(build):
+    with pytest.raises(ValueError, match=_modulus_message(HUGE)):
+        build()
+
+
+def test_a_scaled_coefficient_whose_modulus_overflows_is_named():
+    big = complex(1e308, 1e308)  # its modulus 1.41e308 is in range, 1.5 times it is not
+    scaled = big * complex(1.5)
+    for cls, key in ((LogLaurentExpr, (1, 0)), (BivariateLaurentExpr, (1, 1))):
+        x, y = cls({key: big, (2, 0): 1.0}), cls({(2, 0): 1.0, (3, 0): 2.0})
+        with pytest.raises(ValueError, match=_modulus_message(scaled)):
+            x._scaled_sum(1.5, y, 1.0)
+        with pytest.raises(ValueError, match=_modulus_message(scaled)):
+            y._scaled_sum(1.0, x, 1.5)

@@ -197,6 +197,17 @@ def test_field_overflow_is_exit_two(tmp_path, kind, k, m):
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
 
 
+def test_field_coefficient_whose_modulus_overflows_is_named(tmp_path, capsys):
+    # finite parts, but a modulus beyond the float range
+    terms = [{"re": 1.5e308, "im": 1.5e308, "k": 2}]
+    pair = {"part_z": terms, "part_zeta": [{"re": 0.5, "k": 2}]}
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"field": {"kind": "pair", "pair": pair}}))
+    assert main(["field", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: coefficient (1.5e+308+1.5e+308j) has a modulus beyond the float range\n"
+
+
 def test_field_requires_source(capsys):
     assert run_main(capsys, "field")[0] == 2
 

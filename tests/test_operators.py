@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from harmonia.harmonic import (
 )
 from harmonia.numerics import TrigPolynomial, fd_laplacian, fourier_neumann_oracle
 from harmonia.operators import (
+    ArcNeumannField,
     dirichlet_from_robin_pair,
     neumann_from_dirichlet_disk,
     neumann_from_dirichlet_pair,
@@ -59,6 +61,15 @@ def symmetric_pair(rng, n_terms=4, kmax=3, allow_log=True):
         for _ in range(n_terms)
     ]
     return HarmonicPair.symmetric(LogLaurentExpr(terms))
+
+
+def test_an_output_coefficient_whose_modulus_overflows_is_named():
+    # |c| = 1.41e308 is in range; the Robin-to-Neumann output holds (b/2) c = 1.5 c
+    big = complex(1e308, 1e308)
+    w = HarmonicPair.symmetric(LogLaurentExpr([(big, 2), (1.0, 1)]))
+    message = f"coefficient {big * complex(1.5)!r} has a modulus beyond the float range"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        neumann_from_robin_pair(w, RobinParams(1.0, 3.0))
 
 
 def test_builders_keep_the_mirror():
@@ -409,6 +420,26 @@ def test_arc_operator_near_the_pole():
     for y in (1e-8, 1e-9):
         with pytest.raises(BranchPointOnPathError):
             field.eval(_on_slice(-0.8, y))
+
+
+@pytest.mark.parametrize(
+    "smap",
+    [SchwarzMap.unit_circle(), SchwarzMap.circle(0.5 + 1j, 2.0), SchwarzMap.line(1.5 + 0.5j, 0.7)],
+    ids=["unit-circle", "circle", "line"],
+)
+@pytest.mark.parametrize("u", [SADDLE, two_part(SADDLE)], ids=["mirrored", "two-part"])
+def test_arc_field_at_its_base_point_runs_no_quadrature(no_quadrature, smap, u):
+    # both side integrals have zero length at the base point, and a length of
+    # an ulp next to it; |z0|, |zeta0| >= 1, so that a threshold
+    # 1e-13 (1 - |end|) would be 0 or less and never take the shortcut
+    field = ArcNeumannField(u, smap)
+    z0, zeta0 = field.z0, field.zeta0
+    assert abs(z0) >= 1.0 and abs(zeta0) >= 1.0
+    next_z = complex(math.nextafter(z0.real, math.inf), z0.imag)
+    next_zeta = complex(zeta0.real, math.nextafter(zeta0.imag, -math.inf))
+    for z, zeta in ((next_z, next_zeta), (z0, zeta0)):
+        assert field.eval(BiPoint(z, zeta)) == 0
+    assert field(BiPoint(z0, z0.conjugate())) == 0
 
 
 def test_arc_operator_validates_paths_and_base():

@@ -465,6 +465,27 @@ def test_schwarz_fixed_point_on_curve():
     assert abs(res.value - eval_pair(SADDLE, p)) < 1e-11
 
 
+@pytest.mark.parametrize(
+    "smap, z",
+    [
+        (UNIT, cmath.exp(0.3j)),
+        (SchwarzMap.circle(0.5 + 1j, 2.0), 0.5 + 1j + 2.0 * cmath.exp(0.5j)),
+        (SchwarzMap.line(1.5 + 0.5j, 0.7), 1.5 + 0.5j + 1.25 * cmath.exp(0.7j)),
+    ],
+    ids=["unit-circle", "circle", "line"],
+)
+def test_schwarz_on_the_curve_runs_no_quadrature(no_quadrature, smap, z):
+    # the reflected point is the point itself, so the correction is 0 and the
+    # value is the field's own; |z| >= 1, so that a threshold 1e-13 (1 - |z|)
+    # would be 0 or less and never take the shortcut
+    p = BiPoint(z, smap.value(z))
+    assert abs(z) >= 1.0 and abs(smap.inverse_value(p.zeta) - z) < 1e-15
+    phi = BivariateLaurentExpr([(1.0, 2, 0), (0.5, 0, 1)])
+    res = reflect_neumann_schwarz(SADDLE, phi, smap, p)
+    assert res.correction == 0j
+    assert res.value == eval_pair(SADDLE, p)
+
+
 def test_schwarz_segment_through_pole_rejected():
     # an off-slice point whose reflected source sits across the origin, so
     # the integration segment passes through the pole of the map
