@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import CutProximityError, DomainError
+from .records import BIVARIATE_TERM, TERM, read
 
 __all__ = [
     "DEFAULT_CUT_ANGLE",
@@ -51,9 +52,6 @@ __all__ = [
 DEFAULT_CUT_ANGLE = math.pi
 CUT_MARGIN = 1e-6
 COEFF_EPS = 1e-15
-# the largest log power a JSON term may carry: the primitive of a term of
-# log power m takes m steps, and its coefficients m!/j! overflow long before
-MAX_JSON_LOGPOW = 1024
 
 _TWO_PI = 2.0 * math.pi
 
@@ -102,31 +100,6 @@ def _modulus_overflow(c: complex) -> ValueError:
     """The error for a finite coefficient whose modulus exceeds the float
     range, where ``abs`` raises a bare ``OverflowError``."""
     return ValueError(f"coefficient {c!r} has a modulus beyond the float range")
-
-
-def check_json_keys(rec: dict, allowed: tuple, what: str) -> None:
-    """Reject a key of the JSON record ``rec`` outside ``allowed``; the
-    error names the key."""
-    for key in rec:
-        if key not in allowed:
-            raise ValueError(f"{what} takes no key {key!r}")
-
-
-def _json_exponent(key: str, value) -> int:
-    """The exponent ``key`` of a JSON term, which must be an integral number."""
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    ):
-        raise ValueError(f"exponent {key!r} must be an integer, got {value!r}")
-    return int(value)
-
-
-def json_number(key: str, value):
-    """The value ``key`` of a JSON record, which must be an int or a float,
-    not a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key!r} must be a number, got {value!r}")
-    return value
 
 
 TermsLike = Union[
@@ -539,17 +512,9 @@ class LogLaurentExpr(_SparseSum):
 
     @classmethod
     def from_json(cls, data: list, cut_angle: float = DEFAULT_CUT_ANGLE) -> "LogLaurentExpr":
-        terms = []
-        for rec in data:
-            check_json_keys(rec, ("re", "im", "k", "m"), "a term")
-            coeff = complex(json_number("re", rec["re"]), json_number("im", rec.get("im", 0.0)))
-            k, m = _json_exponent("k", rec["k"]), _json_exponent("m", rec.get("m", 0))
-            if not 0 <= m <= MAX_JSON_LOGPOW:
-                raise ValueError(
-                    f"log power 'm' must be in [0, {MAX_JSON_LOGPOW}], got {rec['m']!r}"
-                )
-            terms.append((coeff, k, m))
-        return cls(terms, cut_angle)
+        terms = read(data, [TERM])
+        return cls([(complex(t["re"], t.get("im", 0.0)), t["k"], t.get("m", 0)) for t in terms],
+                   cut_angle)
 
 
 class BivariateLaurentExpr(_SparseSum):
@@ -635,10 +600,5 @@ class BivariateLaurentExpr(_SparseSum):
 
     @classmethod
     def from_json(cls, data: list) -> "BivariateLaurentExpr":
-        terms = []
-        for rec in data:
-            check_json_keys(rec, ("re", "im", "kz", "kzeta"), "a bivariate term")
-            coeff = complex(json_number("re", rec["re"]), json_number("im", rec.get("im", 0.0)))
-            kz, kzeta = _json_exponent("kz", rec["kz"]), _json_exponent("kzeta", rec["kzeta"])
-            terms.append((coeff, kz, kzeta))
-        return cls(terms)
+        terms = read(data, [BIVARIATE_TERM])
+        return cls([(complex(t["re"], t.get("im", 0.0)), t["kz"], t["kzeta"]) for t in terms])

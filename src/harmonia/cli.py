@@ -12,11 +12,13 @@ Subcommands:
   reflected point and reports the residual.
 
 Exit codes: 0 success, 1 residual failures, 2 malformed input or input
-the library rejects, with one ``error:`` line.  ``--seed`` belongs to
-``verify`` and ``--tol`` to ``examples``, ``verify`` and ``reflect``;
-``--input`` and ``--example`` exclude each other.  The environment
-variable ``HARMONIA_CUT_ANGLE`` overrides the branch-cut direction used
-when parsing expressions.
+the library rejects, with one ``error:`` line; an input file is held to
+its shape in ``records``, and the line names the JSON path of its fault.
+``--seed`` belongs to ``verify`` and ``--tol`` to ``examples``, ``verify``
+and ``reflect``; ``--input`` and ``--example`` exclude each other, as do a
+``reflect --input`` point and ``--point``, and that file's ``params`` need
+``--formula robin``.  The environment variable ``HARMONIA_CUT_ANGLE``
+overrides the branch-cut direction used when parsing expressions.
 """
 
 from __future__ import annotations
@@ -33,12 +35,13 @@ from importlib import resources
 
 import numpy as np
 
-from .algebra import DEFAULT_CUT_ANGLE, BivariateLaurentExpr, check_json_keys, json_number
+from .algebra import DEFAULT_CUT_ANGLE, BivariateLaurentExpr
 from .errors import HarmoniaError
 from .geometry import BiPoint, SchwarzMap, reflect_bipoint
 from .harmonic import HarmonicPair, RobinParams, eval_pair, eval_real
 from .numerics import DEFAULT_SEED, run_verification_suite, worst_residual
 from .operators import neumann_from_dirichlet_pair, neumann_from_robin_pair
+from .records import EXAMPLES, FIELD_INPUT, REFLECT_INPUT, read
 from .reflection import (
     reflect_dirichlet_study,
     reflect_neumann_circle,
@@ -122,7 +125,7 @@ def _emit(text: str, output: str | None) -> None:
 
 def _load_fixture_examples() -> list:
     data = resources.files("harmonia").joinpath("fixtures/examples.json").read_text("utf-8")
-    return json.loads(data)["examples"]
+    return read(json.loads(data), EXAMPLES)["examples"]
 
 
 def _fixture(example_id: str) -> dict | None:
@@ -133,18 +136,12 @@ _OPERATOR_KINDS = ("dtn_pair", "rtn_pair")
 _REFLECT_KINDS = ("reflect_neumann", "reflect_robin")
 
 
-def _robin_params(rec: dict, prefix: str) -> RobinParams:
-    """The Robin coefficients ``a`` and ``b`` of a JSON record; ``prefix``
-    names the record in an error."""
-    return RobinParams(json_number(prefix + "a", rec["a"]), json_number(prefix + "b", rec["b"]))
-
-
 def _operator_output(rec: dict, cut: float) -> HarmonicPair:
     """The Neumann pair of a ``dtn_pair`` or ``rtn_pair`` record."""
     if rec["kind"] == "dtn_pair":
         return neumann_from_dirichlet_pair(HarmonicPair.from_json(rec["u"], cut))
     w = HarmonicPair.from_json(rec["w"], cut)
-    return neumann_from_robin_pair(w, _robin_params(rec, ""))
+    return neumann_from_robin_pair(w, RobinParams(rec["a"], rec["b"]))
 
 
 def _reflector(rec: dict, cut: float):
@@ -155,7 +152,7 @@ def _reflector(rec: dict, cut: float):
     data = BivariateLaurentExpr.from_json(rec["data"])
     if neumann:
         return solution, partial(reflect_neumann_circle, solution, data)
-    params = _robin_params(rec, "")
+    params = RobinParams(rec["a"], rec["b"])
     return solution, partial(reflect_robin_circle, solution, data, params)
 
 
@@ -282,13 +279,11 @@ def _field_evaluator(source: dict, cut: float):
         pair = HarmonicPair.from_json(source["pair"], cut)
     elif kind in _OPERATOR_KINDS:
         pair = _operator_output(source, cut)
-    elif kind in _REFLECT_KINDS:
+    else:
         _, reflect = _reflector(source, cut)
         # the continuation value at (r, theta) comes from the mirror source
         # point at radius 1/r
         return lambda r, th: reflect(BiPoint.from_polar(1.0 / r, th)).value.real
-    else:
-        raise ValueError(f"unknown field kind {kind!r}")
     return lambda r, th: eval_real(pair, r * math.cos(th), r * math.sin(th))
 
 
@@ -308,7 +303,7 @@ def cmd_field(args: argparse.Namespace, cut: float) -> int:
             raise ValueError(f"unknown example id {args.example!r}")
     elif args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
-            source = json.load(fh)["field"]
+            source = read(json.load(fh), FIELD_INPUT)["field"]
     else:
         raise ValueError("field requires --input or --example")
     evaluator = _field_evaluator(source, cut)
@@ -337,27 +332,6 @@ def cmd_field(args: argparse.Namespace, cut: float) -> int:
     return EXIT_OK
 
 
-def _input_point(rec: dict) -> BiPoint:
-    """The point of a ``reflect --input`` file, held to the ``--point`` rule."""
-    if "r" in rec:
-        check_json_keys(rec, ("r", "theta"), "a polar point")
-        values = (json_number("r", rec["r"]), json_number("theta", rec["theta"]))
-    else:
-        check_json_keys(rec, ("z", "zeta"), "a C^2 point")
-        z, zeta = rec["z"], rec["zeta"]
-        check_json_keys(z, ("re", "im"), "a point's z")
-        check_json_keys(zeta, ("re", "im"), "a point's zeta")
-        values = (
-            json_number("z.re", z["re"]), json_number("z.im", z.get("im", 0.0)),
-            json_number("zeta.re", zeta["re"]), json_number("zeta.im", zeta.get("im", 0.0)),
-        )
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"the point must be finite numbers, got {rec!r}")
-    if "r" in rec:
-        return BiPoint.from_polar(*values)
-    return BiPoint(complex(values[0], values[1]), complex(values[2], values[3]))
-
-
 def _parse_point(text: str) -> BiPoint:
     """The point of a ``--point r:theta`` option."""
     try:
@@ -381,7 +355,11 @@ def cmd_reflect(args: argparse.Namespace, cut: float) -> int:
             payload["params"] = {"a": row["a"], "b": row["b"]}
     elif args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            payload = read(json.load(fh), REFLECT_INPUT)
+        if p is not None and "point" in payload:
+            raise ValueError("point: given in the file and by --point; give one")
+        if args.formula != "robin" and "params" in payload:
+            raise ValueError(f"params: read only by --formula robin, not {args.formula}")
     else:
         raise ValueError("reflect requires --input or --example")
     solution = HarmonicPair.from_json(payload["solution"], cut)
@@ -393,8 +371,12 @@ def cmd_reflect(args: argparse.Namespace, cut: float) -> int:
             f"the {formula} formula holds only for the unit circle; "
             "use --formula schwarz to reflect across another map"
         )
-    if p is None and "point" in payload:
-        p = _input_point(payload["point"])
+    point = payload.get("point", {})  # polar or in C^2
+    if "r" in point:
+        p = BiPoint.from_polar(point["r"], point["theta"])
+    elif "z" in point:
+        z, zeta = point["z"], point["zeta"]
+        p = BiPoint(complex(z["re"], z.get("im", 0.0)), complex(zeta["re"], zeta.get("im", 0.0)))
     elif p is None:
         p = BiPoint.from_polar(0.8, 0.0)
     try:
@@ -403,8 +385,8 @@ def cmd_reflect(args: argparse.Namespace, cut: float) -> int:
         elif formula == "neumann":
             result = reflect_neumann_circle(solution, data, p)
         elif formula == "robin":
-            params = _robin_params(payload.get("params", {"a": 1.0, "b": 1.0}), "params.")
-            result = reflect_robin_circle(solution, data, params, p)
+            params = payload.get("params", {"a": 1.0, "b": 1.0})
+            result = reflect_robin_circle(solution, data, RobinParams(params["a"], params["b"]), p)
         else:
             result = reflect_neumann_schwarz(solution, data, smap, p)
         record = result.to_json()
@@ -509,14 +491,12 @@ def main(argv=None) -> int:
         if tol is not None and not 0 <= tol < math.inf:
             raise _OptionError(f"--tol must be a finite number >= 0, got {tol!r}")
         return args.run(args, _cut_angle_from_env())
-    except KeyError as exc:
-        message = f"{_source(args)}: missing key {exc}"
     except ArithmeticError as exc:
         # input whose arithmetic overflows or divides by zero is bad input
         message = f"{_source(args)}: {_error_text(exc)}"
     except (OSError, _OptionError) as exc:
         message = str(exc)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         # HarmoniaError is a ValueError: input the library rejects is bad input
         message = f"{args.input}: {exc}" if getattr(args, "input", None) else str(exc)
     print(f"error: {message}", file=sys.stderr)

@@ -30,8 +30,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .algebra import check_json_keys, json_number
 from .errors import BranchPointOnPathError, BranchSelectionError, PoleError
+from .records import MAP, read
 
 __all__ = [
     "BiPoint",
@@ -222,26 +222,16 @@ class SchwarzMap:
 
     @classmethod
     def from_json(cls, rec: dict) -> "SchwarzMap":
-        """Inverse of ``to_json``; a key outside the kind's fields, or inside
-        a ``center`` or ``point`` record outside ``re`` and ``im``, is
-        rejected.  The kind ``"unit_circle"`` reads as ``circle(0, 1)`` and
-        takes no other key."""
-        kind = rec["kind"]
+        """Inverse of ``to_json``, held to ``records.MAP``; the kind
+        ``"unit_circle"`` reads as ``circle(0, 1)``."""
+        kind = read(rec, MAP)["kind"]
         if kind == "unit_circle":
-            check_json_keys(rec, ("kind",), "a unit_circle Schwarz map")
             return cls.unit_circle()
-        if kind not in _KIND_FIELDS:
-            raise ValueError(f"unknown Schwarz map kind {kind!r}")
-        check_json_keys(rec, ("kind",) + _KIND_FIELDS[kind], f"a {kind} Schwarz map")
-        name = _KIND_FIELDS[kind][0]
-        c = rec.get(name, {"re": 0.0})
-        check_json_keys(c, ("re", "im"), f"a map {name}")
-        origin = complex(
-            json_number(f"{name}.re", c["re"]), json_number(f"{name}.im", c.get("im", 0.0))
-        )
+        c = rec.get(_KIND_FIELDS[kind][0], {"re": 0.0})
+        origin = complex(c["re"], c.get("im", 0.0))
         if kind == "circle":
-            return cls.circle(origin, json_number("radius", rec["radius"]))
-        return cls.line(origin, json_number("angle", rec.get("angle", 0.0)))
+            return cls.circle(origin, rec["radius"])
+        return cls.line(origin, rec.get("angle", 0.0))
 
 
 def reflect_bipoint(smap: SchwarzMap, p: BiPoint) -> BiPoint:
@@ -297,9 +287,6 @@ class PathSpec:
     def point(self, t: float) -> complex:
         """Path point at parameter t in [0, 1]."""
         return self.start + t * (self.end - self.start)
-
-    def samples(self, n: int) -> list:
-        return [self.point(i / (n - 1)) for i in range(n)]
 
 
 # -- square-root branches ------------------------------------------------------

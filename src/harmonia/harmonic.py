@@ -30,6 +30,7 @@ from functools import cached_property
 from .algebra import DEFAULT_CUT_ANGLE, LogLaurentExpr, branch_log
 from .errors import BranchSelectionError, DomainError, NonSymmetricPairError
 from .geometry import BiPoint, SchwarzMap
+from .records import PAIR, read
 
 __all__ = [
     "HarmonicPair",
@@ -102,6 +103,7 @@ class HarmonicPair:
 
     @classmethod
     def from_json(cls, rec: dict, cut_angle: float = DEFAULT_CUT_ANGLE) -> "HarmonicPair":
+        read(rec, PAIR)
         return cls(
             LogLaurentExpr.from_json(rec["part_z"], cut_angle),
             LogLaurentExpr.from_json(rec["part_zeta"], cut_angle),

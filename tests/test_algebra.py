@@ -7,7 +7,6 @@ import pytest
 
 from harmonia.algebra import (
     COEFF_EPS,
-    MAX_JSON_LOGPOW,
     BivariateLaurentExpr,
     LogLaurentExpr,
     _fold_angle,
@@ -15,6 +14,7 @@ from harmonia.algebra import (
     cut_distance,
 )
 from harmonia.errors import CutProximityError, DomainError
+from harmonia.records import MAX_JSON_LOGPOW
 
 
 def expr(*terms):

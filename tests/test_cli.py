@@ -330,33 +330,41 @@ def test_reflect_input_rejects_an_unknown_key_in_a_complex_record(where, tmp_pat
 
 _NOT_NUMBERS = {
     # each read as a number before: {"re": true, "k": 1} as 1*z, "radius": "2"
-    # as the radius-2 circle, "radius": true as the unit circle
-    "term_re_bool": ({"solution": {"part_z": [{"re": True, "k": 1}], "part_zeta": []}}, "re"),
-    "term_im_str": (
-        {"solution": {"part_z": [{"re": 0.5, "im": "0", "k": 1}], "part_zeta": []}}, "im"
+    # as the radius-2 circle, "radius": true as the unit circle; the error
+    # names the JSON path of the key
+    "term_re_bool": (
+        {"solution": {"part_z": [{"re": True, "k": 1}], "part_zeta": []}}, "solution.part_z[0].re"
     ),
-    "term_re_str": ({"solution": {"part_z": [{"re": "0.5", "k": 1}], "part_zeta": []}}, "re"),
-    "data_re": ({"data": [{"re": "1", "kz": 0, "kzeta": 0}]}, "re"),
-    "data_im": ({"data": [{"re": 1.0, "im": [0.0], "kz": 0, "kzeta": 0}]}, "im"),
-    "radius_str": ({"map": {"kind": "circle", "radius": "2"}}, "radius"),
-    "radius_bool": ({"map": {"kind": "circle", "radius": True}}, "radius"),
-    "center_re": ({"map": {"kind": "circle", "center": {"re": "0.5"}, "radius": 2.0}}, "center.re"),
-    "angle": ({"map": {"kind": "line", "angle": None}}, "angle"),
-    "point_im": ({"map": {"kind": "line", "point": {"re": 0.5, "im": True}}}, "point.im"),
-    "polar_r": ({"point": {"r": True, "theta": 0}}, "r"),
-    "polar_theta": ({"point": {"r": 0.8, "theta": "0"}}, "theta"),
-    "z_re": ({"point": {"z": {"re": "0.8"}, "zeta": {"re": 0.8}}}, "z.re"),
-    "zeta_im": ({"point": {"z": {"re": 0.8}, "zeta": {"re": 0.8, "im": False}}}, "zeta.im"),
+    "term_im_str": (
+        {"solution": {"part_z": [{"re": 0.5, "im": "0", "k": 1}], "part_zeta": []}},
+        "solution.part_z[0].im",
+    ),
+    "term_re_str": (
+        {"solution": {"part_z": [{"re": "0.5", "k": 1}], "part_zeta": []}}, "solution.part_z[0].re"
+    ),
+    "data_re": ({"data": [{"re": "1", "kz": 0, "kzeta": 0}]}, "data[0].re"),
+    "data_im": ({"data": [{"re": 1.0, "im": [0.0], "kz": 0, "kzeta": 0}]}, "data[0].im"),
+    "radius_str": ({"map": {"kind": "circle", "radius": "2"}}, "map.radius"),
+    "radius_bool": ({"map": {"kind": "circle", "radius": True}}, "map.radius"),
+    "center_re": (
+        {"map": {"kind": "circle", "center": {"re": "0.5"}, "radius": 2.0}}, "map.center.re"
+    ),
+    "angle": ({"map": {"kind": "line", "angle": None}}, "map.angle"),
+    "point_im": ({"map": {"kind": "line", "point": {"re": 0.5, "im": True}}}, "map.point.im"),
+    "polar_r": ({"point": {"r": True, "theta": 0}}, "point.r"),
+    "polar_theta": ({"point": {"r": 0.8, "theta": "0"}}, "point.theta"),
+    "z_re": ({"point": {"z": {"re": "0.8"}, "zeta": {"re": 0.8}}}, "point.z.re"),
+    "zeta_im": ({"point": {"z": {"re": 0.8}, "zeta": {"re": 0.8, "im": False}}}, "point.zeta.im"),
 }
 
 
 @pytest.mark.parametrize("where", sorted(_NOT_NUMBERS))
 def test_reflect_input_numbers_must_be_json_numbers(where, tmp_path, capsys):
-    change, key = _NOT_NUMBERS[where]
+    change, at = _NOT_NUMBERS[where]
     payload = {"solution": _REFLECT_SOLUTION, "map": {"kind": "circle", "radius": 1.0}, **change}
     path = _write(tmp_path, "not_a_number.json", payload)
     err = _bad_input(capsys, "reflect", "--formula", "schwarz", "--input", path)
-    assert f"{key!r} must be a number" in err
+    assert err.startswith(f"error: {path}: {at}: must be a number, got "), err
 
 
 _ROBIN_NOT_NUMBERS = {
@@ -374,12 +382,13 @@ def test_robin_coefficients_must_be_json_numbers(where, source, tmp_path, capsys
         payload = {"solution": _REFLECT_SOLUTION, "params": {"a": 1.0, "b": 1.0, **change}}
         path = _write(tmp_path, "params.json", payload)
         err = _bad_input(capsys, "reflect", "--formula", "robin", "--input", path)
-        key = "params." + key
+        at = "params." + key
     else:
         field = {**next(r for r in _FIXTURES if r["id"] == source), **change}
         path = _write(tmp_path, "field.json", {"field": field})
         err = _bad_input(capsys, "field", "--input", path)
-    assert f"{key!r} must be a number" in err
+        at = "field." + key
+    assert err.startswith(f"error: {path}: {at}: must be a number, got "), err
 
 
 _NON_FINITE_MAPS = {
@@ -396,15 +405,17 @@ def test_non_finite_map_field_is_rejected(field, call, tmp_path, capsys):
     # an infinite radius used to fail later, as "branch validation failed:
     # candidate nan+nanj", and a NaN centre gave S(z) = nan+nanj
     kind, origin, size = _NON_FINITE_MAPS[field]
-    message = f"Schwarz map {field} must be finite"
     if call == "library":
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"Schwarz map {field} must be finite"):
             getattr(SchwarzMap, kind)(origin, size)
         return
+    # JSON has no NaN or Infinity, so the reader rejects the number first
     names = ("center", "radius") if kind == "circle" else ("point", "angle")
     rec = {"kind": kind, names[0]: {"re": origin.real, "im": origin.imag}, names[1]: size}
     path = _write(tmp_path, "non_finite_map.json", {"solution": _REFLECT_SOLUTION, "map": rec})
-    assert message in _bad_input(capsys, "reflect", "--formula", "schwarz", "--input", path)
+    err = _bad_input(capsys, "reflect", "--formula", "schwarz", "--input", path)
+    at = {"center": "center.re", "point": "point.im"}.get(field, field)
+    assert err.startswith(f"error: {path}: map.{at}: must be a number, got "), err
 
 
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e300", "7.0", "two"])
@@ -738,7 +749,7 @@ def test_input_file_with_nan_coefficient_is_named(tmp_path, capsys):
     pair = {"part_z": [{"re": float("nan"), "k": 1}], "part_zeta": []}
     path = _write(tmp_path, "nan_coefficient.json", {"field": {"kind": "pair", "pair": pair}})
     err = _bad_input(capsys, "field", "--input", path)
-    assert err.startswith(f"error: {path}: non-finite coefficient"), err
+    assert err == f"error: {path}: field.pair.part_z[0].re: must be a number, got nan\n", err
 
 
 def test_examples_under_a_rotated_cut_name_the_row(monkeypatch, capsys):
@@ -747,3 +758,25 @@ def test_examples_under_a_rotated_cut_name_the_row(monkeypatch, capsys):
     err = _bad_input(capsys, "examples")
     assert any(err.startswith(f"error: example {row['id']!r}: ") for row in _FIXTURES), err
     assert "branch cut" in err
+
+
+def test_reflect_input_point_and_the_point_option_exclude_each_other(tmp_path, capsys):
+    # --point used to win and the file's point was dropped, with exit 0
+    payload = {"solution": _REFLECT_SOLUTION, "point": {"r": 0.8, "theta": 0.1}}
+    path = _write(tmp_path, "with_point.json", payload)
+    err = _bad_input(capsys, "reflect", "--input", path, "--point", "0.7:0.2")
+    assert err == f"error: {path}: point: given in the file and by --point; give one\n"
+    assert run_main(capsys, "reflect", "--input", path)[0] == 0
+
+
+@pytest.mark.parametrize("formula", ["dirichlet", "neumann", "schwarz"])
+def test_reflect_input_params_need_the_robin_formula(formula, tmp_path, capsys):
+    # every other formula used to drop the params, with exit 0
+    payload = {"solution": _REFLECT_SOLUTION, "params": {"a": 1.0, "b": 2.0}}
+    path = _write(tmp_path, "with_params.json", payload)
+    err = _bad_input(capsys, "reflect", "--formula", formula, "--input", path)
+    assert err == f"error: {path}: params: read only by --formula robin, not {formula}\n"
+    assert run_main(capsys, "reflect", "--formula", "robin", "--input", path)[0] == 0
+    # a Robin fixture row carries a and b, and any formula may reflect it
+    argv = ["--example", "robin-reflect-cos2", "--point", "0.7:0.2"]
+    assert run_main(capsys, "reflect", "--formula", formula, *argv)[0] == 0

@@ -10,12 +10,29 @@ the defining module reaches every check.
 import pytest
 
 import harmonia.operators
+from harmonia.harmonic import RobinParams
 from harmonia.numerics import run_verification_suite
 
 
 def _negate_dtn(monkeypatch):
     dtn = harmonia.operators.neumann_from_dirichlet_pair
     monkeypatch.setattr(harmonia.operators, "neumann_from_dirichlet_pair", lambda u: dtn(u) * -1.0)
+
+
+def _flip_rtn_a(monkeypatch):
+    rtn = harmonia.operators.neumann_from_robin_pair
+    monkeypatch.setattr(
+        harmonia.operators, "neumann_from_robin_pair", lambda w, p: rtn(w, RobinParams(-p.a, p.b))
+    )
+
+
+def _double_dfr_b(monkeypatch):
+    dfr = harmonia.operators.dirichlet_from_robin_pair
+    monkeypatch.setattr(
+        harmonia.operators,
+        "dirichlet_from_robin_pair",
+        lambda w, p: dfr(w, RobinParams(p.a, 2.0 * p.b)),
+    )
 
 
 FAULTS = [
@@ -31,6 +48,8 @@ FAULTS = [
             "arc_circle_reduction",
         },
     ),
+    ("rtn_a_sign_flip", _flip_rtn_a, {"boundary_recovery_robin", "robin_chain_constant_field"}),
+    ("dfr_b_doubled", _double_dfr_b, {"robin_chain_constant_field"}),
 ]
 
 

@@ -233,7 +233,7 @@ def _continued_reference(deriv, path, residual_of, target_of):
     by sign matching over 129 samples of the path, its sign
     fixed against the outward-normal target at the sample of least curve
     residual, and a query continued from its nearest sample."""
-    points = path.samples(129)
+    points = [path.point(i / 128) for i in range(129)]
     values = [cmath.sqrt(deriv(points[0]))]
     for p in points[1:]:
         w = cmath.sqrt(deriv(p))
@@ -329,7 +329,7 @@ def test_closed_form_branch_matches_the_continued_branch(smap):
             branch, want = build(smap, p), ref(p)
             (p0,) = branch.anchor_points
             assert carrier.on_curve_residual(p0) < 1e-12 * (1.0 + abs(p0)), (p, p0)
-            nodes = p.samples(33)
+            nodes = [p.point(i / 32) for i in range(33)]
             integrate_path(lambda tau: nodes.append(tau) or 0j, p)
             for tau in nodes:
                 assert abs(branch(tau) - want(tau)) <= 1e-13 * abs(want(tau)), (p, tau)
