@@ -512,7 +512,11 @@ class LogLaurentExpr(_SparseSum):
 
     @classmethod
     def from_json(cls, data: list, cut_angle: float = DEFAULT_CUT_ANGLE) -> "LogLaurentExpr":
-        terms = read(data, [TERM])
+        return cls._from_terms(read(data, [TERM]), cut_angle)
+
+    @classmethod
+    def _from_terms(cls, terms: list, cut_angle: float) -> "LogLaurentExpr":
+        """The expression of term records already held to ``records.TERM``."""
         return cls([(complex(t["re"], t.get("im", 0.0)), t["k"], t.get("m", 0)) for t in terms],
                    cut_angle)
 

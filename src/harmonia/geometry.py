@@ -58,8 +58,10 @@ class BiPoint:
         return cls(z, r * cmath.exp(-1j * theta))
 
 
-# the fields of each map kind, which are its JSON keys besides "kind"
-_KIND_FIELDS = {"circle": ("center", "radius"), "line": ("point", "angle")}
+# the fields of each map kind, which are its JSON keys besides "kind"; the
+# "unit_circle" alias reads as a circle and is no kind of its own
+_KIND_FIELDS = {kind: tuple(key.rstrip("?") for key in keys)
+                for kind, keys in MAP[1].items() if kind != "unit_circle"}
 
 
 @dataclass(frozen=True)

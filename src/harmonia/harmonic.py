@@ -105,8 +105,8 @@ class HarmonicPair:
     def from_json(cls, rec: dict, cut_angle: float = DEFAULT_CUT_ANGLE) -> "HarmonicPair":
         read(rec, PAIR)
         return cls(
-            LogLaurentExpr.from_json(rec["part_z"], cut_angle),
-            LogLaurentExpr.from_json(rec["part_zeta"], cut_angle),
+            LogLaurentExpr._from_terms(rec["part_z"], cut_angle),
+            LogLaurentExpr._from_terms(rec["part_zeta"], cut_angle),
         )
 
 

@@ -219,46 +219,6 @@ class TrigPolynomial:
             LogLaurentExpr(zterms, cut_angle), LogLaurentExpr(zeta_terms, cut_angle)
         )
 
-    def to_bivariate(self) -> BivariateLaurentExpr:
-        """Bivariate extension with trace equal to this data on the unit circle."""
-        terms = []
-        for n in range(len(self.cos)):
-            if n == 0:
-                terms.append((complex(self.cos[0]), 0, 0))
-                continue
-            half_a = 0.5 * self.cos[n]
-            half_b = self.sin[n] / 2j
-            terms.append((half_a + half_b, n, 0))
-            terms.append((half_a - half_b, 0, n))
-        return BivariateLaurentExpr(terms)
-
-    @classmethod
-    def from_bivariate_circle_trace(cls, phi: BivariateLaurentExpr) -> "TrigPolynomial":
-        """Fourier coefficients of phi restricted to the unit circle.
-
-        The circle trace must be real: a Fourier coefficient whose imaginary
-        part exceeds 1e-10 max(1, largest |coefficient|) is rejected.
-        """
-        lau = phi.restrict_to_circle()
-        powers = [t.power for t in lau.terms]
-        degree = max((abs(k) for k in powers), default=0)
-        cos = [0.0] * (degree + 1)
-        sin = [0.0] * (degree + 1)
-        bound = 1e-10 * max(1.0, max((abs(t.coeff) for t in lau.terms), default=0.0))
-        c0 = lau.coefficient(0)
-        if abs(c0.imag) > bound:
-            raise ValueError("circle trace is not real (mean has imaginary part)")
-        cos[0] = c0.real
-        for n in range(1, degree + 1):
-            cn, cmn = lau.coefficient(n), lau.coefficient(-n)
-            a_n = cn + cmn
-            b_n = 1j *(cn - cmn)
-            if abs(a_n.imag) > bound or abs(b_n.imag) > bound:
-                raise ValueError(f"circle trace is not real at harmonic {n}")
-            cos[n] = a_n.real
-            sin[n] = b_n.real
-        return cls(tuple(cos), tuple(sin))
-
 
 def fourier_neumann_oracle(phi: TrigPolynomial, r: float, theta: float) -> float:
     """Brute-force disk Neumann solution sum_n (r^n/n)(a_n cos + b_n sin).
@@ -640,15 +600,14 @@ def _check_disk_vs_pair(ctx):
 
     for _ in range(5):
         trig = _random_zero_mean_trig(ctx.rng, degree=6)
-        phi = trig.to_bivariate()
         pair_v = neumann_from_dirichlet_pair(trig.to_harmonic_pair())
         pin = eval_real(pair_v, 1.0, 0.0)
-        disk_pin = neumann_from_dirichlet_disk(phi, 1.0 + 0j)
+        disk_pin = neumann_from_dirichlet_disk(trig, 1.0 + 0j)
         for _ in range(10):
             r = float(ctx.rng.uniform(0.05, 1.0))
             th = float(ctx.rng.uniform(-2.5, 2.5))
             z = r * cmath.exp(1j * th)
-            lhs = neumann_from_dirichlet_disk(phi, z) - disk_pin
+            lhs = neumann_from_dirichlet_disk(trig, z) - disk_pin
             rhs = eval_real(pair_v, z.real, z.imag) - pin
             yield abs(lhs - rhs)
 

@@ -7,8 +7,9 @@ return new pairs or field evaluators:
 * Dirichlet -> Neumann, exact pair form: the solution with Neumann data
   equal to the Dirichlet trace of the input is obtained termwise from the
   primitive of u(tau)/tau along radial integrals to a base point.
-* Dirichlet -> Neumann, disk form: an independent second route composing
-  a radial quadrature with the Fourier disk solver.
+* Dirichlet -> Neumann, disk form: an independent second route from the
+  Fourier coefficients of the data (a ``TrigPolynomial``), composing a
+  radial quadrature with the Fourier disk solver.
 * Robin -> Neumann: the harmonic field whose outward normal derivative is
   half the Robin data of the input.
 * Dirichlet from Robin: the algebraic combination (a/2) w + (b r/2) dw/dr.
@@ -159,17 +160,16 @@ def solve_robin_analytic(
     return LogLaurentExpr._build(acc, f.cut_angle)
 
 
-def neumann_from_dirichlet_disk(phi, z: complex) -> float:
+def neumann_from_dirichlet_disk(trig: TrigPolynomial, z: complex) -> float:
     """Disk Neumann solution by radial quadrature of the Dirichlet solution.
 
-    ``phi`` is boundary data as a bivariate Laurent expression whose circle
-    trace must be real with zero mean (the solvability condition for disk
-    Neumann data); the Dirichlet solution is supplied by the Fourier
-    solver, and V(z) = integral over rho in [0,1] of U(rho z)/rho, so
-    V(0) = 0.  An independent second route to the fields produced by
+    ``trig`` is the boundary data as Fourier coefficients, which must have
+    zero mean (the solvability condition for disk Neumann data); the
+    Dirichlet solution is supplied by the Fourier solver, and V(z) =
+    integral over rho in [0,1] of U(rho z)/rho, so V(0) = 0.  An
+    independent second route to the fields produced by
     :func:`neumann_from_dirichlet_pair`.
     """
-    trig = TrigPolynomial.from_bivariate_circle_trace(phi)
     if abs(trig.mean) > 1e-10:
         raise NonzeroMeanError(
             f"boundary mean {trig.mean:.3g} must vanish for a disk Neumann problem"

@@ -17,7 +17,9 @@ data-dependent correction:
   w.part_z(z)/z and w.part_zeta(zeta)/zeta (the DtN parts of w) evaluated
   at both ends of the ray.  Both ends are taken on the branch of the ray,
   log z = log rho + i theta, so a ray next to the cut is rejected only for
-  a part of w that carries logs.
+  a part of w that carries logs.  The Neumann formula is this one at
+  (a, b) = (0, 1); both run one routine, which builds the self term, and
+  rejects rays next to the cut, only when a != 0.
 * Neumann data on a general Schwarz arc: the correction is a contour
   integral of phi(tau, S(tau)) sqrt(S'(tau)) evaluated by Gauss-Kronrod
   (7, 15) panels, 4 to start, with the closed-form square root of S'.
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 from .algebra import CUT_MARGIN, BivariateLaurentExpr, LogLaurentExpr, cut_distance
 from .errors import CutProximityError, DomainError, HarmoniaError
-from .geometry import BiPoint, PathSpec, SchwarzMap, sqrt_schwarz_derivative
+from .geometry import BiPoint, PathSpec, SchwarzMap, reflect_bipoint, sqrt_schwarz_derivative
 from .harmonic import HarmonicPair, RobinParams, eval_pair
 from .numerics import integrate_path
 
@@ -46,6 +48,8 @@ __all__ = [
 ]
 
 _SHADOW_TOL = 1e-9
+# Neumann data is Robin data with a = 0, b = 1
+_NEUMANN = RobinParams(0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -88,13 +92,12 @@ def reflect_dirichlet_study(
     Only the right-hand side of the four-point identity is evaluated;
     u is never sampled beyond the original side.
     """
-    zr = smap.inverse_value(p.zeta)
-    zetar = smap.value(p.z)
-    data = phi.eval(zr, p.zeta) + phi.eval(p.z, zetar)
+    q = reflect_bipoint(smap, p)
+    data = phi.eval(q.z, p.zeta) + phi.eval(p.z, q.zeta)
     value = data - eval_pair(u, p)
     return ReflectionResult(
         point=p,
-        reflected_point=BiPoint(zr, zetar),
+        reflected_point=q,
         value=value,
         correction=data,
         formula="dirichlet",
@@ -118,16 +121,6 @@ def _ray_change(prim: LogLaurentExpr, theta: float, r: float) -> complex:
     return prim.eval_on_ray(1.0 / r, theta) - prim.eval_on_ray(r, theta)
 
 
-def _data_correction(phi: BivariateLaurentExpr, theta: float, r: float, cut: float) -> complex:
-    """-int_{1/r}^{r} phi(rho e^{i theta}, e^{-i theta}/rho) / rho d rho, exactly.
-
-    The circle restriction of phi is log-free, so its primitive jumps across
-    the cut by a constant only, which the difference along one ray cancels:
-    no ray is rejected.
-    """
-    return _ray_change(phi.restrict_to_circle(cut).antiderivative_over_arg(), theta, r)
-
-
 def _check_ray(part: LogLaurentExpr, theta: float) -> None:
     """Reject a ray next to the cut of a part that carries logs, across which
     the part itself, and so its reflection, jumps."""
@@ -135,14 +128,6 @@ def _check_ray(part: LogLaurentExpr, theta: float) -> None:
         raise CutProximityError(
             f"ray angle {theta:.6g} is within {CUT_MARGIN:g} rad of the branch cut"
         )
-
-
-def _numeric_data_integral(phi: BivariateLaurentExpr, theta: float, r: float) -> complex:
-    if r == 1.0:
-        return 0j
-    ez = cmath.exp(1j * theta)
-    path = PathSpec.radial_ray(0.0, 1.0 / r, r)
-    return integrate_path(lambda t: phi.eval(t * ez, 1.0 / (t * ez)) / t, path)
 
 
 def reflect_neumann_circle(
@@ -154,29 +139,12 @@ def reflect_neumann_circle(
     """Continuation across the unit circle for Neumann data phi.
 
     v(e^{i theta}/r) = v(r e^{i theta}) - int_{1/r}^{r} phi(rho e^{i theta},
-    1/(rho e^{i theta})) / rho  d rho, with the integral computed exactly.
+    1/(rho e^{i theta})) / rho  d rho, with the integral computed exactly:
+    the Robin formula at (a, b) = (0, 1), which has no self term.
     ``verify_numeric`` re-computes the correction by adaptive quadrature
     and raises on disagreement.
     """
-    r, theta = _ray_coordinates(p)
-    correction = 0j if r == 1.0 else _data_correction(phi, theta, r, v.part_z.cut_angle)
-    if verify_numeric and r != 1.0:
-        shadow = -_numeric_data_integral(phi, theta, r)
-        if abs(shadow - correction) > _SHADOW_TOL * max(1.0, abs(correction)):
-            raise HarmoniaError(
-                f"exact correction {correction:.12g} disagrees with quadrature "
-                f"{shadow:.12g}"
-            )
-    ez = cmath.exp(1j * theta)
-    reflected = BiPoint(ez / r, 1.0 / (r * ez))
-    value = eval_pair(v, p) + correction
-    return ReflectionResult(
-        point=p,
-        reflected_point=reflected,
-        value=value,
-        correction=correction,
-        formula="neumann_circle",
-    )
+    return _reflect_circle(v, phi, _NEUMANN, p, verify_numeric, "neumann_circle")
 
 
 def reflect_robin_circle(
@@ -193,44 +161,66 @@ def reflect_robin_circle(
     With Q(rho) = P_z(rho e^{i theta}) + P_zeta(rho e^{-i theta}), where
     P_z and P_zeta are the memoized primitives of w.part_z(z)/z and
     w.part_zeta(zeta)/zeta, the self integral is Q(1/r) - Q(r); the data
-    term is the Neumann correction of phi_w over b.  A part of w that
-    carries logs may not be reflected along a ray within ``CUT_MARGIN`` of
-    its cut.  For a ``mirrored`` w at a point exactly on the real slice
-    the zeta-part's change is the conjugate of the z-part's and is not
-    computed.  ``correction`` reports the data term alone.
+    term is the Neumann correction of phi_w over b.  When a != 0, a part of
+    w that carries logs may not be reflected along a ray within
+    ``CUT_MARGIN`` of its cut; when a = 0 there is no self term, so no ray
+    is rejected.  ``correction`` reports the data term alone.
+    """
+    return _reflect_circle(w, phi_w, params, p, verify_numeric, "robin_circle")
+
+
+def _reflect_circle(
+    w: HarmonicPair,
+    phi: BivariateLaurentExpr,
+    params: RobinParams,
+    p: BiPoint,
+    verify_numeric: bool,
+    formula: str,
+) -> ReflectionResult:
+    """The Robin circle formula, with the self term computed only when a != 0.
+
+    For a ``mirrored`` w at a point exactly on the real slice the zeta-part's
+    change is the conjugate of the z-part's and is not computed.
     """
     r, theta = _ray_coordinates(p)
-    if r == 1.0:
-        self_term = 0j
-        data_term = 0j
-    else:
-        _check_ray(w.part_z, theta)
-        _check_ray(w.part_zeta, -theta)
-        change = _ray_change(w.part_z.antiderivative_over_arg(), theta, r)
-        # the self term reads only (r, theta), so the slice test guards no value:
-        # it keeps points off the slice on the two-part route, bit for bit
-        if w.mirrored and p.zeta == p.z.conjugate():
-            # P_zeta mirrors P_z, so its change along the conjugate ray is conj(change)
-            change = 2.0 * change.real
-        else:
-            change += _ray_change(w.part_zeta.antiderivative_over_arg(), -theta, r)
-        self_term = -(params.a / params.b) * change
-        data_term = _data_correction(phi_w, theta, r, w.part_z.cut_angle) / params.b
-    if verify_numeric and r != 1.0:
-        shadow = -_numeric_data_integral(phi_w, theta, r) / params.b
-        if abs(shadow - data_term) > _SHADOW_TOL * max(1.0, abs(data_term)):
-            raise HarmoniaError(
-                f"exact data term {data_term:.12g} disagrees with quadrature {shadow:.12g}"
-            )
     ez = cmath.exp(1j * theta)
+    self_term = data_term = 0j
+    if r != 1.0:
+        if params.a != 0:
+            _check_ray(w.part_z, theta)
+            _check_ray(w.part_zeta, -theta)
+            change = _ray_change(w.part_z.antiderivative_over_arg(), theta, r)
+            # the self term reads only (r, theta), so the slice test guards no value:
+            # it keeps points off the slice on the two-part route, bit for bit
+            if w.mirrored and p.zeta == p.z.conjugate():
+                # P_zeta mirrors P_z, so its change along the conjugate ray is conj(change)
+                change = 2.0 * change.real
+            else:
+                change += _ray_change(w.part_zeta.antiderivative_over_arg(), -theta, r)
+            self_term = -(params.a / params.b) * change
+        # -int_{1/r}^{r} phi(rho e^{i theta}, e^{-i theta}/rho) / rho d rho: the
+        # circle restriction of phi is log-free, so its primitive jumps across the
+        # cut by a constant only, which the difference along one ray cancels
+        prim = phi.restrict_to_circle(w.part_z.cut_angle).antiderivative_over_arg()
+        data_term = _ray_change(prim, theta, r) / params.b
+        if verify_numeric:
+            path = PathSpec.radial_ray(0.0, 1.0 / r, r)
+            numeric = integrate_path(lambda t: phi.eval(t * ez, 1.0 / (t * ez)) / t, path)
+            shadow = -numeric / params.b
+            if abs(shadow - data_term) > _SHADOW_TOL * max(1.0, abs(data_term)):
+                raise HarmoniaError(
+                    f"exact correction {data_term:.12g} disagrees with quadrature {shadow:.12g}"
+                )
     reflected = BiPoint(ez / r, 1.0 / (r * ez))
-    value = eval_pair(w, p) + self_term + data_term
+    value = eval_pair(w, p)
+    if params.a != 0:
+        value += self_term
     return ReflectionResult(
         point=p,
         reflected_point=reflected,
-        value=value,
+        value=value + data_term,
         correction=data_term,
-        formula="robin_circle",
+        formula=formula,
     )
 
 
@@ -245,13 +235,11 @@ def reflect_neumann_schwarz(
     checked against the outward normal where the segment meets the curve.
     Reduces to the exact circle formula when the map is the unit circle.
     """
-    zr = smap.inverse_value(p.zeta)
-    zetar = smap.value(p.z)
-    reflected = BiPoint(zr, zetar)
-    if phi.is_zero() or abs(zr - p.z) < 1e-13 * (1.0 + abs(p.z)):
+    reflected = reflect_bipoint(smap, p)
+    if phi.is_zero() or abs(reflected.z - p.z) < 1e-13 * (1.0 + abs(p.z)):
         correction = 0j
     else:
-        seg = PathSpec.segment(zr, p.z)
+        seg = PathSpec.segment(reflected.z, p.z)
         branch = sqrt_schwarz_derivative(smap, seg)
         correction = 1j * integrate_path(lambda t: phi.eval(t, smap.value(t)) * branch(t), seg)
     value = eval_pair(v, p) + correction

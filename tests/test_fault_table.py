@@ -3,13 +3,14 @@ the verification checks that must then fail.
 
 A row is ``(name, inject, must_fail)``: ``inject(monkeypatch)`` patches the
 fault in, and the full suite at its default seed must fail every check in
-``must_fail``.  The suite imports the operators at call time, so a patch on
-the defining module reaches every check.
+``must_fail``.  The suite imports the operators and the reflections at call
+time, so a patch on the defining module reaches every check.
 """
 
 import pytest
 
 import harmonia.operators
+import harmonia.reflection
 from harmonia.harmonic import RobinParams
 from harmonia.numerics import run_verification_suite
 
@@ -35,6 +36,42 @@ def _double_dfr_b(monkeypatch):
     )
 
 
+def _flip_robin_self_sign(monkeypatch):
+    rc = harmonia.reflection.reflect_robin_circle
+    monkeypatch.setattr(
+        harmonia.reflection,
+        "reflect_robin_circle",
+        lambda w, phi_w, p, q, verify_numeric=False: rc(
+            w, phi_w, RobinParams(-p.a, p.b), q, verify_numeric
+        ),
+    )
+
+
+def _double_robin_data(monkeypatch):
+    rc = harmonia.reflection.reflect_robin_circle
+    monkeypatch.setattr(
+        harmonia.reflection,
+        "reflect_robin_circle",
+        lambda w, phi_w, p, q, verify_numeric=False: rc(w, 2.0 * phi_w, p, q, verify_numeric),
+    )
+
+
+def _flip_schwarz_correction(monkeypatch):
+    # the correction is linear in phi, so -phi negates it exactly
+    rs = harmonia.reflection.reflect_neumann_schwarz
+    monkeypatch.setattr(
+        harmonia.reflection, "reflect_neumann_schwarz", lambda v, phi, smap, q: rs(v, -phi, smap, q)
+    )
+
+
+def _flip_dirichlet_study_sign(monkeypatch):
+    # data + u(p) in place of data - u(p)
+    rd = harmonia.reflection.reflect_dirichlet_study
+    monkeypatch.setattr(
+        harmonia.reflection, "reflect_dirichlet_study", lambda u, phi, smap, q: rd(-u, phi, smap, q)
+    )
+
+
 FAULTS = [
     (
         "dtn_sign_flip",
@@ -50,6 +87,14 @@ FAULTS = [
     ),
     ("rtn_a_sign_flip", _flip_rtn_a, {"boundary_recovery_robin", "robin_chain_constant_field"}),
     ("dfr_b_doubled", _double_dfr_b, {"robin_chain_constant_field"}),
+    ("robin_self_term_sign_flip", _flip_robin_self_sign, {"robin_reflection_pipeline"}),
+    ("robin_data_doubled", _double_robin_data, {"robin_reflection_pipeline"}),
+    ("schwarz_correction_sign_flip", _flip_schwarz_correction, {"arc_circle_reduction"}),
+    (
+        "dirichlet_study_sign_flip",
+        _flip_dirichlet_study_sign,
+        {"dirichlet_reflection_involution", "reflection_fixed_points"},
+    ),
 ]
 
 

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import harmonia.algebra
+import harmonia.harmonic
 from harmonia.algebra import LogLaurentExpr
 from harmonia.errors import DomainError, NonSymmetricPairError
 from harmonia.geometry import BiPoint, SchwarzMap
@@ -200,6 +202,20 @@ def test_pair_arithmetic_and_serialization():
     back = HarmonicPair.from_json(s.to_json())
     assert (back.part_z - s.part_z).is_zero()
     assert (back.part_zeta - s.part_zeta).is_zero()
+
+
+def test_pair_from_json_reads_its_record_once(monkeypatch):
+    reads = []
+    for module in (harmonia.algebra, harmonia.harmonic):
+        def counting(value, shape, read=module.read):
+            reads.append(shape)
+            return read(value, shape)
+
+        monkeypatch.setattr(module, "read", counting)
+    rec = (SADDLE + LOG_RADIAL).to_json()
+    back = HarmonicPair.from_json(rec, 2.0)
+    assert len(reads) == 1
+    assert back.to_json() == rec and back.part_zeta.cut_angle == 2.0
 
 
 # -- the mirrored route ----------------------------------------------------------

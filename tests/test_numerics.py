@@ -195,17 +195,12 @@ def test_fourier_oracle_rejects_nonzero_mean():
         fourier_neumann_oracle(TrigPolynomial((1.0, 1.0), (0.0,)), 0.5, 0.0)
 
 
-def test_trig_polynomial_round_trips():
+def test_trig_polynomial_pair_trace_is_the_boundary_data():
     trig = TrigPolynomial((0.0, 0.5, -0.25, 0.1), (0.0, -0.3, 0.7, 0.0))
-    phi = trig.to_bivariate()
-    back = TrigPolynomial.from_bivariate_circle_trace(phi)
-    assert np.allclose(back.cos, trig.cos) and np.allclose(back.sin, trig.sin)
-    # the bivariate trace and the pair trace agree with the boundary values
     pair = trig.to_harmonic_pair()
     for th in np.linspace(-3.0, 3.0, 7):
         z = cmath.exp(1j * th)
         expected = trig.dirichlet_value(1.0, float(th))
-        assert abs(phi.eval(z, z.conjugate()) - expected) < 1e-12
         assert abs(pair.part_z.eval(z) + pair.part_zeta.eval(z.conjugate()) - expected) < 1e-12
 
 
@@ -222,9 +217,6 @@ def test_suite_trace_extension_takes_log_free_pairs_only():
 def test_trig_polynomial_validation():
     with pytest.raises(ValueError):
         TrigPolynomial((0.0,), (1.0,))
-    mixed = BivariateLaurentExpr([(1j, 1, 0)])
-    with pytest.raises(ValueError):
-        TrigPolynomial.from_bivariate_circle_trace(mixed)
 
 
 def test_suite_full_pass_and_failures_listing():

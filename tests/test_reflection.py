@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from harmonia.algebra import BivariateLaurentExpr, LogLaurentExpr
-from harmonia.errors import CutProximityError, DomainError, PoleError
+from harmonia.errors import CutProximityError, DomainError, HarmoniaError, PoleError
 from harmonia.geometry import BiPoint, PathSpec, SchwarzMap, reflect_bipoint
 from harmonia.harmonic import HarmonicPair, RobinParams, eval_pair, field_scale
 from harmonia.numerics import integrate_path
@@ -412,6 +412,72 @@ def test_robin_self_term_on_a_cut_that_excludes_the_positive_axis():
 
         oracle = -integrate_path(integrand, PathSpec.radial_ray(0.0, r, 1.0))
         assert abs(res.value - eval_pair(w, p) - oracle) < 1e-10
+
+
+# -- Neumann is the Robin formula at (a, b) = (0, 1) ---------------------------------
+
+
+def _reflected(fn):
+    """fn()'s value, correction and reflected point, or the type and message
+    of what it raised."""
+    try:
+        res = fn()
+    except HarmoniaError as exc:
+        return type(exc), str(exc)
+    return res.value, res.correction, res.reflected_point
+
+
+def test_neumann_is_robin_at_zero_one_bit_for_bit():
+    rng = np.random.default_rng(230)
+    zero_one = RobinParams(0.0, 1.0)
+    # every seventh mirror ray, and one within the cut guard of pi
+    thetas = (*MIRROR_THETAS[::7], math.pi - 1e-7)
+    for _ in range(3):
+        f = seeded_expr(rng)
+        pairs = (
+            HarmonicPair.symmetric(f),
+            two_part(HarmonicPair.symmetric(f)),
+            HarmonicPair.symmetric(f.with_cut_angle(2.0)),
+            _random_log_pair(rng, 2.0),
+        )
+        data = _random_bivariate_data(rng)
+        for v in pairs:
+            for r in (0.6, 1.0, 1.7):
+                for th in thetas:
+                    z = r * cmath.exp(1j * th)
+                    # on the slice, and off it by less than the slice guard
+                    for p in (BiPoint(z, z.conjugate()), BiPoint(z, z.conjugate() * (1 + 1e-11))):
+                        neumann = _reflected(lambda: reflect_neumann_circle(v, data, p))
+                        robin = _reflected(lambda: reflect_robin_circle(v, data, zero_one, p))
+                        assert neumann == robin, (p, neumann, robin)
+            for th in thetas[:2]:
+                p = BiPoint.from_polar(0.6, th)
+                neumann = reflect_neumann_circle(v, data, p, verify_numeric=True)
+                robin = reflect_robin_circle(v, data, zero_one, p, verify_numeric=True)
+                assert _reflected(lambda: neumann) == _reflected(lambda: robin)
+                assert (neumann.formula, robin.formula) == ("neumann_circle", "robin_circle")
+
+
+def test_robin_with_a_zero_builds_no_primitive_of_w(monkeypatch):
+    built = []
+    primitive = LogLaurentExpr.antiderivative_over_arg
+
+    def counting(self):
+        built.append(self)
+        return primitive(self)
+
+    monkeypatch.setattr(LogLaurentExpr, "antiderivative_over_arg", counting)
+    w = HarmonicPair(
+        LogLaurentExpr([(0.5, 0, 1), (0.3, 2, 0)]), LogLaurentExpr([(0.2j, -1, 1), (0.5, 0, 1)])
+    )
+    phi = BivariateLaurentExpr.constant(1.0)
+    for p in (BiPoint.from_polar(0.8, 0.4), BiPoint.from_polar(1.6, -2.0)):
+        reflect_robin_circle(w, phi, RobinParams(0.0, 2.0), p)
+    assert built and not [e for e in built if e is w.part_z or e is w.part_zeta]
+    # so no ray of its own is rejected: next to the cut, eval_pair raises
+    p = BiPoint.from_polar(0.8, math.pi - 1e-7)
+    with pytest.raises(CutProximityError, match="point at angle"):
+        reflect_robin_circle(w, phi, RobinParams(0.0, 2.0), p)
 
 
 # -- Schwarz-arc Neumann --------------------------------------------------------------
