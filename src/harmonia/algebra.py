@@ -13,13 +13,19 @@ computed in one pass, without the product by z.  Bivariate
 expressions are plain Laurent sums ``c * z**kz * zeta**kzeta`` and carry
 boundary data extended holomorphically to two complex variables.
 
-Coefficients are binary64 complex.  Terms are merged on (power, logpow)
-and coefficients with ``|c| < COEFF_EPS`` are dropped during
-normalization, so identity tests can demand exact term equality.
+Coefficients are binary64 complex.  Exponents are integers; a float
+exponent is read only when its value is integral (JSON may write 2 as
+2.0), and anything else raises ``ValueError``, as does a term tuple of any
+length but (coeff, power[, logpow]) or (coeff, zpow, zetapow).  Terms are
+merged on (power, logpow) and coefficients with ``|c| < COEFF_EPS`` are
+dropped during normalization, so identity tests can demand exact term
+equality.
 
 Expressions are immutable, so what is derived from one expression again
 and again is kept on it: whether it carries logarithms, its derivative,
-its primitive, and (bivariate) its last restriction to the circle.
+its Euler derivative ``z_derivative``, its primitive, and (bivariate) its
+last restriction to the circle.  Being immutable, an expression is its own
+copy and deep copy, and it pickles as its terms and context.
 
 The logarithm is a principal-style branch with a configurable cut
 direction (default: the negative real axis, ``cut_angle = pi``).
@@ -33,6 +39,7 @@ import cmath
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from operator import index, itemgetter
 from typing import Union
 
 from .errors import CutProximityError, DomainError
@@ -87,11 +94,25 @@ class LogLaurentTerm:
     logpow: int = 0
 
 
+def _exponent(x) -> int:
+    """An exponent as an int: an integer, or a float with an integral value
+    (JSON may write 2 as 2.0)."""
+    if isinstance(x, float):
+        if x.is_integer():
+            return int(x)
+    else:
+        try:
+            return index(x)
+        except TypeError:
+            pass
+    raise ValueError(f"exponent {x!r} is not an integer")
+
+
 def _merge(items) -> dict:
     """Sum the coefficients of (exponent pair, coefficient) items per pair."""
     acc: dict = {}
     for (a, b), c in items:
-        key = (int(a), int(b))
+        key = (a if type(a) is int else _exponent(a), b if type(b) is int else _exponent(b))
         acc[key] = acc.get(key, 0j) + complex(c)
     return acc
 
@@ -163,6 +184,15 @@ class _SparseSum:
     def _context(self) -> tuple:
         """What == and hash compare besides the terms."""
         return ()
+
+    def __reduce__(self):
+        return self._build, (self._terms, *self._context())
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -245,8 +275,20 @@ class _SparseSum:
 def _log_term_item(t) -> tuple:
     if isinstance(t, LogLaurentTerm):
         return (t.power, t.logpow), t.coeff
-    c, k, *rest = t
-    return (k, rest[0] if rest else 0), c
+    if len(t) == 3:
+        c, k, m = t
+        return (k, m), c
+    if len(t) == 2:
+        c, k = t
+        return (k, 0), c
+    raise ValueError(f"term {t!r} is not (coeff, power) or (coeff, power, logpow)")
+
+
+def _bivariate_term_item(t) -> tuple:
+    if len(t) != 3:
+        raise ValueError(f"term {t!r} is not (coeff, zpow, zetapow)")
+    c, kz, kzeta = t
+    return (kz, kzeta), c
 
 
 class LogLaurentExpr(_SparseSum):
@@ -257,7 +299,7 @@ class LogLaurentExpr(_SparseSum):
     derived expressions.
     """
 
-    __slots__ = ("_cut_angle", "_has_log", "_derivative", "_primitive")
+    __slots__ = ("_cut_angle", "_has_log", "_derivative", "_z_derivative", "_primitive")
     _EXPONENTS = ("k", "m")
 
     def __init__(self, terms: TermsLike = (), cut_angle: float = DEFAULT_CUT_ANGLE):
@@ -271,8 +313,9 @@ class LogLaurentExpr(_SparseSum):
     def _setup(self, acc: dict, cut_angle: float) -> None:
         _SparseSum.__init__(self, acc)
         object.__setattr__(self, "_cut_angle", cut_angle)
-        object.__setattr__(self, "_has_log", any(m for _, m in self._terms))
+        object.__setattr__(self, "_has_log", any(map(itemgetter(1), self._terms)))
         object.__setattr__(self, "_derivative", None)
+        object.__setattr__(self, "_z_derivative", None)
         object.__setattr__(self, "_primitive", None)
 
     def _like(self, acc: dict) -> "LogLaurentExpr":
@@ -408,17 +451,20 @@ class LogLaurentExpr(_SparseSum):
         c z^k log^m -> c k z^k log^m + c m z^k log^(m-1).
 
         Equal term for term to ``monomial(1, 1) * differentiate()``; on a
-        holomorphic part it is r d/dr.
+        holomorphic part it is r d/dr.  Computed on the first call and
+        returned by later calls.
         """
-        acc: dict = {}
-        for (k, m), c in self._terms.items():
-            if k:
-                key = (k, m)
-                acc[key] = acc.get(key, 0j) + c * k
-            if m:
-                key = (k, m - 1)
-                acc[key] = acc.get(key, 0j) + c * m
-        return self._like(acc)
+        if self._z_derivative is None:
+            acc: dict = {}
+            for (k, m), c in self._terms.items():
+                if k:
+                    key = (k, m)
+                    acc[key] = acc.get(key, 0j) + c * k
+                if m:
+                    key = (k, m - 1)
+                    acc[key] = acc.get(key, 0j) + c * m
+            object.__setattr__(self, "_z_derivative", self._like(acc))
+        return self._z_derivative
 
     def antiderivative_over_arg(self) -> "LogLaurentExpr":
         """Exact primitive A with A'(z) = self(z)/z and integration constant 0.
@@ -528,7 +574,7 @@ class BivariateLaurentExpr(_SparseSum):
     _EXPONENTS = ("kz", "kzeta")
 
     def __init__(self, terms=()):
-        items = terms.items() if isinstance(terms, Mapping) else (((a, b), c) for c, a, b in terms)
+        items = terms.items() if isinstance(terms, Mapping) else map(_bivariate_term_item, terms)
         self._setup(_merge(items))
 
     def _setup(self, acc: dict) -> None:
@@ -604,5 +650,9 @@ class BivariateLaurentExpr(_SparseSum):
 
     @classmethod
     def from_json(cls, data: list) -> "BivariateLaurentExpr":
-        terms = read(data, [BIVARIATE_TERM])
+        return cls._from_terms(read(data, [BIVARIATE_TERM]))
+
+    @classmethod
+    def _from_terms(cls, terms: list) -> "BivariateLaurentExpr":
+        """The expression of term records already held to ``records.BIVARIATE_TERM``."""
         return cls([(complex(t["re"], t.get("im", 0.0)), t["kz"], t["kzeta"]) for t in terms])

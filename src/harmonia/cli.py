@@ -13,7 +13,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 residual failures, 2 malformed input or input
 the library rejects, with one ``error:`` line; an input file is held to
-its shape in ``records``, and the line names the JSON path of its fault.
+its shape in ``records`` once, and the line names the JSON path of its
+fault.
 ``--seed`` belongs to ``verify`` and ``--tol`` to ``examples``, ``verify``
 and ``reflect``; ``--input`` and ``--example`` exclude each other, as do a
 ``reflect --input`` point and ``--point``, and that file's ``params`` need
@@ -139,8 +140,8 @@ _REFLECT_KINDS = ("reflect_neumann", "reflect_robin")
 def _operator_output(rec: dict, cut: float) -> HarmonicPair:
     """The Neumann pair of a ``dtn_pair`` or ``rtn_pair`` record."""
     if rec["kind"] == "dtn_pair":
-        return neumann_from_dirichlet_pair(HarmonicPair.from_json(rec["u"], cut))
-    w = HarmonicPair.from_json(rec["w"], cut)
+        return neumann_from_dirichlet_pair(HarmonicPair._from_record(rec["u"], cut))
+    w = HarmonicPair._from_record(rec["w"], cut)
     return neumann_from_robin_pair(w, RobinParams(rec["a"], rec["b"]))
 
 
@@ -148,8 +149,8 @@ def _reflector(rec: dict, cut: float):
     """The solution of a ``reflect_neumann`` or ``reflect_robin`` record, and
     its reflection across the unit circle at a point."""
     neumann = rec["kind"] == "reflect_neumann"
-    solution = HarmonicPair.from_json(rec["v" if neumann else "w"], cut)
-    data = BivariateLaurentExpr.from_json(rec["data"])
+    solution = HarmonicPair._from_record(rec["v" if neumann else "w"], cut)
+    data = BivariateLaurentExpr._from_terms(rec["data"])
     if neumann:
         return solution, partial(reflect_neumann_circle, solution, data)
     params = RobinParams(rec["a"], rec["b"])
@@ -179,12 +180,12 @@ def _run_example_row(row: dict, cut: float, tol_override: float | None) -> dict:
     ratio = row.get("alt_coefficient_ratio")
     alt_residuals = []
     if kind in _OPERATOR_KINDS:
-        expected = HarmonicPair.from_json(row["expected_v"], cut)
+        expected = HarmonicPair._from_record(row["expected_v"], cut)
         computed = _operator_output(row, cut)
         residuals = list(_grid_residuals_mod_constant(computed, expected, _EXAMPLE_GRID))
     elif kind in _REFLECT_KINDS:
         solution, reflect = _reflector(row, cut)
-        expected = HarmonicPair.from_json(row["expected_correction"], cut)
+        expected = HarmonicPair._from_record(row["expected_correction"], cut)
         smap = SchwarzMap.unit_circle()
         residuals = []
         for r in _REFLECT_R:
@@ -276,7 +277,7 @@ def _field_evaluator(source: dict, cut: float):
     function of polar coordinates."""
     kind = source["kind"]
     if kind == "pair":
-        pair = HarmonicPair.from_json(source["pair"], cut)
+        pair = HarmonicPair._from_record(source["pair"], cut)
     elif kind in _OPERATOR_KINDS:
         pair = _operator_output(source, cut)
     else:
@@ -362,9 +363,9 @@ def cmd_reflect(args: argparse.Namespace, cut: float) -> int:
             raise ValueError(f"params: read only by --formula robin, not {args.formula}")
     else:
         raise ValueError("reflect requires --input or --example")
-    solution = HarmonicPair.from_json(payload["solution"], cut)
-    data = BivariateLaurentExpr.from_json(payload.get("data", []))
-    smap = SchwarzMap.from_json(payload["map"]) if "map" in payload else SchwarzMap.unit_circle()
+    solution = HarmonicPair._from_record(payload["solution"], cut)
+    data = BivariateLaurentExpr._from_terms(payload.get("data", []))
+    smap = SchwarzMap._from_record(payload["map"]) if "map" in payload else SchwarzMap.unit_circle()
     formula = args.formula
     if formula in ("neumann", "robin") and smap != SchwarzMap.unit_circle():
         raise ValueError(

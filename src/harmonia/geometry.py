@@ -226,7 +226,12 @@ class SchwarzMap:
     def from_json(cls, rec: dict) -> "SchwarzMap":
         """Inverse of ``to_json``, held to ``records.MAP``; the kind
         ``"unit_circle"`` reads as ``circle(0, 1)``."""
-        kind = read(rec, MAP)["kind"]
+        return cls._from_record(read(rec, MAP))
+
+    @classmethod
+    def _from_record(cls, rec: dict) -> "SchwarzMap":
+        """The map of a record already held to ``records.MAP``."""
+        kind = rec["kind"]
         if kind == "unit_circle":
             return cls.unit_circle()
         c = rec.get(_KIND_FIELDS[kind][0], {"re": 0.0})

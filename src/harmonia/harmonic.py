@@ -10,14 +10,16 @@ A pair records that symmetry in its derived ``mirrored`` flag: both parts
 take the cut at pi, and the zeta-part's terms equal the z-part's
 conjugated terms.  The cut must be pi because only on the window
 (-pi, pi] is log conj(z) = conj(log z).  ``HarmonicPair.symmetric`` sets
-the flag; any other pair compares its parts once, on first use.  At a
+the flag and builds the zeta-part (the conjugate mirror) only when it is
+first read; any other pair compares its parts once, on first use.  At a
 point exactly on the slice, a mirrored pair's zeta-part gives the
 conjugate of the z-part's value, so evaluation computes the z-part only
-(u = 2 Re u1(z)).  ``radial_derivative`` takes (r, theta), not a point: its
-zeta point is the conjugate ray by construction, so it computes the z-part
-only for every mirrored pair.  Every other pair and point takes the
-two-part sum, because intermediate pairs in C^2 are often deliberately
-non-symmetric.
+(u = 2 Re u1(z)), and ``eval_real`` always does.  ``radial_derivative``
+takes (r, theta), not a point: its zeta point is the conjugate ray by
+construction, so it computes the z-part only for every mirrored pair.
+Neither reads the zeta-part of a mirrored pair.  Every other pair and
+point takes the two-part sum, because intermediate pairs in C^2 are often
+deliberately non-symmetric.
 """
 
 from __future__ import annotations
@@ -76,10 +78,16 @@ class HarmonicPair:
 
     @classmethod
     def symmetric(cls, part_z: LogLaurentExpr) -> "HarmonicPair":
-        """Pair with the zeta-part mirroring the z-part; real on the real slice."""
-        pair = cls(part_z, part_z.conjugate_mirror())
+        """Pair with the zeta-part mirroring the z-part; real on the real slice.
+
+        The zeta-part, ``part_z.conjugate_mirror()``, is built when it is
+        first read and kept; ==, hash, repr and JSON read it.
+        """
+        pair = object.__new__(cls)
+        state = vars(pair)
+        state["part_z"] = part_z
         # the mirror holds by construction; only the cut is left to test
-        vars(pair)["mirrored"] = part_z.cut_angle == DEFAULT_CUT_ANGLE
+        state["mirrored"] = part_z.cut_angle == DEFAULT_CUT_ANGLE
         return pair
 
     def __add__(self, other: "HarmonicPair") -> "HarmonicPair":
@@ -103,11 +111,22 @@ class HarmonicPair:
 
     @classmethod
     def from_json(cls, rec: dict, cut_angle: float = DEFAULT_CUT_ANGLE) -> "HarmonicPair":
-        read(rec, PAIR)
+        return cls._from_record(read(rec, PAIR), cut_angle)
+
+    @classmethod
+    def _from_record(cls, rec: dict, cut_angle: float) -> "HarmonicPair":
+        """The pair of a record already held to ``records.PAIR``."""
         return cls(
             LogLaurentExpr._from_terms(rec["part_z"], cut_angle),
             LogLaurentExpr._from_terms(rec["part_zeta"], cut_angle),
         )
+
+
+# A pair from ``symmetric`` holds no part_zeta.  This non-data descriptor
+# builds it on the first read and keeps it on the pair; a part_zeta the pair
+# holds (after that read, or given to the constructor) is found first.
+HarmonicPair.part_zeta = cached_property(lambda pair: pair.part_z.conjugate_mirror())
+HarmonicPair.part_zeta.__set_name__(HarmonicPair, "part_zeta")
 
 
 @dataclass(frozen=True)
@@ -141,11 +160,14 @@ def eval_real(h: HarmonicPair, x: float, y: float) -> float:
 
     Raises when the imaginary residue exceeds the reality tolerance,
     which flags pairs that are not conjugate-symmetric.  A ``mirrored``
-    pair is real by construction: ``eval_pair`` gives it 2 Re u1(z).
+    pair is real by construction, so its value is 2 Re u1(z), as
+    ``eval_pair`` gives it, with no test.
     """
     z = complex(x, y)
     if z == 0:
         raise DomainError("real-slice evaluation at the origin")
+    if h.mirrored:
+        return 2.0 * h.part_z.eval(z).real
     value = eval_pair(h, BiPoint(z, z.conjugate()))
     if abs(value.imag) > _REALITY_TOL * max(1.0, abs(value)):
         raise NonSymmetricPairError(

@@ -62,7 +62,7 @@ def _partwise(u: HarmonicPair, build, pin: bool) -> HarmonicPair:
     ``build`` takes real coefficients only, so it commutes with the
     conjugate mirror.  A ``mirrored`` u then gives a mirrored result: only
     the z-part is built and pinned, with a real constant, and its symmetric
-    pair is returned.
+    pair is returned, whose zeta-part is built only if it is read.
     """
     part_z = build(u.part_z)
     if u.mirrored:

@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 import re
 
 import numpy as np
@@ -9,6 +11,7 @@ from harmonia.algebra import (
     COEFF_EPS,
     BivariateLaurentExpr,
     LogLaurentExpr,
+    LogLaurentTerm,
     _fold_angle,
     branch_log,
     cut_distance,
@@ -806,3 +809,92 @@ def test_a_scaled_coefficient_whose_modulus_overflows_is_named():
             x._scaled_sum(1.5, y, 1.0)
         with pytest.raises(ValueError, match=_modulus_message(scaled)):
             y._scaled_sum(1.0, x, 1.5)
+
+
+# -- term input, copies and the memoized Euler derivative --------------------
+
+
+@pytest.mark.parametrize("cls", [LogLaurentExpr, BivariateLaurentExpr])
+@pytest.mark.parametrize("term", [(1.0,), (1.0, 2, 0, 99), (1.0, 2, 0, 99, 7)])
+def test_a_term_tuple_of_another_length_is_named(cls, term):
+    with pytest.raises(ValueError, match=re.escape(f"term {term!r} is not (coeff, ")):
+        cls([term])
+
+
+def test_a_log_term_tuple_may_leave_out_its_log_power():
+    assert LogLaurentExpr([(1.0, 2)]) == LogLaurentExpr([(1.0, 2, 0)])
+    with pytest.raises(ValueError, match=re.escape("term (1.0, 2) is not (coeff, zpow")):
+        BivariateLaurentExpr([(1.0, 2)])
+
+
+_BAD_EXPONENTS = [2.7, -0.5, math.nan, math.inf, "2"]
+
+
+def _log_inputs(k, m):
+    return {
+        "tuple": [(1.0, k, m)],
+        "term": [LogLaurentTerm(1.0, k, m)],
+        "mapping": {(k, m): 1.0},
+    }
+
+
+@pytest.mark.parametrize("form", ["tuple", "term", "mapping"])
+@pytest.mark.parametrize("place", ["power", "logpow"])
+@pytest.mark.parametrize("bad", _BAD_EXPONENTS, ids=repr)
+def test_a_log_exponent_that_is_no_integer_is_named(form, place, bad):
+    k, m = (bad, 0) if place == "power" else (2, bad)
+    with pytest.raises(ValueError, match=re.escape(f"exponent {bad!r} is not an integer")):
+        LogLaurentExpr(_log_inputs(k, m)[form])
+
+
+@pytest.mark.parametrize("form", ["tuple", "mapping"])
+@pytest.mark.parametrize("place", ["zpow", "zetapow"])
+@pytest.mark.parametrize("bad", _BAD_EXPONENTS, ids=repr)
+def test_a_bivariate_exponent_that_is_no_integer_is_named(form, place, bad):
+    kz, kzeta = (bad, -1) if place == "zpow" else (2, bad)
+    terms = [(1.0, kz, kzeta)] if form == "tuple" else {(kz, kzeta): 1.0}
+    with pytest.raises(ValueError, match=re.escape(f"exponent {bad!r} is not an integer")):
+        BivariateLaurentExpr(terms)
+
+
+@pytest.mark.parametrize("form", ["tuple", "term", "mapping"])
+@pytest.mark.parametrize("two", [2.0, np.int64(2), np.float64(2.0), np.int8(2)], ids=repr)
+def test_an_exponent_equal_to_an_integer_is_that_integer(form, two):
+    e = LogLaurentExpr(_log_inputs(two, two)[form])
+    assert e == expr((1.0, 2, 2))
+    assert all(type(k) is int and type(m) is int for k, m in e._terms)
+    phi = BivariateLaurentExpr([(1.0, two, -two)] if form != "mapping" else {(two, -two): 1.0})
+    assert phi == BivariateLaurentExpr([(1.0, 2, -2)])
+
+
+@pytest.mark.parametrize(
+    "e",
+    [
+        LogLaurentExpr([(1.0 - 2j, 3, 2), (0.5, -1, 0)], 2.0),
+        LogLaurentExpr(),
+        BivariateLaurentExpr([(1.0 - 2j, 3, -2), (0.25j, 0, 1)]),
+    ],
+    ids=["log", "zero", "bivariate"],
+)
+def test_expressions_pickle_and_are_their_own_copies(e):
+    e.differentiate() if isinstance(e, LogLaurentExpr) else e.restrict_to_circle()
+    assert copy.copy(e) is e and copy.deepcopy(e) is e
+    back = pickle.loads(pickle.dumps(e))
+    assert type(back) is type(e) and back is not e
+    assert back == e and hash(back) == hash(e) and repr(back) == repr(e)
+    assert _hex_json(back) == _hex_json(e)
+    if isinstance(e, LogLaurentExpr):
+        assert back.cut_angle == e.cut_angle and back.has_log() == e.has_log()
+        assert back.differentiate() == e.differentiate()
+    with pytest.raises(AttributeError):
+        back._terms = {}
+
+
+def test_z_derivative_is_computed_once():
+    e = expr((1.0, 3, 2), (0.5j, -1, 0), (2.0, 0, 1))
+    d = e.z_derivative()
+    assert e.z_derivative() is d
+    assert d == expr((3.0, 3, 2), (2.0, 3, 1), (-0.5j, -1, 0), (2.0, 0, 0))
+    with pytest.raises(AttributeError):
+        e._z_derivative = None
+

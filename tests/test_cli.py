@@ -7,6 +7,11 @@ from importlib import resources
 
 import pytest
 
+import harmonia.algebra
+import harmonia.cli
+import harmonia.geometry
+import harmonia.harmonic
+from harmonia import records
 from harmonia.cli import main
 from harmonia.geometry import SchwarzMap
 
@@ -780,3 +785,41 @@ def test_reflect_input_params_need_the_robin_formula(formula, tmp_path, capsys):
     # a Robin fixture row carries a and b, and any formula may reflect it
     argv = ["--example", "robin-reflect-cos2", "--point", "0.7:0.2"]
     assert run_main(capsys, "reflect", "--formula", formula, *argv)[0] == 0
+
+
+def _count_reads(monkeypatch):
+    """The shapes passed to ``records.read`` through every module that binds it."""
+    shapes = []
+    for module in (harmonia.algebra, harmonia.geometry, harmonia.harmonic, harmonia.cli):
+        def counting(value, shape, read=module.read):
+            shapes.append(shape)
+            return read(value, shape)
+
+        monkeypatch.setattr(module, "read", counting)
+    return shapes
+
+
+def test_each_cli_input_is_read_once(tmp_path, capsys, monkeypatch):
+    shapes = _count_reads(monkeypatch)
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps({"field": {"kind": "rtn_pair", "a": 1, "b": 2.0, "w": {
+        "part_z": [{"re": 0.5, "k": 2}], "part_zeta": [{"re": 0.5, "k": 2, "m": 0}]}}}))
+    assert main(["field", "--input", str(field), "--grid", "0.5:1.5:2:0.0:1.0:2"]) == 0
+    assert shapes == [records.FIELD_INPUT]
+    shapes.clear()
+    reflect = tmp_path / "reflect.json"
+    reflect.write_text(json.dumps({
+        "solution": {"part_z": [{"re": 0.5, "k": 2}], "part_zeta": [{"re": 0.5, "k": 2}]},
+        "data": [{"re": 0.5, "kz": 2, "kzeta": 0}, {"re": 0.5, "kz": 0, "kzeta": 2}],
+        "map": {"kind": "circle", "center": {"re": 0.1}, "radius": 1.5},
+        "point": {"r": 0.8, "theta": 0.4},
+    }))
+    assert main(["reflect", "--formula", "schwarz", "--input", str(reflect)]) == 0
+    assert shapes == [records.REFLECT_INPUT]
+    for args in (["field", "--example", "rtn-log", "--grid", "0.5:1.5:2:0.0:1.0:2"],
+                 ["reflect", "--formula", "robin", "--example", "robin-reflect-cos2"],
+                 ["examples"]):
+        shapes.clear()
+        assert main(args) == 0
+        assert shapes == [records.EXAMPLES]
+    capsys.readouterr()

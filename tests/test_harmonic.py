@@ -1,13 +1,16 @@
 import cmath
+import copy
 import dataclasses
 import math
+import pickle
+import struct
 
 import numpy as np
 import pytest
 
 import harmonia.algebra
 import harmonia.harmonic
-from harmonia.algebra import LogLaurentExpr
+from harmonia.algebra import LogLaurentExpr, _SparseSum
 from harmonia.errors import DomainError, NonSymmetricPairError
 from harmonia.geometry import BiPoint, SchwarzMap
 from harmonia.harmonic import (
@@ -21,6 +24,12 @@ from harmonia.harmonic import (
     robin_trace_circle,
 )
 from harmonia.numerics import fd_laplacian
+from harmonia.operators import (
+    dirichlet_from_robin_pair,
+    neumann_from_dirichlet_pair,
+    neumann_from_robin_pair,
+    solve_robin_analytic,
+)
 from mirror_helpers import (
     MIRROR_RADII,
     MIRROR_THETAS,
@@ -329,3 +338,130 @@ def test_mirrored_route_evaluates_the_z_part_only(monkeypatch):
         evaluated.clear()
         call()
         assert len(evaluated) == n_parts
+
+
+# -- a symmetric pair's zeta-part, built on first read ------------------------------
+
+
+def _counting_constructions(monkeypatch):
+    """Lists that fill with each normalizing construction and each conjugate mirror."""
+    normalized, mirrors = [], []
+    normalize, mirror = _SparseSum.__init__, LogLaurentExpr.conjugate_mirror
+
+    def counting_init(self, acc):
+        normalized.append(self)
+        normalize(self, acc)
+
+    def counting_mirror(self):
+        mirrors.append(self)
+        return mirror(self)
+
+    monkeypatch.setattr(_SparseSum, "__init__", counting_init)
+    monkeypatch.setattr(LogLaurentExpr, "conjugate_mirror", counting_mirror)
+    return normalized, mirrors
+
+
+def test_an_exact_fresh_op_builds_no_mirror_and_twelve_expressions(monkeypatch):
+    normalized, mirrors = _counting_constructions(monkeypatch)
+    params = RobinParams(0.7, 1.3)
+    # one op of the exact-fresh shape: the input, the four operators and
+    # four boundary evaluations of each output
+    f = LogLaurentExpr([(0.3 - 0.2j, 2, 1), (1.1j, -1, 0), (0.5, 3, 2), (0.25, 0, 1)])
+    g = LogLaurentExpr([(0.4, 1, 0), (-0.2j, -2, 1)])
+    w = HarmonicPair.symmetric(f)
+    dtn = neumann_from_dirichlet_pair(w)
+    rtn = neumann_from_robin_pair(w, params)
+    dfr = dirichlet_from_robin_pair(w, params)
+    h = solve_robin_analytic(f, g, params)
+    for th in (0.3, -1.2, 2.0, 2.9):
+        radial_derivative(dtn, 1.0, th)
+        radial_derivative(rtn, 1.0, th)
+        eval_real(dfr, math.cos(th), math.sin(th))
+        h.eval(cmath.exp(1j * th))
+    # f, g, the primitive and the pinned DtN part, the RtN part and its pin,
+    # z f' (once, for DfR and the ODE) and the DfR part, z f' + g and h, and
+    # the derivatives of the DtN and RtN parts
+    assert len(normalized) == 12
+    assert mirrors == []
+    assert not any("part_zeta" in vars(pair) for pair in (w, dtn, rtn, dfr))
+
+
+def test_a_symmetric_pair_builds_its_zeta_part_on_first_read():
+    rng = np.random.default_rng(144)
+    for f in (seeded_expr(rng), seeded_expr(rng).with_cut_angle(2.0), LogLaurentExpr()):
+        eager = HarmonicPair(f, f.conjugate_mirror())
+        probes = (lambda h: h == eager, lambda h: eager == h, hash, repr, HarmonicPair.to_json)
+        for probe in probes:
+            lazy = HarmonicPair.symmetric(f)
+            assert "part_zeta" not in vars(lazy)
+            assert probe(lazy) == probe(eager)  # reads the zeta-part
+            assert "part_zeta" in vars(lazy)
+            assert probe(lazy) == probe(eager)
+        lazy = HarmonicPair.symmetric(f)
+        zeta = lazy.part_zeta
+        assert zeta == f.conjugate_mirror() and zeta.cut_angle == f.cut_angle
+        assert lazy.part_zeta is zeta and lazy.part_zeta is zeta
+        assert lazy.mirrored == eager.mirrored == (f.cut_angle == math.pi)
+        assert dataclasses.astuple(lazy) == (f, zeta)
+
+
+def test_a_pair_pickles_and_copies_before_its_zeta_part_is_read():
+    f = LogLaurentExpr([(0.3 - 0.2j, 2, 1), (1.1j, -1, 0)])
+    for copy_of in (lambda h: pickle.loads(pickle.dumps(h)), copy.deepcopy, copy.copy):
+        lazy = HarmonicPair.symmetric(f)
+        back = copy_of(lazy)
+        assert "part_zeta" not in vars(back) and back.mirrored
+        assert back.part_z == f
+        assert back == HarmonicPair(f, f.conjugate_mirror()) and back.part_zeta.cut_angle == math.pi
+        assert "part_zeta" not in vars(lazy)
+    two = HarmonicPair(f, f * 2.0)
+    assert pickle.loads(pickle.dumps(two)) == two and not copy.deepcopy(two).mirrored
+
+
+def _was_eval_real(h, x, y):
+    """eval_real before mirrored pairs skipped eval_pair: eval_pair at (z, conj z),
+    then the reality test."""
+    z = complex(x, y)
+    if z == 0:
+        raise DomainError("real-slice evaluation at the origin")
+    value = eval_pair(h, BiPoint(z, z.conjugate()))
+    if abs(value.imag) > 1e-11 * max(1.0, abs(value)):
+        raise NonSymmetricPairError(
+            f"imaginary residue {value.imag:.3g} at ({x}, {y}); pair is not conjugate-symmetric"
+        )
+    return value.real
+
+
+def _bits_or_error(fn):
+    """fn()'s float to the bit, or the type and message of what it raised."""
+    try:
+        return struct.pack("<d", fn())
+    except Exception as exc:  # noqa: BLE001 - any error must match
+        return type(exc), str(exc)
+
+
+def test_eval_real_of_a_mirrored_pair_is_what_eval_pair_gave():
+    rng = np.random.default_rng(145)
+    # z^-2 + 0.3 z log^2 z + 0.5 z^2 log z raises, overflows and returns nan
+    # at extreme points
+    pairs = [
+        HarmonicPair.symmetric(LogLaurentExpr([(1.0, -2, 0), (0.3, 1, 2), (0.5, 2, 1)])),
+        HarmonicPair.symmetric(LogLaurentExpr([(0.5 + 0.25j, 0, 0)])),
+        *(HarmonicPair.symmetric(seeded_expr(rng)) for _ in range(4)),
+    ]
+    extreme = [
+        (0.0, 0.0), (-0.0, 0.0), (-1.0, 1e-7), (-1.0, -1e-7), (-2.0, 0.0), (-2.0, -0.0),
+        (1e-300, math.nan), (math.nan, 0.0), (1e-300, 1e300), (1e-200, 0.0), (1e160, 1e300),
+        (1e300, 1e300), (1e-300, 0.0), (math.inf, 0.0), (1e-160, 0.0),
+    ]
+    points = extreme + [
+        (r * math.cos(th), r * math.sin(th)) for r in MIRROR_RADII for th in MIRROR_THETAS
+    ]
+    errors = 0
+    for h in pairs:
+        assert h.mirrored
+        for x, y in points:
+            got = _bits_or_error(lambda: eval_real(h, x, y))
+            assert got == _bits_or_error(lambda: _was_eval_real(h, x, y)), (h, x, y)
+            errors += isinstance(got, tuple)
+    assert errors > 6 * 3

@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -661,3 +663,14 @@ def test_other_arc_field_inputs_take_the_two_part_route_bit_for_bit():
     for p in points:
         off = BiPoint(p.z, abs(p.z) / cmath.exp(1j * cmath.phase(p.z)))
         assert outcome(lambda: field.eval(off)) == outcome(lambda: reference.eval(off))
+
+
+def test_a_reflection_result_pickles_and_copies():
+    u = HarmonicPair.symmetric(LogLaurentExpr([(0.5, 2, 0), (0.2, 1, 1)]))
+    v = neumann_from_dirichlet_pair(u)
+    phi = BivariateLaurentExpr([(1.0, 1, 0)])
+    result = reflect_neumann_circle(v, phi, BiPoint.from_polar(0.5, 0.3))
+    for back in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result), copy.copy(result)):
+        assert back == result and repr(back) == repr(result) and back.to_json() == result.to_json()
+    assert "part_zeta" not in vars(v)
+    assert pickle.loads(pickle.dumps(v)) == v
