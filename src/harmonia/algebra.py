@@ -7,9 +7,12 @@ Univariate expressions are finite sums
 with integer powers ``k`` and nonnegative integer log-powers ``m``.  This
 is the smallest class containing Laurent polynomials that is closed under
 d/dz and under primitives of e(z)/z, which is exactly the closure needed
-by the boundary-operator integrals in this package.  The Euler operator
-z d/dz (``z_derivative``), which is r d/dr on a holomorphic part, is
-computed in one pass, without the product by z.  Bivariate
+by the boundary-operator integrals in this package.  Two termwise loops
+carry the calculus.  One Euler pass gives both d/dz and the Euler operator
+z d/dz (``z_derivative``, r d/dr on a holomorphic part), the latter without
+the product by z.  One solver gives the particular solution h of
+a h + b z h' = e, which the Robin operators need, and the primitive of
+e(z)/z is that solve at (a, b) = (0, 1).  Bivariate
 expressions are plain Laurent sums ``c * z**kz * zeta**kzeta`` and carry
 boundary data extended holomorphically to two complex variables.
 
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 from operator import index, itemgetter
 from typing import Union
 
-from .errors import CutProximityError, DomainError
+from .errors import CutProximityError, DomainError, ResonanceError
 from .records import BIVARIATE_TERM, TERM, read
 
 __all__ = [
@@ -59,6 +62,7 @@ __all__ = [
 DEFAULT_CUT_ANGLE = math.pi
 CUT_MARGIN = 1e-6
 COEFF_EPS = 1e-15
+_NEAR_RESONANCE = 1e-12
 
 _TWO_PI = 2.0 * math.pi
 
@@ -367,9 +371,6 @@ class LogLaurentExpr(_SparseSum):
     def has_log(self) -> bool:
         return self._has_log
 
-    def coefficient(self, power: int, logpow: int = 0) -> complex:
-        return self._terms.get((power, logpow), 0j)
-
     # -- evaluation ------------------------------------------------------------
 
     def eval(self, z: complex) -> complex:
@@ -429,21 +430,30 @@ class LogLaurentExpr(_SparseSum):
 
     # -- calculus --------------------------------------------------------------
 
+    def _euler(self, shift: int) -> "LogLaurentExpr":
+        """z**shift times the Euler operator z d/dz, termwise in one pass:
+        c z^k log^m -> c k z^(k+shift) log^m + c m z^(k+shift) log^(m-1).
+
+        Shift -1 is d/dz and shift 0 is z d/dz.
+        """
+        acc: dict = {}
+        for (k, m), c in self._terms.items():
+            p = k + shift
+            if k:
+                key = (p, m)
+                acc[key] = acc.get(key, 0j) + c * k
+            if m:
+                key = (p, m - 1)
+                acc[key] = acc.get(key, 0j) + c * m
+        return self._like(acc)
+
     def differentiate(self) -> "LogLaurentExpr":
         """Termwise d/dz: c z^k log^m -> c k z^(k-1) log^m + c m z^(k-1) log^(m-1).
 
         Computed on the first call and returned by later calls.
         """
         if self._derivative is None:
-            acc: dict = {}
-            for (k, m), c in self._terms.items():
-                if k:
-                    key = (k - 1, m)
-                    acc[key] = acc.get(key, 0j) + c * k
-                if m:
-                    key = (k - 1, m - 1)
-                    acc[key] = acc.get(key, 0j) + c * m
-            object.__setattr__(self, "_derivative", self._like(acc))
+            object.__setattr__(self, "_derivative", self._euler(-1))
         return self._derivative
 
     def z_derivative(self) -> "LogLaurentExpr":
@@ -455,21 +465,47 @@ class LogLaurentExpr(_SparseSum):
         returned by later calls.
         """
         if self._z_derivative is None:
-            acc: dict = {}
-            for (k, m), c in self._terms.items():
-                if k:
-                    key = (k, m)
-                    acc[key] = acc.get(key, 0j) + c * k
-                if m:
-                    key = (k, m - 1)
-                    acc[key] = acc.get(key, 0j) + c * m
-            object.__setattr__(self, "_z_derivative", self._like(acc))
+            object.__setattr__(self, "_z_derivative", self._euler(0))
         return self._z_derivative
+
+    def _solve_euler(self, a: float, b: float) -> "LogLaurentExpr":
+        """The particular solution h of a h + b z h' = self, termwise.
+
+        A term c z^k log^m with s = a + b k != 0 is matched at the same power
+        by descending log powers: c/s at (k, m), then c <- -c (b m)/s and
+        m <- m - 1, down to m = 0.  A resonant term (s == 0) is matched by
+        raising the log power once, with coefficient c / (b (m+1)).  A power
+        with s nonzero but within ``_NEAR_RESONANCE`` of 0, relative to
+        max(1, |a|, |b k|), raises ``ResonanceError``.  Terms are read in the
+        expression's own order.  The homogeneous solution, a non-integer power
+        of z for general a/b, lies outside the algebra and is not added.
+        """
+        acc: dict = {}
+        for (k, m), c in self._terms.items():
+            s = a + b * k
+            if s == 0.0:
+                key = (k, m + 1)
+                acc[key] = acc.get(key, 0j) + c / (b * (m + 1))
+                continue
+            if abs(s) < _NEAR_RESONANCE * max(1.0, abs(a), abs(b * k)):
+                raise ResonanceError(
+                    f"a + b*k = {s:.3g} at power {k} is too close to resonance "
+                    "to solve stably"
+                )
+            while True:
+                key = (k, m)
+                acc[key] = acc.get(key, 0j) + c / s
+                if not m:
+                    break
+                c = -c * (b * m) / s
+                m -= 1
+        return self._like(acc)
 
     def antiderivative_over_arg(self) -> "LogLaurentExpr":
         """Exact primitive A with A'(z) = self(z)/z and integration constant 0.
 
-        The termwise rule for the integrand c z^(k-1) (log z)^m is
+        z A' = self is the Euler equation a A + b z A' = self at (a, b) =
+        (0, 1), so the termwise rule for the integrand c z^(k-1) (log z)^m is
 
             k == 0:  c (log z)^(m+1) / (m+1)
             k != 0:  c z^k (log z)^m / k  minus  (m/k) times the primitive
@@ -478,20 +514,7 @@ class LogLaurentExpr(_SparseSum):
         Computed on the first call and returned by later calls.
         """
         if self._primitive is None:
-            acc: dict = {}
-            for (k, m), c in self._terms.items():
-                if k == 0:
-                    key = (0, m + 1)
-                    acc[key] = acc.get(key, 0j) + c / (m + 1)
-                    continue
-                while True:
-                    key = (k, m)
-                    acc[key] = acc.get(key, 0j) + c / k
-                    if not m:
-                        break
-                    c = -c * m / k
-                    m -= 1
-            object.__setattr__(self, "_primitive", self._like(acc))
+            object.__setattr__(self, "_primitive", self._solve_euler(0.0, 1.0))
         return self._primitive
 
     def restrict_to_ray(self, theta: float) -> "LogLaurentExpr":

@@ -178,19 +178,13 @@ class SchwarzMap:
         """|S(z) - conj(z)|; zero exactly on the carrier curve."""
         return abs(self.value(z) - complex(z).conjugate())
 
-    def project_to_curve(self, z: complex) -> complex:
-        z = complex(z)
-        if self.kind == "circle":
-            w = z - self.center
-            if w == 0:
-                raise PoleError("cannot project the circle center")
-            return self.center + self.radius * w / abs(w)
-        t = ((z - self.point) * cmath.exp(-1j * self.angle)).real
-        return self.point + t * cmath.exp(1j * self.angle)
-
     def outward_normal(self, z: complex) -> complex:
-        """Unit normal at a point of the curve (outward for circles,
-        the left normal of the direction vector for lines)."""
+        """Unit normal at the point of the curve nearest z (outward for
+        circles, the left normal of the direction vector for lines).
+
+        It is the direction of g (z - P) + h: radial for a circle and
+        constant for a line, so z need not lie on the curve.
+        """
         P, _, _, _, g, h = self._form
         d = g * (complex(z) - P) + h
         if not d:
@@ -379,7 +373,7 @@ def _closed_form_branch(smap: SchwarzMap, a: complex, b: complex) -> SqrtBranch:
             "path never comes near the carrier curve; cannot validate the branch sign"
         )
     v0 = branch(p0)
-    target = 1j / smap.outward_normal(smap.project_to_curve(p0))
+    target = 1j / smap.outward_normal(p0)
     if not abs(v0 - target) < 0.5:
         raise BranchSelectionError(
             f"branch validation failed: candidate {v0:.6g} vs outward-normal target {target:.6g}"

@@ -221,8 +221,7 @@ def normal_derivative_schwarz(h: HarmonicPair, smap: SchwarzMap, z: complex) -> 
     z = complex(z)
     if smap.on_curve_residual(z) > 1e-8 * (1.0 + abs(z)):
         raise DomainError(f"{z} does not lie on the carrier curve")
-    zhat = smap.project_to_curve(z)
-    sqrt_sp = 1j / smap.outward_normal(zhat)
+    sqrt_sp = 1j / smap.outward_normal(z)
     sp = smap.derivative(z)
     if abs(sqrt_sp * sqrt_sp - sp) > 1e-8 * (1.0 + abs(sp)):
         raise BranchSelectionError(

@@ -151,18 +151,10 @@ def integrate_path(f: Callable[[complex], complex], path: PathSpec) -> complex:
 
 
 def fd_laplacian(field: Callable[[float, float], float], x: float, y: float, h: float) -> float:
-    """5-point finite-difference Laplacian (f(x+-h,y) + f(x,y+-h) - 4f)/h^2."""
+    """Fourth-order 9-point finite-difference Laplacian: per axis
+    (-f(+-2h) + 16 f(+-h) - 30 f) / (12 h^2), summed over both axes."""
     if not h > 0:
         raise ValueError("step h must be positive")
-    return (
-        field(x + h, y) + field(x - h, y) + field(x, y + h) + field(x, y - h)
-        - 4.0 * field(x, y)
-    ) / (h * h)
-
-
-def _fd_laplacian4(field: Callable[[float, float], float], x: float, y: float, h: float) -> float:
-    """Fourth-order 9-point Laplacian: per axis
-    (-f(+-2h) + 16 f(+-h) - 30 f) / (12 h^2), summed over both axes."""
     return (
         16.0 * (field(x + h, y) + field(x - h, y) + field(x, y + h) + field(x, y - h))
         - (field(x + 2 * h, y) + field(x - 2 * h, y) + field(x, y + 2 * h) + field(x, y - 2 * h))
@@ -440,7 +432,7 @@ def _check_reflect_involution(ctx):
     for smap in _suite_maps():
         for z in smap.curve_points(8):
             for offset in (0.2, -0.25, 0.1):
-                w = z + offset * smap.outward_normal(smap.project_to_curve(z))
+                w = z + offset * smap.outward_normal(z)
                 p = BiPoint(w, w.conjugate())
                 q = reflect_bipoint(smap, reflect_bipoint(smap, p))
                 yield abs(q.z - p.z) + abs(q.zeta - p.zeta)
@@ -452,7 +444,7 @@ def _check_real_slice_reflection(ctx):
     for smap in _suite_maps():
         for z in smap.curve_points(8):
             for offset in (0.2, -0.25):
-                w = z + offset * smap.outward_normal(smap.project_to_curve(z))
+                w = z + offset * smap.outward_normal(z)
                 q = reflect_bipoint(smap, BiPoint(w, w.conjugate()))
                 x, y = anti_conformal_reflect(smap, w.real, w.imag)
                 yield abs(q.z - complex(x, y))
@@ -474,7 +466,7 @@ def _check_fd_harmonicity(ctx):
     pairs.append(neumann_from_dirichlet_pair(pairs[0]))
     pairs.append(neumann_from_robin_pair(pairs[1], params))
     pairs.append(dirichlet_from_robin_pair(pairs[2], params))
-    # the 5-point stencil's O(h^2) truncation error alone reaches the
+    # a 5-point stencil's O(h^2) truncation error alone reaches the
     # tolerance for some seeded pairs; this one is O(h^4)
     h = 1e-3
     for pair in pairs:
@@ -482,7 +474,7 @@ def _check_fd_harmonicity(ctx):
         for r in np.linspace(0.75, 1.3, 5):
             for th in np.linspace(-2.0, 2.0, 5):
                 x, y = r * math.cos(th), r * math.sin(th)
-                yield abs(_fd_laplacian4(field, x, y, h)) / field_scale(pair, x, y)
+                yield abs(fd_laplacian(field, x, y, h)) / field_scale(pair, x, y)
 
 
 def _check_reality(ctx):

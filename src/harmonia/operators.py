@@ -13,7 +13,10 @@ return new pairs or field evaluators:
 * Robin -> Neumann: the harmonic field whose outward normal derivative is
   half the Robin data of the input.
 * Dirichlet from Robin: the algebraic combination (a/2) w + (b r/2) dw/dr.
-* A termwise solver for the first-order ODE a h + b z h' = z f' + g.
+* A particular solution of the first-order ODE a h + b z h' = z f' + g.
+  The algebra solves it termwise with the solver that also gives the
+  primitive of u(tau)/tau above: that primitive is the solve at
+  (a, b) = (0, 1).
 * The Schwarz-map generalization with contour quadrature and closed-form
   square-root branches.
 
@@ -29,11 +32,7 @@ import cmath
 import math
 
 from .algebra import LogLaurentExpr
-from .errors import (
-    DomainError,
-    NonzeroMeanError,
-    ResonanceError,
-)
+from .errors import DomainError, NonzeroMeanError
 from .geometry import (
     BiPoint,
     PathSpec,
@@ -117,47 +116,21 @@ def dirichlet_from_robin_pair(w: HarmonicPair, params: RobinParams) -> HarmonicP
     return _partwise(w, lambda part: part._scaled_sum(half_a, part.z_derivative(), half_b), False)
 
 
-_NEAR_RESONANCE = 1e-12
-
-
 def solve_robin_analytic(
     f: LogLaurentExpr, g: LogLaurentExpr, params: RobinParams
 ) -> LogLaurentExpr:
     """Particular solution h of a h(z) + b z h'(z) = z f'(z) + g(z).
 
-    Solved termwise: a right-hand term c z^k log^m with a + b k != 0 is
-    matched by a descending-log ansatz at the same power; a resonant term
-    (a + b k = 0) is matched by raising the log power once, with
-    coefficient c / (b (m+1)).  The homogeneous solution, a non-integer
-    power of z for general a/b, lies outside the log-Laurent algebra and
-    is deliberately not added.
-
-    The right-hand side z f' + g (``z_derivative`` of f plus g) is read in
-    (power, logpow) order from its terms dict, with no ``LogLaurentTerm``
-    objects; h is built from its accumulator without a second merge.
+    The right-hand side z f' + g (``z_derivative`` of f plus g) is solved
+    termwise by the algebra's Euler solver, the one whose solve at
+    (a, b) = (0, 1) is ``antiderivative_over_arg``.  A term c z^k log^m
+    with a + b k != 0 is matched by a descending-log ansatz at the same
+    power; a resonant term (a + b k = 0) by raising the log power once; a
+    power near resonance raises ``ResonanceError``.  The homogeneous
+    solution, a non-integer power of z for general a/b, lies outside the
+    log-Laurent algebra and is deliberately not added.
     """
-    rhs = f.z_derivative() + g
-    acc: dict = {}
-    for (k, m), c in sorted(rhs._terms.items()):
-        s = params.a + params.b * k
-        scale = max(1.0, abs(params.a), abs(params.b * k))
-        if s == 0.0:
-            key = (k, m + 1)
-            acc[key] = acc.get(key, 0j) + c / (params.b * (m + 1))
-            continue
-        if abs(s) < _NEAR_RESONANCE * scale:
-            raise ResonanceError(
-                f"a + b*k = {s:.3g} at power {k} is too close to resonance "
-                "to solve stably"
-            )
-        alpha = c / s
-        key = (k, m)
-        acc[key] = acc.get(key, 0j) + alpha
-        for j in range(m - 1, -1, -1):
-            alpha = -params.b * (j + 1) * alpha / s
-            key = (k, j)
-            acc[key] = acc.get(key, 0j) + alpha
-    return LogLaurentExpr._build(acc, f.cut_angle)
+    return (f.z_derivative() + g)._solve_euler(params.a, params.b)
 
 
 def neumann_from_dirichlet_disk(trig: TrigPolynomial, z: complex) -> float:

@@ -469,19 +469,18 @@ def _pinned_reference(u, build, pin):
 
 
 def _solve_robin_reference(f, g, params):
-    """solve_robin_analytic over the public terms of the expression z f' + g."""
+    """solve_robin_analytic restated: the Euler recurrence over the terms of
+    z f' + g, read in their order of summation."""
+    a, b = params.a, params.b
     acc = {}
-    for t in (_ZMUL * f.differentiate() + g).terms:
-        s = params.a + params.b * t.power
+    for (k, m), c in (_ZMUL * f.differentiate() + g)._terms.items():
+        s = a + b * k
         if s == 0.0:
-            key = (t.power, t.logpow + 1)
-            acc[key] = acc.get(key, 0j) + t.coeff / (params.b * (t.logpow + 1))
+            acc[k, m + 1] = acc.get((k, m + 1), 0j) + c / (b * (m + 1))
             continue
-        alpha = t.coeff / s
-        acc[t.power, t.logpow] = acc.get((t.power, t.logpow), 0j) + alpha
-        for j in range(t.logpow - 1, -1, -1):
-            alpha = -params.b * (j + 1) * alpha / s
-            acc[t.power, j] = acc.get((t.power, j), 0j) + alpha
+        for j in range(m, -1, -1):
+            acc[k, j] = acc.get((k, j), 0j) + c / s
+            c = -c * (b * j) / s
     return LogLaurentExpr(acc, f.cut_angle)
 
 
@@ -527,3 +526,18 @@ def test_builders_equal_the_formulas_they_replace():
         for rhs_g in (g, LogLaurentExpr.zero()):
             got = solve_robin_analytic(f, rhs_g, params)
             assert _bits(got) == _bits(_solve_robin_reference(f, rhs_g, params))
+
+
+def test_the_primitive_is_the_robin_solve_at_a_zero_b_one():
+    # z h' = g is a h + b z h' = z 0' + g at (a, b) = (0, 1): one solver
+    # gives both, to the bit and in the same term order
+    rng = np.random.default_rng(607)
+    neumann = RobinParams(0.0, 1.0)
+    for i in range(200):
+        g = seeded_expr(rng, int(rng.integers(1, 12)), max_logpow=4)
+        if not g.has_log():
+            g = g + LogLaurentExpr.monomial(0.5 - 0.25j, int(rng.integers(-6, 7)), 2)
+        if i % 2:
+            g = g.with_cut_angle(2.0)
+        got = solve_robin_analytic(LogLaurentExpr.zero(g.cut_angle), g, neumann)
+        assert _bits(got) == _bits(g.antiderivative_over_arg())
