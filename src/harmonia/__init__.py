@@ -14,6 +14,7 @@ from .algebra import (
 from .errors import (
     BranchPointOnPathError,
     BranchSelectionError,
+    CutMismatchError,
     CutProximityError,
     DomainError,
     HarmoniaError,

@@ -12,9 +12,13 @@ carry the calculus.  One Euler pass gives both d/dz and the Euler operator
 z d/dz (``z_derivative``, r d/dr on a holomorphic part), the latter without
 the product by z.  One solver gives the particular solution h of
 a h + b z h' = e, which the Robin operators need, and the primitive of
-e(z)/z is that solve at (a, b) = (0, 1).  Bivariate
-expressions are plain Laurent sums ``c * z**kz * zeta**kzeta`` and carry
-boundary data extended holomorphically to two complex variables.
+e(z)/z is that solve at (a, b) = (0, 1).  ``ray_change`` gives the change
+of an expression between the two ends e^{i theta}/r and r e^{i theta} of a
+ray in one pass over its terms.  Bivariate expressions are plain Laurent
+sums ``c * z**kz * zeta**kzeta`` and carry boundary data extended
+holomorphically to two complex variables; real data are ``mirrored``
+(conj(c) at (kzeta, kz) for every c at (kz, kzeta)), a flag derived on
+first read.
 
 Coefficients are binary64 complex.  Exponents are integers; a float
 exponent is read only when its value is integral (JSON may write 2 as
@@ -27,13 +31,17 @@ equality.
 Expressions are immutable, so what is derived from one expression again
 and again is kept on it: whether it carries logarithms, its derivative,
 its Euler derivative ``z_derivative``, its primitive, and (bivariate) its
-last restriction to the circle.  Being immutable, an expression is its own
-copy and deep copy, and it pickles as its terms and context.
+last restriction to the circle and its ``mirrored`` flag.  Being
+immutable, an expression is its own copy and deep copy, and it pickles as
+its terms and context.
 
 The logarithm is a principal-style branch with a configurable cut
 direction (default: the negative real axis, ``cut_angle = pi``).
 Evaluating an expression that actually contains logarithms rejects points
 within ``CUT_MARGIN`` radians of the cut instead of silently crossing it.
+The cut belongs to the expression, so sums and products of two expressions
+with different cuts raise ``CutMismatchError``; nothing converts between
+cuts on the fly.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from dataclasses import dataclass
 from operator import index, itemgetter
 from typing import Union
 
-from .errors import CutProximityError, DomainError, ResonanceError
+from .errors import CutMismatchError, CutProximityError, DomainError, ResonanceError
 from .records import BIVARIATE_TERM, TERM, read
 
 __all__ = [
@@ -140,7 +148,9 @@ class _SparseSum:
     Subclasses name the two exponents in ``_EXPONENTS`` (also their JSON
     keys), print them in ``_factors`` and rebuild an expression of their own
     kind from merged terms in ``_like``; ``_context`` adds what else == and
-    hash compare.  Arithmetic accepts only operands of the same class.
+    hash compare.  Arithmetic accepts only operands of the same class, and
+    ``_same_context`` rejects those it may not combine (for
+    ``LogLaurentExpr``, another cut).
 
     ``__init__`` here normalizes an accumulator that already holds int
     exponent pairs and complex coefficients: it rejects non-finite
@@ -217,9 +227,14 @@ class _SparseSum:
 
     # -- arithmetic ------------------------------------------------------------
 
+    def _same_context(self, other) -> None:
+        """Raise unless ``other`` may be combined with self; a subclass with a
+        context overrides this."""
+
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
+        self._same_context(other)
         acc = dict(self._terms)
         for key, c in other._terms.items():
             acc[key] = acc.get(key, 0j) + c
@@ -231,6 +246,7 @@ class _SparseSum:
         A scaled term below ``COEFF_EPS`` is left out of the sum, as the
         scaled expression would drop it.
         """
+        self._same_context(other)
         a, b = complex(a), complex(b)
         acc: dict = {}
         try:  # of these statements only abs raises OverflowError
@@ -254,6 +270,7 @@ class _SparseSum:
 
     def __mul__(self, other):
         if type(other) is type(self):
+            self._same_context(other)
             acc: dict = {}
             for (a1, b1), c1 in self._terms.items():
                 for (a2, b2), c2 in other._terms.items():
@@ -328,6 +345,15 @@ class LogLaurentExpr(_SparseSum):
     def _context(self) -> tuple:
         return (self._cut_angle,)
 
+    def _same_context(self, other) -> None:
+        """Raise ``CutMismatchError`` when the operands' cuts differ: a log term
+        summed onto another cut's expression would take the wrong branch."""
+        if other._cut_angle != self._cut_angle:
+            raise CutMismatchError(
+                f"operands have branch cuts at {self._cut_angle!r} and "
+                f"{other._cut_angle!r}; move one with with_cut_angle first"
+            )
+
     @staticmethod
     def _factors(k: int, m: int) -> str:
         s = f"*z^{k}" if k else ""
@@ -386,30 +412,50 @@ class LogLaurentExpr(_SparseSum):
             raise DomainError("expression is singular at z = 0")
         lg = None
         if self._has_log:
+            # cut_distance and _fold_angle, sharing phase - cut
             phase = cmath.phase(z)
-            if cut_distance(phase, self._cut_angle) < CUT_MARGIN:
+            off = phase - self._cut_angle
+            d = off % _TWO_PI
+            if min(d, _TWO_PI - d) < CUT_MARGIN:
                 raise CutProximityError(
                     f"point at angle {phase:.6g} is within {CUT_MARGIN:g} rad "
                     f"of the branch cut at {self._cut_angle:.6g}"
                 )
-            lg = complex(math.log(abs(z)), _fold_angle(phase, self._cut_angle))
+            lg = complex(math.log(abs(z)), phase - _TWO_PI * math.ceil(off / _TWO_PI))
         return self._sum(z, lg)
 
     __call__ = eval
 
-    def eval_on_ray(self, rho: float, theta: float) -> complex:
-        """The value of ``restrict_to_ray(theta)`` at ``rho > 0``, without building it.
+    def ray_change(self, theta: float, r: float) -> complex:
+        """self(e^{i theta}/r) - self(r e^{i theta}), both on the branch of the ray.
 
-        z = rho e^{i theta} and log z = log rho + i theta, with theta folded
-        into the branch window of the cut.  Unlike ``eval`` and
+        At rho = 1/r and rho = r, z = rho e^{i theta} and log z = log rho +
+        i theta, with theta folded into the branch window of the cut; both
+        ends are summed in one pass over the terms, each term's float
+        operations those of ``_sum`` at its end.  Unlike ``eval`` and
         ``restrict_to_ray`` it rejects no ray near the cut: a difference of
         values along one ray can be continuous across the cut when the values
         are not (the primitive of log-free data jumps by a constant there), so
         the caller guards what it must.
         """
         theta = _fold_angle(float(theta), self._cut_angle)
-        lg = complex(math.log(rho), theta) if self._has_log else None
-        return self._sum(rho * cmath.exp(1j * theta), lg)
+        ez = cmath.exp(1j * theta)
+        rho = 1.0 / r
+        z_out, z_in = rho * ez, r * ez
+        if self._has_log:
+            lg_out, lg_in = complex(math.log(rho), theta), complex(math.log(r), theta)
+        out = inner = 0j
+        for (k, m), c in self._terms.items():
+            c_out = c_in = c
+            if k:
+                c_out *= z_out**k
+                c_in *= z_in**k
+            if m:
+                c_out *= lg_out**m
+                c_in *= lg_in**m
+            out += c_out
+            inner += c_in
+        return out - inner
 
     def _sum(self, z: complex, lg: complex | None) -> complex:
         """The terms at z, given log z (None when the expression has no logs).
@@ -593,7 +639,7 @@ class LogLaurentExpr(_SparseSum):
 class BivariateLaurentExpr(_SparseSum):
     """A finite Laurent sum c * z**kz * zeta**kzeta in two complex variables."""
 
-    __slots__ = ("_circle",)
+    __slots__ = ("_circle", "_mirrored")
     _EXPONENTS = ("kz", "kzeta")
 
     def __init__(self, terms=()):
@@ -603,6 +649,24 @@ class BivariateLaurentExpr(_SparseSum):
     def _setup(self, acc: dict) -> None:
         _SparseSum.__init__(self, acc)
         object.__setattr__(self, "_circle", None)  # (cut angle, restriction)
+        object.__setattr__(self, "_mirrored", None)
+
+    @property
+    def mirrored(self) -> bool:
+        """Whether every term c at (kz, kzeta) has conj(c) at (kzeta, kz).
+
+        Then conj(self(z, zeta)) = self(conj(zeta), conj(z)), so on the real
+        slice the expression is real data and self(x, conj(y)) is the
+        conjugate of self(y, conj(x)).  Derived on the first read and kept:
+        ==, hash, repr and JSON do not see it.
+        """
+        if self._mirrored is None:
+            terms = self._terms
+            flag = all(
+                terms.get((kzeta, kz)) == c.conjugate() for (kz, kzeta), c in terms.items()
+            )
+            object.__setattr__(self, "_mirrored", flag)
+        return self._mirrored
 
     def _like(self, acc: dict) -> "BivariateLaurentExpr":
         return BivariateLaurentExpr._build(acc)

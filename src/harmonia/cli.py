@@ -11,10 +11,11 @@ Subcommands:
   result record; ``--check`` also evaluates the supplied solution at the
   reflected point and reports the residual.
 
-Exit codes: 0 success, 1 residual failures, 2 malformed input or input
-the library rejects, with one ``error:`` line; an input file is held to
-its shape in ``records`` once, and the line names the JSON path of its
-fault.
+Exit codes: 0 success, 1 residual failures (a ``verify`` check whose
+library call raises is one, and an ``error:`` line names it), 2 malformed
+input or input the library rejects, with one ``error:`` line; an input
+file is held to its shape in ``records`` once, and the line names the
+JSON path of its fault.
 ``--seed`` belongs to ``verify`` and ``--tol`` to ``examples``, ``verify``
 and ``reflect``; ``--input`` and ``--example`` exclude each other, as do a
 ``reflect --input`` point and ``--point``, and that file's ``params`` need
@@ -264,6 +265,9 @@ def cmd_verify(args: argparse.Namespace, cut: float) -> int:
     if args.targets:
         targets = tuple(t.strip() for t in args.targets.split(",") if t.strip())
     report = run_verification_suite(targets=targets, seed=args.seed)
+    for c in report.checks:
+        if c.error is not None:
+            print(f"error: check {c.name} raised {c.error}", file=sys.stderr)
     if args.tol is not None:
         checks = tuple(replace(c, tolerance=args.tol) for c in report.checks)
         report = replace(report, checks=checks)

@@ -8,6 +8,7 @@ __all__ = [
     "HarmoniaError",
     "DomainError",
     "CutProximityError",
+    "CutMismatchError",
     "PoleError",
     "NonSymmetricPairError",
     "BranchSelectionError",
@@ -28,6 +29,10 @@ class DomainError(HarmoniaError):
 
 class CutProximityError(DomainError):
     """Point or ray lies within ``algebra.CUT_MARGIN`` radians of the log cut."""
+
+
+class CutMismatchError(HarmoniaError):
+    """Arithmetic was asked of two expressions on different log branch cuts."""
 
 
 class PoleError(DomainError):

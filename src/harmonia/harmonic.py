@@ -17,7 +17,10 @@ conjugate of the z-part's value, so evaluation computes the z-part only
 (u = 2 Re u1(z)), and ``eval_real`` always does.  ``radial_derivative``
 takes (r, theta), not a point: its zeta point is the conjugate ray by
 construction, so it computes the z-part only for every mirrored pair.
-Neither reads the zeta-part of a mirrored pair.  Every other pair and
+``normal_derivative_schwarz`` takes a point of the curve, where
+S(z) = conj(z), so for a mirrored pair it is 2 Re(n u1'(z)) along the
+outward normal n, with no S' and no zeta point.  None of them reads the
+zeta-part of a mirrored pair.  Every other pair and
 point takes the two-part sum, because intermediate pairs in C^2 are often
 deliberately non-symmetric.
 """
@@ -217,10 +220,15 @@ def normal_derivative_schwarz(h: HarmonicPair, smap: SchwarzMap, z: complex) -> 
 
     Uses the Schwarz-function form (i / sqrt(S'(z))) (u1'(z) - u2'(zeta) S'(z))
     with zeta = S(z) and the square root fixed by i/sqrt(S') = outward normal.
+    A ``mirrored`` pair is 2 Re u1 on the curve, where S(z) = conj(z), so its
+    derivative along the outward normal n is 2 Re(n u1'(z)), with imaginary
+    part 0: only the z-part is evaluated, and neither S' nor S(z) is read.
     """
     z = complex(z)
     if smap.on_curve_residual(z) > 1e-8 * (1.0 + abs(z)):
         raise DomainError(f"{z} does not lie on the carrier curve")
+    if h.mirrored:
+        return complex(2.0 * (smap.outward_normal(z) * h.part_z.differentiate().eval(z)).real, 0.0)
     sqrt_sp = 1j / smap.outward_normal(z)
     sp = smap.derivative(z)
     if abs(sqrt_sp * sqrt_sp - sp) > 1e-8 * (1.0 + abs(sp)):

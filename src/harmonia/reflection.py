@@ -5,13 +5,17 @@ across the carrier curve through its values on one side plus a
 data-dependent correction:
 
 * Dirichlet data: the four-point identity on the complexified curve,
-  u(reflected) = phi(S~(zeta), zeta) + phi(z, S(z)) - u(z, zeta).
+  u(reflected) = phi(S~(zeta), zeta) + phi(z, S(z)) - u(z, zeta).  For
+  ``mirrored`` data (real data, conj phi(z, zeta) = phi(conj zeta, conj z))
+  at a real-slice point the two data values are conjugates, so one is
+  evaluated.
 * Neumann data on the unit circle: v(reflected) = v(p) minus the radial
   integral from 1/r to r of phi(rho e^{i theta}, e^{-i theta}/rho)/rho.  Its
   integrand is F'(rho e^{i theta}) e^{i theta} for the primitive F,
   F'(z) = phi(z, 1/z)/z, of the kind the DtN operator builds, so the
-  integral is F(r e^{i theta}) - F(e^{i theta}/r): two evaluations of one
-  memoized primitive, exact in the log-Laurent algebra.
+  integral is F(r e^{i theta}) - F(e^{i theta}/r): one ``ray_change`` pass
+  over the terms of one memoized primitive, exact in the log-Laurent
+  algebra.
 * Robin data on the unit circle: adds the self-referential radial
   integral of w, the same way: the primitives P_z and P_zeta of
   w.part_z(z)/z and w.part_zeta(zeta)/zeta (the DtN parts of w) evaluated
@@ -90,10 +94,16 @@ def reflect_dirichlet_study(
     """Continuation across the curve for a solution with Dirichlet data phi.
 
     Only the right-hand side of the four-point identity is evaluated;
-    u is never sampled beyond the original side.
+    u is never sampled beyond the original side.  For ``mirrored`` data phi,
+    with p and its reflection q both exactly on the real slice,
+    phi(p.z, q.zeta) is the conjugate of phi(q.z, p.zeta), so the data sum
+    is 2 Re phi(q.z, p.zeta), with imaginary part 0, from one evaluation.
     """
     q = reflect_bipoint(smap, p)
-    data = phi.eval(q.z, p.zeta) + phi.eval(p.z, q.zeta)
+    if phi.mirrored and p.zeta == p.z.conjugate() and q.zeta == q.z.conjugate():
+        data = complex(2.0 * phi.eval(q.z, p.zeta).real, 0.0)
+    else:
+        data = phi.eval(q.z, p.zeta) + phi.eval(p.z, q.zeta)
     value = data - eval_pair(u, p)
     return ReflectionResult(
         point=p,
@@ -114,11 +124,6 @@ def _ray_coordinates(p: BiPoint) -> tuple:
             "circle reflection expects a real-slice point (r e^{i theta}, r e^{-i theta})"
         )
     return r, theta
-
-
-def _ray_change(prim: LogLaurentExpr, theta: float, r: float) -> complex:
-    """prim(e^{i theta}/r) - prim(r e^{i theta}), both on the branch of the ray."""
-    return prim.eval_on_ray(1.0 / r, theta) - prim.eval_on_ray(r, theta)
 
 
 def _check_ray(part: LogLaurentExpr, theta: float) -> None:
@@ -189,20 +194,20 @@ def _reflect_circle(
         if params.a != 0:
             _check_ray(w.part_z, theta)
             _check_ray(w.part_zeta, -theta)
-            change = _ray_change(w.part_z.antiderivative_over_arg(), theta, r)
+            change = w.part_z.antiderivative_over_arg().ray_change(theta, r)
             # the self term reads only (r, theta), so the slice test guards no value:
             # it keeps points off the slice on the two-part route, bit for bit
             if w.mirrored and p.zeta == p.z.conjugate():
                 # P_zeta mirrors P_z, so its change along the conjugate ray is conj(change)
                 change = 2.0 * change.real
             else:
-                change += _ray_change(w.part_zeta.antiderivative_over_arg(), -theta, r)
+                change += w.part_zeta.antiderivative_over_arg().ray_change(-theta, r)
             self_term = -(params.a / params.b) * change
         # -int_{1/r}^{r} phi(rho e^{i theta}, e^{-i theta}/rho) / rho d rho: the
         # circle restriction of phi is log-free, so its primitive jumps across the
         # cut by a constant only, which the difference along one ray cancels
         prim = phi.restrict_to_circle(w.part_z.cut_angle).antiderivative_over_arg()
-        data_term = _ray_change(prim, theta, r) / params.b
+        data_term = prim.ray_change(theta, r) / params.b
         if verify_numeric:
             path = PathSpec.radial_ray(0.0, 1.0 / r, r)
             numeric = integrate_path(lambda t: phi.eval(t * ez, 1.0 / (t * ez)) / t, path)

@@ -19,7 +19,7 @@ from harmonia.algebra import (
     branch_log,
     cut_distance,
 )
-from harmonia.errors import CutProximityError, DomainError
+from harmonia.errors import CutMismatchError, CutProximityError, DomainError
 from harmonia.records import MAX_JSON_LOGPOW
 
 
@@ -193,7 +193,15 @@ def test_restrict_to_ray_cut_proximity():
     assert abs(got.eval(2.0 + 0j) - (-2.0)) < 1e-15
 
 
-def test_eval_on_ray_is_the_value_at_the_point():
+def _value_on_ray(e, rho, theta):
+    """e at rho e^{i theta} with log z = log rho + i theta, theta folded into
+    the branch window: the two ends of ``ray_change`` written out."""
+    folded = _fold_angle(float(theta), e.cut_angle)
+    z, lg = rho * cmath.exp(1j * folded), complex(math.log(rho), folded)
+    return _log_sum_reference(e, z, lg)
+
+
+def test_ray_change_is_the_difference_of_the_values_at_its_ends():
     rng = np.random.default_rng(14)
     for _ in range(60):
         e = _random_log_expr(rng)
@@ -201,25 +209,32 @@ def test_eval_on_ray_is_the_value_at_the_point():
         theta = float(rng.uniform(-9.0, 9.0))
         if e.has_log() and cut_distance(theta, e.cut_angle) < 1e-3:
             continue
-        for rho in (0.3, 1.0, 2.5):
-            got = e.eval_on_ray(rho, theta)
-            want = e.eval(rho * cmath.exp(1j * theta))
-            assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
-            ray = e.restrict_to_ray(theta).eval(complex(rho))
-            assert abs(got - ray) <= 1e-13 * max(1.0, abs(ray))
+        ez = cmath.exp(1j * theta)
+        ray = e.restrict_to_ray(theta)
+        for r in (0.3, 1.0, 2.5):
+            got = e.ray_change(theta, r)
+            # bit for bit the two evaluations along the ray it replaces
+            assert got == _value_on_ray(e, 1.0 / r, theta) - _value_on_ray(e, r, theta)
+            want = e.eval(ez / r) - e.eval(r * ez)
+            scale = max(1.0, abs(e.eval(ez / r)), abs(e.eval(r * ez)))
+            assert abs(got - want) <= 1e-13 * scale
+            along = ray.eval(complex(1.0 / r)) - ray.eval(complex(r))
+            assert abs(got - along) <= 1e-13 * scale
+        assert e.ray_change(theta, 1.0) == 0
 
 
-def test_eval_on_ray_rejects_no_ray():
+def test_ray_change_rejects_no_ray():
     # a primitive of log-free data carries a log; along one ray next to the
-    # cut its values are on one branch, so their difference is the integral
+    # cut, or on it, its values are on one branch, so their difference is
+    # the integral
     prim = expr((1.0, 0, 0), (0.2, 1, 0)).antiderivative_over_arg()
     assert prim.has_log()
-    theta = math.pi - 1e-9
-    with pytest.raises(CutProximityError):
-        prim.restrict_to_ray(theta)
-    diff = prim.eval_on_ray(2.0, theta) - prim.eval_on_ray(0.5, theta)
-    assert abs(diff - (math.log(4.0) + 0.2 * cmath.exp(1j * theta) * 1.5)) < 1e-14
-    assert prim.eval_on_ray(1.0, math.pi) == pytest.approx(1j * math.pi - 0.2)
+    for theta in (math.pi - 1e-9, math.pi):
+        with pytest.raises(CutProximityError):
+            prim.restrict_to_ray(theta)
+        diff = prim.ray_change(theta, 0.5)
+        assert abs(diff - (math.log(4.0) + 0.2 * cmath.exp(1j * theta) * 1.5)) < 1e-14
+        assert diff == _value_on_ray(prim, 2.0, theta) - _value_on_ray(prim, 0.5, theta)
 
 
 def test_invert_argument():
@@ -723,11 +738,11 @@ def test_log_sum_equals_the_loop_with_every_power():
                 continue
             want = _log_sum_reference(e, z, branch_log(z, cut))
             assert e.eval(z) == want and e(z) == want
-        for rho in (0.3, 1.0, 2.5):
+        for r in (0.3, 1.0, 2.5):
             theta = float(rng.uniform(-9.0, 9.0))
-            folded = _fold_angle(theta, cut)
-            z, lg = rho * cmath.exp(1j * folded), complex(math.log(rho), folded)
-            assert e.eval_on_ray(rho, theta) == _log_sum_reference(e, z, lg)
+            assert e.ray_change(theta, r) == _value_on_ray(e, 1.0 / r, theta) - _value_on_ray(
+                e, r, theta
+            )
         with pytest.raises(DomainError):
             e.eval(0j)
 
@@ -932,3 +947,104 @@ def test_only_the_algebra_reads_the_term_dict():
     )
     assert _term_dict_uses(control) == [1, 3]
     assert _term_dict_uses((package / "algebra.py").read_text())
+
+
+# -- mirrored bivariate data ----------------------------------------------------
+
+
+def test_bivariate_mirrored_flag():
+    phi = BivariateLaurentExpr([
+        (0.5 + 0.2j, 2, -1), (0.5 - 0.2j, -1, 2), (1.5, 1, 1), (0.25, 0, 0),
+        (-3j, 0, 3), (3j, 3, 0),
+    ])
+    assert phi.mirrored and BivariateLaurentExpr.zero().mirrored
+    # real data: conj phi(z, zeta) = phi(conj zeta, conj z)
+    z, zeta = 0.7 + 0.3j, 1.1 - 0.4j
+    assert abs(phi(z, zeta).conjugate() - phi(zeta.conjugate(), z.conjugate())) < 1e-14
+    not_mirrored = [
+        [(0.5 + 0.2j, 2, -1)],  # a term without its partner
+        [(0.5 + 0.2j, 2, -1), (0.5 + 0.2j, -1, 2)],  # a partner not conjugated
+        [(1.5, 1, 1), (0.25 + 1e-3j, 0, 0)],  # a diagonal term with an imaginary part
+        [(0.5 + 0.2j, 2, -1), (math.nextafter(0.5, 1.0) - 0.2j, -1, 2)],  # one ulp off
+    ]
+    for terms in not_mirrored:
+        assert not BivariateLaurentExpr(terms).mirrored
+    # derived: ==, hash, repr and JSON do not see it, and it survives pickling
+    fresh = BivariateLaurentExpr(phi.terms)
+    assert fresh._mirrored is None and phi._mirrored is True
+    assert fresh == phi and hash(fresh) == hash(phi) and repr(fresh) == repr(phi)
+    assert _hex_json(fresh) == _hex_json(phi)
+    for e in (phi, BivariateLaurentExpr(not_mirrored[0])):
+        back = pickle.loads(pickle.dumps(e))
+        assert back.mirrored == e.mirrored and copy.deepcopy(e).mirrored == e.mirrored
+    with pytest.raises(AttributeError):
+        phi._mirrored = False
+
+
+# -- arithmetic across branch cuts --------------------------------------------
+
+
+def test_arithmetic_across_cuts_raises_in_either_order():
+    from harmonia.harmonic import HarmonicPair, RobinParams
+    from harmonia.operators import solve_robin_analytic
+
+    # a sum once kept its left operand's cut, so at -1 + 0.5j the log of the
+    # other operand was taken on the wrong branch, off by 2 pi i
+    rotated, default = LogLaurentExpr([(1, 0, 1)], 2.0), LogLaurentExpr([(1, 0, 1)])
+    log_free = LogLaurentExpr([(1.0, 2, 0)], 2.0)
+    for x, y in ((rotated, default), (default, rotated), (log_free, default)):
+        for op in (
+            lambda: x + y, lambda: x - y, lambda: x * y, lambda: x._scaled_sum(2.0, y, 0.5),
+            lambda: HarmonicPair(x, x) + HarmonicPair(y, y),
+            lambda: HarmonicPair(x, x) - HarmonicPair(y, y),
+            lambda: solve_robin_analytic(x, y, RobinParams(0.5, 1.0)),
+        ):
+            with pytest.raises(CutMismatchError) as err:
+                op()
+            assert repr(x.cut_angle) in str(err.value) and repr(y.cut_angle) in str(err.value)
+    assert issubclass(CutMismatchError, harmonia.HarmoniaError)
+
+
+def _sum_reference(x, y):
+    acc = dict(x._terms)
+    for key, c in y._terms.items():
+        acc[key] = acc.get(key, 0j) + c
+    return acc
+
+
+def _product_reference(x, y):
+    acc = {}
+    for (a1, b1), c1 in x._terms.items():
+        for (a2, b2), c2 in y._terms.items():
+            key = (a1 + a2, b1 + b2)
+            acc[key] = acc.get(key, 0j) + c1 * c2
+    return acc
+
+
+def _scaled_sum_reference(x, a, y, b):
+    acc = {}
+    for key, c in x._terms.items():
+        if not abs(c * a) < COEFF_EPS:
+            acc[key] = c * a
+    for key, c in y._terms.items():
+        if not abs(c * b) < COEFF_EPS:
+            acc[key] = acc.get(key, 0j) + c * b
+    return acc
+
+
+def test_same_cut_arithmetic_is_unchanged_to_the_bit():
+    rng = np.random.default_rng(26)
+    for _ in range(300):
+        x = _random_log_expr(rng)
+        y = _random_log_expr(rng).with_cut_angle(x.cut_angle)
+        a, b = complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), float(rng.uniform(-2, 2))
+        cut = x.cut_angle
+        _same_to_the_bit(x + y, LogLaurentExpr._build(_sum_reference(x, y), cut))
+        _same_to_the_bit(x - y, LogLaurentExpr._build(_sum_reference(x, -y), cut))
+        _same_to_the_bit(x * y, LogLaurentExpr._build(_product_reference(x, y), cut))
+        _same_to_the_bit(
+            x._scaled_sum(a, y, b), LogLaurentExpr._build(_scaled_sum_reference(x, a, y, b), cut)
+        )
+        p, q = _random_bivariate(rng), _random_bivariate(rng)
+        _same_to_the_bit(p + q, BivariateLaurentExpr._build(_sum_reference(p, q)))
+        _same_to_the_bit(p * q, BivariateLaurentExpr._build(_product_reference(p, q)))

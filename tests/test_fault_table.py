@@ -11,6 +11,7 @@ import pytest
 
 import harmonia.operators
 import harmonia.reflection
+from harmonia.geometry import SchwarzMap
 from harmonia.harmonic import RobinParams
 from harmonia.numerics import run_verification_suite
 
@@ -72,6 +73,12 @@ def _flip_dirichlet_study_sign(monkeypatch):
     )
 
 
+def _double_schwarz_derivative(monkeypatch):
+    # only the two-part normal derivative reads S', and its branch check raises
+    derivative = SchwarzMap.derivative
+    monkeypatch.setattr(SchwarzMap, "derivative", lambda smap, z: 2.0 * derivative(smap, z))
+
+
 FAULTS = [
     (
         "dtn_sign_flip",
@@ -95,6 +102,7 @@ FAULTS = [
         _flip_dirichlet_study_sign,
         {"dirichlet_reflection_involution", "reflection_fixed_points"},
     ),
+    ("schwarz_derivative_doubled", _double_schwarz_derivative, {"normal_vs_radial_derivative"}),
 ]
 
 

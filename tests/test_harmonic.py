@@ -11,7 +11,7 @@ import pytest
 import harmonia.algebra
 import harmonia.harmonic
 from harmonia.algebra import LogLaurentExpr, _SparseSum
-from harmonia.errors import DomainError, NonSymmetricPairError
+from harmonia.errors import CutProximityError, DomainError, NonSymmetricPairError
 from harmonia.geometry import BiPoint, SchwarzMap
 from harmonia.harmonic import (
     HarmonicPair,
@@ -338,6 +338,74 @@ def test_mirrored_route_evaluates_the_z_part_only(monkeypatch):
         evaluated.clear()
         call()
         assert len(evaluated) == n_parts
+
+
+def two_part_normal(h, smap, z):
+    """normal_derivative_schwarz's two-part formula, written out."""
+    sqrt_sp = 1j / smap.outward_normal(z)
+    sp = smap.derivative(z)
+    d1 = h.part_z.differentiate().eval(z)
+    d2 = h.part_zeta.differentiate().eval(smap.value(z))
+    return (1j / sqrt_sp) * (d1 - d2 * sp)
+
+
+# the suite's maps: the unit circle, an off-centre circle and a line
+SUITE_MAPS = (SchwarzMap.unit_circle(), SchwarzMap.circle(0.3 - 0.2j, 1.7), SchwarzMap.line(0.5j, 0.3))
+
+
+def test_mirrored_normal_derivative_matches_the_two_part_formula():
+    rng = np.random.default_rng(148)
+    checked = 0
+    for smap in SUITE_MAPS:
+        for _ in range(3):
+            h = HarmonicPair.symmetric(seeded_expr(rng))
+            d = HarmonicPair(h.part_z.differentiate(), h.part_zeta.differentiate())
+            for z in smap.curve_points(72):
+                try:
+                    want = two_part_normal(h, smap, z)
+                except CutProximityError:  # next to the cut, both routes refuse
+                    with pytest.raises(CutProximityError):
+                        normal_derivative_schwarz(h, smap, z)
+                    continue
+                got = normal_derivative_schwarz(h, smap, z)
+                assert got.imag == 0.0
+                assert abs(got - want) <= 1e-12 * field_scale(d, z.real, z.imag), (smap, z)
+                checked += 1
+    assert checked > 600
+
+
+def test_other_pairs_keep_the_two_part_normal_derivative_bit_for_bit():
+    rng = np.random.default_rng(149)
+    for smap in SUITE_MAPS:
+        f = seeded_expr(rng)
+        sym = HarmonicPair.symmetric(f)
+        pairs = (one_ulp_off(sym), HarmonicPair.symmetric(f.with_cut_angle(2.0)), two_part(sym))
+        for h in pairs:
+            assert not h.mirrored
+            for z in smap.curve_points(72):
+                assert outcome(lambda: normal_derivative_schwarz(h, smap, z)) == outcome(
+                    lambda: two_part_normal(h, smap, z)
+                )
+
+
+def test_mirrored_normal_derivative_reads_no_zeta_part_and_no_s_prime(monkeypatch):
+    evaluated, read = [], []
+    original = LogLaurentExpr.eval
+
+    def eval_noting(expr, z, *args):
+        evaluated.append(expr)
+        return original(expr, z, *args)
+
+    def refuse(smap, z):
+        read.append(z)
+        raise AssertionError("S' read")
+
+    monkeypatch.setattr(LogLaurentExpr, "eval", eval_noting)
+    monkeypatch.setattr(SchwarzMap, "derivative", refuse)
+    h = HarmonicPair.symmetric(LogLaurentExpr([(0.3 - 0.2j, 2, 1), (1.1j, -1)]))
+    normal_derivative_schwarz(h, SchwarzMap.unit_circle(), cmath.exp(0.4j))
+    assert evaluated == [h.part_z.differentiate()] and read == []
+    assert "part_zeta" not in vars(h)
 
 
 # -- a symmetric pair's zeta-part, built on first read ------------------------------

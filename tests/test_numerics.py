@@ -320,3 +320,42 @@ _REPORT_SHAPE = {
 def test_report_shape_at_the_default_seed():
     shape = [(c.name, (c.samples, c.tolerance)) for c in run_verification_suite().checks]
     assert shape == list(_REPORT_SHAPE.items())
+
+
+def _double_the_schwarz_derivative(monkeypatch):
+    from harmonia.geometry import SchwarzMap
+
+    derivative = SchwarzMap.derivative
+    monkeypatch.setattr(SchwarzMap, "derivative", lambda smap, z: 2.0 * derivative(smap, z))
+
+
+def test_a_check_that_raises_is_recorded_and_the_suite_goes_on(monkeypatch):
+    _double_the_schwarz_derivative(monkeypatch)
+    report = run_verification_suite(targets=["harmonic"])
+    assert [c.name for c in report.checks] == [
+        "fd_harmonicity", "real_slice_reality", "normal_vs_radial_derivative",
+        "robin_trace_linearity",
+    ]
+    raised = report.checks[2]
+    assert raised.passed is False and math.isnan(raised.max_residual)
+    assert raised.error.startswith("BranchSelectionError: outward-normal square root")
+    assert raised.to_json()["error"] == raised.error
+    assert report.failures == (raised,)
+    # the checks after it ran, and a record without an error keeps its JSON keys
+    others = [c for c in report.checks if c is not raised]
+    assert all(c.samples > 0 and c.error is None and "error" not in c.to_json() for c in others)
+
+
+def test_verify_names_a_raising_check_on_stderr_and_exits_one(monkeypatch, capsys):
+    from harmonia.cli import main
+
+    _double_the_schwarz_derivative(monkeypatch)
+    assert main(["verify", "--targets", "harmonic", "--format", "table"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: check normal_vs_radial_derivative raised BranchSelectionError: "
+        "outward-normal square root is inconsistent with S' at this point\n"
+    )
+    rows = {ln.split()[0]: ln.split() for ln in captured.out.splitlines()[1:]}
+    assert rows["normal_vs_radial_derivative"][-2:] == ["1e-10", "FAIL"]
+    assert rows["robin_trace_linearity"][-1] == "PASS"

@@ -448,7 +448,9 @@ def test_arc_operator_validates_paths_and_base():
 
 # -- the one-pass builders against the formulas they replace -------------------
 
-_ZMUL = LogLaurentExpr.monomial(1.0, 1)
+def _zmul(e):
+    """z times e, as an expression product on e's cut."""
+    return LogLaurentExpr.monomial(1.0, 1, cut_angle=e.cut_angle) * e
 
 
 def _pinned_reference(u, build, pin):
@@ -473,7 +475,7 @@ def _solve_robin_reference(f, g, params):
     z f' + g, read in their order of summation."""
     a, b = params.a, params.b
     acc = {}
-    for (k, m), c in (_ZMUL * f.differentiate() + g)._terms.items():
+    for (k, m), c in (_zmul(f.differentiate()) + g)._terms.items():
         s = a + b * k
         if s == 0.0:
             acc[k, m + 1] = acc.get((k, m + 1), 0j) + c / (b * (m + 1))
@@ -520,7 +522,7 @@ def test_builders_equal_the_formulas_they_replace():
             _assert_same_pair(
                 dirichlet_from_robin_pair(u, params),
                 _pinned_reference(
-                    u, lambda p: p * half_a + (_ZMUL * p.differentiate()) * half_b, False
+                    u, lambda p: p * half_a + _zmul(p.differentiate()) * half_b, False
                 ),
             )
         for rhs_g in (g, LogLaurentExpr.zero()):

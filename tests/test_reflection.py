@@ -102,6 +102,72 @@ def test_dirichlet_involution():
         assert abs(res.value - eval_pair(u, p)) < 1e-11
 
 
+def _two_part_dirichlet(u, phi, smap, p):
+    """reflect_dirichlet_study's value with the two-part data sum, written out."""
+    q = reflect_bipoint(smap, p)
+    return phi.eval(q.z, p.zeta) + phi.eval(p.z, q.zeta) - eval_pair(u, p)
+
+
+def _data_scale(phi, p, q):
+    """Term magnitudes of phi at the two points where the data are evaluated."""
+    return sum(
+        abs(c) * abs(z) ** kz * abs(zeta) ** kzeta
+        for c, kz, kzeta in phi.terms
+        for z, zeta in ((q.z, p.zeta), (p.z, q.zeta))
+    )
+
+
+DIRICHLET_MAPS = (UNIT, SchwarzMap.circle(0.3 - 0.2j, 1.7), SchwarzMap.line(0.5j, 0.3))
+
+
+def test_mirrored_dirichlet_data_take_one_evaluation():
+    rng = np.random.default_rng(53)
+    for smap in DIRICHLET_MAPS:
+        for _ in range(3):
+            u = random_symmetric_laurent(rng)
+            phi = laurent_pair_trace(u)
+            assert phi.mirrored
+            for p in _slice_points():
+                q = reflect_bipoint(smap, p)
+                res = reflect_dirichlet_study(u, phi, smap, p)
+                data = phi.eval(q.z, p.zeta) + phi.eval(p.z, q.zeta)
+                assert res.correction.imag == 0.0
+                assert abs(res.correction - data) <= 1e-13 * _data_scale(phi, p, q), (smap, p)
+                assert res.value == res.correction - eval_pair(u, p)
+
+
+def test_other_dirichlet_data_and_points_keep_the_two_part_sum_bit_for_bit():
+    rng = np.random.default_rng(54)
+    for smap in DIRICHLET_MAPS:
+        u = random_symmetric_laurent(rng)
+        phi = laurent_pair_trace(u)
+        lopsided = phi + BivariateLaurentExpr([(0.3 + 0.1j, 2, -1)])  # no partner at (-1, 2)
+        assert not lopsided.mirrored
+        for p in list(_slice_points())[::3]:
+            off = BiPoint(p.z, 1.05 * p.zeta)
+            for data, x in ((phi, off), (lopsided, p), (lopsided, off)):
+                assert outcome(lambda: reflect_dirichlet_study(u, data, smap, x).value) == (
+                    outcome(lambda: _two_part_dirichlet(u, data, smap, x))
+                )
+
+
+def test_mirrored_dirichlet_data_are_evaluated_once(monkeypatch):
+    evaluated = []
+    original = BivariateLaurentExpr.eval
+
+    def eval_noting(phi, z, zeta):
+        evaluated.append((z, zeta))
+        return original(phi, z, zeta)
+
+    monkeypatch.setattr(BivariateLaurentExpr, "eval", eval_noting)
+    phi = laurent_pair_trace(SADDLE)
+    p = BiPoint.from_polar(0.8, 0.7)
+    for point, n_evals in ((p, 1), (BiPoint(p.z, 1.05 * p.zeta), 2)):
+        evaluated.clear()
+        reflect_dirichlet_study(SADDLE, phi, UNIT, point)
+        assert len(evaluated) == n_evals
+
+
 # -- Neumann on the circle ------------------------------------------------------
 
 
