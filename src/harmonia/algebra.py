@@ -158,7 +158,8 @@ class _SparseSum:
     below ``COEFF_EPS``.  It keeps the accumulator itself when nothing is
     dropped, so the caller must not change that dict afterwards.  The public constructors merge and coerce
     user input first; derived expressions come from ``_build``, which skips
-    that step.
+    that step.  ``LogLaurentExpr._plus_constant`` tests only the entry it
+    changes.
     Subclass slots other than ``_terms`` and the context are caches, which
     ==, hash, repr and JSON ignore.
     """
@@ -333,8 +334,12 @@ class LogLaurentExpr(_SparseSum):
 
     def _setup(self, acc: dict, cut_angle: float) -> None:
         _SparseSum.__init__(self, acc)
+        self._start(cut_angle, any(map(itemgetter(1), self._terms)))
+
+    def _start(self, cut_angle: float, has_log: bool) -> None:
+        """Set the cut, the log flag and empty caches once the terms are set."""
         object.__setattr__(self, "_cut_angle", cut_angle)
-        object.__setattr__(self, "_has_log", any(map(itemgetter(1), self._terms)))
+        object.__setattr__(self, "_has_log", has_log)
         object.__setattr__(self, "_derivative", None)
         object.__setattr__(self, "_z_derivative", None)
         object.__setattr__(self, "_primitive", None)
@@ -474,6 +479,23 @@ class LogLaurentExpr(_SparseSum):
             total += c
         return total
 
+    def _real_at_one(self) -> float:
+        """Re self(1) read from the coefficients, for a cut where log 1 = 0
+        (the cut at pi; not a cut at 0, where ``eval`` rejects z = 1).
+
+        There (1 + 0j)**k is exactly 1 + 0j, so in ``_sum`` a term with
+        m = 0 adds its coefficient's real part and one with m > 0 a zero;
+        a zero of either sign leaves the running sum from +0.0 as it is.
+        The real parts are summed in term order from 0.0 by plain float
+        addition (``sum`` compensates floats from Python 3.12), so the value
+        is ``self.eval(1).real`` bit for bit.
+        """
+        total = 0.0
+        for (_, m), c in self._terms.items():
+            if not m:
+                total += c.real
+        return total
+
     # -- calculus --------------------------------------------------------------
 
     def _euler(self, shift: int) -> "LogLaurentExpr":
@@ -483,14 +505,15 @@ class LogLaurentExpr(_SparseSum):
         Shift -1 is d/dz and shift 0 is z d/dz.
         """
         acc: dict = {}
+        get = acc.get
         for (k, m), c in self._terms.items():
             p = k + shift
             if k:
                 key = (p, m)
-                acc[key] = acc.get(key, 0j) + c * k
+                acc[key] = get(key, 0j) + c * k
             if m:
                 key = (p, m - 1)
-                acc[key] = acc.get(key, 0j) + c * m
+                acc[key] = get(key, 0j) + c * m
         return self._like(acc)
 
     def differentiate(self) -> "LogLaurentExpr":
@@ -527,20 +550,26 @@ class LogLaurentExpr(_SparseSum):
         of z for general a/b, lies outside the algebra and is not added.
         """
         acc: dict = {}
+        get = acc.get
+        # eps * max(1, |a|, |b k|) is the larger of the floor eps * max(1, |a|)
+        # and eps * |b k|: a product by eps > 0 rounds monotonically
+        floor = _NEAR_RESONANCE * max(1.0, abs(a))
         for (k, m), c in self._terms.items():
-            s = a + b * k
+            bk = b * k
+            s = a + bk
             if s == 0.0:
                 key = (k, m + 1)
-                acc[key] = acc.get(key, 0j) + c / (b * (m + 1))
+                acc[key] = get(key, 0j) + c / (b * (m + 1))
                 continue
-            if abs(s) < _NEAR_RESONANCE * max(1.0, abs(a), abs(b * k)):
+            t = abs(s)
+            if t < floor or t < _NEAR_RESONANCE * abs(bk):
                 raise ResonanceError(
                     f"a + b*k = {s:.3g} at power {k} is too close to resonance "
                     "to solve stably"
                 )
             while True:
                 key = (k, m)
-                acc[key] = acc.get(key, 0j) + c / s
+                acc[key] = get(key, 0j) + c / s
                 if not m:
                     break
                 c = -c * (b * m) / s
@@ -609,7 +638,13 @@ class LogLaurentExpr(_SparseSum):
         return self._like(acc)
 
     def _plus_constant(self, value: complex) -> "LogLaurentExpr":
-        """self + constant(value), term for term, built as one expression."""
+        """self + constant(value), term for term, built as one expression.
+
+        The other terms are normalized already, so only the entry at (0, 0)
+        is tested.  An entry that is not finite, whose modulus overflows or
+        that falls below ``COEFF_EPS`` sends the sum through the full
+        normalization, which raises or drops as a new expression does.
+        """
         acc = dict(self._terms)
         c = 0j + complex(value)
         try:
@@ -617,8 +652,17 @@ class LogLaurentExpr(_SparseSum):
         except OverflowError:
             raise _modulus_overflow(c) from None
         if not drop:
-            acc[0, 0] = acc.get((0, 0), 0j) + c
-        return self._like(acc)
+            entry = acc[0, 0] = acc.get((0, 0), 0j) + c
+            try:
+                kept = cmath.isfinite(entry) and abs(entry) >= COEFF_EPS
+            except OverflowError:
+                kept = False
+            if not kept:
+                return self._like(acc)
+        expr = object.__new__(LogLaurentExpr)
+        object.__setattr__(expr, "_terms", acc)
+        expr._start(self._cut_angle, self._has_log)  # (0, 0) carries no log
+        return expr
 
     def with_cut_angle(self, cut_angle: float) -> "LogLaurentExpr":
         return LogLaurentExpr._build(self._terms, float(cut_angle))

@@ -15,7 +15,8 @@ Exit codes: 0 success, 1 residual failures (a ``verify`` check whose
 library call raises is one, and an ``error:`` line names it), 2 malformed
 input or input the library rejects, with one ``error:`` line; an input
 file is held to its shape in ``records`` once, and the line names the
-JSON path of its fault.
+JSON path of its fault.  JSON output writes a NaN or infinite number as
+null.
 ``--seed`` belongs to ``verify`` and ``--tol`` to ``examples``, ``verify``
 and ``reflect``; ``--input`` and ``--example`` exclude each other, as do a
 ``reflect --input`` point and ``--point``, and that file's ``params`` need
@@ -43,7 +44,7 @@ from .geometry import BiPoint, SchwarzMap, reflect_bipoint
 from .harmonic import HarmonicPair, RobinParams, eval_pair, eval_real
 from .numerics import DEFAULT_SEED, run_verification_suite, worst_residual
 from .operators import neumann_from_dirichlet_pair, neumann_from_robin_pair
-from .records import EXAMPLES, FIELD_INPUT, REFLECT_INPUT, read
+from .records import EXAMPLES, FIELD_INPUT, REFLECT_INPUT, read, write
 from .reflection import (
     reflect_dirichlet_study,
     reflect_neumann_circle,
@@ -249,7 +250,7 @@ def cmd_examples(args: argparse.Namespace, cut: float) -> int:
         except (ArithmeticError, ValueError) as exc:
             raise ValueError(f"example {row['id']!r}: {_error_text(exc)}") from None
     if args.format == "json":
-        text = json.dumps({"examples": records}, indent=2)
+        text = write({"examples": records})
     elif args.format == "csv":
         text = _examples_csv(records)
     else:
@@ -324,7 +325,7 @@ def cmd_field(args: argparse.Namespace, cut: float) -> int:
                 raise ArithmeticError(f"the field at r = {r!r}, theta = {th!r} is not finite")
         rows.append({"r": r, "theta": th, "x": x, "y": y, "value": value, "reason": reason})
     if args.format == "json":
-        text = json.dumps({"rows": rows}, indent=2)
+        text = write({"rows": rows})
     else:
         lines = ["r,theta,x,y,value,reason"]
         for row in rows:
@@ -407,7 +408,7 @@ def cmd_reflect(args: argparse.Namespace, cut: float) -> int:
             raise ArithmeticError("the result is not finite")
     except ArithmeticError as exc:
         raise ArithmeticError(f"at z = {p.z}, zeta = {p.zeta}: {_error_text(exc)}") from None
-    _emit(json.dumps(record, indent=2), args.output)
+    _emit(write(record), args.output)
     return exit_code
 
 

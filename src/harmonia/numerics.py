@@ -13,7 +13,6 @@ oracles and records residuals in a machine-readable report.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -28,6 +27,7 @@ from .algebra import (
 from .errors import NonzeroMeanError, QuadratureConvergenceError
 from .geometry import PathSpec
 from .harmonic import HarmonicPair
+from .records import write
 
 __all__ = [
     "TrigPolynomial",
@@ -286,7 +286,7 @@ class VerificationReport:
             "all_passed": self.all_passed,
             "checks": [c.to_json() for c in self.checks],
         }
-        return json.dumps(payload, indent=indent)
+        return write(payload, indent=indent)
 
     def summary_table(self) -> str:
         lines = [

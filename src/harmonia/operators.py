@@ -61,12 +61,14 @@ def _partwise(u: HarmonicPair, build, pin: bool) -> HarmonicPair:
     ``build`` takes real coefficients only, so it commutes with the
     conjugate mirror.  A ``mirrored`` u then gives a mirrored result: only
     the z-part is built and pinned, with a real constant, and its symmetric
-    pair is returned, whose zeta-part is built only if it is read.
+    pair is returned, whose zeta-part is built only if it is read.  On its
+    cut at pi, log 1 = 0, so the pin reads 2 Re u1(1) from the coefficients,
+    the same value bit for bit; the two-part route evaluates.
     """
     part_z = build(u.part_z)
     if u.mirrored:
         if pin:
-            residual = 0.0 - 2.0 * part_z.eval(1 + 0j).real
+            residual = 0.0 - 2.0 * part_z._real_at_one()
             part_z = part_z._plus_constant(residual / 2.0)
         return HarmonicPair.symmetric(part_z)
     part_zeta = build(u.part_zeta)

@@ -1,4 +1,5 @@
-"""The JSON records harmonia reads: one table of shapes and one reader.
+"""The JSON records harmonia reads: one table of shapes and one reader; and
+one writer for the records it prints.
 
 Shapes are plain data after JSON Schema (draft 2020-12) and RFC 8259.  A leaf
 is a type: float is a JSON number (a finite int or float: RFC 8259 has no NaN
@@ -11,6 +12,7 @@ keys; ("either", a, b) object a if the value holds a key of a, else b.
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 
@@ -93,3 +95,22 @@ def _read(value, shape, path: str) -> None:
             _read(value[name], shape[key], inside + name)
         elif not key.endswith("?"):
             raise ValueError(f"{at}missing key {name!r}")
+
+
+def write(record, indent: int | None = 2) -> str:
+    """JSON text of a record, with each NaN or infinity written as null.
+
+    RFC 8259 has no NaN or Infinity, and Python's json would write both as
+    bare tokens.  ``allow_nan=False`` makes any one left over raise.
+    """
+    return json.dumps(_finite(record), indent=indent, allow_nan=False)
+
+
+def _finite(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value

@@ -16,10 +16,11 @@ from harmonia.algebra import (
     LogLaurentExpr,
     LogLaurentTerm,
     _fold_angle,
+    _SparseSum,
     branch_log,
     cut_distance,
 )
-from harmonia.errors import CutMismatchError, CutProximityError, DomainError
+from harmonia.errors import CutMismatchError, CutProximityError, DomainError, ResonanceError
 from harmonia.records import MAX_JSON_LOGPOW
 
 
@@ -639,6 +640,99 @@ def test_plus_constant_is_the_sum_with_a_constant():
     for value in (math.nan, math.inf):
         with pytest.raises(ValueError, match="non-finite coefficient"):
             expr((1.0, 0, 0), (0.5j, 1, 0))._plus_constant(value)
+
+
+def _plus_constant_reference(e, value):
+    """_plus_constant as the sum normalized whole."""
+    acc = dict(e._terms)
+    c = 0j + complex(value)
+    if not abs(c) < COEFF_EPS:
+        acc[0, 0] = acc.get((0, 0), 0j) + c
+    return LogLaurentExpr._build(acc, e.cut_angle)
+
+
+def _built_or_error(fn):
+    try:
+        return fn()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "terms, value",
+    [
+        ([(0.75 - 0.5j, 0, 0), (0.5j, 1, 0), (2.0, -1, 1)], -(0.75 - 0.5j) + 3e-16),  # below EPS
+        ([(0.75 - 0.5j, 0, 0), (0.5j, 1, 0), (2.0, -1, 1)], -(0.75 - 0.5j)),  # exactly 0
+        ([(0.75 - 0.5j, 0, 0), (0.5j, 1, 0)], 0.25),
+        ([(0.5j, 1, 0), (2.0, -1, 1)], -0.5 + 0.25j),  # a new entry, last in term order
+        ([(0.5j, 1, 0), (2.0, -1, 1)], 1e-16),
+        ([(0.5j, 1, 0), (2.0, -1, 1)], 0.0),
+        ([(0.5j, 1, 0), (2.0, -1, 1)], math.nan),
+        ([(0.75, 0, 0), (0.5j, 1, 0)], complex(0.0, math.nan)),
+        ([(0.5j, 1, 0)], -math.inf),
+        ([(1e308, 0, 0), (1.0, 2, 1)], 1e308),  # the entry overflows to inf
+        ([(1e308, 0, 0), (1.0, 2, 1)], 1e308j),  # the entry's modulus overflows
+    ],
+)
+def test_plus_constant_normalizes_only_an_entry_that_needs_it(terms, value, monkeypatch):
+    normalized = []
+    normalize = _SparseSum.__init__
+
+    def counting_init(self, acc):
+        normalized.append(self)
+        normalize(self, acc)
+
+    for cut in (math.pi, 2.0):
+        e = LogLaurentExpr(terms, cut)
+        want = _built_or_error(lambda: _plus_constant_reference(e, value))
+        monkeypatch.setattr(_SparseSum, "__init__", counting_init)
+        got = _built_or_error(lambda: e._plus_constant(value))
+        monkeypatch.undo()
+        if isinstance(want, tuple):
+            assert got == want
+            continue
+        _same_to_the_bit(got, want)
+        assert got.cut_angle == cut and got.has_log() == want.has_log()
+        assert got.differentiate() == want.differentiate()
+        # unless the constant is dropped or the entry is, nothing is normalized again
+        kept = abs(0j + value) < COEFF_EPS or (0, 0) in want._terms
+        assert len(normalized) == (0 if kept else 1)
+        normalized.clear()
+
+
+def _near_resonance(a, b, k):
+    """The resonance test of the Euler solver as one bound."""
+    s = a + b * k
+    return s != 0.0 and abs(s) < 1e-12 * max(1.0, abs(a), abs(b * k))
+
+
+def test_the_split_resonance_test_raises_where_the_one_bound_did():
+    cases = []
+    for b in (1.0, -0.3, 1e-13, 7.5e5, -(2.0**40)):
+        for k in (-6, -1, 0, 1, 3, 1000):
+            bk = b * k
+            for a in (0.0, 1.0, -2.5, 1e9, -1e15, 1e-12, -1e-12, -bk, 1e-3 - bk):
+                cases.append((a, b, k))
+            # a stepped by ulps across -b k +- the bound, so that s = a + b k
+            # crosses it on either side of 0; where |a| is small, s lands
+            # within a few ulps of the bound
+            for sign in (1.0, -1.0):
+                a = -bk + sign * 1e-12 * max(1.0, abs(bk))
+                for _ in range(4):
+                    a = math.nextafter(a, math.inf)
+                for _ in range(9):
+                    cases.append((a, b, k))
+                    a = math.nextafter(a, -math.inf)
+    outcomes = set()
+    for a, b, k in cases:
+        try:
+            LogLaurentExpr.monomial(1.0, k)._solve_euler(a, b)
+            raised = False
+        except ResonanceError:
+            raised = True
+        assert raised == _near_resonance(a, b, k), (a, b, k)
+        outcomes.add((raised, a + b * k == 0.0))
+    assert outcomes == {(True, False), (False, False), (False, True)}
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])

@@ -517,7 +517,7 @@ def test_reflect_nan_residual_fails_check(formula, tmp_path, capsys):
     path.write_text(json.dumps(payload))
     code, out = run_main(capsys, "reflect", "--formula", formula, "--input", str(path), "--check")
     assert code == 1
-    assert math.isnan(json.loads(out)["check_residual"])
+    assert json.loads(out)["check_residual"] is None  # JSON writes NaN as null
 
 
 def test_library_rejection_is_exit_two(capsys):
@@ -578,7 +578,8 @@ def test_nan_operator_residual_fails_examples(monkeypatch, capsys):
     assert code == 1
     operator_rows = [r for r in json.loads(out)["examples"] if r["kind"] in ("dtn_pair", "rtn_pair")]
     assert len(operator_rows) == 5
-    assert all(r["status"] == "FAIL" and math.isnan(r["max_residual"]) for r in operator_rows)
+    # JSON writes NaN as null
+    assert all(r["status"] == "FAIL" and r["max_residual"] is None for r in operator_rows)
 
 
 def test_reflect_underflowing_point_is_exit_two(tmp_path, capsys):
@@ -661,6 +662,44 @@ _OVERFLOWING_SOLUTION = {
     "part_z": [{"re": 1e308, "im": 0.0, "k": 3, "m": 0}],
     "part_zeta": [{"re": -1e308, "im": 0.0, "k": 3, "m": 0}],
 }
+
+
+def _strict_json(text):
+    """JSON as RFC 8259 has it: a bare NaN, Infinity or -Infinity raises."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_non_finite_numbers_are_written_as_null(monkeypatch, tmp_path, capsys):
+    # verify, where one check raises and so reports a NaN residual
+    derivative = SchwarzMap.derivative
+    monkeypatch.setattr(SchwarzMap, "derivative", lambda smap, z: 2.0 * derivative(smap, z))
+    code, out = run_main(capsys, "verify", "--targets", "harmonic")
+    assert code == 1
+    (raised,) = (c for c in _strict_json(out)["checks"] if "error" in c)
+    assert raised["name"] == "normal_vs_radial_derivative" and raised["max_residual"] is None
+    monkeypatch.undo()
+    # reflect --check, where the value and the residual are NaN
+    payload = {
+        "solution": _OVERFLOWING_SOLUTION,
+        "data": [{"re": 1.0, "im": 0.0, "kz": 0, "kzeta": 0}],
+        "point": {"r": 2.0, "theta": 0.0},
+    }
+    path = _write(tmp_path, "overflowing.json", payload)
+    code, out = run_main(capsys, "reflect", "--formula", "neumann", "--input", path, "--check")
+    assert code == 1
+    record = _strict_json(out)
+    assert record["check_residual"] is None and record["value"]["re"] is None
+
+
+def test_the_json_writer_nulls_non_finite_numbers_only():
+    record = {"a": [math.nan, math.inf, -math.inf, 1.5, (2, -0.0)], "b": {"c": True, "d": None}}
+    text = records.write(record, indent=None)
+    assert text == '{"a": [null, null, null, 1.5, [2, -0.0]], "b": {"c": true, "d": null}}'
+    assert records.write({"x": 0.1}) == json.dumps({"x": 0.1}, indent=2)
 
 
 @pytest.mark.parametrize("formula", ["dirichlet", "neumann", "robin", "schwarz"])

@@ -13,6 +13,9 @@ from harmonia.geometry import (
     BiPoint,
     PathSpec,
     SchwarzMap,
+    _circle_contact,
+    _line_contact,
+    _segment_pole_distance,
     anti_conformal_reflect,
     reflect_bipoint,
     sqrt_inverse_schwarz_derivative,
@@ -333,6 +336,48 @@ def test_closed_form_branch_matches_the_continued_branch(smap):
             integrate_path(lambda tau: nodes.append(tau) or 0j, p)
             for tau in nodes:
                 assert abs(branch(tau) - want(tau)) <= 1e-13 * abs(want(tau)), (p, tau)
+
+
+@pytest.mark.parametrize(
+    "a, b, pole, distance",
+    [
+        (0.5 + 0.25j, 3.5 + 0.25j, 1.5 + 2.25j, 2.0),  # the foot 1.5 + 0.25j is inside
+        (0.5 + 0.25j, 3.5 + 0.25j, -2.5 + 4.25j, 5.0),  # clamped to a
+        (0.5 + 0.25j, 3.5 + 0.25j, 6.5 - 3.75j, 5.0),  # clamped to b
+        (1.0 + 0j, 1.0 + 1e-170j, 4.0 + 4j, 5.0),  # |b - a|**2 underflows to 0
+    ],
+)
+def test_segment_pole_distance_at_known_distances(a, b, pole, distance):
+    assert _segment_pole_distance(a, b, pole) == distance
+    assert _segment_pole_distance(b, a, pole) == pytest.approx(distance, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "a, b, contact",
+    [
+        # wholly inside the circle |z - 3| = 3: the end farther from the centre
+        (5.0 + 0j, 3.0 + 1j, 5.0 + 0j),
+        (3.0 + 1j, 5.0 + 0j, 5.0 + 0j),
+        # wholly outside |z - 3| = 1: the point nearest the circle, inside the
+        # segment or clamped to an end
+        (6.0 - 1j, 6.0 + 1j, 6.0 + 0j),
+        (6.0 + 1j, 6.0 + 2j, 6.0 + 1j),
+    ],
+)
+def test_circle_contact_of_a_segment_that_never_crosses(a, b, contact):
+    radius = 3.0 if abs(a - 3.0) < 3.0 else 1.0
+    assert _circle_contact(a, b, 3.0 + 0j, radius) == contact
+
+
+def test_line_contact_of_a_segment_that_never_crosses():
+    # the line through 1 + 2j at angle 0.3; each end at a height h above it
+    point, angle = 1.0 + 2j, 0.3
+    along = cmath.exp(1j * angle)
+    for ha, hb in ((1.0, 0.25), (-0.5, -2.0)):
+        a, b = point + along * complex(0.5, ha), point + along * complex(2.0, hb)
+        nearer = a if abs(ha) <= abs(hb) else b
+        assert _line_contact(a, b, point, angle) == nearer
+        assert _line_contact(b, a, point, angle) == nearer
 
 
 def test_pathspec_validation():

@@ -429,7 +429,7 @@ def _counting_constructions(monkeypatch):
     return normalized, mirrors
 
 
-def test_an_exact_fresh_op_builds_no_mirror_and_twelve_expressions(monkeypatch):
+def test_an_exact_fresh_op_builds_no_mirror_and_normalizes_ten_expressions(monkeypatch):
     normalized, mirrors = _counting_constructions(monkeypatch)
     params = RobinParams(0.7, 1.3)
     # one op of the exact-fresh shape: the input, the four operators and
@@ -446,10 +446,11 @@ def test_an_exact_fresh_op_builds_no_mirror_and_twelve_expressions(monkeypatch):
         radial_derivative(rtn, 1.0, th)
         eval_real(dfr, math.cos(th), math.sin(th))
         h.eval(cmath.exp(1j * th))
-    # f, g, the primitive and the pinned DtN part, the RtN part and its pin,
-    # z f' (once, for DfR and the ODE) and the DfR part, z f' + g and h, and
-    # the derivatives of the DtN and RtN parts
-    assert len(normalized) == 12
+    # f, g, the primitive, the unpinned RtN part, z f' (once, for DfR and the
+    # ODE) and the DfR part, z f' + g and h, and the derivatives of the pinned
+    # DtN and RtN parts; the two pins add a constant to terms normalized
+    # already and normalize nothing again
+    assert len(normalized) == 10
     assert mirrors == []
     assert not any("part_zeta" in vars(pair) for pair in (w, dtn, rtn, dfr))
 

@@ -508,7 +508,13 @@ def test_builders_equal_the_formulas_they_replace():
         params = RobinParams(a, b)
         half_a, half_b = 0.5 * a, 0.5 * b
         rebuilt = HarmonicPair(f.with_cut_angle(2.0), g.with_cut_angle(2.0))
-        for u in (HarmonicPair.symmetric(f), two_part(HarmonicPair.symmetric(f)), rebuilt):
+        pairs = (
+            HarmonicPair.symmetric(f),  # the mirrored route, at cut pi
+            two_part(HarmonicPair.symmetric(f)),  # the two-part route at cut pi
+            rebuilt,  # the two-part route at cut 2.0
+            HarmonicPair.symmetric(f.with_cut_angle(2.0)),  # and of a lazy pair there
+        )
+        for u in pairs:
             _assert_same_pair(
                 neumann_from_dirichlet_pair(u),
                 _pinned_reference(u, LogLaurentExpr.antiderivative_over_arg, True),
@@ -528,6 +534,44 @@ def test_builders_equal_the_formulas_they_replace():
         for rhs_g in (g, LogLaurentExpr.zero()):
             got = solve_robin_analytic(f, rhs_g, params)
             assert _bits(got) == _bits(_solve_robin_reference(f, rhs_g, params))
+
+
+def _pin_terms(rng):
+    """Terms of log power 0 whose real parts cancel, or are zeros of either sign."""
+    x = float(rng.uniform(-1, 1))
+    k1, k2 = (int(k) for k in rng.integers(-6, 7, size=2))
+    return [(complex(x, rng.uniform(-1, 1)), k1, 0), (complex(-x, 0.5), k2, 0),
+            (complex(-0.0, 0.25), int(rng.integers(-6, 7)), 0), (complex(0.0, -1.0), 0, 1)]
+
+
+def test_the_coefficient_pin_is_the_value_at_one():
+    # on the cut at pi, 2 Re u1(1) read from the coefficients is what eval(1)
+    # gives, to the bit and with the sign of a zero; the pinned outputs equal
+    # those pinned through eval(1)
+    rng = np.random.default_rng(2027)
+    checked = 0
+    for i in range(2000):
+        f = seeded_expr(rng, int(rng.integers(0, 10)), max_logpow=3)
+        if i % 4 == 0:
+            f = LogLaurentExpr(list(f.terms) + _pin_terms(rng))
+        a, b = float(rng.uniform(-3, 3)), float(rng.choice([-1, 1]) * rng.uniform(0.2, 2))
+        u = HarmonicPair.symmetric(f)
+        assert u.mirrored
+        prim = f.antiderivative_over_arg()
+        for part in (f, prim, f._scaled_sum(0.5 * b, prim, 0.5 * a)):
+            assert part._real_at_one().hex() == part.eval(1 + 0j).real.hex(), part
+            checked += 1
+        _assert_same_pair(
+            neumann_from_dirichlet_pair(u),
+            _pinned_reference(u, LogLaurentExpr.antiderivative_over_arg, True),
+        )
+        _assert_same_pair(
+            neumann_from_robin_pair(u, RobinParams(a, b)),
+            _pinned_reference(
+                u, lambda p: p * (0.5 * b) + p.antiderivative_over_arg() * (0.5 * a), True
+            ),
+        )
+    assert checked == 6000
 
 
 def test_the_primitive_is_the_robin_solve_at_a_zero_b_one():

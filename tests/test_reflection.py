@@ -193,6 +193,28 @@ def test_neumann_quadratic_data():
         assert abs(res.correction - expected) < 1e-12
 
 
+def test_the_quadrature_shadow_raises_when_the_exact_correction_is_wrong(monkeypatch):
+    # a 1e-6 relative error in the exact correction: the shadow quadrature of
+    # verify_numeric disagrees and raises, and without it nothing notices
+    phi = BivariateLaurentExpr([(1.0, 2, 0), (1.0, 0, 2), (2.0, 1, 1), (-2.0, 0, 0)])
+    p = BiPoint.from_polar(0.7, 0.4)
+    params = RobinParams(0.0, 1.0)
+    exact = reflect_robin_circle(SADDLE, phi, params, p, verify_numeric=True)
+    ray_change = LogLaurentExpr.ray_change
+    monkeypatch.setattr(
+        LogLaurentExpr, "ray_change", lambda e, theta, r: ray_change(e, theta, r) * (1 + 1e-6)
+    )
+    wrong = reflect_robin_circle(SADDLE, phi, params, p)
+    assert wrong.correction == pytest.approx(exact.correction, rel=2e-6)
+    assert wrong.correction != exact.correction
+    for reflect in (
+        lambda: reflect_neumann_circle(SADDLE, phi, p, verify_numeric=True),
+        lambda: reflect_robin_circle(SADDLE, phi, params, p, verify_numeric=True),
+    ):
+        with pytest.raises(HarmoniaError, match="exact correction .* disagrees with quadrature"):
+            reflect()
+
+
 def test_neumann_r_equal_one_is_trivial():
     v = SADDLE
     phi = laurent_pair_trace(SADDLE)
