@@ -369,22 +369,12 @@ class LogLaurentExpr(_SparseSum):
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def zero(cls, cut_angle: float = DEFAULT_CUT_ANGLE) -> "LogLaurentExpr":
-        return cls((), cut_angle)
+    def constant(cls, value: complex) -> "LogLaurentExpr":
+        return cls([(value, 0, 0)])
 
     @classmethod
-    def constant(cls, value: complex, cut_angle: float = DEFAULT_CUT_ANGLE) -> "LogLaurentExpr":
-        return cls([(value, 0, 0)], cut_angle)
-
-    @classmethod
-    def monomial(
-        cls,
-        coeff: complex,
-        power: int,
-        logpow: int = 0,
-        cut_angle: float = DEFAULT_CUT_ANGLE,
-    ) -> "LogLaurentExpr":
-        return cls([(coeff, power, logpow)], cut_angle)
+    def monomial(cls, coeff: complex, power: int, logpow: int = 0) -> "LogLaurentExpr":
+        return cls([(coeff, power, logpow)])
 
     # -- basic queries ---------------------------------------------------------
 
@@ -726,15 +716,6 @@ class BivariateLaurentExpr(_SparseSum):
     @classmethod
     def constant(cls, value: complex) -> "BivariateLaurentExpr":
         return cls([(value, 0, 0)])
-
-    @classmethod
-    def monomial(cls, coeff: complex, zpow: int, zetapow: int) -> "BivariateLaurentExpr":
-        return cls([(coeff, zpow, zetapow)])
-
-    @property
-    def terms(self) -> tuple:
-        """Normalized (coeff, zpow, zetapow) triples, sorted by powers."""
-        return tuple((c, kz, kzeta) for (kz, kzeta), c in sorted(self._terms.items()))
 
     def eval(self, z: complex, zeta: complex) -> complex:
         """The sum of c * z**kz * zeta**kzeta at (z, zeta).

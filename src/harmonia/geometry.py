@@ -285,10 +285,6 @@ class PathSpec:
         direction = cmath.exp(1j * float(theta))
         return cls(float(r_from) * direction, float(r_to) * direction)
 
-    def point(self, t: float) -> complex:
-        """Path point at parameter t in [0, 1]."""
-        return self.start + t * (self.end - self.start)
-
 
 # -- square-root branches ------------------------------------------------------
 

@@ -71,12 +71,8 @@ class HarmonicPair:
         )
 
     @classmethod
-    def zero(cls, cut_angle: float = DEFAULT_CUT_ANGLE) -> "HarmonicPair":
-        return cls(LogLaurentExpr.zero(cut_angle), LogLaurentExpr.zero(cut_angle))
-
-    @classmethod
-    def constant(cls, value: float, cut_angle: float = DEFAULT_CUT_ANGLE) -> "HarmonicPair":
-        half = LogLaurentExpr.constant(value / 2.0, cut_angle)
+    def constant(cls, value: float) -> "HarmonicPair":
+        half = LogLaurentExpr.constant(value / 2.0)
         return cls(half, half)
 
     @classmethod
@@ -98,16 +94,6 @@ class HarmonicPair:
 
     def __sub__(self, other: "HarmonicPair") -> "HarmonicPair":
         return HarmonicPair(self.part_z - other.part_z, self.part_zeta - other.part_zeta)
-
-    def __neg__(self) -> "HarmonicPair":
-        return HarmonicPair(-self.part_z, -self.part_zeta)
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, (int, float, complex)):
-            return HarmonicPair(self.part_z * scalar, self.part_zeta * scalar)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def to_json(self) -> dict:
         return {"part_z": self.part_z.to_json(), "part_zeta": self.part_zeta.to_json()}

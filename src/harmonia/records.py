@@ -97,13 +97,13 @@ def _read(value, shape, path: str) -> None:
             raise ValueError(f"{at}missing key {name!r}")
 
 
-def write(record, indent: int | None = 2) -> str:
+def write(record) -> str:
     """JSON text of a record, with each NaN or infinity written as null.
 
     RFC 8259 has no NaN or Infinity, and Python's json would write both as
     bare tokens.  ``allow_nan=False`` makes any one left over raise.
     """
-    return json.dumps(_finite(record), indent=indent, allow_nan=False)
+    return json.dumps(_finite(record), indent=2, allow_nan=False)
 
 
 def _finite(value):

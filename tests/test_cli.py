@@ -171,6 +171,8 @@ def test_field_bad_grid_is_exit_two(capsys):
     assert run_main(capsys, "field", "--example", "dtn-log", "--grid", "0:1:5:-1:1:5")[0] == 2
     assert run_main(capsys, "field", "--example", "dtn-log", "--grid", "nonsense")[0] == 2
     assert run_main(capsys, "field", "--example", "dtn-log", "--grid", "0.5:1.5:1:-1:1:5")[0] == 2
+    assert main(["field", "--example", "dtn-log", "--grid", "1.5:0.5:5:-1:1:5"]) == 2
+    assert "grid bounds must be increasing" in capsys.readouterr().err
 
 
 def test_field_non_finite_grid_is_exit_two(capsys):
@@ -215,6 +217,23 @@ def test_field_coefficient_whose_modulus_overflows_is_named(tmp_path, capsys):
 
 def test_field_requires_source(capsys):
     assert run_main(capsys, "field")[0] == 2
+    assert main(["field", "--example", "no-such-id"]) == 2
+    assert capsys.readouterr().err == "error: unknown example id 'no-such-id'\n"
+
+
+def test_reflect_requires_source(capsys):
+    assert main(["reflect"]) == 2
+    assert capsys.readouterr().err == "error: reflect requires --input or --example\n"
+
+
+def test_reflect_reads_a_point_in_c2_from_the_input_file(tmp_path, capsys):
+    pair = {"part_z": [{"re": 0.5, "k": 2}], "part_zeta": [{"re": 0.5, "k": 2}]}
+    point = {"z": {"re": 0.8, "im": 0.1}, "zeta": {"re": 0.7}}
+    path = tmp_path / "reflect.json"
+    path.write_text(json.dumps({"solution": pair, "point": point}))
+    code, out = run_main(capsys, "reflect", "--formula", "dirichlet", "--input", str(path))
+    assert code == 0
+    assert json.loads(out)["point"] == {"z": {"re": 0.8, "im": 0.1}, "zeta": {"re": 0.7, "im": 0.0}}
 
 
 def test_reflect_neumann_example(capsys):
@@ -697,8 +716,8 @@ def test_non_finite_numbers_are_written_as_null(monkeypatch, tmp_path, capsys):
 
 def test_the_json_writer_nulls_non_finite_numbers_only():
     record = {"a": [math.nan, math.inf, -math.inf, 1.5, (2, -0.0)], "b": {"c": True, "d": None}}
-    text = records.write(record, indent=None)
-    assert text == '{"a": [null, null, null, 1.5, [2, -0.0]], "b": {"c": true, "d": null}}'
+    nulled = {"a": [None, None, None, 1.5, [2, -0.0]], "b": {"c": True, "d": None}}
+    assert records.write(record) == json.dumps(nulled, indent=2)
     assert records.write({"x": 0.1}) == json.dumps({"x": 0.1}, indent=2)
 
 

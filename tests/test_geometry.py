@@ -129,6 +129,17 @@ def test_pole_errors():
         smap.value(1.0 + 2.0j)
     with pytest.raises(PoleError):
         smap.inverse_value(1.0 - 2.0j)
+    with pytest.raises(PoleError, match="normal undefined at the circle center"):
+        SchwarzMap.circle(0.3, 1.7).outward_normal(0.3)
+
+
+def test_inverse_branch_names_the_inverse_maps_pole():
+    # the segment passes through conj(c) = 0.3 + 0.2j, the pole of the inverse
+    # map; the forward check runs on the conjugated segment, through c itself
+    smap = SchwarzMap.circle(0.3 - 0.2j, 1.7)
+    with pytest.raises(BranchPointOnPathError) as exc:
+        sqrt_inverse_schwarz_derivative(smap, PathSpec.segment(-0.7 + 0.2j, 1.3 + 0.2j))
+    assert str(exc.value).startswith("the map pole (0.3+0.2j) lies within"), str(exc.value)
 
 
 @pytest.mark.parametrize("z", [1e-300, 1e-300j, 1e-160])
@@ -236,7 +247,7 @@ def _continued_reference(deriv, path, residual_of, target_of):
     by sign matching over 129 samples of the path, its sign
     fixed against the outward-normal target at the sample of least curve
     residual, and a query continued from its nearest sample."""
-    points = [path.point(i / 128) for i in range(129)]
+    points = [path.start + i / 128 * (path.end - path.start) for i in range(129)]
     values = [cmath.sqrt(deriv(points[0]))]
     for p in points[1:]:
         w = cmath.sqrt(deriv(p))
@@ -332,7 +343,7 @@ def test_closed_form_branch_matches_the_continued_branch(smap):
             branch, want = build(smap, p), ref(p)
             (p0,) = branch.anchor_points
             assert carrier.on_curve_residual(p0) < 1e-12 * (1.0 + abs(p0)), (p, p0)
-            nodes = [p.point(i / 32) for i in range(33)]
+            nodes = [p.start + i / 32 * (p.end - p.start) for i in range(33)]
             integrate_path(lambda tau: nodes.append(tau) or 0j, p)
             for tau in nodes:
                 assert abs(branch(tau) - want(tau)) <= 1e-13 * abs(want(tau)), (p, tau)
@@ -393,11 +404,10 @@ def test_pathspec_validation():
 
 def test_path_points_and_velocity():
     seg = PathSpec.segment(1.0 + 0j, 1.0 + 2.0j)
-    assert abs(seg.point(0.5) - (1.0 + 1.0j)) < 1e-15
-    assert seg.point(1.0) - seg.point(0.0) == seg.end - seg.start == 2.0j
+    assert seg.end - seg.start == 2.0j
     assert (seg.start, seg.end) == (1.0 + 0j, 1.0 + 2.0j)
     ray = PathSpec.radial_ray(math.pi / 2, 1.0, 2.0)
-    assert abs(ray.point(1.0) - 2.0j) < 1e-15
+    assert abs(ray.start - 1.0j) < 1e-15 and abs(ray.end - 2.0j) < 1e-15
     theta, r0, r1 = 0.7, 0.5, 2.5
     assert PathSpec.radial_ray(theta, r0, r1) == PathSpec.segment(
         r0 * cmath.exp(1j * theta), r1 * cmath.exp(1j * theta)

@@ -75,7 +75,7 @@ def test_eval_real_examples():
 
 
 def test_eval_real_rejects_non_symmetric():
-    lopsided = HarmonicPair(LogLaurentExpr.monomial(1.0, 1), LogLaurentExpr.zero())
+    lopsided = HarmonicPair(LogLaurentExpr.monomial(1.0, 1), LogLaurentExpr())
     with pytest.raises(NonSymmetricPairError):
         eval_real(lopsided, 0.0, 1.0)
     with pytest.raises(DomainError):
@@ -145,7 +145,7 @@ def test_robin_trace_examples():
         assert abs(robin_trace_circle(LOG_RADIAL, params, th) - params.b) < 1e-13
         expected = (params.a + 2 * params.b) * math.cos(2 * th)
         assert abs(robin_trace_circle(SADDLE, params, th) - expected) < 1e-13
-        assert abs(robin_trace_circle(HarmonicPair.zero(), params, th)) < 1e-15
+        assert abs(robin_trace_circle(HarmonicPair.constant(0.0), params, th)) < 1e-15
 
 
 def test_robin_trace_linearity():
@@ -193,18 +193,23 @@ def test_field_scale_takes_logs_on_the_parts_branch():
     # bounds the sum only if each term is measured as it is evaluated
     cut = 2.0
     part = LogLaurentExpr([(1.0, 0, 2)], cut)
-    pair = HarmonicPair(part, LogLaurentExpr.zero(cut))
+    pair = HarmonicPair(part, LogLaurentExpr((), cut))
     z = 0.9 * cmath.exp(2.5j)
     term = abs(part.eval(z))
     assert term > 14.0
     assert field_scale(pair, z.real, z.imag) >= term
     # on the default cut the branch is the principal one
-    default = HarmonicPair(part.with_cut_angle(math.pi), LogLaurentExpr.zero())
+    default = HarmonicPair(part.with_cut_angle(math.pi), LogLaurentExpr())
     assert field_scale(default, z.real, z.imag) == pytest.approx(abs(cmath.log(z)) ** 2)
 
 
+def test_field_scale_rejects_the_origin():
+    with pytest.raises(DomainError, match="field scale at the origin"):
+        field_scale(HarmonicPair.constant(1.0), 0.0, 0.0)
+
+
 def test_pair_arithmetic_and_serialization():
-    s = SADDLE + 2.0 * LINEAR - LOG_RADIAL
+    s = SADDLE + LINEAR + LINEAR - LOG_RADIAL
     assert abs(eval_real(s, 1.0, 0.5) - (eval_real(SADDLE, 1.0, 0.5)
                                           + 2 * eval_real(LINEAR, 1.0, 0.5)
                                           - eval_real(LOG_RADIAL, 1.0, 0.5))) < 1e-13
@@ -256,7 +261,7 @@ def test_mirrored_flag_is_derived_and_not_a_field():
     assert sym.mirrored
     # a pair not built by symmetric() compares its parts once
     assert HarmonicPair(f, f.conjugate_mirror()).mirrored
-    assert HarmonicPair.constant(2.5).mirrored and HarmonicPair.zero().mirrored
+    assert HarmonicPair.constant(2.5).mirrored and HarmonicPair.constant(0.0).mirrored
     assert not one_ulp_off(sym).mirrored
     assert not HarmonicPair.symmetric(f.with_cut_angle(2.0)).mirrored
     assert not HarmonicPair(f, f).mirrored

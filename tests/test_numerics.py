@@ -56,6 +56,13 @@ def test_nonconvergence_names_the_panel():
     assert "error estimate 6.94e-18 exceeds the tolerance 2.33e-20" in message, message
 
 
+def test_adaptive_simpson_nonconvergence_raises():
+    # the interval holding the step at 1/3 never meets its tolerance, which
+    # halves with the interval; the rest converge at once
+    with pytest.raises(QuadratureConvergenceError, match="adaptive Simpson did not converge"):
+        numerics.adaptive_simpson(lambda x: 1.0 if x > 1 / 3 else 0.0, 0.0, 1.0)
+
+
 def test_nonconvergence_panel_ends_print_apart():
     # a step at 0.3 keeps bisecting to a panel 2^-32 long, whose ends agree
     # to more than six significant digits
@@ -209,9 +216,11 @@ def test_suite_trace_extension_takes_log_free_pairs_only():
     trace = numerics._robin_trace_bivariate(saddle, 1.0, 0.0)
     assert trace == BivariateLaurentExpr([(0.5, 2, 0), (0.5, 0, 2)])
     log_pair = HarmonicPair.symmetric(LogLaurentExpr([(0.5, 1, 1)]))
-    for a, b in ((1.0, 0.0), (2.0, -1.0)):
-        with pytest.raises(ValueError, match="log-free"):
-            numerics._robin_trace_bivariate(log_pair, a, b)
+    zeta_logs = HarmonicPair(LogLaurentExpr.monomial(0.5, 1), LogLaurentExpr([(0.5, 1, 1)]))
+    for pair in (log_pair, zeta_logs):
+        for a, b in ((1.0, 0.0), (2.0, -1.0)):
+            with pytest.raises(ValueError, match="log-free"):
+                numerics._robin_trace_bivariate(pair, a, b)
 
 
 def test_trig_polynomial_validation():
@@ -222,7 +231,7 @@ def test_trig_polynomial_validation():
 def test_suite_full_pass_and_failures_listing():
     report = run_verification_suite()
     assert report.all_passed
-    assert report.failures == ()
+    assert all(c.passed for c in report.checks)
     assert len(report.checks) >= 25
 
 
@@ -231,7 +240,14 @@ def test_suite_passes_at_seeds_once_failing_fd_harmonicity(seed):
     # with a 5-point stencil at h = 1e-4, fd_harmonicity read 1.3e-5 and
     # 1.1e-5 at these seeds against its 1e-5 tolerance
     report = run_verification_suite(seed=seed)
-    assert report.all_passed, report.failures
+    assert report.all_passed, [c for c in report.checks if not c.passed]
+
+
+def test_available_checks_name_the_suite_in_its_order():
+    report = run_verification_suite(targets=["algebra", "geometry"])
+    listed = numerics.available_checks()
+    assert tuple((c.name, c.tag) for c in report.checks) == listed[: len(report.checks)]
+    assert len(listed) == len(set(listed)) == 27
 
 
 def test_suite_empty_selection_passes():
@@ -340,7 +356,7 @@ def test_a_check_that_raises_is_recorded_and_the_suite_goes_on(monkeypatch):
     assert raised.passed is False and math.isnan(raised.max_residual)
     assert raised.error.startswith("BranchSelectionError: outward-normal square root")
     assert raised.to_json()["error"] == raised.error
-    assert report.failures == (raised,)
+    assert [c for c in report.checks if not c.passed] == [raised]
     # the checks after it ran, and a record without an error keeps its JSON keys
     others = [c for c in report.checks if c is not raised]
     assert all(c.samples > 0 and c.error is None and "error" not in c.to_json() for c in others)

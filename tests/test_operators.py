@@ -163,7 +163,7 @@ def test_rtn_log_solution(a, b):
 
 
 def test_rtn_zero_solution():
-    v = neumann_from_robin_pair(HarmonicPair.zero(), RobinParams(1.0, 2.0))
+    v = neumann_from_robin_pair(HarmonicPair.constant(0.0), RobinParams(1.0, 2.0))
     vals = [eval_real(v, r * math.cos(th), r * math.sin(th)) for r, th in GRID[:10]]
     assert max(abs(x - vals[0]) for x in vals) < 1e-14
 
@@ -209,7 +209,7 @@ def test_dfr_saddle_solution():
 
 
 def test_dfr_zero():
-    u = dirichlet_from_robin_pair(HarmonicPair.zero(), RobinParams(2.0, 1.0))
+    u = dirichlet_from_robin_pair(HarmonicPair.constant(0.0), RobinParams(2.0, 1.0))
     assert u.part_z.is_zero() and u.part_zeta.is_zero()
 
 
@@ -250,7 +250,7 @@ def ode_residual(h, f, g, params):
 
 
 def test_solve_robin_constant_rhs():
-    f = LogLaurentExpr.zero()
+    f = LogLaurentExpr()
     g = LogLaurentExpr.constant(3.0)
     h = solve_robin_analytic(f, g, RobinParams(1.5, 1.0))
     assert (h - LogLaurentExpr.constant(2.0)).is_zero()
@@ -260,9 +260,9 @@ def test_solve_robin_resonant_term():
     # a + b k = 0 at k = 2: the solution picks up a log factor c/b
     params = RobinParams(-2.0, 1.0)
     g = LogLaurentExpr.monomial(3.0, 2)
-    h = solve_robin_analytic(LogLaurentExpr.zero(), g, params)
+    h = solve_robin_analytic(LogLaurentExpr(), g, params)
     assert (h - LogLaurentExpr.monomial(3.0, 2, 1)).is_zero()
-    assert ode_residual(h, LogLaurentExpr.zero(), g, params).is_zero()
+    assert ode_residual(h, LogLaurentExpr(), g, params).is_zero()
 
 
 def test_solve_robin_quadratic_inputs():
@@ -299,8 +299,8 @@ def test_solve_robin_log_squared_rhs_relative():
     # identity holds relative to the amplified coefficients
     params = RobinParams(0.5, 3.0)
     g = LogLaurentExpr.monomial(1.0, 0, 2)
-    h = solve_robin_analytic(LogLaurentExpr.zero(), g, params)
-    residual = ode_residual(h, LogLaurentExpr.zero(), g, params)
+    h = solve_robin_analytic(LogLaurentExpr(), g, params)
+    residual = ode_residual(h, LogLaurentExpr(), g, params)
     amplitude = max(abs(t.coeff) for t in h.terms)
     worst = max((abs(t.coeff) for t in residual.terms), default=0.0)
     assert worst <= 1e-14 * max(1.0, amplitude)
@@ -309,7 +309,7 @@ def test_solve_robin_log_squared_rhs_relative():
 def test_solve_robin_near_resonance_rejected():
     params = RobinParams(1.0 + 1e-13, -1.0)
     with pytest.raises(ResonanceError):
-        solve_robin_analytic(LogLaurentExpr.zero(), LogLaurentExpr.monomial(1.0, 1), params)
+        solve_robin_analytic(LogLaurentExpr(), LogLaurentExpr.monomial(1.0, 1), params)
 
 
 # -- disk operator ---------------------------------------------------------------
@@ -383,7 +383,7 @@ def test_arc_operator_reduces_to_circle():
 def test_arc_operator_zero_input_is_constant():
     smap = SchwarzMap.unit_circle()
     path = PathSpec.segment(0.8 + 0j, 1.0 + 0j)
-    field = neumann_from_dirichlet_schwarz(HarmonicPair.zero(), smap, path, path)
+    field = neumann_from_dirichlet_schwarz(HarmonicPair.constant(0.0), smap, path, path)
     for p in (BiPoint.from_polar(0.7, 0.5), BiPoint.from_polar(0.9, -1.2)):
         assert abs(field.eval(p)) < 1e-12
 
@@ -444,13 +444,15 @@ def test_arc_operator_validates_paths_and_base():
     stray = PathSpec.segment(0.8 + 0j, 0.9 + 0j)
     with pytest.raises(ValueError):
         neumann_from_dirichlet_schwarz(CONSTANT, smap, stray, good)
+    with pytest.raises(ValueError, match="path_zeta must terminate at the image of the base point"):
+        neumann_from_dirichlet_schwarz(CONSTANT, smap, good, stray)
 
 
 # -- the one-pass builders against the formulas they replace -------------------
 
 def _zmul(e):
     """z times e, as an expression product on e's cut."""
-    return LogLaurentExpr.monomial(1.0, 1, cut_angle=e.cut_angle) * e
+    return LogLaurentExpr([(1.0, 1)], e.cut_angle) * e
 
 
 def _pinned_reference(u, build, pin):
@@ -460,13 +462,13 @@ def _pinned_reference(u, build, pin):
     if u.mirrored:
         if pin:
             residual = 0.0 - 2.0 * part_z.eval(1 + 0j).real
-            part_z = part_z + LogLaurentExpr.constant(residual / 2.0, part_z.cut_angle)
+            part_z = part_z + LogLaurentExpr([(residual / 2.0, 0, 0)], part_z.cut_angle)
         return HarmonicPair.symmetric(part_z)
     part_zeta = build(u.part_zeta)
     if not pin:
         return HarmonicPair(part_z, part_zeta)
     residual = 0.0 - (part_z.eval(1 + 0j) + part_zeta.eval(1.0 / (1 + 0j)))
-    half = LogLaurentExpr.constant(residual / 2.0, part_z.cut_angle)
+    half = LogLaurentExpr([(residual / 2.0, 0, 0)], part_z.cut_angle)
     return HarmonicPair(part_z + half, part_zeta + half)
 
 
@@ -531,7 +533,7 @@ def test_builders_equal_the_formulas_they_replace():
                     u, lambda p: p * half_a + _zmul(p.differentiate()) * half_b, False
                 ),
             )
-        for rhs_g in (g, LogLaurentExpr.zero()):
+        for rhs_g in (g, LogLaurentExpr()):
             got = solve_robin_analytic(f, rhs_g, params)
             assert _bits(got) == _bits(_solve_robin_reference(f, rhs_g, params))
 
@@ -585,5 +587,5 @@ def test_the_primitive_is_the_robin_solve_at_a_zero_b_one():
             g = g + LogLaurentExpr.monomial(0.5 - 0.25j, int(rng.integers(-6, 7)), 2)
         if i % 2:
             g = g.with_cut_angle(2.0)
-        got = solve_robin_analytic(LogLaurentExpr.zero(g.cut_angle), g, neumann)
+        got = solve_robin_analytic(LogLaurentExpr((), g.cut_angle), g, neumann)
         assert _bits(got) == _bits(g.antiderivative_over_arg())

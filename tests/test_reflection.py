@@ -111,8 +111,8 @@ def _two_part_dirichlet(u, phi, smap, p):
 def _data_scale(phi, p, q):
     """Term magnitudes of phi at the two points where the data are evaluated."""
     return sum(
-        abs(c) * abs(z) ** kz * abs(zeta) ** kzeta
-        for c, kz, kzeta in phi.terms
+        abs(complex(t["re"], t["im"])) * abs(z) ** t["kz"] * abs(zeta) ** t["kzeta"]
+        for t in phi.to_json()
         for z, zeta in ((q.z, p.zeta), (p.z, q.zeta))
     )
 
@@ -453,7 +453,7 @@ def test_log_free_data_reflects_next_to_the_cut():
         assert abs(robin.value - _reference_robin(v, phi, params, p)) < 1e-14
     # with the cut along the positive real axis, the ends of the ray are
     # still on one branch
-    zero_cut = HarmonicPair.zero(0.0)
+    zero_cut = HarmonicPair(LogLaurentExpr((), 0.0), LogLaurentExpr((), 0.0))
     p = BiPoint.from_polar(0.8, 1.0)
     res = reflect_neumann_circle(zero_cut, BivariateLaurentExpr.constant(1.0), p)
     assert abs(res.correction + 2.0 * math.log(0.8)) < 1e-14
