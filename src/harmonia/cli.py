@@ -262,6 +262,8 @@ def cmd_examples(args: argparse.Namespace, cut: float) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, cut: float) -> int:
+    if args.seed < 0:
+        raise _OptionError(f"--seed must be a non-negative integer, got {args.seed}")
     targets = None
     if args.targets:
         targets = tuple(t.strip() for t in args.targets.split(",") if t.strip())
@@ -320,6 +322,8 @@ def cmd_field(args: argparse.Namespace, cut: float) -> int:
             value, reason = evaluator(r, th), ""
         except HarmoniaError as exc:
             value, reason = None, _ROW_ERROR_REASONS.get(type(exc).__name__, "error")
+        except ArithmeticError as exc:
+            raise ArithmeticError(f"at r = {r!r}, theta = {th!r}: {_error_text(exc)}") from None
         else:
             if not math.isfinite(value):
                 raise ArithmeticError(f"the field at r = {r!r}, theta = {th!r} is not finite")

@@ -16,7 +16,8 @@ The list:
   with ``--check`` and with ``--point 0.8:0.3``;
 * every command above but ``verify`` again with ``HARMONIA_CUT_ANGLE=2.0``;
 * the commands of the CLI smoke step in ``.github/workflows/tests.yml``,
-  with their input files.
+  with their input files, among them two error lines that name the option
+  or the grid point.
 
 Each command runs with ``HARMONIA_CUT_ANGLE`` set to its ``cut_angle`` or
 unset, in a scratch directory that holds its input files, so an error line
@@ -78,6 +79,9 @@ SMOKE = (
      {"field": {"kind": "pair", "pair": {"part_z": [{"re": 0.5, "k": 2}],
                                          "part_zeta": [{"re": 0.5, "k": 2}]}}, "bogus": 1}),
     (["reflect", "--input", "input.json"], [1, 2]),
+    # error lines that name the option or the grid point
+    (["verify", "--seed", "-1"], None),
+    (["field", "--example", "robin-reflect-cos2", "--grid", "1e-300:1e-299:2:-1:1:2"], None),
 )
 
 
