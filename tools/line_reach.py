@@ -38,7 +38,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import threading
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -69,7 +68,7 @@ def modules() -> dict:
 
 
 def start() -> dict:
-    """Start recording in this process (and its later threads); returns
+    """Start recording in this thread (the library starts none); returns
     {real module path: set of reached line numbers}, filled as lines run."""
     reached = {path: set() for path in modules()}
     by_name: dict = {}
@@ -90,14 +89,12 @@ def start() -> dict:
 
         return local
 
-    threading.settrace(trace)
     sys.settrace(trace)
     return reached
 
 
 def stop() -> None:
     sys.settrace(None)
-    threading.settrace(None)
 
 
 def record_to_dir(out_dir: str) -> None:
@@ -145,7 +142,7 @@ def _run_workload(workload, name: str, ops: int) -> None:
             raise RuntimeError(f"{name} op {i}: {err}")
 
 
-def run_tier1(pytest_args=()) -> dict:
+def run_tier1() -> dict:
     """Lines tier-1 reaches: pytest in a child process, and every Python
     process it starts, each recorded through ``sitecustomize``."""
     reached = {path: set() for path in modules()}
@@ -161,7 +158,7 @@ def run_tier1(pytest_args=()) -> dict:
             [site_dir, SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         env[OUT_DIR_VAR] = out_dir
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *pytest_args],
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
             cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
         tail = proc.stdout.strip().splitlines()[-1:] or ["no output"]
         print(f"tier-1 (exit {proc.returncode}): {tail[0]}", file=sys.stderr)
@@ -260,7 +257,8 @@ def main(argv=None) -> int:
     tier1 = run_tier1()
     callers = run_callers()
     summary, tests_only, neither = classify(callers, tier1)
-    reasons = {key(e): e.get("reason", "") for e in load_table()["neither"]}
+    listed = load_table()["neither"]
+    reasons = {key(e): e.get("reason", "") for e in listed}
     for entry in neither:
         entry["reason"] = reasons.get(key(entry), "")
     total = summary["total"]
@@ -273,9 +271,9 @@ def main(argv=None) -> int:
     missing = [e for e in neither if not e["reason"]]
     for e in missing:
         print(f"unreached, no reason: {e['module']}:{e['line']} {e['function']}: {e['source']}")
-    listed = {key(e) for e in neither}
-    for e in load_table()["neither"]:
-        if key(e) not in listed:
+    unreached = {key(e) for e in neither}
+    for e in listed:
+        if key(e) not in unreached:
             print(f"note: listed but now reached or gone: {e['module']} {e['function']}: "
                   f"{e['source']}")
     return 1 if missing else 0
