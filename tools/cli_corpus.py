@@ -177,9 +177,9 @@ def load() -> dict:
         return json.load(fh)
 
 
-def write(path: str = CORPUS) -> dict:
+def write() -> dict:
     corpus = {"stamp": stamp(), "commands": [run(entry) for entry in command_list()]}
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(CORPUS, "w", encoding="utf-8") as fh:
         json.dump(corpus, fh, indent=1)
         fh.write("\n")
     return corpus
