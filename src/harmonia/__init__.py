@@ -42,16 +42,7 @@ from .harmonic import (
     radial_derivative,
     robin_trace_circle,
 )
-from .numerics import (
-    CheckRecord,
-    DEFAULT_SEED,
-    TrigPolynomial,
-    VerificationReport,
-    fd_laplacian,
-    fourier_neumann_oracle,
-    integrate_path,
-    run_verification_suite,
-)
+from .numerics import TrigPolynomial, fd_laplacian, fourier_neumann_oracle, integrate_path
 from .operators import (
     ArcNeumannField,
     dirichlet_from_robin_pair,
@@ -68,5 +59,6 @@ from .reflection import (
     reflect_neumann_schwarz,
     reflect_robin_circle,
 )
+from .verification import CheckRecord, DEFAULT_SEED, VerificationReport, run_verification_suite
 
 __version__ = "0.1.0"

@@ -42,7 +42,6 @@ from .algebra import DEFAULT_CUT_ANGLE, BivariateLaurentExpr
 from .errors import HarmoniaError
 from .geometry import BiPoint, SchwarzMap, reflect_bipoint
 from .harmonic import HarmonicPair, RobinParams, eval_pair, eval_real
-from .numerics import DEFAULT_SEED, run_verification_suite, worst_residual
 from .operators import neumann_from_dirichlet_pair, neumann_from_robin_pair
 from .records import EXAMPLES, FIELD_INPUT, REFLECT_INPUT, read, write
 from .reflection import (
@@ -51,6 +50,7 @@ from .reflection import (
     reflect_neumann_schwarz,
     reflect_robin_circle,
 )
+from .verification import DEFAULT_SEED, run_verification_suite, worst_residual
 
 EXIT_OK = 0
 EXIT_FAIL = 1

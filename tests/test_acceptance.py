@@ -17,12 +17,7 @@ from harmonia.algebra import BivariateLaurentExpr, LogLaurentExpr
 from harmonia.errors import NonzeroMeanError
 from harmonia.geometry import BiPoint, PathSpec, SchwarzMap
 from harmonia.harmonic import HarmonicPair, RobinParams, eval_real
-from harmonia.numerics import (
-    TrigPolynomial,
-    fourier_neumann_oracle,
-    run_verification_suite,
-    worst_residual,
-)
+from harmonia.numerics import TrigPolynomial, fourier_neumann_oracle
 from harmonia.operators import (
     dirichlet_from_robin_pair,
     neumann_from_dirichlet_disk,
@@ -31,6 +26,7 @@ from harmonia.operators import (
     neumann_from_robin_pair,
 )
 from harmonia.reflection import reflect_neumann_circle, reflect_neumann_schwarz, reflect_robin_circle
+from harmonia.verification import run_verification_suite, worst_residual
 
 SEED = 20260809
 GRID = [(float(r), float(th)) for r in np.linspace(0.6, 1.4, 10) for th in np.linspace(-2.0, 2.0, 10)]

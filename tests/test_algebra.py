@@ -673,7 +673,7 @@ def _built_or_error(fn):
         ([(0.75, 0, 0), (0.5j, 1, 0)], complex(0.0, math.nan)),
         ([(0.5j, 1, 0)], -math.inf),
         ([(1e308, 0, 0), (1.0, 2, 1)], 1e308),  # the entry overflows to inf
-        ([(1e308, 0, 0), (1.0, 2, 1)], 1e308j),  # the entry's modulus overflows
+        ([(1e308, 0, 0), (1.0, 2, 1)], 1e308j),  # the entry's modulus, ~1.41e308, is finite
     ],
 )
 def test_plus_constant_normalizes_only_an_entry_that_needs_it(terms, value, monkeypatch):

@@ -3,17 +3,18 @@ the verification checks that must then fail.
 
 A row is ``(name, inject, must_fail)``: ``inject(monkeypatch)`` patches the
 fault in, and the full suite at its default seed must fail every check in
-``must_fail``.  The suite imports the operators and the reflections at call
-time, so a patch on the defining module reaches every check.
+``must_fail``.  The suite reads each library function through its defining
+module when a check calls it, so a patch on that module reaches every check.
 """
 
 import pytest
 
+import harmonia.harmonic
 import harmonia.operators
 import harmonia.reflection
 from harmonia.geometry import SchwarzMap
 from harmonia.harmonic import HarmonicPair, RobinParams
-from harmonia.numerics import run_verification_suite
+from harmonia.verification import run_verification_suite
 
 
 def _negated(pair):
@@ -87,6 +88,16 @@ def _double_schwarz_derivative(monkeypatch):
     monkeypatch.setattr(SchwarzMap, "derivative", lambda smap, z: 2.0 * derivative(smap, z))
 
 
+def _halve_mirrored_radial_derivative(monkeypatch):
+    # the one-part route 2 Re(u1' e^{i theta}) loses its factor 2
+    rd = harmonia.harmonic.radial_derivative
+    monkeypatch.setattr(
+        harmonia.harmonic,
+        "radial_derivative",
+        lambda h, r, theta: 0.5 * rd(h, r, theta) if h.mirrored else rd(h, r, theta),
+    )
+
+
 FAULTS = [
     (
         "dtn_sign_flip",
@@ -111,6 +122,11 @@ FAULTS = [
         {"dirichlet_reflection_involution", "reflection_fixed_points"},
     ),
     ("schwarz_derivative_doubled", _double_schwarz_derivative, {"normal_vs_radial_derivative"}),
+    (
+        "mirrored_radial_derivative_halved",
+        _halve_mirrored_radial_derivative,
+        {"boundary_recovery_dirichlet", "boundary_recovery_robin", "normal_vs_radial_derivative"},
+    ),
 ]
 
 

@@ -1,7 +1,10 @@
+import ast
 import cmath
+import importlib
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,14 +13,9 @@ from harmonia.algebra import BivariateLaurentExpr, LogLaurentExpr
 from harmonia.errors import NonzeroMeanError, QuadratureConvergenceError
 from harmonia.geometry import PathSpec
 from harmonia.harmonic import HarmonicPair
-from harmonia import numerics
-from harmonia.numerics import (
-    TrigPolynomial,
-    fd_laplacian,
-    fourier_neumann_oracle,
-    integrate_path,
-    run_verification_suite,
-)
+from harmonia import numerics, verification
+from harmonia.numerics import TrigPolynomial, fd_laplacian, fourier_neumann_oracle, integrate_path
+from harmonia.verification import run_verification_suite
 
 
 def test_integrate_reciprocal_segment():
@@ -204,7 +202,7 @@ def test_fourier_oracle_rejects_nonzero_mean():
 
 def test_trig_polynomial_pair_trace_is_the_boundary_data():
     trig = TrigPolynomial((0.0, 0.5, -0.25, 0.1), (0.0, -0.3, 0.7, 0.0))
-    pair = trig.to_harmonic_pair()
+    pair = verification._disk_pair(trig)
     for th in np.linspace(-3.0, 3.0, 7):
         z = cmath.exp(1j * th)
         expected = trig.dirichlet_value(1.0, float(th))
@@ -213,14 +211,14 @@ def test_trig_polynomial_pair_trace_is_the_boundary_data():
 
 def test_suite_trace_extension_takes_log_free_pairs_only():
     saddle = HarmonicPair.symmetric(LogLaurentExpr.monomial(0.5, 2))
-    trace = numerics._robin_trace_bivariate(saddle, 1.0, 0.0)
+    trace = verification._robin_trace_bivariate(saddle, 1.0, 0.0)
     assert trace == BivariateLaurentExpr([(0.5, 2, 0), (0.5, 0, 2)])
     log_pair = HarmonicPair.symmetric(LogLaurentExpr([(0.5, 1, 1)]))
     zeta_logs = HarmonicPair(LogLaurentExpr.monomial(0.5, 1), LogLaurentExpr([(0.5, 1, 1)]))
     for pair in (log_pair, zeta_logs):
         for a, b in ((1.0, 0.0), (2.0, -1.0)):
             with pytest.raises(ValueError, match="log-free"):
-                numerics._robin_trace_bivariate(pair, a, b)
+                verification._robin_trace_bivariate(pair, a, b)
 
 
 def test_trig_polynomial_validation():
@@ -282,10 +280,10 @@ def test_suite_summary_table_shape():
 
 
 def test_worst_residual_keeps_a_nan():
-    assert numerics.worst_residual([]) == 0.0
-    assert numerics.worst_residual(iter([0.5, 2.0, 1.0])) == 2.0
+    assert verification.worst_residual([]) == 0.0
+    assert verification.worst_residual(iter([0.5, 2.0, 1.0])) == 2.0
     for residuals in ([math.nan, 1.0, 2.0], [1.0, 2.0, math.nan], [math.nan]):
-        assert math.isnan(numerics.worst_residual(residuals))
+        assert math.isnan(verification.worst_residual(residuals))
 
 
 def test_nan_residual_fails_its_check(monkeypatch, capsys):
@@ -375,3 +373,89 @@ def test_verify_names_a_raising_check_on_stderr_and_exits_one(monkeypatch, capsy
     rows = {ln.split()[0]: ln.split() for ln in captured.out.splitlines()[1:]}
     assert rows["normal_vs_radial_derivative"][-2:] == ["1e-10", "FAIL"]
     assert rows["robin_trace_linearity"][-1] == "PASS"
+
+
+# -- the exact/oracle rule -----------------------------------------------------
+
+_EXACT_MODULES = {"algebra", "harmonic", "operators", "reflection"}
+# the one import of the suite in numerics: the benchmark reads
+# harmonia.numerics.available_checks(), so the name stays here until the
+# benchmark reads it from verification
+_SUITE_IMPORTS_IN_NUMERICS = {"available_checks"}
+# verification calls the functions of these modules through the module, so
+# that a patch on the defining module reaches every check
+_READ_THROUGH_MODULE = {"geometry", "harmonic", "operators", "reflection", "numerics"}
+
+
+def _imports(source: str) -> list:
+    """(enclosing function or None, module, name) of every import in source.
+
+    A module of the package is named without the package (``from .algebra
+    import X``, ``from . import algebra`` and ``import harmonia.algebra`` all
+    name ``algebra``); name is None where a whole module is imported.
+    """
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            elif isinstance(child, ast.Import):
+                found.extend((function, a.name.removeprefix("harmonia."), None) for a in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                module = child.module or ""
+                if child.level:
+                    module = f"harmonia.{module}".rstrip(".")
+                for a in child.names:
+                    if module == "harmonia":
+                        found.append((function, a.name, None))
+                    else:
+                        found.append((function, module.removeprefix("harmonia."), a.name))
+            else:
+                visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def _module_imports(name: str) -> list:
+    return _imports((Path(numerics.__file__).parent / f"{name}.py").read_text())
+
+
+def test_the_import_reader_finds_every_form_at_any_depth():
+    source = (
+        "from .algebra import LogLaurentExpr\n"
+        "from . import harmonic\n"
+        "import harmonia.operators\n"
+        "import numpy as np\n"
+        "class C:\n"
+        "    def f(self):\n"
+        "        if True:\n"
+        "            from harmonia.reflection import reflect_neumann_circle\n"
+    )
+    assert _imports(source) == [
+        (None, "algebra", "LogLaurentExpr"),
+        (None, "harmonic", None),
+        (None, "operators", None),
+        (None, "numpy", None),
+        ("f", "reflection", "reflect_neumann_circle"),
+    ]
+
+
+def test_numerics_imports_no_exact_module_and_the_suite_only_in_available_checks():
+    imports = _module_imports("numerics")
+    assert [i for i in imports if i[1] in _EXACT_MODULES or i[1] == "numpy"] == []
+    assert {f for f, module, _ in imports if module == "verification"} == _SUITE_IMPORTS_IN_NUMERICS
+    at_load = {module for f, module, _ in imports if f is None}
+    assert at_load == {"__future__", "math", "dataclasses", "typing", "errors", "geometry"}
+
+
+def test_verification_imports_once_and_no_library_function_by_name():
+    imports = _module_imports("verification")
+    assert [i for i in imports if i[0] is not None] == []
+    by_name = [(m, n) for _, m, n in imports if m in _READ_THROUGH_MODULE and n is not None]
+    assert ("harmonic", "HarmonicPair") in by_name
+    assert [
+        (m, n) for m, n in by_name
+        if not isinstance(getattr(importlib.import_module(f"harmonia.{m}"), n), type)
+    ] == []
