@@ -303,6 +303,9 @@ _ROW_ERROR_REASONS = {
 }
 
 
+_FIELD_COLUMNS = ("r", "theta", "x", "y", "value", "reason")
+
+
 def cmd_field(args: argparse.Namespace, cut: float) -> int:
     grid = GridSpec.parse(args.grid)
     if args.example:
@@ -327,16 +330,14 @@ def cmd_field(args: argparse.Namespace, cut: float) -> int:
         else:
             if not math.isfinite(value):
                 raise ArithmeticError(f"the field at r = {r!r}, theta = {th!r} is not finite")
-        rows.append({"r": r, "theta": th, "x": x, "y": y, "value": value, "reason": reason})
+        rows.append((r, th, x, y, value, reason))
     if args.format == "json":
-        text = write({"rows": rows})
+        text = write({"rows": [dict(zip(_FIELD_COLUMNS, row)) for row in rows]})
     else:
-        lines = ["r,theta,x,y,value,reason"]
-        for row in rows:
-            value = "" if row["value"] is None else repr(row["value"])
-            lines.append(
-                f"{row['r']!r},{row['theta']!r},{row['x']!r},{row['y']!r},{value},{row['reason']}"
-            )
+        lines = [",".join(_FIELD_COLUMNS)]
+        for r, th, x, y, value, reason in rows:
+            shown = "" if value is None else repr(value)
+            lines.append(f"{r!r},{th!r},{x!r},{y!r},{shown},{reason}")
         text = "\n".join(lines)
     _emit(text, args.output)
     return EXIT_OK

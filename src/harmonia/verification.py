@@ -6,17 +6,19 @@ A check calls each library function through its defining module when it
 runs (``operators.neumann_from_dirichlet_pair(u)``,
 ``numerics.integrate_path(...)``) and holds no binding of its own, so a
 patch on the defining module reaches every check; classes are imported by
-name.  One generator, seeded once per run, feeds the checks in their order.
+name.  Each check draws from its own stream, ``random.Random(f"{seed}/{name}")``
+(a string seed is hashed with SHA-512, so the stream is the same on every
+run and platform), so a check's residuals do not depend on which checks run
+before it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
-
-import numpy as np
 
 from . import geometry, harmonic, numerics, operators, reflection
 from .algebra import BivariateLaurentExpr, LogLaurentExpr
@@ -99,11 +101,11 @@ class VerificationReport:
 
 
 def _random_expr(rng, max_terms=4, kmax=4, mmax=2, allow_log=True) -> LogLaurentExpr:
-    n = int(rng.integers(1, max_terms + 1))
+    n = rng.randrange(1, max_terms + 1)
     terms = []
     for _ in range(n):
-        k = int(rng.integers(-kmax, kmax + 1))
-        m = int(rng.integers(0, mmax + 1)) if allow_log else 0
+        k = rng.randrange(-kmax, kmax + 1)
+        m = rng.randrange(0, mmax + 1) if allow_log else 0
         c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         terms.append((c, k, m))
     return LogLaurentExpr(terms)
@@ -114,19 +116,19 @@ def _random_symmetric_pair(rng, max_terms=4, kmax=3, allow_log=True) -> Harmonic
 
 
 def _random_bivariate(rng, max_terms=4, kmax=3) -> BivariateLaurentExpr:
-    n = int(rng.integers(1, max_terms + 1))
+    n = rng.randrange(1, max_terms + 1)
     terms = []
     for _ in range(n):
-        kz = int(rng.integers(-kmax, kmax + 1))
-        kzeta = int(rng.integers(-kmax, kmax + 1))
+        kz = rng.randrange(-kmax, kmax + 1)
+        kzeta = rng.randrange(-kmax, kmax + 1)
         c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         terms.append((c, kz, kzeta))
     return BivariateLaurentExpr(terms)
 
 
 def _random_zero_mean_trig(rng, degree=6) -> TrigPolynomial:
-    cos = [0.0] + [float(rng.uniform(-1, 1)) for _ in range(degree)]
-    sin = [0.0] + [float(rng.uniform(-1, 1)) for _ in range(degree)]
+    cos = [0.0] + [rng.uniform(-1, 1) for _ in range(degree)]
+    sin = [0.0] + [rng.uniform(-1, 1) for _ in range(degree)]
     return TrigPolynomial(tuple(cos), tuple(sin))
 
 
@@ -149,8 +151,16 @@ def _robin_trace_bivariate(w: HarmonicPair, a: float, b: float) -> BivariateLaur
     return BivariateLaurentExpr(terms)
 
 
-def _sample_thetas(n: int) -> np.ndarray:
-    return np.linspace(-2.0, 2.0, n)
+def _linspace(start: float, stop: float, n: int) -> list:
+    """``n`` evenly spaced points from start to stop, the ends included; equal
+    bit for bit to ``numpy.linspace(start, stop, n)`` (i * step + start, with
+    the last point set to stop)."""
+    step = (stop - start) / (n - 1)
+    return [i * step + start for i in range(n - 1)] + [stop]
+
+
+def _sample_thetas(n: int) -> list:
+    return _linspace(-2.0, 2.0, n)
 
 
 def worst_residual(residuals: Iterable[float]) -> float:
@@ -186,11 +196,11 @@ def _check_eval_homomorphism(rng):
 def _check_ray_restriction(rng):
     for _ in range(50):
         e = _random_expr(rng)
-        th = float(rng.uniform(-2.5, 2.5))
+        th = rng.uniform(-2.5, 2.5)
         ray = e.restrict_to_ray(th)
         yield worst_residual(
             abs(ray.eval(complex(rho)) - e.eval(rho * cmath.exp(1j * th)))
-            for rho in np.linspace(0.5, 2.0, 7)
+            for rho in _linspace(0.5, 2.0, 7)
         )
 
 
@@ -257,8 +267,8 @@ def _check_fd_harmonicity(rng):
     h = 1e-3
     for pair in pairs:
         field = lambda x, y: harmonic.eval_real(pair, x, y)
-        for r in np.linspace(0.75, 1.3, 5):
-            for th in np.linspace(-2.0, 2.0, 5):
+        for r in _linspace(0.75, 1.3, 5):
+            for th in _linspace(-2.0, 2.0, 5):
                 x, y = r * math.cos(th), r * math.sin(th)
                 yield abs(numerics.fd_laplacian(field, x, y, h)) / harmonic.field_scale(pair, x, y)
 
@@ -270,8 +280,8 @@ def _check_reality(rng):
     for _ in range(10):
         pair = _random_symmetric_pair(rng)
         for th in _sample_thetas(8):
-            r = float(rng.uniform(0.6, 1.5))
-            ez = cmath.exp(1j * float(th))
+            r = rng.uniform(0.6, 1.5)
+            ez = cmath.exp(1j * th)
             v = pair.part_z.eval(r * ez) + pair.part_zeta.eval(r / ez)
             yield abs(v.imag) / max(1.0, abs(v))
 
@@ -285,26 +295,26 @@ def _check_normal_vs_radial(rng):
         # zeta-part checks the two-part routes, S' included
         pairs = (pair, HarmonicPair(pair.part_z, 2.0 * pair.part_zeta))
         for th in _sample_thetas(6):
-            z = cmath.exp(1j * float(th))
+            z = cmath.exp(1j * th)
             yield worst_residual(
                 abs(
                     harmonic.normal_derivative_schwarz(h, smap, z)
-                    - harmonic.radial_derivative(h, 1.0, float(th))
+                    - harmonic.radial_derivative(h, 1.0, th)
                 )
                 for h in pairs
             )
 
 
 def _check_robin_trace_linearity(rng):
-    params = RobinParams(float(rng.uniform(-2, 2)), 1.5)
+    params = RobinParams(rng.uniform(-2, 2), 1.5)
     for _ in range(10):
         h1 = _random_symmetric_pair(rng)
         h2 = _random_symmetric_pair(rng)
         for th in _sample_thetas(5):
             yield abs(
-                harmonic.robin_trace_circle(h1 + h2, params, float(th))
-                - harmonic.robin_trace_circle(h1, params, float(th))
-                - harmonic.robin_trace_circle(h2, params, float(th))
+                harmonic.robin_trace_circle(h1 + h2, params, th)
+                - harmonic.robin_trace_circle(h1, params, th)
+                - harmonic.robin_trace_circle(h2, params, th)
             )
 
 
@@ -312,9 +322,9 @@ def _check_boundary_recovery_dirichlet(rng):
     for _ in range(10):
         u = _random_symmetric_pair(rng, max_terms=8)
         v = operators.neumann_from_dirichlet_pair(u)
-        for th in np.linspace(-2.0, 2.0, 32):
-            trace = harmonic.eval_pair(u, BiPoint.from_polar(1.0, float(th)))
-            yield abs(harmonic.radial_derivative(v, 1.0, float(th)) - trace)
+        for th in _linspace(-2.0, 2.0, 32):
+            trace = harmonic.eval_pair(u, BiPoint.from_polar(1.0, th))
+            yield abs(harmonic.radial_derivative(v, 1.0, th) - trace)
 
 
 def _check_boundary_recovery_robin(rng):
@@ -323,24 +333,26 @@ def _check_boundary_recovery_robin(rng):
         for _ in range(4):
             w = _random_symmetric_pair(rng, max_terms=6)
             v = operators.neumann_from_robin_pair(w, params)
-            for th in np.linspace(-2.0, 2.0, 32):
-                target = 0.5 * harmonic.robin_trace_circle(w, params, float(th))
-                yield abs(harmonic.radial_derivative(v, 1.0, float(th)) - target)
+            for th in _linspace(-2.0, 2.0, 32):
+                target = 0.5 * harmonic.robin_trace_circle(w, params, th)
+                yield abs(harmonic.radial_derivative(v, 1.0, th) - target)
 
 
 def _check_corollary_chain(rng):
     for _ in range(20):
-        params = RobinParams(float(rng.uniform(-2, 2)), float(rng.choice([1.0, -1.0, 3.0])))
+        params = RobinParams(rng.uniform(-2, 2), rng.choice([1.0, -1.0, 3.0]))
         w = _random_symmetric_pair(rng, max_terms=5)
         dirichlet = operators.dirichlet_from_robin_pair(w, params)
         chain = operators.neumann_from_dirichlet_pair(dirichlet)
         direct = operators.neumann_from_robin_pair(w, params)
         diffs = []
-        for r in np.linspace(0.7, 1.3, 5):
-            for th in np.linspace(-1.8, 1.8, 5):
+        for r in _linspace(0.7, 1.3, 5):
+            for th in _linspace(-1.8, 1.8, 5):
                 x, y = r * math.cos(th), r * math.sin(th)
                 diffs.append(harmonic.eval_real(chain, x, y) - harmonic.eval_real(direct, x, y))
-        yield float(np.var(diffs))
+        # the population variance: the two fields differ by a constant
+        mean = math.fsum(diffs) / len(diffs)
+        yield math.fsum((d - mean) ** 2 for d in diffs) / len(diffs)
 
 
 def _check_ode_identity(rng):
@@ -365,8 +377,8 @@ def _check_disk_vs_pair(rng):
         pin = harmonic.eval_real(pair_v, 1.0, 0.0)
         disk_pin = operators.neumann_from_dirichlet_disk(trig, 1.0 + 0j)
         for _ in range(10):
-            r = float(rng.uniform(0.05, 1.0))
-            th = float(rng.uniform(-2.5, 2.5))
+            r = rng.uniform(0.05, 1.0)
+            th = rng.uniform(-2.5, 2.5)
             z = r * cmath.exp(1j * th)
             lhs = operators.neumann_from_dirichlet_disk(trig, z) - disk_pin
             rhs = harmonic.eval_real(pair_v, z.real, z.imag) - pin
@@ -376,9 +388,9 @@ def _check_disk_vs_pair(rng):
 def _check_quadrature_vs_exact(rng):
     for _ in range(50):
         e = _random_expr(rng, max_terms=6)
-        th = float(rng.uniform(-2.5, 2.5))
-        r0 = float(rng.uniform(0.5, 2.0))
-        r1 = float(rng.uniform(0.5, 2.0))
+        th = rng.uniform(-2.5, 2.5)
+        r0 = rng.uniform(0.5, 2.0)
+        r1 = rng.uniform(0.5, 2.0)
         if abs(r1 - r0) < 1e-3:
             r1 = r0 + 0.5
         path = PathSpec.radial_ray(th, r0, r1)
@@ -393,13 +405,13 @@ def _check_oracle_vs_pair(rng):
         trig = _random_zero_mean_trig(rng, degree=6)
         v = operators.neumann_from_dirichlet_pair(_disk_pair(trig))
         pin = harmonic.eval_real(v, 1.0, 0.0) - numerics.fourier_neumann_oracle(trig, 1.0, 0.0)
-        for r in np.linspace(0.2, 1.0, 5):
+        for r in _linspace(0.2, 1.0, 5):
             for th in _sample_thetas(5):
                 x, y = r * math.cos(th), r * math.sin(th)
                 yield abs(
                     harmonic.eval_real(v, x, y)
                     - pin
-                    - numerics.fourier_neumann_oracle(trig, float(r), float(th))
+                    - numerics.fourier_neumann_oracle(trig, r, th)
                 )
 
 
@@ -419,7 +431,7 @@ def _check_reflection_fixed_points(rng):
         u = _random_symmetric_pair(rng, allow_log=False)
         phi = _robin_trace_bivariate(u, 1.0, 0.0)
         for th in _sample_thetas(6):
-            p = BiPoint.from_polar(1.0, float(th))
+            p = BiPoint.from_polar(1.0, th)
             direct = harmonic.eval_pair(u, p)
             rn = reflection.reflect_neumann_circle(u, phi, p)
             rr = reflection.reflect_robin_circle(u, phi, params, p)
@@ -437,7 +449,7 @@ def _check_dirichlet_involution(rng):
         u = _random_symmetric_pair(rng, allow_log=False)
         phi = _robin_trace_bivariate(u, 1.0, 0.0)
         for th in _sample_thetas(5):
-            p = BiPoint.from_polar(float(rng.uniform(0.6, 0.95)), float(th))
+            p = BiPoint.from_polar(rng.uniform(0.6, 0.95), th)
             # phi is mirrored, so on the slice the data take one evaluation;
             # the identity holds on C^2, so a point off the slice checks the
             # two-part data sum
@@ -461,7 +473,7 @@ def _check_extension_independence(rng):
         psi = _random_bivariate(rng, max_terms=6)
         phi2 = phi + psi * kernel
         for th in _sample_thetas(5):
-            p = BiPoint.from_polar(0.8, float(th))
+            p = BiPoint.from_polar(0.8, th)
             yield worst_residual((
                 abs(
                     reflection.reflect_neumann_circle(u, phi, p).correction
@@ -481,7 +493,7 @@ def _check_neumann_pipeline(rng):
         phi = _robin_trace_bivariate(u, 1.0, 0.0)
         v = operators.neumann_from_dirichlet_pair(u)
         for _ in range(2):
-            p = BiPoint.from_polar(float(rng.uniform(0.6, 0.95)), float(rng.uniform(-2.0, 2.0)))
+            p = BiPoint.from_polar(rng.uniform(0.6, 0.95), rng.uniform(-2.0, 2.0))
             direct = harmonic.eval_pair(v, geometry.reflect_bipoint(smap, p))
             yield abs(direct - reflection.reflect_neumann_circle(v, phi, p).value)
 
@@ -494,9 +506,7 @@ def _check_robin_pipeline(rng):
             w = _random_symmetric_pair(rng, allow_log=False)
             phi_w = _robin_trace_bivariate(w, a, b)
             for _ in range(2):
-                p = BiPoint.from_polar(
-                    float(rng.uniform(0.6, 0.95)), float(rng.uniform(-2.0, 2.0))
-                )
+                p = BiPoint.from_polar(rng.uniform(0.6, 0.95), rng.uniform(-2.0, 2.0))
                 direct = harmonic.eval_pair(w, geometry.reflect_bipoint(smap, p))
                 yield abs(direct - reflection.reflect_robin_circle(w, phi_w, params, p).value)
 
@@ -505,7 +515,7 @@ def _check_even_continuation(rng):
     for _ in range(10):
         v = _random_symmetric_pair(rng)
         for th in _sample_thetas(3):
-            p = BiPoint.from_polar(0.85, float(th))
+            p = BiPoint.from_polar(0.85, th)
             res = reflection.reflect_neumann_circle(v, BivariateLaurentExpr.zero(), p)
             yield worst_residual((abs(res.value - harmonic.eval_pair(v, p)), abs(res.correction)))
 
@@ -518,8 +528,8 @@ def _check_circle_reduction(rng):
     path = PathSpec.segment(0.75 + 0j, 1.0 + 0j)
     v_arc = operators.neumann_from_dirichlet_schwarz(u, smap, path, path)
     for _ in range(20):
-        r = float(rng.uniform(0.6, 0.95))
-        th = float(rng.uniform(-2.0, 2.0))
+        r = rng.uniform(0.6, 0.95)
+        th = rng.uniform(-2.0, 2.0)
         p = BiPoint.from_polar(r, th)
         yield worst_residual((
             abs(v_arc.eval(p) - harmonic.eval_real(v_exact, p.z.real, p.z.imag)),
@@ -530,7 +540,7 @@ def _check_circle_reduction(rng):
         ))
 
 
-# A check is a generator over the suite's random generator that yields one
+# A check is a generator over its own random.Random stream that yields one
 # residual per sample and nothing else; a sample with several residuals
 # yields their worst_residual.  run_verification_suite counts and reduces them.
 _CHECKS = (  # (name, tag, tolerance, check)
@@ -572,7 +582,9 @@ def run_verification_suite(
 
     Each check yields one residual per sample; its record holds the number
     of samples and their ``worst_residual``, which is NaN, and so fails,
-    if any residual is NaN.
+    if any residual is NaN.  A check draws its inputs from a stream seeded
+    by ``seed`` and its own name, so it gives the same residuals alone as in
+    the full suite.
 
     ``targets`` selects checks by name or tag (None runs everything; an
     empty selection yields an empty, passing report).  Failures are
@@ -590,12 +602,11 @@ def run_verification_suite(
         if unknown:
             raise ValueError(f"unknown verification targets: {sorted(unknown)}")
         selected = [c for c in _CHECKS if c[0] in wanted or c[1] in wanted]
-    rng = np.random.default_rng(seed)
     records = []
     for name, tag, tol, check in selected:
         residuals, error = [], None
         try:
-            for residual in check(rng):
+            for residual in check(random.Random(f"{seed}/{name}")):
                 residuals.append(residual)
         except (ArithmeticError, ValueError) as exc:
             error = f"{type(exc).__name__}: {exc}"

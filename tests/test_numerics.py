@@ -4,6 +4,8 @@ import importlib
 import json
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -235,8 +237,9 @@ def test_suite_full_pass_and_failures_listing():
 
 @pytest.mark.parametrize("seed", [14, 20])
 def test_suite_passes_at_seeds_once_failing_fd_harmonicity(seed):
-    # with a 5-point stencil at h = 1e-4, fd_harmonicity read 1.3e-5 and
-    # 1.1e-5 at these seeds against its 1e-5 tolerance
+    # with a 5-point stencil at h = 1e-4 and one generator shared by the
+    # suite, fd_harmonicity read 1.3e-5 and 1.1e-5 at these seeds against
+    # its 1e-5 tolerance
     report = run_verification_suite(seed=seed)
     assert report.all_passed, [c for c in report.checks if not c.passed]
 
@@ -246,6 +249,31 @@ def test_available_checks_name_the_suite_in_its_order():
     listed = numerics.available_checks()
     assert tuple((c.name, c.tag) for c in report.checks) == listed[: len(report.checks)]
     assert len(listed) == len(set(listed)) == 27
+
+
+@pytest.mark.parametrize("seed", [3, 1729])
+def test_each_check_gives_the_same_residuals_alone_as_in_the_full_suite(seed):
+    # each check draws from its own stream, so what ran before it does not
+    # move its inputs; a shared generator moved 16 of 27 at seed 3
+    full = run_verification_suite(seed=seed).checks
+    alone = [run_verification_suite(targets=(c.name,), seed=seed).checks[0] for c in full]
+    assert [c for c, a in zip(full, alone) if c != a] == []
+
+
+def test_linspace_equals_numpy_bit_for_bit_on_every_grid_the_suite_uses(monkeypatch):
+    grids = set()
+    linspace = verification._linspace
+
+    def recording(start, stop, n):
+        grids.add((start, stop, n))
+        return linspace(start, stop, n)
+
+    monkeypatch.setattr(verification, "_linspace", recording)
+    run_verification_suite()
+    assert len(grids) >= 10
+    for start, stop, n in sorted(grids):
+        want = [float(v).hex() for v in np.linspace(start, stop, n)]
+        assert [v.hex() for v in linspace(start, stop, n)] == want, (start, stop, n)
 
 
 def test_suite_empty_selection_passes():
@@ -448,6 +476,23 @@ def test_numerics_imports_no_exact_module_and_the_suite_only_in_available_checks
     assert {f for f, module, _ in imports if module == "verification"} == _SUITE_IMPORTS_IN_NUMERICS
     at_load = {module for f, module, _ in imports if f is None}
     assert at_load == {"__future__", "math", "dataclasses", "typing", "errors", "geometry"}
+
+
+def test_verification_imports_no_numpy_at_any_depth():
+    imports = _module_imports("verification")
+    assert [i for i in imports if i[1].partition(".")[0] == "numpy"] == []
+
+
+def test_a_cold_verify_leaves_numpy_random_unloaded():
+    code = (
+        "import contextlib, io, sys\n"
+        "from harmonia.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['verify'])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "0 False\n", "")
 
 
 def test_verification_imports_once_and_no_library_function_by_name():
