@@ -621,8 +621,9 @@ class LogLaurentExpr(_SparseSum):
     def conjugate_mirror(self) -> "LogLaurentExpr":
         """Coefficient-conjugated copy.
 
-        If u1 has mirror u2, the pair u1(z) + u2(conj z) is real valued away
-        from the cut (the default cut is conjugation symmetric).
+        The zeta-part that a pair record holds for the z-part self: on the
+        default cut, which conjugation maps to itself, it is
+        conj(self(conj zeta)).
         """
         acc = {key: c.conjugate() for key, c in self._terms.items()}
         return self._like(acc)

@@ -139,19 +139,22 @@ _OPERATOR_KINDS = ("dtn_pair", "rtn_pair")
 _REFLECT_KINDS = ("reflect_neumann", "reflect_robin")
 
 
-def _operator_output(rec: dict, cut: float) -> HarmonicPair:
-    """The Neumann pair of a ``dtn_pair`` or ``rtn_pair`` record."""
+def _operator_output(rec: dict, cut: float, at: str = "") -> HarmonicPair:
+    """The Neumann pair of a ``dtn_pair`` or ``rtn_pair`` record found at the
+    JSON path prefix ``at``."""
     if rec["kind"] == "dtn_pair":
-        return neumann_from_dirichlet_pair(HarmonicPair._from_record(rec["u"], cut))
-    w = HarmonicPair._from_record(rec["w"], cut)
+        return neumann_from_dirichlet_pair(HarmonicPair._from_record(rec["u"], cut, at + "u"))
+    w = HarmonicPair._from_record(rec["w"], cut, at + "w")
     return neumann_from_robin_pair(w, RobinParams(rec["a"], rec["b"]))
 
 
-def _reflector(rec: dict, cut: float):
-    """The solution of a ``reflect_neumann`` or ``reflect_robin`` record, and
-    its reflection across the unit circle at a point."""
+def _reflector(rec: dict, cut: float, at: str = ""):
+    """The solution of a ``reflect_neumann`` or ``reflect_robin`` record found
+    at the JSON path prefix ``at``, and its reflection across the unit circle
+    at a point."""
     neumann = rec["kind"] == "reflect_neumann"
-    solution = HarmonicPair._from_record(rec["v" if neumann else "w"], cut)
+    key = "v" if neumann else "w"
+    solution = HarmonicPair._from_record(rec[key], cut, at + key)
     data = BivariateLaurentExpr._from_terms(rec["data"])
     if neumann:
         return solution, partial(reflect_neumann_circle, solution, data)
@@ -279,16 +282,16 @@ def cmd_verify(args: argparse.Namespace, cut: float) -> int:
     return EXIT_OK if report.all_passed else EXIT_FAIL
 
 
-def _field_evaluator(source: dict, cut: float):
-    """The field of a ``field`` source record (a fixture row is one) as a
-    function of polar coordinates."""
+def _field_evaluator(source: dict, cut: float, at: str):
+    """The field of a ``field`` source record (a fixture row is one) found at
+    the JSON path prefix ``at``, as a function of polar coordinates."""
     kind = source["kind"]
     if kind == "pair":
-        pair = HarmonicPair._from_record(source["pair"], cut)
+        pair = HarmonicPair._from_record(source["pair"], cut, at + "pair")
     elif kind in _OPERATOR_KINDS:
-        pair = _operator_output(source, cut)
+        pair = _operator_output(source, cut, at)
     else:
-        _, reflect = _reflector(source, cut)
+        _, reflect = _reflector(source, cut, at)
         # the continuation value at (r, theta) comes from the mirror source
         # point at radius 1/r
         return lambda r, th: reflect(BiPoint.from_polar(1.0 / r, th)).value.real
@@ -299,7 +302,6 @@ _ROW_ERROR_REASONS = {
     "CutProximityError": "cut_proximity",
     "PoleError": "pole",
     "DomainError": "domain_error",
-    "NonSymmetricPairError": "non_symmetric_pair",
 }
 
 
@@ -309,15 +311,15 @@ _FIELD_COLUMNS = ("r", "theta", "x", "y", "value", "reason")
 def cmd_field(args: argparse.Namespace, cut: float) -> int:
     grid = GridSpec.parse(args.grid)
     if args.example:
-        source = _fixture(args.example)
+        source, at = _fixture(args.example), ""
         if source is None:
             raise ValueError(f"unknown example id {args.example!r}")
     elif args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
-            source = read(json.load(fh), FIELD_INPUT)["field"]
+            source, at = read(json.load(fh), FIELD_INPUT)["field"], "field."
     else:
         raise ValueError("field requires --input or --example")
-    evaluator = _field_evaluator(source, cut)
+    evaluator = _field_evaluator(source, cut, at)
     rows = []
     for r, th in grid.points():
         x, y = r * math.cos(th), r * math.sin(th)
@@ -373,7 +375,7 @@ def cmd_reflect(args: argparse.Namespace, cut: float) -> int:
             raise ValueError(f"params: read only by --formula robin, not {args.formula}")
     else:
         raise ValueError("reflect requires --input or --example")
-    solution = HarmonicPair._from_record(payload["solution"], cut)
+    solution = HarmonicPair._from_record(payload["solution"], cut, "solution")
     data = BivariateLaurentExpr._from_terms(payload.get("data", []))
     smap = SchwarzMap._from_record(payload["map"]) if "map" in payload else SchwarzMap.unit_circle()
     formula = args.formula

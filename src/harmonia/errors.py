@@ -40,7 +40,7 @@ class PoleError(DomainError):
 
 
 class NonSymmetricPairError(HarmoniaError):
-    """A real-slice evaluation was asked of a pair that is not conjugate-symmetric."""
+    """A pair record whose zeta-part is not the conjugate mirror of its z-part."""
 
 
 class BranchSelectionError(HarmoniaError):

@@ -1,28 +1,26 @@
-"""Complexified harmonic functions u(z, zeta) = u1(z) + u2(zeta).
+"""Complexified real harmonic functions u(z, zeta) = f(z) + conj(f(conj(zeta))).
 
-Splitting a harmonic function into a z-part and a zeta-part makes the
-mixed second derivative vanish identically, so every pair built from
-log-Laurent parts is harmonic by construction.  On the real slice
-zeta = conj(z) the pair represents an ordinary real harmonic field
-whenever the zeta-part mirrors the z-part with conjugated coefficients.
+A real harmonic field is 2 Re f for one holomorphic part f, here a
+log-Laurent sum, so a ``HarmonicPair`` holds f alone (as ``part_z``).  Its
+complexification takes f on the z side and f's conjugate mirror on the
+zeta side: u(z, zeta) = f(z) + conj(f(conj(zeta))), where the logarithm of
+conj(zeta) is taken on f's own cut, so the zeta side carries f's cut
+mirrored by construction.  The mixed second derivative vanishes
+identically, so every pair is harmonic; and on the real slice
+zeta = conj(z) the value is 2 Re f(z), real at every cut.
 
-A pair records that symmetry in its derived ``mirrored`` flag: both parts
-take the cut at pi, and the zeta-part's terms equal the z-part's
-conjugated terms.  The cut must be pi because only on the window
-(-pi, pi] is log conj(z) = conj(log z).  ``HarmonicPair.symmetric`` sets
-the flag and builds the zeta-part (the conjugate mirror) only when it is
-first read; any other pair compares its parts once, on first use.  At a
-point exactly on the slice, a mirrored pair's zeta-part gives the
-conjugate of the z-part's value, so evaluation computes the z-part only
-(u = 2 Re u1(z)), and ``eval_real`` always does.  ``radial_derivative``
-takes (r, theta), not a point: its zeta point is the conjugate ray by
-construction, so it computes the z-part only for every mirrored pair.
-``normal_derivative_schwarz`` takes a point of the curve, where
-S(z) = conj(z), so for a mirrored pair it is 2 Re(n u1'(z)) along the
-outward normal n, with no S' and no zeta point.  None of them reads the
-zeta-part of a mirrored pair.  Every other pair and
-point takes the two-part sum, because intermediate pairs in C^2 are often
-deliberately non-symmetric.
+At a point exactly on the slice, evaluation computes f(z) once, and
+``eval_real`` always does.  ``radial_derivative`` takes (r, theta), not a
+point: its zeta point is the conjugate ray by construction, so it is
+2 Re(f'(z) e^{i theta}).  ``normal_derivative_schwarz`` takes a point of
+the curve, where S(z) = conj(z), so it is 2 Re(n f'(z)) along the outward
+normal n.  A point off the slice (intermediate points in C^2 often are)
+evaluates both sides.  Each of these raises ``DomainError`` for a
+non-finite argument, once per call.
+
+JSON keeps both parts: ``to_json`` writes the zeta-part as the conjugate
+mirror of the z-part, and reading a record requires its zeta-part to equal
+that mirror term for term, else ``NonSymmetricPairError``.
 """
 
 from __future__ import annotations
@@ -30,10 +28,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .algebra import DEFAULT_CUT_ANGLE, LogLaurentExpr, branch_log
-from .errors import BranchSelectionError, DomainError, NonSymmetricPairError
+from .errors import DomainError, NonSymmetricPairError
 from .geometry import BiPoint, SchwarzMap
 from .records import PAIR, read
 
@@ -48,74 +45,47 @@ __all__ = [
     "robin_trace_circle",
 ]
 
-_REALITY_TOL = 1e-11
-
 
 @dataclass(frozen=True)
 class HarmonicPair:
-    """u(z, zeta) = part_z(z) + part_zeta(zeta)."""
+    """u(z, zeta) = part_z(z) + conj(part_z(conj(zeta))), real on the slice."""
 
     part_z: LogLaurentExpr
-    part_zeta: LogLaurentExpr
-
-    @cached_property
-    def mirrored(self) -> bool:
-        """Whether part_zeta is part_z with conjugated coefficients, both on the cut at pi.
-
-        Derived and kept on the instance, not a field: ==, hash, repr and
-        JSON do not see it.
-        """
-        return (
-            self.part_z.cut_angle == DEFAULT_CUT_ANGLE
-            and self.part_zeta == self.part_z.conjugate_mirror()
-        )
 
     @classmethod
     def constant(cls, value: float) -> "HarmonicPair":
-        half = LogLaurentExpr.constant(value / 2.0)
-        return cls(half, half)
+        return cls(LogLaurentExpr.constant(value / 2.0))
 
     @classmethod
     def symmetric(cls, part_z: LogLaurentExpr) -> "HarmonicPair":
-        """Pair with the zeta-part mirroring the z-part; real on the real slice.
-
-        The zeta-part, ``part_z.conjugate_mirror()``, is built when it is
-        first read and kept; ==, hash, repr and JSON read it.
-        """
-        pair = object.__new__(cls)
-        state = vars(pair)
-        state["part_z"] = part_z
-        # the mirror holds by construction; only the cut is left to test
-        state["mirrored"] = part_z.cut_angle == DEFAULT_CUT_ANGLE
-        return pair
+        """The pair of ``part_z``, as ``HarmonicPair(part_z)`` builds it."""
+        return cls(part_z)
 
     def __add__(self, other: "HarmonicPair") -> "HarmonicPair":
-        return HarmonicPair(self.part_z + other.part_z, self.part_zeta + other.part_zeta)
+        return HarmonicPair(self.part_z + other.part_z)
 
     def __sub__(self, other: "HarmonicPair") -> "HarmonicPair":
-        return HarmonicPair(self.part_z - other.part_z, self.part_zeta - other.part_zeta)
+        return HarmonicPair(self.part_z - other.part_z)
 
     def to_json(self) -> dict:
-        return {"part_z": self.part_z.to_json(), "part_zeta": self.part_zeta.to_json()}
+        return {"part_z": self.part_z.to_json(),
+                "part_zeta": self.part_z.conjugate_mirror().to_json()}
 
     @classmethod
     def from_json(cls, rec: dict, cut_angle: float = DEFAULT_CUT_ANGLE) -> "HarmonicPair":
         return cls._from_record(read(rec, PAIR), cut_angle)
 
     @classmethod
-    def _from_record(cls, rec: dict, cut_angle: float) -> "HarmonicPair":
-        """The pair of a record already held to ``records.PAIR``."""
-        return cls(
-            LogLaurentExpr._from_terms(rec["part_z"], cut_angle),
-            LogLaurentExpr._from_terms(rec["part_zeta"], cut_angle),
-        )
-
-
-# A pair from ``symmetric`` holds no part_zeta.  This non-data descriptor
-# builds it on the first read and keeps it on the pair; a part_zeta the pair
-# holds (after that read, or given to the constructor) is found first.
-HarmonicPair.part_zeta = cached_property(lambda pair: pair.part_z.conjugate_mirror())
-HarmonicPair.part_zeta.__set_name__(HarmonicPair, "part_zeta")
+    def _from_record(cls, rec: dict, cut_angle: float, path: str = "") -> "HarmonicPair":
+        """The pair of a record already held to ``records.PAIR``, found at the
+        JSON ``path``; its zeta-part must be the conjugate mirror of its z-part."""
+        part_z = LogLaurentExpr._from_terms(rec["part_z"], cut_angle)
+        if LogLaurentExpr._from_terms(rec["part_zeta"], cut_angle) != part_z.conjugate_mirror():
+            at = f"{path}." if path else ""
+            raise NonSymmetricPairError(
+                f"{at}part_zeta: must be the conjugate mirror of {at}part_z, term for term"
+            )
+        return cls(part_z)
 
 
 @dataclass(frozen=True)
@@ -132,37 +102,36 @@ class RobinParams:
             raise ValueError("Robin coefficient b must be nonzero")
 
 
-def eval_pair(h: HarmonicPair, p: BiPoint) -> complex:
-    """u1(z) + u2(zeta) at a C^2 point.
+def _not_finite(*named) -> DomainError:
+    """The error for (name, value) arguments of which one is not finite, naming it."""
+    name, value = next((n, v) for n, v in named if not cmath.isfinite(v))
+    return DomainError(f"{name} must be finite, got {value!r}")
 
-    For a ``mirrored`` pair at a point exactly on the real slice (zeta ==
-    conj(z)), u2(zeta) is the conjugate of u1(z), so only the z-part is
-    evaluated: the value is 2 Re u1(z), with imaginary part 0.
+
+def eval_pair(h: HarmonicPair, p: BiPoint) -> complex:
+    """f(z) + conj(f(conj(zeta))) at a C^2 point.
+
+    At a point exactly on the real slice (zeta == conj(z)) the two sides are
+    conjugates, so f is evaluated once: the value is 2 Re f(z), with
+    imaginary part 0.
     """
-    if h.mirrored and p.zeta == p.z.conjugate():
-        return complex(2.0 * h.part_z.eval(p.z).real, 0.0)
-    return h.part_z.eval(p.z) + h.part_zeta.eval(p.zeta)
+    z, zeta = p.z, p.zeta
+    if not (cmath.isfinite(z) and cmath.isfinite(zeta)):
+        raise _not_finite(("p.z", z), ("p.zeta", zeta))
+    if zeta == z.conjugate():
+        return complex(2.0 * h.part_z.eval(z).real, 0.0)
+    return h.part_z.eval(z) + h.part_z.eval(zeta.conjugate()).conjugate()
 
 
 def eval_real(h: HarmonicPair, x: float, y: float) -> float:
-    """Real-slice value at the plane point (x, y).
-
-    Raises when the imaginary residue exceeds the reality tolerance,
-    which flags pairs that are not conjugate-symmetric.  A ``mirrored``
-    pair is real by construction, so its value is 2 Re u1(z), as
-    ``eval_pair`` gives it, with no test.
-    """
+    """Real-slice value 2 Re f(z) at the plane point z = (x, y), as
+    ``eval_pair`` gives it."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise _not_finite(("x", x), ("y", y))
     z = complex(x, y)
     if z == 0:
         raise DomainError("real-slice evaluation at the origin")
-    if h.mirrored:
-        return 2.0 * h.part_z.eval(z).real
-    value = eval_pair(h, BiPoint(z, z.conjugate()))
-    if abs(value.imag) > _REALITY_TOL * max(1.0, abs(value)):
-        raise NonSymmetricPairError(
-            f"imaginary residue {value.imag:.3g} at ({x}, {y}); pair is not conjugate-symmetric"
-        )
-    return value.real
+    return 2.0 * h.part_z.eval(z).real
 
 
 def field_scale(h: HarmonicPair, x: float, y: float) -> float:
@@ -170,61 +139,49 @@ def field_scale(h: HarmonicPair, x: float, y: float) -> float:
 
     Unlike |value|, this cannot collapse through phase cancellation, which
     makes it the right denominator for relative residuals (finite
-    difference checks and the like).  Logarithms are taken on each part's
-    own branch, as in evaluation.  Never smaller than 1.
+    difference checks and the like).  Logarithms are taken on f's cut, as in
+    evaluation.  Never smaller than 1.
     """
     z = complex(x, y)
     if z == 0:
         raise DomainError("field scale at the origin")
+    f = h.part_z
+    lg = abs(branch_log(z, f.cut_angle)) if f.has_log() else 0.0
     total = 0.0
-    for part, w in ((h.part_z, z), (h.part_zeta, z.conjugate())):
-        if part.is_zero():
-            continue
-        lg = abs(branch_log(w, part.cut_angle)) if part.has_log() else 0.0
-        for t in part.terms:
-            total += abs(t.coeff) * abs(w) ** t.power * (lg**t.logpow if t.logpow else 1.0)
+    # the z side, then the zeta side at conj(zeta) = z: the same magnitudes,
+    # added term by term again, since a doubled sum would round otherwise
+    for _ in range(2):
+        for t in f.terms:
+            total += abs(t.coeff) * abs(z) ** t.power * (lg**t.logpow if t.logpow else 1.0)
     return max(1.0, total)
 
 
 def radial_derivative(h: HarmonicPair, r: float, theta: float) -> complex:
     """d/dr of u along the ray parameterization (r e^{i theta}, r e^{-i theta}).
 
-    Equals u1'(z) e^{i theta} + u2'(zeta) e^{-i theta}.  For a ``mirrored``
-    pair it is 2 Re(u1'(z) e^{i theta}), at every (r, theta): the zeta point
-    r e^{-i theta} is the conjugate ray by construction, so only the z-part
-    is evaluated.
+    The zeta point is the conjugate ray, so this is 2 Re(f'(z) e^{i theta}),
+    with imaginary part 0.
     """
+    if not (math.isfinite(r) and math.isfinite(theta)):
+        raise _not_finite(("r", r), ("theta", theta))
     ez = cmath.exp(1j * theta)
     along_z = h.part_z.differentiate().eval(r * ez) * ez
-    if h.mirrored:
-        return complex(2.0 * along_z.real, 0.0)
-    return along_z + h.part_zeta.differentiate().eval(r / ez) / ez
+    return complex(2.0 * along_z.real, 0.0)
 
 
 def normal_derivative_schwarz(h: HarmonicPair, smap: SchwarzMap, z: complex) -> complex:
     """Outward normal derivative at a point of the carrier curve.
 
-    Uses the Schwarz-function form (i / sqrt(S'(z))) (u1'(z) - u2'(zeta) S'(z))
-    with zeta = S(z) and the square root fixed by i/sqrt(S') = outward normal.
-    A ``mirrored`` pair is 2 Re u1 on the curve, where S(z) = conj(z), so its
-    derivative along the outward normal n is 2 Re(n u1'(z)), with imaginary
-    part 0: only the z-part is evaluated, and neither S' nor S(z) is read.
+    On the curve S(z) = conj(z), so the point is on the real slice, where u
+    is 2 Re f: its derivative along the outward normal n is 2 Re(n f'(z)),
+    with imaginary part 0.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise _not_finite(("z", z))
     if smap.on_curve_residual(z) > 1e-8 * (1.0 + abs(z)):
         raise DomainError(f"{z} does not lie on the carrier curve")
-    if h.mirrored:
-        return complex(2.0 * (smap.outward_normal(z) * h.part_z.differentiate().eval(z)).real, 0.0)
-    sqrt_sp = 1j / smap.outward_normal(z)
-    sp = smap.derivative(z)
-    if abs(sqrt_sp * sqrt_sp - sp) > 1e-8 * (1.0 + abs(sp)):
-        raise BranchSelectionError(
-            "outward-normal square root is inconsistent with S' at this point"
-        )
-    zeta = smap.value(z)
-    d1 = h.part_z.differentiate().eval(z)
-    d2 = h.part_zeta.differentiate().eval(zeta)
-    return (1j / sqrt_sp) * (d1 - d2 * sp)
+    return complex(2.0 * (smap.outward_normal(z) * h.part_z.differentiate().eval(z)).real, 0.0)
 
 
 def robin_trace_circle(h: HarmonicPair, params: RobinParams, theta: float) -> complex:

@@ -20,7 +20,10 @@ return new pairs or field evaluators:
 * The Schwarz-map generalization with contour quadrature and closed-form
   square-root branches.
 
-Operators pin their free additive constant at one fixed point: the pair
+The pair operators build the output's one holomorphic part from the
+input's: their termwise maps take real coefficients, so they commute with
+the conjugate mirror that is the zeta side.  Operators pin their free
+additive constant at one fixed point: the pair
 operators to the value 0 at z = 1 (zeta = 1), the arc field to the value 0
 at the map's default base point.  Golden comparisons are made modulo such
 a constant.
@@ -31,7 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .algebra import LogLaurentExpr
+from .algebra import DEFAULT_CUT_ANGLE, LogLaurentExpr
 from .errors import DomainError, NonzeroMeanError
 from .geometry import (
     BiPoint,
@@ -55,28 +58,23 @@ __all__ = [
 
 
 def _partwise(u: HarmonicPair, build, pin: bool) -> HarmonicPair:
-    """The pair (build(u.part_z), build(u.part_zeta)), pinned to the value 0
-    at (z, zeta) = (1, 1) when ``pin`` is set.
+    """The pair of build(u.part_z), pinned to the value 0 at (z, zeta) = (1, 1)
+    when ``pin`` is set.
 
-    ``build`` takes real coefficients only, so it commutes with the
-    conjugate mirror.  A ``mirrored`` u then gives a mirrored result: only
-    the z-part is built and pinned, with a real constant, and its symmetric
-    pair is returned, whose zeta-part is built only if it is read.  On its
-    cut at pi, log 1 = 0, so the pin reads 2 Re u1(1) from the coefficients,
-    the same value bit for bit; the two-part route evaluates.
+    The pin adds a real constant to the holomorphic part, half of 0 - 2 Re f(1).
+    On the cut at pi, log 1 = 0, so Re f(1) is read from the coefficients,
+    the same value bit for bit; on another cut log 1 may not be 0 (the
+    window of the cut at -1 holds -2 pi, not 0), so f is evaluated at 1.
     """
     part_z = build(u.part_z)
-    if u.mirrored:
-        if pin:
-            residual = 0.0 - 2.0 * part_z._real_at_one()
-            part_z = part_z._plus_constant(residual / 2.0)
-        return HarmonicPair.symmetric(part_z)
-    part_zeta = build(u.part_zeta)
-    if not pin:
-        return HarmonicPair(part_z, part_zeta)
-    residual = 0.0 - (part_z.eval(1 + 0j) + part_zeta.eval(1.0 / (1 + 0j)))
-    half = residual / 2.0
-    return HarmonicPair(part_z._plus_constant(half), part_zeta._plus_constant(half))
+    if pin:
+        if part_z.cut_angle == DEFAULT_CUT_ANGLE:
+            at_one = part_z._real_at_one()
+        else:
+            at_one = part_z.eval(1 + 0j).real
+        residual = 0.0 - 2.0 * at_one
+        part_z = part_z._plus_constant(residual / 2.0)
+    return HarmonicPair(part_z)
 
 
 def neumann_from_dirichlet_pair(u: HarmonicPair) -> HarmonicPair:
@@ -171,17 +169,19 @@ def neumann_from_dirichlet_disk(trig: TrigPolynomial, z: complex) -> float:
 class ArcNeumannField:
     """Field evaluator returned by :func:`neumann_from_dirichlet_schwarz`.
 
-    Evaluation integrates u1 sqrt(S') from z to the base point and u2
-    sqrt(S~') from zeta to its image, each along a straight segment by
-    Gauss-Kronrod (7, 15) panels, starting from 4, with the closed-form
-    square root, its sign checked against the outward normal where the
-    segment meets the curve.  Paths must stay inside the region where the
-    Schwarz map is single-valued; the evaluator only guards against running
-    into the map poles and the log cut.  The base point z0 is the map's
-    default base point, where the field is pinned to 0.  For a ``mirrored``
-    u with zeta0 = conj(z0), at a point exactly on the real slice, the
-    zeta-side integral is the conjugate of the z-side one and is not
-    computed.
+    Evaluation integrates f sqrt(S') from z to the base point z0, along a
+    straight segment by Gauss-Kronrod (7, 15) panels, starting from 4, with
+    the closed-form square root, its sign checked against the outward normal
+    where the segment meets the curve.  The inverse map's root is the forward
+    one conjugated on the conjugated path, so the zeta side, the mirror
+    conj(f(conj t)) times sqrt(S~') from zeta to zeta0 = S(z0), is the
+    conjugate of the z-side integral from conj(zeta) to conj(zeta0).  At a
+    point exactly on the real slice, with zeta0 = conj(z0), that is the
+    conjugate of the z-side integral itself, which is not computed again.
+    Paths must stay inside the region where the Schwarz map is
+    single-valued; the evaluator only guards against running into the map
+    poles and the log cut.  z0 is the map's default base point, where the
+    field is pinned to 0.
     """
 
     def __init__(self, u: HarmonicPair, smap: SchwarzMap):
@@ -189,24 +189,21 @@ class ArcNeumannField:
         self.smap = smap
         self.z0 = complex(smap.default_base_point())
         self.zeta0 = smap.value(self.z0)
-        self._mirrored_base = u.mirrored and self.zeta0 == self.z0.conjugate()
+        self._real_base = self.zeta0 == self.z0.conjugate()
 
-    def _side_integral(self, start, end, expr, branch_maker) -> complex:
+    def _side_integral(self, start, end) -> complex:
         if abs(end - start) < 1e-13 * (1.0 + abs(end)):
             return 0j
         seg = PathSpec.segment(start, end)
-        branch = branch_maker(self.smap, seg)
-        return integrate_path(lambda t: expr.eval(t) * branch(t), seg)
+        branch = sqrt_schwarz_derivative(self.smap, seg)
+        f = self.u.part_z
+        return integrate_path(lambda t: f.eval(t) * branch(t), seg)
 
     def eval(self, p: BiPoint) -> complex:
-        iz = self._side_integral(p.z, self.z0, self.u.part_z, sqrt_schwarz_derivative)
-        if self._mirrored_base and p.zeta == p.z.conjugate():
-            # the inverse branch is the forward one conjugated, so for a
-            # mirrored u the zeta-side integral is the conjugate of iz
+        iz = self._side_integral(p.z, self.z0)
+        if self._real_base and p.zeta == p.z.conjugate():
             return complex(0.0 - 2.0 * iz.imag, 0.0)
-        izeta = self._side_integral(
-            p.zeta, self.zeta0, self.u.part_zeta, sqrt_inverse_schwarz_derivative
-        )
+        izeta = self._side_integral(p.zeta.conjugate(), self.zeta0.conjugate()).conjugate()
         return 0.0 + 1j * iz - 1j * izeta
 
     __call__ = eval
@@ -217,12 +214,12 @@ def neumann_from_dirichlet_schwarz(
 ) -> ArcNeumannField:
     """Dirichlet-to-Neumann conversion across an arc of a Schwarz carrier.
 
-    v(z, zeta) = i * int_z^{z0} u1 sqrt(S') - i * int_zeta^{zeta0} u2
-    sqrt(S~'), so v is 0 at the map's default base point z0.  The supplied
-    paths must terminate at z0 (respectively its image zeta0 = S(z0)); they
-    are used at construction to check the square-root signs, which fails
-    fast on a pole on the path or a path that never nears the curve.  For
-    the unit circle the field coincides with
+    v(z, zeta) = i * int_z^{z0} f sqrt(S') - i * int_zeta^{zeta0} f~ sqrt(S~'),
+    with f~(t) = conj(f(conj t)), so v is 0 at the map's default base point
+    z0.  The supplied paths must terminate at z0 (respectively its image
+    zeta0 = S(z0)); they are used at construction to check the square-root
+    signs, which fails fast on a pole on the path or a path that never nears
+    the curve.  For the unit circle the field coincides with
     :func:`neumann_from_dirichlet_pair`.
     """
     field = ArcNeumannField(u, smap)

@@ -23,6 +23,8 @@ MAX_JSON_LOGPOW = 1024
 COMPLEX = {"re": float, "im?": float}
 TERM = {"re": float, "im?": float, "k": int, "m?": range(MAX_JSON_LOGPOW + 1)}
 BIVARIATE_TERM = {"re": float, "im?": float, "kz": int, "kzeta": int}
+# a field 2 Re f as its holomorphic part f and f's conjugate mirror; the
+# reader of a pair requires the mirror term for term (harmonic.HarmonicPair)
 PAIR = {"part_z": [TERM], "part_zeta": [TERM]}
 MAP = ("kind", {"circle": {"center?": COMPLEX, "radius": float},
                 "line": {"point?": COMPLEX, "angle?": float}, "unit_circle": {}})

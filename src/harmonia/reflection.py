@@ -17,13 +17,14 @@ data-dependent correction:
   over the terms of one memoized primitive, exact in the log-Laurent
   algebra.
 * Robin data on the unit circle: adds the self-referential radial
-  integral of w, the same way: the primitives P_z and P_zeta of
-  w.part_z(z)/z and w.part_zeta(zeta)/zeta (the DtN parts of w) evaluated
-  at both ends of the ray.  Both ends are taken on the branch of the ray,
-  log z = log rho + i theta, so a ray next to the cut is rejected only for
-  a part of w that carries logs.  The Neumann formula is this one at
-  (a, b) = (0, 1); both run one routine, which builds the self term, and
-  rejects rays next to the cut, only when a != 0.
+  integral of w, the same way: the primitive P of f(z)/z, for w's
+  holomorphic part f (the DtN part of w), evaluated at both ends of the
+  ray; the zeta side, along the conjugate ray, gives the conjugate change.
+  Both ends are taken on the branch of the ray, log z = log rho + i theta,
+  so a ray next to the cut is rejected only for an f that carries logs.
+  The Neumann formula is this one at (a, b) = (0, 1); both run one
+  routine, which builds the self term, and rejects rays next to the cut,
+  only when a != 0.
 * Neumann data on a general Schwarz arc: the correction is a contour
   integral of phi(tau, S(tau)) sqrt(S'(tau)) evaluated by Gauss-Kronrod
   (7, 15) panels, 4 to start, with the closed-form square root of S'.
@@ -37,7 +38,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .algebra import CUT_MARGIN, BivariateLaurentExpr, LogLaurentExpr, cut_distance
+from .algebra import CUT_MARGIN, BivariateLaurentExpr, cut_distance
 from .errors import CutProximityError, DomainError, HarmoniaError
 from .geometry import BiPoint, PathSpec, SchwarzMap, reflect_bipoint, sqrt_schwarz_derivative
 from .harmonic import HarmonicPair, RobinParams, eval_pair
@@ -126,15 +127,6 @@ def _ray_coordinates(p: BiPoint) -> tuple:
     return r, theta
 
 
-def _check_ray(part: LogLaurentExpr, theta: float) -> None:
-    """Reject a ray next to the cut of a part that carries logs, across which
-    the part itself, and so its reflection, jumps."""
-    if part.has_log() and cut_distance(theta, part.cut_angle) < CUT_MARGIN:
-        raise CutProximityError(
-            f"ray angle {theta:.6g} is within {CUT_MARGIN:g} rad of the branch cut"
-        )
-
-
 def reflect_neumann_circle(
     v: HarmonicPair,
     phi: BivariateLaurentExpr,
@@ -163,13 +155,12 @@ def reflect_robin_circle(
 
     w(reflected) = w(p) - (a/b) int_r^1 [w(rho e^{i theta}) +
     w(e^{i theta}/rho)] / rho d rho - (1/b) int_{1/r}^r phi_w / rho d rho.
-    With Q(rho) = P_z(rho e^{i theta}) + P_zeta(rho e^{-i theta}), where
-    P_z and P_zeta are the memoized primitives of w.part_z(z)/z and
-    w.part_zeta(zeta)/zeta, the self integral is Q(1/r) - Q(r); the data
-    term is the Neumann correction of phi_w over b.  When a != 0, a part of
-    w that carries logs may not be reflected along a ray within
-    ``CUT_MARGIN`` of its cut; when a = 0 there is no self term, so no ray
-    is rejected.  ``correction`` reports the data term alone.
+    With Q(rho) = 2 Re P(rho e^{i theta}), where P is the memoized
+    primitive of f(z)/z for w's holomorphic part f, the self integral is
+    Q(1/r) - Q(r); the data term is the Neumann correction of phi_w over b.
+    When a != 0, an f that carries logs may not be reflected along a ray
+    within ``CUT_MARGIN`` of its cut; when a = 0 there is no self term, so
+    no ray is rejected.  ``correction`` reports the data term alone.
     """
     return _reflect_circle(w, phi_w, params, p, verify_numeric, "robin_circle")
 
@@ -184,25 +175,24 @@ def _reflect_circle(
 ) -> ReflectionResult:
     """The Robin circle formula, with the self term computed only when a != 0.
 
-    For a ``mirrored`` w at a point exactly on the real slice the zeta-part's
-    change is the conjugate of the z-part's and is not computed.
+    The self term reads only (r, theta): the zeta side's change, along the
+    conjugate ray, is the conjugate of the z side's.  An f that carries logs
+    jumps across its cut, and so does its reflection, so a ray next to the
+    cut is rejected; the zeta side's cut is the mirror of f's, so it rejects
+    the same rays.
     """
     r, theta = _ray_coordinates(p)
     ez = cmath.exp(1j * theta)
     self_term = data_term = 0j
     if r != 1.0:
         if params.a != 0:
-            _check_ray(w.part_z, theta)
-            _check_ray(w.part_zeta, -theta)
-            change = w.part_z.antiderivative_over_arg().ray_change(theta, r)
-            # the self term reads only (r, theta), so the slice test guards no value:
-            # it keeps points off the slice on the two-part route, bit for bit
-            if w.mirrored and p.zeta == p.z.conjugate():
-                # P_zeta mirrors P_z, so its change along the conjugate ray is conj(change)
-                change = 2.0 * change.real
-            else:
-                change += w.part_zeta.antiderivative_over_arg().ray_change(-theta, r)
-            self_term = -(params.a / params.b) * change
+            f = w.part_z
+            if f.has_log() and cut_distance(theta, f.cut_angle) < CUT_MARGIN:
+                raise CutProximityError(
+                    f"ray angle {theta:.6g} is within {CUT_MARGIN:g} rad of the branch cut"
+                )
+            change = f.antiderivative_over_arg().ray_change(theta, r)
+            self_term = -(params.a / params.b) * (2.0 * change.real)
         # -int_{1/r}^{r} phi(rho e^{i theta}, e^{-i theta}/rho) / rho d rho: the
         # circle restriction of phi is log-free, so its primitive jumps across the
         # cut by a constant only, which the difference along one ray cancels

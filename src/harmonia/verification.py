@@ -111,8 +111,8 @@ def _random_expr(rng, max_terms=4, kmax=4, mmax=2, allow_log=True) -> LogLaurent
     return LogLaurentExpr(terms)
 
 
-def _random_symmetric_pair(rng, max_terms=4, kmax=3, allow_log=True) -> HarmonicPair:
-    return HarmonicPair.symmetric(_random_expr(rng, max_terms, kmax, 2 if allow_log else 0, allow_log))
+def _random_pair(rng, max_terms=4, kmax=3, allow_log=True) -> HarmonicPair:
+    return HarmonicPair(_random_expr(rng, max_terms, kmax, 2 if allow_log else 0, allow_log))
 
 
 def _random_bivariate(rng, max_terms=4, kmax=3) -> BivariateLaurentExpr:
@@ -134,20 +134,20 @@ def _random_zero_mean_trig(rng, degree=6) -> TrigPolynomial:
 
 def _disk_pair(trig: TrigPolynomial) -> HarmonicPair:
     """Pair whose real slice is the disk Dirichlet extension of the data:
-    the symmetric pair of sum_n c_n z^n, c_0 = a_0/2, c_n = (a_n - i b_n)/2."""
+    the pair of sum_n c_n z^n, c_0 = a_0/2, c_n = (a_n - i b_n)/2."""
     terms = [(complex(0.5 * trig.cos[0], 0.0), 0, 0)]
     terms += [(0.5 * complex(trig.cos[n], -trig.sin[n]), n, 0) for n in range(1, len(trig.cos))]
-    return HarmonicPair.symmetric(LogLaurentExpr(terms))
+    return HarmonicPair(LogLaurentExpr(terms))
 
 
 def _robin_trace_bivariate(w: HarmonicPair, a: float, b: float) -> BivariateLaurentExpr:
-    # log-free pairs only: a z-part power k becomes the z power k and a
-    # zeta-part power the zeta power, times a + b k, which realizes
+    # log-free pairs only: a power k of f becomes the z power k, and of its
+    # conjugate mirror the zeta power k, times a + b k, which realizes
     # a w + b r dw/dr on the circle; (a, b) = (1, 0) gives the trace of w
-    if w.part_z.has_log() or w.part_zeta.has_log():
+    if w.part_z.has_log():
         raise ValueError("trace extension needs a log-free pair")
     terms = [(t.coeff * (a + b * t.power), t.power, 0) for t in w.part_z.terms]
-    terms += [(t.coeff * (a + b * t.power), 0, t.power) for t in w.part_zeta.terms]
+    terms += [(t.coeff.conjugate() * (a + b * t.power), 0, t.power) for t in w.part_z.terms]
     return BivariateLaurentExpr(terms)
 
 
@@ -257,7 +257,7 @@ def _check_fd_harmonicity(rng):
     params = RobinParams(1.0, 1.0)
     pairs = []
     for _ in range(3):
-        pairs.append(_random_symmetric_pair(rng))
+        pairs.append(_random_pair(rng))
     # operator outputs must stay harmonic too
     pairs.append(operators.neumann_from_dirichlet_pair(pairs[0]))
     pairs.append(operators.neumann_from_robin_pair(pairs[1], params))
@@ -274,42 +274,35 @@ def _check_fd_harmonicity(rng):
 
 
 def _check_reality(rng):
-    # both parts are evaluated, at zeta = r / e^{i theta}: that is conj(z) only
-    # up to rounding, so the imaginary parts cancel to rounding, not bitwise as
-    # at zeta = conj(z), where a mirrored pair is real by construction
+    # both sides are evaluated, the zeta side at zeta = r / e^{i theta}: that is
+    # conj(z) only up to rounding, so the imaginary parts cancel to rounding,
+    # not bitwise as at zeta = conj(z), where a pair is real by construction
     for _ in range(10):
-        pair = _random_symmetric_pair(rng)
+        f = _random_pair(rng).part_z
         for th in _sample_thetas(8):
             r = rng.uniform(0.6, 1.5)
             ez = cmath.exp(1j * th)
-            v = pair.part_z.eval(r * ez) + pair.part_zeta.eval(r / ez)
+            v = f.eval(r * ez) + f.eval((r / ez).conjugate()).conjugate()
             yield abs(v.imag) / max(1.0, abs(v))
 
 
 def _check_normal_vs_radial(rng):
     smap = SchwarzMap.unit_circle()
     for _ in range(10):
-        pair = _random_symmetric_pair(rng)
-        # a mirrored pair takes the one-part route of both functions; the
-        # identity holds for any pair on the unit circle, so a doubled
-        # zeta-part checks the two-part routes, S' included
-        pairs = (pair, HarmonicPair(pair.part_z, 2.0 * pair.part_zeta))
+        pair = _random_pair(rng)
         for th in _sample_thetas(6):
             z = cmath.exp(1j * th)
-            yield worst_residual(
-                abs(
-                    harmonic.normal_derivative_schwarz(h, smap, z)
-                    - harmonic.radial_derivative(h, 1.0, th)
-                )
-                for h in pairs
+            yield abs(
+                harmonic.normal_derivative_schwarz(pair, smap, z)
+                - harmonic.radial_derivative(pair, 1.0, th)
             )
 
 
 def _check_robin_trace_linearity(rng):
     params = RobinParams(rng.uniform(-2, 2), 1.5)
     for _ in range(10):
-        h1 = _random_symmetric_pair(rng)
-        h2 = _random_symmetric_pair(rng)
+        h1 = _random_pair(rng)
+        h2 = _random_pair(rng)
         for th in _sample_thetas(5):
             yield abs(
                 harmonic.robin_trace_circle(h1 + h2, params, th)
@@ -320,7 +313,7 @@ def _check_robin_trace_linearity(rng):
 
 def _check_boundary_recovery_dirichlet(rng):
     for _ in range(10):
-        u = _random_symmetric_pair(rng, max_terms=8)
+        u = _random_pair(rng, max_terms=8)
         v = operators.neumann_from_dirichlet_pair(u)
         for th in _linspace(-2.0, 2.0, 32):
             trace = harmonic.eval_pair(u, BiPoint.from_polar(1.0, th))
@@ -331,7 +324,7 @@ def _check_boundary_recovery_robin(rng):
     for a, b in ((1.0, 1.0), (2.0, -1.0), (0.5, 3.0)):
         params = RobinParams(a, b)
         for _ in range(4):
-            w = _random_symmetric_pair(rng, max_terms=6)
+            w = _random_pair(rng, max_terms=6)
             v = operators.neumann_from_robin_pair(w, params)
             for th in _linspace(-2.0, 2.0, 32):
                 target = 0.5 * harmonic.robin_trace_circle(w, params, th)
@@ -341,7 +334,7 @@ def _check_boundary_recovery_robin(rng):
 def _check_corollary_chain(rng):
     for _ in range(20):
         params = RobinParams(rng.uniform(-2, 2), rng.choice([1.0, -1.0, 3.0]))
-        w = _random_symmetric_pair(rng, max_terms=5)
+        w = _random_pair(rng, max_terms=5)
         dirichlet = operators.dirichlet_from_robin_pair(w, params)
         chain = operators.neumann_from_dirichlet_pair(dirichlet)
         direct = operators.neumann_from_robin_pair(w, params)
@@ -416,8 +409,8 @@ def _check_oracle_vs_pair(rng):
 
 
 def _check_fd_scaling(rng):
-    log_pair = HarmonicPair.symmetric(LogLaurentExpr.monomial(0.5, 0, 1))
-    saddle = HarmonicPair.symmetric(LogLaurentExpr.monomial(0.5, 2))
+    log_pair = HarmonicPair(LogLaurentExpr.monomial(0.5, 0, 1))
+    saddle = HarmonicPair(LogLaurentExpr.monomial(0.5, 2))
     for pair, (x, y) in ((log_pair, (2.0, 0.0)), (saddle, (0.9, 0.4))):
         field = lambda xx, yy: harmonic.eval_real(pair, xx, yy)
         for h in (1e-3, 1e-4):
@@ -428,7 +421,7 @@ def _check_reflection_fixed_points(rng):
     smap = SchwarzMap.unit_circle()
     params = RobinParams(1.0, 1.0)
     for _ in range(10):
-        u = _random_symmetric_pair(rng, allow_log=False)
+        u = _random_pair(rng, allow_log=False)
         phi = _robin_trace_bivariate(u, 1.0, 0.0)
         for th in _sample_thetas(6):
             p = BiPoint.from_polar(1.0, th)
@@ -446,7 +439,7 @@ def _check_reflection_fixed_points(rng):
 def _check_dirichlet_involution(rng):
     smap = SchwarzMap.unit_circle()
     for _ in range(8):
-        u = _random_symmetric_pair(rng, allow_log=False)
+        u = _random_pair(rng, allow_log=False)
         phi = _robin_trace_bivariate(u, 1.0, 0.0)
         for th in _sample_thetas(5):
             p = BiPoint.from_polar(rng.uniform(0.6, 0.95), th)
@@ -468,7 +461,7 @@ def _check_extension_independence(rng):
     kernel = BivariateLaurentExpr([(1.0, 1, 1), (-1.0, 0, 0)])
     params = RobinParams(1.0, 1.0)
     for _ in range(10):
-        u = _random_symmetric_pair(rng, allow_log=False)
+        u = _random_pair(rng, allow_log=False)
         phi = _robin_trace_bivariate(u, 1.0, 0.0)
         psi = _random_bivariate(rng, max_terms=6)
         phi2 = phi + psi * kernel
@@ -489,7 +482,7 @@ def _check_extension_independence(rng):
 def _check_neumann_pipeline(rng):
     smap = SchwarzMap.unit_circle()
     for _ in range(10):
-        u = _random_symmetric_pair(rng, allow_log=False)
+        u = _random_pair(rng, allow_log=False)
         phi = _robin_trace_bivariate(u, 1.0, 0.0)
         v = operators.neumann_from_dirichlet_pair(u)
         for _ in range(2):
@@ -503,7 +496,7 @@ def _check_robin_pipeline(rng):
     for a, b in ((1.0, 1.0), (2.0, -1.0), (0.5, 3.0)):
         params = RobinParams(a, b)
         for _ in range(4):
-            w = _random_symmetric_pair(rng, allow_log=False)
+            w = _random_pair(rng, allow_log=False)
             phi_w = _robin_trace_bivariate(w, a, b)
             for _ in range(2):
                 p = BiPoint.from_polar(rng.uniform(0.6, 0.95), rng.uniform(-2.0, 2.0))
@@ -513,7 +506,7 @@ def _check_robin_pipeline(rng):
 
 def _check_even_continuation(rng):
     for _ in range(10):
-        v = _random_symmetric_pair(rng)
+        v = _random_pair(rng)
         for th in _sample_thetas(3):
             p = BiPoint.from_polar(0.85, th)
             res = reflection.reflect_neumann_circle(v, BivariateLaurentExpr.zero(), p)
@@ -522,7 +515,7 @@ def _check_even_continuation(rng):
 
 def _check_circle_reduction(rng):
     smap = SchwarzMap.unit_circle()
-    u = _random_symmetric_pair(rng, allow_log=False)
+    u = _random_pair(rng, allow_log=False)
     phi = _robin_trace_bivariate(u, 1.0, 0.0)
     v_exact = operators.neumann_from_dirichlet_pair(u)
     path = PathSpec.segment(0.75 + 0j, 1.0 + 0j)

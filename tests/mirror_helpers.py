@@ -1,8 +1,9 @@
-"""Shared inputs for the tests of the mirrored route.
+"""Shared inputs for the tests of a pair's one holomorphic part.
 
-A ``mirrored`` HarmonicPair at a point on the real slice is evaluated from
-its z-part alone; these helpers build seeded pairs, clear the flag so the
-two-part route serves as the reference, and compare outcomes to the bit.
+A ``HarmonicPair`` holds f alone; its zeta side is conj(f(conj zeta)).
+``zeta_part`` writes that side out as an expression of its own, f's
+conjugate mirror on the mirrored cut 2 pi - alpha, so that a test can state
+the two-part sum f(z) + g(zeta) as a reference.
 """
 
 import math
@@ -11,7 +12,6 @@ import numpy as np
 
 from harmonia.algebra import LogLaurentExpr
 from harmonia.errors import HarmoniaError
-from harmonia.harmonic import HarmonicPair
 
 # 72 rays, the outermost 9e-6 from +-pi
 MIRROR_THETAS = [float(th) for th in np.linspace(-math.pi + 9e-6, math.pi - 9e-6, 72)]
@@ -28,19 +28,10 @@ def seeded_expr(rng, n_terms=6, max_logpow=3):
     return LogLaurentExpr(terms)
 
 
-def two_part(h):
-    """h with its mirrored flag cleared: every function takes the two-part route."""
-    copy = HarmonicPair(h.part_z, h.part_zeta)
-    vars(copy)["mirrored"] = False
-    return copy
-
-
-def one_ulp_off(h):
-    """h with the real part of its first zeta coefficient moved by one ulp."""
-    first, *rest = h.part_zeta.terms
-    moved = complex(math.nextafter(first.coeff.real, math.inf), first.coeff.imag)
-    zeta = LogLaurentExpr([(moved, first.power, first.logpow), *rest], h.part_zeta.cut_angle)
-    return HarmonicPair(h.part_z, zeta)
+def zeta_part(f):
+    """g with g(zeta) = conj(f(conj zeta)): f's conjugate mirror on the cut
+    2 pi - alpha, whose branch window (-alpha, 2 pi - alpha] mirrors f's."""
+    return f.conjugate_mirror().with_cut_angle(2.0 * math.pi - f.cut_angle)
 
 
 def outcome(fn):

@@ -219,7 +219,7 @@ def test_criterion_7_arc_generalizations_reduce_to_circle():
     u = HarmonicPair.symmetric(LogLaurentExpr(terms))
     phi = BivariateLaurentExpr(
         [(t.coeff, t.power, 0) for t in u.part_z.terms]
-        + [(t.coeff, 0, t.power) for t in u.part_zeta.terms]
+        + [(t.coeff.conjugate(), 0, t.power) for t in u.part_z.terms]
     )
     v = neumann_from_dirichlet_pair(u)
     path = PathSpec.segment(0.75 + 0j, 1.0 + 0j)

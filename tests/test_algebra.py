@@ -1099,8 +1099,8 @@ def test_arithmetic_across_cuts_raises_in_either_order():
     for x, y in ((rotated, default), (default, rotated), (log_free, default)):
         for op in (
             lambda: x + y, lambda: x - y, lambda: x * y, lambda: x._scaled_sum(2.0, y, 0.5),
-            lambda: HarmonicPair(x, x) + HarmonicPair(y, y),
-            lambda: HarmonicPair(x, x) - HarmonicPair(y, y),
+            lambda: HarmonicPair(x) + HarmonicPair(y),
+            lambda: HarmonicPair(x) - HarmonicPair(y),
             lambda: solve_robin_analytic(x, y, RobinParams(0.5, 1.0)),
         ):
             with pytest.raises(CutMismatchError) as err:

@@ -204,6 +204,17 @@ def test_field_overflow_is_exit_two(tmp_path, kind, k, m):
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
 
 
+def test_field_value_that_is_not_finite_is_exit_two(tmp_path, capsys):
+    # at r = 2 the two terms overflow to +inf and -inf, so the value is NaN
+    terms = [{"re": 1e308, "k": 3}, {"re": -1e308, "k": 4}]
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"field": {"kind": "pair", "pair": {"part_z": terms,
+                                                                   "part_zeta": terms}}}))
+    assert main(["field", "--input", str(path), "--grid", "0.5:2:2:0:1:2"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: the field at r = 2.0, theta = 0.0 is not finite\n"
+
+
 def test_field_coefficient_whose_modulus_overflows_is_named(tmp_path, capsys):
     # finite parts, but a modulus beyond the float range
     terms = [{"re": 1.5e308, "im": 1.5e308, "k": 2}]
@@ -522,13 +533,10 @@ def test_reflect_input_non_finite_point_is_exit_two(formula, point, tmp_path, ca
 
 @pytest.mark.parametrize("formula", ["dirichlet", "neumann", "robin", "schwarz"])
 def test_reflect_nan_residual_fails_check(formula, tmp_path, capsys):
-    # at r = 2 the two parts overflow to +inf and -inf, so the value is NaN;
+    # at r = 2 the two terms overflow to +inf and -inf, so the value is NaN;
     # a NaN residual must fail --check rather than pass it
     payload = {
-        "solution": {
-            "part_z": [{"re": 1e308, "im": 0.0, "k": 3, "m": 0}],
-            "part_zeta": [{"re": -1e308, "im": 0.0, "k": 3, "m": 0}],
-        },
+        "solution": _OVERFLOWING_SOLUTION,
         "data": [{"re": 1.0, "im": 0.0, "kz": 0, "kzeta": 0}],
         "point": {"r": 2.0, "theta": 0.0},
     }
@@ -637,6 +645,34 @@ def _bad_input(capsys, *argv) -> str:
     return captured.err
 
 
+@pytest.mark.parametrize(
+    "command, payload, where",
+    [
+        (["reflect", "--check"],
+         {"solution": {"part_z": [{"re": 1e308, "k": 3}], "part_zeta": [{"re": -1e308, "k": 3}]}},
+         "solution"),
+        (["field"],
+         {"field": {"kind": "pair", "pair": {"part_z": [{"re": 0.5, "im": 0.25, "k": 2}],
+                                             "part_zeta": [{"re": 0.5, "im": 0.25, "k": 2}]}}},
+         "field.pair"),
+        (["field"],
+         {"field": {"kind": "dtn_pair", "u": {"part_z": [{"re": 0.5, "k": 1}], "part_zeta": []}}},
+         "field.u"),
+    ],
+    ids=["reflect", "field-pair", "field-dtn"],
+)
+def test_a_pair_whose_zeta_part_is_not_the_mirror_is_exit_two(command, payload, where, tmp_path,
+                                                              capsys):
+    path = _write(tmp_path, "lopsided.json", payload)
+    err = _bad_input(capsys, *command, "--input", path)
+    assert err == (f"error: {path}: {where}.part_zeta: must be the conjugate mirror of "
+                   f"{where}.part_z, term for term\n")
+    # a zero imaginary part of either sign, or none, is the mirror of a real one
+    mirrored = {"part_z": [{"re": 0.5, "im": -0.0, "k": 2}], "part_zeta": [{"re": 0.5, "k": 2}]}
+    path = _write(tmp_path, "mirrored.json", {"field": {"kind": "pair", "pair": mirrored}})
+    assert main(["field", "--input", path]) == 0
+
+
 def test_reflect_at_the_inverse_pole_names_the_inverse_map(capsys):
     # zeta = 0 is the pole of the inverse map S~(zeta) = 1/zeta
     err = _bad_input(
@@ -677,9 +713,10 @@ def test_field_unknown_kind_is_exit_two(tmp_path, capsys):
     assert "'bogus'" in _bad_input(capsys, "field", "--input", path)
 
 
+# at r = 2 its two terms overflow to +inf and -inf, so the value is NaN
 _OVERFLOWING_SOLUTION = {
-    "part_z": [{"re": 1e308, "im": 0.0, "k": 3, "m": 0}],
-    "part_zeta": [{"re": -1e308, "im": 0.0, "k": 3, "m": 0}],
+    "part_z": [{"re": 1e308, "im": 0.0, "k": 3, "m": 0}, {"re": -1e308, "im": 0.0, "k": 4, "m": 0}],
+    "part_zeta": [{"re": 1e308, "im": 0.0, "k": 3, "m": 0}, {"re": -1e308, "im": 0.0, "k": 4, "m": 0}],
 }
 
 
@@ -693,9 +730,9 @@ def _strict_json(text):
 
 
 def test_non_finite_numbers_are_written_as_null(monkeypatch, tmp_path, capsys):
-    # verify, where one check raises and so reports a NaN residual
-    derivative = SchwarzMap.derivative
-    monkeypatch.setattr(SchwarzMap, "derivative", lambda smap, z: 2.0 * derivative(smap, z))
+    # verify, where one check raises and so reports a NaN residual: every
+    # point reads off its curve, so the normal derivative on it raises
+    monkeypatch.setattr(SchwarzMap, "on_curve_residual", lambda smap, z: 1.0)
     code, out = run_main(capsys, "verify", "--targets", "harmonic")
     assert code == 1
     (raised,) = (c for c in _strict_json(out)["checks"] if "error" in c)

@@ -7,18 +7,21 @@ fault in, and the full suite at its default seed must fail every check in
 module when a check calls it, so a patch on that module reaches every check.
 """
 
+import math
+
 import pytest
 
+import harmonia.geometry
 import harmonia.harmonic
 import harmonia.operators
 import harmonia.reflection
-from harmonia.geometry import SchwarzMap
+from harmonia.geometry import SqrtBranch
 from harmonia.harmonic import HarmonicPair, RobinParams
 from harmonia.verification import run_verification_suite
 
 
 def _negated(pair):
-    return HarmonicPair(-pair.part_z, -pair.part_zeta)
+    return HarmonicPair(-pair.part_z)
 
 
 def _negate_dtn(monkeypatch):
@@ -83,18 +86,22 @@ def _flip_dirichlet_study_sign(monkeypatch):
 
 
 def _double_schwarz_derivative(monkeypatch):
-    # only the two-part normal derivative reads S', and its branch check raises
-    derivative = SchwarzMap.derivative
-    monkeypatch.setattr(SchwarzMap, "derivative", lambda smap, z: 2.0 * derivative(smap, z))
+    # S' is read through its closed-form root, by the arc field and the arc
+    # reflection: doubling S' scales the root by sqrt(2)
+    branch = harmonia.geometry._closed_form_branch
+
+    def scaled(smap, a, b):
+        root = branch(smap, a, b)
+        return SqrtBranch(math.sqrt(2.0) * root.scale, root.pole, root.p0)
+
+    monkeypatch.setattr(harmonia.geometry, "_closed_form_branch", scaled)
 
 
 def _halve_mirrored_radial_derivative(monkeypatch):
-    # the one-part route 2 Re(u1' e^{i theta}) loses its factor 2
+    # the route 2 Re(f' e^{i theta}) loses its factor 2
     rd = harmonia.harmonic.radial_derivative
     monkeypatch.setattr(
-        harmonia.harmonic,
-        "radial_derivative",
-        lambda h, r, theta: 0.5 * rd(h, r, theta) if h.mirrored else rd(h, r, theta),
+        harmonia.harmonic, "radial_derivative", lambda h, r, theta: 0.5 * rd(h, r, theta)
     )
 
 
@@ -121,7 +128,7 @@ FAULTS = [
         _flip_dirichlet_study_sign,
         {"dirichlet_reflection_involution", "reflection_fixed_points"},
     ),
-    ("schwarz_derivative_doubled", _double_schwarz_derivative, {"normal_vs_radial_derivative"}),
+    ("schwarz_derivative_doubled", _double_schwarz_derivative, {"arc_circle_reduction"}),
     (
         "mirrored_radial_derivative_halved",
         _halve_mirrored_radial_derivative,

@@ -208,16 +208,16 @@ def test_trig_polynomial_pair_trace_is_the_boundary_data():
     for th in np.linspace(-3.0, 3.0, 7):
         z = cmath.exp(1j * th)
         expected = trig.dirichlet_value(1.0, float(th))
-        assert abs(pair.part_z.eval(z) + pair.part_zeta.eval(z.conjugate()) - expected) < 1e-12
+        assert abs(pair.part_z.eval(z) + pair.part_z.conjugate_mirror().eval(z.conjugate())
+                   - expected) < 1e-12
 
 
 def test_suite_trace_extension_takes_log_free_pairs_only():
     saddle = HarmonicPair.symmetric(LogLaurentExpr.monomial(0.5, 2))
     trace = verification._robin_trace_bivariate(saddle, 1.0, 0.0)
     assert trace == BivariateLaurentExpr([(0.5, 2, 0), (0.5, 0, 2)])
-    log_pair = HarmonicPair.symmetric(LogLaurentExpr([(0.5, 1, 1)]))
-    zeta_logs = HarmonicPair(LogLaurentExpr.monomial(0.5, 1), LogLaurentExpr([(0.5, 1, 1)]))
-    for pair in (log_pair, zeta_logs):
+    log_pair = HarmonicPair.symmetric(LogLaurentExpr([(0.5, 1, 1), (0.5, 2, 0)]))
+    for pair in (log_pair, HarmonicPair.symmetric(LogLaurentExpr([(0.5, 1, 1)]))):
         for a, b in ((1.0, 0.0), (2.0, -1.0)):
             with pytest.raises(ValueError, match="log-free"):
                 verification._robin_trace_bivariate(pair, a, b)
@@ -364,15 +364,16 @@ def test_report_shape_at_the_default_seed():
     assert shape == list(_REPORT_SHAPE.items())
 
 
-def _double_the_schwarz_derivative(monkeypatch):
+def _move_every_point_off_its_curve(monkeypatch):
+    """Every point reads 1 from its map's curve, so that the normal derivative
+    on the curve, which only normal_vs_radial_derivative takes, raises."""
     from harmonia.geometry import SchwarzMap
 
-    derivative = SchwarzMap.derivative
-    monkeypatch.setattr(SchwarzMap, "derivative", lambda smap, z: 2.0 * derivative(smap, z))
+    monkeypatch.setattr(SchwarzMap, "on_curve_residual", lambda smap, z: 1.0)
 
 
 def test_a_check_that_raises_is_recorded_and_the_suite_goes_on(monkeypatch):
-    _double_the_schwarz_derivative(monkeypatch)
+    _move_every_point_off_its_curve(monkeypatch)
     report = run_verification_suite(targets=["harmonic"])
     assert [c.name for c in report.checks] == [
         "fd_harmonicity", "real_slice_reality", "normal_vs_radial_derivative",
@@ -380,7 +381,7 @@ def test_a_check_that_raises_is_recorded_and_the_suite_goes_on(monkeypatch):
     ]
     raised = report.checks[2]
     assert raised.passed is False and math.isnan(raised.max_residual)
-    assert raised.error.startswith("BranchSelectionError: outward-normal square root")
+    assert raised.error.startswith("DomainError: (-0.4161468365471424-0.9092974268256817j) does")
     assert raised.to_json()["error"] == raised.error
     assert [c for c in report.checks if not c.passed] == [raised]
     # the checks after it ran, and a record without an error keeps its JSON keys
@@ -391,12 +392,12 @@ def test_a_check_that_raises_is_recorded_and_the_suite_goes_on(monkeypatch):
 def test_verify_names_a_raising_check_on_stderr_and_exits_one(monkeypatch, capsys):
     from harmonia.cli import main
 
-    _double_the_schwarz_derivative(monkeypatch)
+    _move_every_point_off_its_curve(monkeypatch)
     assert main(["verify", "--targets", "harmonic", "--format", "table"]) == 1
     captured = capsys.readouterr()
     assert captured.err == (
-        "error: check normal_vs_radial_derivative raised BranchSelectionError: "
-        "outward-normal square root is inconsistent with S' at this point\n"
+        "error: check normal_vs_radial_derivative raised DomainError: "
+        "(-0.4161468365471424-0.9092974268256817j) does not lie on the carrier curve\n"
     )
     rows = {ln.split()[0]: ln.split() for ln in captured.out.splitlines()[1:]}
     assert rows["normal_vs_radial_derivative"][-2:] == ["1e-10", "FAIL"]

@@ -32,7 +32,7 @@ from harmonia.operators import (
     neumann_from_robin_pair,
     solve_robin_analytic,
 )
-from mirror_helpers import seeded_expr, two_part
+from mirror_helpers import seeded_expr
 
 CONSTANT = HarmonicPair.constant(1.0)
 LOG_RADIAL = HarmonicPair.symmetric(LogLaurentExpr.monomial(0.5, 0, 1))
@@ -73,9 +73,8 @@ def test_an_output_coefficient_whose_modulus_overflows_is_named():
 
 
 def test_builders_keep_the_mirror():
-    # a mirrored input gives a mirrored output, built from its z-part alone
-    # (the flag is set at construction) and equal, term for term, to the
-    # output of the two-part construction
+    # an output is built from the input's z-part alone, and the record it
+    # writes holds the mirror that the reader requires, on every cut
     rng = np.random.default_rng(148)
     for _ in range(40):
         w = HarmonicPair.symmetric(seeded_expr(rng, int(rng.integers(1, 7)), max_logpow=4))
@@ -86,12 +85,10 @@ def test_builders_keep_the_mirror():
             lambda u: neumann_from_robin_pair(u, params),
             lambda u: dirichlet_from_robin_pair(u, params),
         ):
-            got, want = build(w), build(two_part(w))
-            assert vars(got).get("mirrored") is True
-            assert "mirrored" not in vars(want)
-            assert got.part_z.terms == want.part_z.terms
-            assert got.part_zeta.terms == want.part_zeta.terms
-            assert got == want and want.mirrored
+            for cut in (math.pi, 2.0):
+                got = build(HarmonicPair(w.part_z.with_cut_angle(cut)))
+                assert [fld for fld in vars(got)] == ["part_z"]
+                assert HarmonicPair.from_json(got.to_json(), cut) == got
 
 
 # -- Dirichlet -> Neumann, exact pair form ------------------------------------
@@ -125,11 +122,14 @@ def test_dtn_linear_trace():
 
 
 def test_dtn_base_point_normalization():
-    # the constant is pinned to 0 at (z, zeta) = (1, 1), on the mirrored
-    # route and on the two-part route alike
+    # the constant is pinned to 0 at (z, zeta) = (1, 1) on every cut: read
+    # from the coefficients on the cut at pi, evaluated on the others (at
+    # -1.0, log 1 = -2 pi i)
     base = BiPoint(1 + 0j, 1 + 0j)
-    for u in (SADDLE, HarmonicPair(SADDLE.part_z, 1.5 * SADDLE.part_zeta)):
-        assert eval_pair(neumann_from_dirichlet_pair(u), base) == 0
+    for u in (SADDLE, LOG_RADIAL):
+        for cut in (math.pi, 2.0, -1.0):
+            v = neumann_from_dirichlet_pair(HarmonicPair(u.part_z.with_cut_angle(cut)))
+            assert eval_pair(v, base) == 0
 
 
 def test_dtn_boundary_recovery_property():
@@ -205,12 +205,11 @@ def test_dfr_saddle_solution():
     u = dirichlet_from_robin_pair(SADDLE, RobinParams(a, b))
     expected = HarmonicPair.symmetric(LogLaurentExpr.monomial((a + 2 * b) / 4.0, 2))
     assert (u.part_z - expected.part_z).is_zero()
-    assert (u.part_zeta - expected.part_zeta).is_zero()
 
 
 def test_dfr_zero():
     u = dirichlet_from_robin_pair(HarmonicPair.constant(0.0), RobinParams(2.0, 1.0))
-    assert u.part_z.is_zero() and u.part_zeta.is_zero()
+    assert u.part_z.is_zero()
 
 
 def test_dfr_trace_is_half_robin_trace():
@@ -423,11 +422,12 @@ def test_arc_operator_near_the_pole():
     [SchwarzMap.unit_circle(), SchwarzMap.circle(0.5 + 1j, 2.0), SchwarzMap.line(1.5 + 0.5j, 0.7)],
     ids=["unit-circle", "circle", "line"],
 )
-@pytest.mark.parametrize("u", [SADDLE, two_part(SADDLE)], ids=["mirrored", "two-part"])
+@pytest.mark.parametrize("u", [SADDLE], ids=["mirrored"])
 def test_arc_field_at_its_base_point_runs_no_quadrature(no_quadrature, smap, u):
     # both side integrals have zero length at the base point, and a length of
-    # an ulp next to it; |z0|, |zeta0| >= 1, so that a threshold
-    # 1e-13 (1 - |end|) would be 0 or less and never take the shortcut
+    # an ulp next to it, where the zeta side is off the slice; |z0|,
+    # |zeta0| >= 1, so that a threshold 1e-13 (1 - |end|) would be 0 or less
+    # and never take the shortcut
     field = ArcNeumannField(u, smap)
     z0, zeta0 = field.z0, field.zeta0
     assert abs(z0) >= 1.0 and abs(zeta0) >= 1.0
@@ -456,20 +456,13 @@ def _zmul(e):
 
 
 def _pinned_reference(u, build, pin):
-    """The pair operators as three-expression arithmetic: build each part,
-    then add a constant expression that pins the value 0 at (1, 1)."""
+    """The pair operators as two-expression arithmetic: build the part, then
+    add a constant expression that pins the value 0 at (1, 1)."""
     part_z = build(u.part_z)
-    if u.mirrored:
-        if pin:
-            residual = 0.0 - 2.0 * part_z.eval(1 + 0j).real
-            part_z = part_z + LogLaurentExpr([(residual / 2.0, 0, 0)], part_z.cut_angle)
-        return HarmonicPair.symmetric(part_z)
-    part_zeta = build(u.part_zeta)
-    if not pin:
-        return HarmonicPair(part_z, part_zeta)
-    residual = 0.0 - (part_z.eval(1 + 0j) + part_zeta.eval(1.0 / (1 + 0j)))
-    half = LogLaurentExpr([(residual / 2.0, 0, 0)], part_z.cut_angle)
-    return HarmonicPair(part_z + half, part_zeta + half)
+    if pin:
+        residual = 0.0 - 2.0 * part_z.eval(1 + 0j).real
+        part_z = part_z + LogLaurentExpr([(residual / 2.0, 0, 0)], part_z.cut_angle)
+    return HarmonicPair(part_z)
 
 
 def _solve_robin_reference(f, g, params):
@@ -494,9 +487,7 @@ def _bits(e):
 
 
 def _assert_same_pair(got, want):
-    assert vars(got).get("mirrored") == vars(want).get("mirrored")
     assert _bits(got.part_z) == _bits(want.part_z)
-    assert _bits(got.part_zeta) == _bits(want.part_zeta)
 
 
 def test_builders_equal_the_formulas_they_replace():
@@ -509,12 +500,10 @@ def test_builders_equal_the_formulas_they_replace():
             a = -b * f.terms[0].power
         params = RobinParams(a, b)
         half_a, half_b = 0.5 * a, 0.5 * b
-        rebuilt = HarmonicPair(f.with_cut_angle(2.0), g.with_cut_angle(2.0))
         pairs = (
-            HarmonicPair.symmetric(f),  # the mirrored route, at cut pi
-            two_part(HarmonicPair.symmetric(f)),  # the two-part route at cut pi
-            rebuilt,  # the two-part route at cut 2.0
-            HarmonicPair.symmetric(f.with_cut_angle(2.0)),  # and of a lazy pair there
+            HarmonicPair.symmetric(f),  # the pin read from coefficients, at cut pi
+            HarmonicPair.symmetric(f.with_cut_angle(2.0)),  # and evaluated at 1 on others
+            HarmonicPair.symmetric(g.with_cut_angle(-1.0)),  # where log 1 = -2 pi i
         )
         for u in pairs:
             _assert_same_pair(
@@ -558,7 +547,6 @@ def test_the_coefficient_pin_is_the_value_at_one():
             f = LogLaurentExpr(list(f.terms) + _pin_terms(rng))
         a, b = float(rng.uniform(-3, 3)), float(rng.choice([-1, 1]) * rng.uniform(0.2, 2))
         u = HarmonicPair.symmetric(f)
-        assert u.mirrored
         prim = f.antiderivative_over_arg()
         for part in (f, prim, f._scaled_sum(0.5 * b, prim, 0.5 * a)):
             assert part._real_at_one().hex() == part.eval(1 + 0j).real.hex(), part

@@ -6,9 +6,16 @@ import pickle
 import numpy as np
 import pytest
 
-from harmonia.algebra import BivariateLaurentExpr, LogLaurentExpr
+from harmonia.algebra import CUT_MARGIN, BivariateLaurentExpr, LogLaurentExpr, cut_distance
 from harmonia.errors import CutProximityError, DomainError, HarmoniaError, PoleError
-from harmonia.geometry import BiPoint, PathSpec, SchwarzMap, reflect_bipoint
+from harmonia.geometry import (
+    BiPoint,
+    PathSpec,
+    SchwarzMap,
+    reflect_bipoint,
+    sqrt_inverse_schwarz_derivative,
+    sqrt_schwarz_derivative,
+)
 from harmonia.harmonic import HarmonicPair, RobinParams, eval_pair, field_scale
 from harmonia.numerics import integrate_path
 from harmonia.operators import neumann_from_dirichlet_pair, neumann_from_dirichlet_schwarz
@@ -18,14 +25,7 @@ from harmonia.reflection import (
     reflect_neumann_schwarz,
     reflect_robin_circle,
 )
-from mirror_helpers import (
-    MIRROR_RADII,
-    MIRROR_THETAS,
-    one_ulp_off,
-    outcome,
-    seeded_expr,
-    two_part,
-)
+from mirror_helpers import MIRROR_RADII, MIRROR_THETAS, outcome, seeded_expr, zeta_part
 
 UNIT = SchwarzMap.unit_circle()
 SADDLE = HarmonicPair.symmetric(LogLaurentExpr.monomial(0.5, 2))
@@ -41,13 +41,13 @@ SAMPLE_POINTS = [
 
 def laurent_pair_trace(u: HarmonicPair) -> BivariateLaurentExpr:
     terms = [(t.coeff, t.power, 0) for t in u.part_z.terms]
-    terms += [(t.coeff, 0, t.power) for t in u.part_zeta.terms]
+    terms += [(t.coeff.conjugate(), 0, t.power) for t in u.part_z.terms]
     return BivariateLaurentExpr(terms)
 
 
 def robin_trace_data(w: HarmonicPair, a: float, b: float) -> BivariateLaurentExpr:
     terms = [(t.coeff * (a + b * t.power), t.power, 0) for t in w.part_z.terms]
-    terms += [(t.coeff * (a + b * t.power), 0, t.power) for t in w.part_zeta.terms]
+    terms += [(t.coeff.conjugate() * (a + b * t.power), 0, t.power) for t in w.part_z.terms]
     return BivariateLaurentExpr(terms)
 
 
@@ -370,7 +370,10 @@ def _reference_robin(w, phi_w, params, p):
     r, theta = abs(p.z), cmath.phase(p.z)
     if r == 1.0:
         return eval_pair(w, p)
-    along = w.part_z.restrict_to_ray(theta) + w.part_zeta.restrict_to_ray(-theta)
+    # the zeta side along the conjugate ray is the conjugate of the z side, the
+    # restriction's conjugate mirror where the window of the cut holds 0
+    ray = w.part_z.restrict_to_ray(theta)
+    along = ray + ray.conjugate_mirror()
     prim = (along + along.invert_argument()).antiderivative_over_arg()
     self_term = -(params.a / params.b) * (prim.eval(complex(1.0)) - prim.eval(complex(r)))
     data = _reference_data_term(phi_w, theta, r, w.part_z.cut_angle) / params.b
@@ -394,7 +397,7 @@ def _random_log_pair(rng, cut):
             cut,
         )
 
-    return HarmonicPair(part(), part())
+    return HarmonicPair(part())
 
 
 def _random_bivariate_data(rng):
@@ -453,7 +456,7 @@ def test_log_free_data_reflects_next_to_the_cut():
         assert abs(robin.value - _reference_robin(v, phi, params, p)) < 1e-14
     # with the cut along the positive real axis, the ends of the ray are
     # still on one branch
-    zero_cut = HarmonicPair(LogLaurentExpr((), 0.0), LogLaurentExpr((), 0.0))
+    zero_cut = HarmonicPair(LogLaurentExpr((), 0.0))
     p = BiPoint.from_polar(0.8, 1.0)
     res = reflect_neumann_circle(zero_cut, BivariateLaurentExpr.constant(1.0), p)
     assert abs(res.correction + 2.0 * math.log(0.8)) < 1e-14
@@ -463,32 +466,30 @@ def test_a_part_with_logs_is_not_reflected_next_to_its_cut():
     phi = BivariateLaurentExpr.constant(1.0)
     params = RobinParams(1.0, 1.0)
 
-    def parts(cut):
-        logged = LogLaurentExpr([(0.5, 0, 1), (0.2, 1, 0)], cut)
-        return logged, LogLaurentExpr([(0.5, 1, 0)], cut)
+    def logged(cut):
+        return HarmonicPair(LogLaurentExpr([(0.5, 0, 1), (0.2, 1, 0)], cut))
 
-    logged, free = parts(math.pi)
-    p = BiPoint.from_polar(0.8, math.pi - 1e-7)
+    for theta in (math.pi - 1e-7, -math.pi + 1e-7):
+        with pytest.raises(CutProximityError):
+            reflect_robin_circle(logged(math.pi), phi, params, BiPoint.from_polar(0.8, theta))
+    # with the cut at 2, z is next to the cut at theta = 2, and zeta next to its
+    # mirrored cut; at theta = -2 neither is
+    w = logged(2.0)
     with pytest.raises(CutProximityError):
-        reflect_robin_circle(HarmonicPair(logged, free), phi, params, p)
-    # with the cut at 2, theta = -2 puts zeta next to the cut and z far from it
-    logged, free = parts(2.0)
+        reflect_robin_circle(w, phi, params, BiPoint.from_polar(0.8, 2.0 - 1e-7))
     p = BiPoint.from_polar(0.8, -2.0 + 1e-7)
-    with pytest.raises(CutProximityError):
-        reflect_robin_circle(HarmonicPair(free, logged), phi, params, p)
-    w = HarmonicPair(logged, free)
     res = reflect_robin_circle(w, phi, params, p)
     assert abs(res.value - _reference_robin(w, phi, params, p)) < 1e-14
+    # a part with no logs has no cut to be next to
+    free = HarmonicPair(LogLaurentExpr([(0.5, 1, 0)], 2.0))
+    reflect_robin_circle(free, phi, params, BiPoint.from_polar(0.8, 2.0 - 1e-7))
 
 
 def test_robin_self_term_on_a_cut_that_excludes_the_positive_axis():
     # with the cut at -1 the branch window (-1 - 2 pi, -1] misses the angle
     # 0; the self integral is taken by quadrature along the ray as the oracle
     cut = -1.0
-    w = HarmonicPair(
-        LogLaurentExpr([(0.5, 0, 1), (0.3, 2, 0), (0.2, -1, 2)], cut),
-        LogLaurentExpr([(0.5, 0, 1), (0.1j, 1, 1)], cut),
-    )
+    w = HarmonicPair(LogLaurentExpr([(0.5, 0, 1), (0.3, 2, 0), (0.2, -1, 2), (0.1j, 1, 1)], cut))
     params = RobinParams(1.0, 1.0)
     for r, theta in ((0.7, 0.5), (1.6, -2.5)):
         p = BiPoint.from_polar(r, theta)
@@ -526,7 +527,6 @@ def test_neumann_is_robin_at_zero_one_bit_for_bit():
         f = seeded_expr(rng)
         pairs = (
             HarmonicPair.symmetric(f),
-            two_part(HarmonicPair.symmetric(f)),
             HarmonicPair.symmetric(f.with_cut_angle(2.0)),
             _random_log_pair(rng, 2.0),
         )
@@ -557,13 +557,11 @@ def test_robin_with_a_zero_builds_no_primitive_of_w(monkeypatch):
         return primitive(self)
 
     monkeypatch.setattr(LogLaurentExpr, "antiderivative_over_arg", counting)
-    w = HarmonicPair(
-        LogLaurentExpr([(0.5, 0, 1), (0.3, 2, 0)]), LogLaurentExpr([(0.2j, -1, 1), (0.5, 0, 1)])
-    )
+    w = HarmonicPair(LogLaurentExpr([(0.5, 0, 1), (0.3, 2, 0), (0.2j, -1, 1)]))
     phi = BivariateLaurentExpr.constant(1.0)
     for p in (BiPoint.from_polar(0.8, 0.4), BiPoint.from_polar(1.6, -2.0)):
         reflect_robin_circle(w, phi, RobinParams(0.0, 2.0), p)
-    assert built and not [e for e in built if e is w.part_z or e is w.part_zeta]
+    assert built and not [e for e in built if e is w.part_z]
     # so no ray of its own is rejected: next to the cut, eval_pair raises
     p = BiPoint.from_polar(0.8, math.pi - 1e-7)
     with pytest.raises(CutProximityError, match="point at angle"):
@@ -670,52 +668,95 @@ def _slice_points():
             yield BiPoint(z, z.conjugate())
 
 
+def _value_or_error(fn):
+    """fn()'s value, or the type of what it raised."""
+    try:
+        return fn()
+    except HarmoniaError as exc:
+        return type(exc)
+
+
 def _robin_self_scale(w, p):
     """Term magnitudes of w at p and of its primitives at both ends of the ray."""
-    prims = HarmonicPair(w.part_z.antiderivative_over_arg(), w.part_zeta.antiderivative_over_arg())
+    prims = HarmonicPair(w.part_z.antiderivative_over_arg())
     back = reflect_bipoint(UNIT, p)
     return sum(field_scale(h, q.z.real, q.z.imag) for h, q in ((w, p), (prims, p), (prims, back)))
 
 
 def test_mirrored_robin_self_term_matches_the_two_part_sum():
+    # against the sum of both sides restricted to the ray, then integrated
     rng = np.random.default_rng(144)
     no_data = BivariateLaurentExpr.zero()
     for _ in range(4):
         w = HarmonicPair.symmetric(seeded_expr(rng))
         params = RobinParams(float(rng.uniform(0.2, 2.0)), float(rng.uniform(-2.0, -0.2)))
         for p in _slice_points():
-            got = reflect_robin_circle(w, no_data, params, p).value
-            want = reflect_robin_circle(two_part(w), no_data, params, p).value
+            got = _value_or_error(lambda: reflect_robin_circle(w, no_data, params, p).value)
+            want = _value_or_error(lambda: _reference_robin(w, no_data, params, p))
+            if isinstance(want, type):  # next to the cut, both routes refuse
+                assert got is want
+                continue
             assert got.imag == 0.0
             assert abs(got - want) <= 1e-13 * _robin_self_scale(w, p), (p, got, want)
 
 
+def _two_part_robin(w, data, params, p):
+    """reflect_robin_circle's value with the self term of both sides written
+    out: f's primitive along the ray and g's along the conjugate ray."""
+    r, theta = abs(p.z), cmath.phase(p.z)
+    value = eval_pair(w, p)
+    if r != 1.0:
+        f, g = w.part_z, zeta_part(w.part_z)
+        for part, angle in ((f, theta), (g, -theta)):
+            if part.has_log() and cut_distance(angle, part.cut_angle) < CUT_MARGIN:
+                raise CutProximityError("ray next to the cut")
+        change = f.antiderivative_over_arg().ray_change(theta, r)
+        change += g.antiderivative_over_arg().ray_change(-theta, r)
+        value += -(params.a / params.b) * change
+    return value + reflect_neumann_circle(w, data, p).correction / params.b
+
+
 def test_other_robin_inputs_take_the_two_part_route_bit_for_bit():
+    # on rotated cuts, and at points off the slice within the slice guard
     rng = np.random.default_rng(145)
     data = _random_bivariate_data(rng)
     params = RobinParams(0.7, 1.3)
     for _ in range(3):
         f = seeded_expr(rng)
-        sym = HarmonicPair.symmetric(f)
-        for w in (one_ulp_off(sym), HarmonicPair.symmetric(f.with_cut_angle(2.0))):
-            assert not w.mirrored
+        for cut in (2.0, 5.0, -1.0):
+            w = HarmonicPair(f.with_cut_angle(cut))
             for p in _slice_points():
                 assert outcome(lambda: reflect_robin_circle(w, data, params, p).value) == (
-                    outcome(lambda: reflect_robin_circle(two_part(w), data, params, p).value)
+                    outcome(lambda: _two_part_robin(w, data, params, p))
                 )
-        # off the slice, with a log-free pair also on the ray at angle pi,
-        # whose zeta ray -pi folds back to pi
-        log_free = HarmonicPair.symmetric(LogLaurentExpr([(t.coeff, t.power) for t in f.terms]))
+        # off the slice, with a log-free pair too
+        sym = HarmonicPair(f)
+        log_free = HarmonicPair(LogLaurentExpr([(t.coeff, t.power) for t in f.terms]))
         for r in MIRROR_RADII:
-            for th in (*MIRROR_THETAS, math.pi):
-                z = complex(-r, 0.0) if th == math.pi else r * cmath.exp(1j * th)
-                off = BiPoint(z, r / cmath.exp(1j * th))
+            for th in MIRROR_THETAS:
+                off = BiPoint(r * cmath.exp(1j * th), r / cmath.exp(1j * th))
                 for w in (sym, log_free):
                     assert outcome(lambda: reflect_robin_circle(w, data, params, off).value) == (
-                        outcome(
-                            lambda: reflect_robin_circle(two_part(w), data, params, off).value
-                        )
+                        outcome(lambda: _two_part_robin(w, data, params, off))
                     )
+
+
+def _two_part_arc_field(u, smap, p):
+    """The arc field with the zeta side written out: the mirror g integrated
+    against the inverse map's root from zeta to zeta0 = S(z0)."""
+    z0 = complex(smap.default_base_point())
+    zeta0 = smap.value(z0)
+
+    def side(start, end, expr, branch_of):
+        if abs(end - start) < 1e-13 * (1.0 + abs(end)):
+            return 0j
+        seg = PathSpec.segment(start, end)
+        branch = branch_of(smap, seg)
+        return integrate_path(lambda t: expr.eval(t) * branch(t), seg)
+
+    iz = side(p.z, z0, u.part_z, sqrt_schwarz_derivative)
+    izeta = side(p.zeta, zeta0, zeta_part(u.part_z), sqrt_inverse_schwarz_derivative)
+    return 0.0 + 1j * iz - 1j * izeta
 
 
 def test_mirrored_arc_field_matches_the_two_part_sum():
@@ -723,34 +764,31 @@ def test_mirrored_arc_field_matches_the_two_part_sum():
     path = PathSpec.segment(0.75 + 0j, 1.0 + 0j)
     u = HarmonicPair.symmetric(seeded_expr(rng))
     field = neumann_from_dirichlet_schwarz(u, UNIT, path, path)
-    reference = neumann_from_dirichlet_schwarz(two_part(u), UNIT, path, path)
     exact = neumann_from_dirichlet_pair(u)
     for p in _slice_points():
-        got, want = outcome(lambda: field.eval(p)), outcome(lambda: reference.eval(p))
+        got = _value_or_error(lambda: field.eval(p))
+        want = _value_or_error(lambda: _two_part_arc_field(u, UNIT, p))
         if isinstance(want, type):  # a path the quadrature refuses, on either route
             assert got is want
             continue
-        got, want = complex(got), complex(want)
         assert got.imag == 0.0
         assert abs(got - want) <= 1e-13 * field_scale(exact, p.z.real, p.z.imag)
 
 
 def test_other_arc_field_inputs_take_the_two_part_route_bit_for_bit():
+    # on a rotated cut, and at points off the slice
     rng = np.random.default_rng(147)
     path = PathSpec.segment(0.75 + 0j, 1.0 + 0j)
     f = seeded_expr(rng, n_terms=4)
-    sym = HarmonicPair.symmetric(f)
     points = list(_slice_points())[::6]
-    for u in (one_ulp_off(sym), HarmonicPair.symmetric(f.with_cut_angle(2.0))):
+    for u in (HarmonicPair(f), HarmonicPair(f.with_cut_angle(2.0))):
         field = neumann_from_dirichlet_schwarz(u, UNIT, path, path)
-        reference = neumann_from_dirichlet_schwarz(two_part(u), UNIT, path, path)
         for p in points:
-            assert outcome(lambda: field.eval(p)) == outcome(lambda: reference.eval(p))
-    field = neumann_from_dirichlet_schwarz(sym, UNIT, path, path)
-    reference = neumann_from_dirichlet_schwarz(two_part(sym), UNIT, path, path)
-    for p in points:
-        off = BiPoint(p.z, abs(p.z) / cmath.exp(1j * cmath.phase(p.z)))
-        assert outcome(lambda: field.eval(off)) == outcome(lambda: reference.eval(off))
+            off = BiPoint(p.z, abs(p.z) / cmath.exp(1j * cmath.phase(p.z)))
+            for x in (p, off, BiPoint(p.z, 1.05 * p.zeta)):
+                assert outcome(lambda: field.eval(x)) == outcome(
+                    lambda: _two_part_arc_field(u, UNIT, x)
+                )
 
 
 def test_a_reflection_result_pickles_and_copies():
@@ -760,5 +798,4 @@ def test_a_reflection_result_pickles_and_copies():
     result = reflect_neumann_circle(v, phi, BiPoint.from_polar(0.5, 0.3))
     for back in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result), copy.copy(result)):
         assert back == result and repr(back) == repr(result) and back.to_json() == result.to_json()
-    assert "part_zeta" not in vars(v)
     assert pickle.loads(pickle.dumps(v)) == v
