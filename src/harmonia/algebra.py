@@ -534,25 +534,22 @@ class LogLaurentExpr(_SparseSum):
         by descending log powers: c/s at (k, m), then c <- -c (b m)/s and
         m <- m - 1, down to m = 0.  A resonant term (s == 0) is matched by
         raising the log power once, with coefficient c / (b (m+1)).  A power
-        with s nonzero but within ``_NEAR_RESONANCE`` of 0, relative to
-        max(1, |a|, |b k|), raises ``ResonanceError``.  Terms are read in the
+        with s nonzero but |s| < ``_NEAR_RESONANCE`` max(1, |a|) raises
+        ``ResonanceError``; near resonance |b k| agrees with |a| to that
+        relative width, so |a| stands for both.  Terms are read in the
         expression's own order.  The homogeneous solution, a non-integer power
         of z for general a/b, lies outside the algebra and is not added.
         """
         acc: dict = {}
         get = acc.get
-        # eps * max(1, |a|, |b k|) is the larger of the floor eps * max(1, |a|)
-        # and eps * |b k|: a product by eps > 0 rounds monotonically
         floor = _NEAR_RESONANCE * max(1.0, abs(a))
         for (k, m), c in self._terms.items():
-            bk = b * k
-            s = a + bk
+            s = a + b * k
             if s == 0.0:
                 key = (k, m + 1)
                 acc[key] = get(key, 0j) + c / (b * (m + 1))
                 continue
-            t = abs(s)
-            if t < floor or t < _NEAR_RESONANCE * abs(bk):
+            if abs(s) < floor:
                 raise ResonanceError(
                     f"a + b*k = {s:.3g} at power {k} is too close to resonance "
                     "to solve stably"

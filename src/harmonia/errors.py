@@ -44,8 +44,9 @@ class NonSymmetricPairError(HarmoniaError):
 
 
 class BranchSelectionError(HarmoniaError):
-    """The outward-normal check of a square-root branch failed, or the path
-    never comes near the carrier curve."""
+    """A square-root branch of a Schwarz map derivative cannot be built on a
+    path.  Nothing raises it directly: it is the public base of
+    :class:`BranchPointOnPathError`."""
 
 
 class BranchPointOnPathError(BranchSelectionError, PoleError):

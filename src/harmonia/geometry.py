@@ -14,12 +14,12 @@ to (S~(zeta), S(z)) and restricts on the real slice zeta = conj(z) to the
 classical anticonformal reflection conj(S(z)).
 
 The map contract (value, derivative, pole, outward normal, and a
-closed-form square root of the derivative, with its sign checked against
+closed-form square root of the derivative whose sign makes i / sqrt(S')
 the outward normal; the inverse side follows by conjugation) is the
 extension point for other algebraic curves.  For lines and circles that
 square root is one rational function, so no branch is continued along a
-path; a curve whose sqrt(S') branches needs its own closed form or
-continuation.
+path and its sign holds on every path; a curve whose sqrt(S') branches
+needs its own closed form or continuation.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import BranchPointOnPathError, BranchSelectionError, PoleError
+from .errors import BranchPointOnPathError, PoleError
 from .records import MAP, read
 
 __all__ = [
@@ -298,83 +298,39 @@ class SqrtBranch:
     the root k = i r of the form's a h - b g and ``pole`` = c, and the
     constant ``scale`` = e^{-i alpha} for a line (``pole`` None).  The
     inverse map's root is the conjugate branch, conj(k) / (tau - conj(c)).
-    Each is single-valued off the pole, so no continuation is needed.
-    ``p0`` is the path point where the sign was checked against the
-    outward normal.
+    Each is single-valued off the pole, so no continuation is needed, and
+    its sign is global: i / sqrt(S') is the outward normal everywhere on
+    the curve.
     """
 
-    __slots__ = ("scale", "pole", "p0")
+    __slots__ = ("scale", "pole")
 
-    def __init__(self, scale: complex, pole: complex | None, p0: complex):
+    def __init__(self, scale: complex, pole: complex | None):
         self.scale = scale
         self.pole = pole
-        self.p0 = p0
 
     def __call__(self, tau: complex) -> complex:
         return self.scale if self.pole is None else self.scale / (tau - self.pole)
 
     @property
     def anchor_points(self) -> tuple:
-        return (self.p0,)
-
-
-def _circle_contact(a: complex, b: complex, center: complex, radius: float) -> complex:
-    """Where the segment [a, b] first crosses the circle, else its point
-    nearest to the circle."""
-    d = b - a
-    w = a - center
-    dd = abs(d) ** 2
-    half = (w * d.conjugate()).real
-    c0 = abs(w) ** 2 - radius**2
-    disc = half * half - dd * c0
-    if disc >= 0:
-        root = math.sqrt(disc)
-        for t in ((-half - root) / dd, (-half + root) / dd):
-            if 0.0 <= t <= 1.0:
-                return a + t * d
-    if c0 < 0:  # wholly inside: the farther end from the centre
-        return a if abs(w) >= abs(b - center) else b
-    return a + min(1.0, max(0.0, -half / dd)) * d
-
-
-def _line_contact(a: complex, b: complex, point: complex, angle: float) -> complex:
-    """Where the segment [a, b] crosses the line, else its end nearer to it."""
-    rot = cmath.exp(-1j * angle)
-    ha, hb = ((a - point) * rot).imag, ((b - point) * rot).imag
-    if ha * hb > 0:
-        return a if abs(ha) <= abs(hb) else b
-    return a if ha == hb else a + ha / (ha - hb) * (b - a)
+        """Empty: a closed-form branch is continued from no point.  Only the
+        benchmark's tracer reads this."""
+        return ()
 
 
 def _closed_form_branch(smap: SchwarzMap, a: complex, b: complex) -> SqrtBranch:
     """The closed-form root of S' on the segment [a, b].
 
     Raises ``BranchPointOnPathError`` when the pole lies within 1e-7 r of the
-    segment, and ``BranchSelectionError`` when the segment never nears the
-    curve or the root at the contact point p0 misses the outward-normal
-    target.
+    segment.
     """
     pole = smap.pole
-    if pole is None:
-        p0 = _line_contact(a, b, smap.point, smap.angle)
-    else:
-        if _segment_pole_distance(a, b, pole) <= _POLE_MARGIN * smap.radius:
-            raise BranchPointOnPathError(
-                f"the map pole {pole} lies within {_POLE_MARGIN:g} r of the path"
-            )
-        p0 = _circle_contact(a, b, pole, smap.radius)
-    branch = SqrtBranch(smap._root, pole, p0)
-    if smap.on_curve_residual(p0) > 0.1 * (1.0 + abs(p0)):
-        raise BranchSelectionError(
-            "path never comes near the carrier curve; cannot validate the branch sign"
+    if pole is not None and _segment_pole_distance(a, b, pole) <= _POLE_MARGIN * smap.radius:
+        raise BranchPointOnPathError(
+            f"the map pole {pole} lies within {_POLE_MARGIN:g} r of the path"
         )
-    v0 = branch(p0)
-    target = 1j / smap.outward_normal(p0)
-    if not abs(v0 - target) < 0.5:
-        raise BranchSelectionError(
-            f"branch validation failed: candidate {v0:.6g} vs outward-normal target {target:.6g}"
-        )
-    return branch
+    return SqrtBranch(smap._root, pole)
 
 
 def sqrt_schwarz_derivative(smap: SchwarzMap, path: PathSpec) -> SqrtBranch:
@@ -382,9 +338,8 @@ def sqrt_schwarz_derivative(smap: SchwarzMap, path: PathSpec) -> SqrtBranch:
 
     Its sign makes i / sqrt(S'(z)) the outward normal on the carrier curve,
     which is what makes the arc normal-derivative formula return the
-    outward derivative; it is checked where the path meets the curve.
-    Raises if the map pole lies on the path or if the path never nears the
-    curve.
+    outward derivative.  Raises ``BranchPointOnPathError`` if the map pole
+    lies on the path.
     """
     return _closed_form_branch(smap, path.start, path.end)
 
@@ -403,4 +358,4 @@ def sqrt_inverse_schwarz_derivative(smap: SchwarzMap, path: PathSpec) -> SqrtBra
             f"the map pole {smap.pole.conjugate()} lies within {_POLE_MARGIN:g} r of the path"
         ) from None
     pole = None if branch.pole is None else branch.pole.conjugate()
-    return SqrtBranch(branch.scale.conjugate(), pole, branch.p0.conjugate())
+    return SqrtBranch(branch.scale.conjugate(), pole)

@@ -32,7 +32,6 @@ a constant.
 from __future__ import annotations
 
 import cmath
-import math
 
 from .algebra import DEFAULT_CUT_ANGLE, LogLaurentExpr
 from .errors import DomainError, NonzeroMeanError
@@ -44,7 +43,7 @@ from .geometry import (
     sqrt_schwarz_derivative,
 )
 from .harmonic import HarmonicPair, RobinParams
-from .numerics import TrigPolynomial, adaptive_simpson, integrate_path
+from .numerics import TrigPolynomial, integrate_path
 
 __all__ = [
     "neumann_from_dirichlet_pair",
@@ -137,10 +136,11 @@ def neumann_from_dirichlet_disk(trig: TrigPolynomial, z: complex) -> float:
     """Disk Neumann solution by radial quadrature of the Dirichlet solution.
 
     ``trig`` is the boundary data as Fourier coefficients, which must have
-    zero mean (the solvability condition for disk Neumann data); the
+    zero mean (the solvability condition for disk Neumann data; a mean
+    within 1e-10 of 0 is taken as 0, as the Fourier oracle takes it); the
     Dirichlet solution is supplied by the Fourier solver, and V(z) =
-    integral over rho in [0,1] of U(rho z)/rho, so V(0) = 0.  An
-    independent second route to the fields produced by
+    integral over rho in [0,1] of U(rho z)/rho, so V(0) = 0, by
+    ``integrate_path``.  An independent second route to the fields produced by
     :func:`neumann_from_dirichlet_pair`.
     """
     if abs(trig.mean) > 1e-10:
@@ -154,16 +154,16 @@ def neumann_from_dirichlet_disk(trig: TrigPolynomial, z: complex) -> float:
     if rz == 0.0:
         return 0.0
     theta = cmath.phase(z)
-    a1 = trig.cos[1] if trig.degree >= 1 else 0.0
-    b1 = trig.sin[1] if trig.degree >= 1 else 0.0
-    limit0 = rz * (a1 * math.cos(theta) + b1 * math.sin(theta))
 
-    def integrand(rho: float) -> float:
-        if rho == 0.0:
-            return limit0
-        return trig.dirichlet_value(rho * rz, theta) / rho
+    mean = trig.mean
 
-    return float(complex(adaptive_simpson(integrand, 0.0, 1.0)).real)
+    def integrand(rho: complex) -> float:
+        # Gauss-Kronrod nodes are interior, so rho = 0 is never sampled; the
+        # accepted mean is dropped, as its term mean/rho has no integral
+        r = rho.real
+        return (trig.dirichlet_value(r * rz, theta) - mean) / r
+
+    return float(integrate_path(integrand, PathSpec.segment(0.0, 1.0)).real)
 
 
 class ArcNeumannField:
@@ -171,8 +171,8 @@ class ArcNeumannField:
 
     Evaluation integrates f sqrt(S') from z to the base point z0, along a
     straight segment by Gauss-Kronrod (7, 15) panels, starting from 4, with
-    the closed-form square root, its sign checked against the outward normal
-    where the segment meets the curve.  The inverse map's root is the forward
+    the closed-form square root, whose sign makes i / sqrt(S') the outward
+    normal on the whole curve.  The inverse map's root is the forward
     one conjugated on the conjugated path, so the zeta side, the mirror
     conj(f(conj t)) times sqrt(S~') from zeta to zeta0 = S(z0), is the
     conjugate of the z-side integral from conj(zeta) to conj(zeta0).  At a
@@ -217,10 +217,9 @@ def neumann_from_dirichlet_schwarz(
     v(z, zeta) = i * int_z^{z0} f sqrt(S') - i * int_zeta^{zeta0} f~ sqrt(S~'),
     with f~(t) = conj(f(conj t)), so v is 0 at the map's default base point
     z0.  The supplied paths must terminate at z0 (respectively its image
-    zeta0 = S(z0)); they are used at construction to check the square-root
-    signs, which fails fast on a pole on the path or a path that never nears
-    the curve.  For the unit circle the field coincides with
-    :func:`neumann_from_dirichlet_pair`.
+    zeta0 = S(z0)); at construction the square-root branches are built along
+    them, which fails fast on a map pole on either path.  For the unit
+    circle the field coincides with :func:`neumann_from_dirichlet_pair`.
     """
     field = ArcNeumannField(u, smap)
     z0, zeta0 = field.z0, field.zeta0
@@ -228,7 +227,7 @@ def neumann_from_dirichlet_schwarz(
         raise ValueError("path_z must terminate at the base point")
     if abs(path_zeta.end - zeta0) > 1e-9 * (1.0 + abs(zeta0)):
         raise ValueError("path_zeta must terminate at the image of the base point")
-    # fail fast: check the square-root signs along the declared paths
+    # fail fast: a map pole on a declared path raises here
     sqrt_schwarz_derivative(smap, path_z)
     sqrt_inverse_schwarz_derivative(smap, path_zeta)
     return field

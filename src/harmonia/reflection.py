@@ -226,8 +226,8 @@ def reflect_neumann_schwarz(
 
     v(S~(zeta), S(z)) = v(z, zeta) + i int_{S~(zeta)}^{z} phi(tau, S(tau))
     sqrt(S'(tau)) d tau, by Gauss-Kronrod (7, 15) panels along the straight
-    segment (4 initial panels), with the closed-form sqrt(S') whose sign is
-    checked against the outward normal where the segment meets the curve.
+    segment (4 initial panels), with the closed-form sqrt(S') whose sign
+    makes i / sqrt(S') the outward normal on the whole curve.
     Reduces to the exact circle formula when the map is the unit circle.
     """
     reflected = reflect_bipoint(smap, p)

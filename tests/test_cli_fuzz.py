@@ -43,27 +43,64 @@ _VALUES = (
 )
 
 
+_DELETE = object()
+_OTHER_PART = {"part_z": "part_zeta", "part_zeta": "part_z"}
+
+
+def _has(node, key) -> bool:
+    if isinstance(node, dict):
+        return key in node
+    return isinstance(node, list) and isinstance(key, int) and 0 <= key < len(node)
+
+
+def _twin(record, place):
+    """(parent, key) of the place in a pair's other part that ``place``, the
+    keys from the root, reaches in one part; None when ``place`` passes
+    through no part of a pair or the other part has no such place."""
+    node, swapped = record, False
+    for i, key in enumerate(place):
+        if not swapped and isinstance(node, dict) and _OTHER_PART.get(key) in node:
+            key, swapped = _OTHER_PART[key], True
+        if not _has(node, key):
+            return None
+        if i == len(place) - 1:
+            return (node, key) if swapped else None
+        node = node[key]
+
+
 def _mutate(rng: random.Random, record):
     """A copy of a JSON record with one or two values replaced or deleted.
 
     Each mutation walks down from the root and stops at each level with
     probability 0.4, so a top-level scalar such as a Robin coefficient is
-    hit about as often as a deep term coefficient.
+    hit about as often as a deep term coefficient.  A mutation of one part
+    of a pair, or of a place inside it, is made at the same place of the
+    other part too, with a numeric ``im`` negated, so the pair stays the
+    conjugate mirror that the reader requires and the case goes on to an
+    evaluation.
     """
     record = copy.deepcopy(record)
     for _ in range(rng.randint(1, 2)):
-        node = record
+        node, keys = record, []
         while node:
             key = rng.choice(list(node) if isinstance(node, dict) else range(len(node)))
             child = node[key]
             if isinstance(child, (dict, list)) and child and rng.random() < 0.6:
                 node = child
-            elif rng.random() < 0.25:
-                del node[key]
-                break
-            else:
-                node[key] = copy.deepcopy(rng.choice(_VALUES))
-                break
+                keys.append(key)
+                continue
+            value = _DELETE if rng.random() < 0.25 else rng.choice(_VALUES)
+            edits = [(node, key, value)]
+            twin = _twin(record, keys + [key])
+            if twin:
+                negate = twin[1] == "im" and type(value) in (int, float)
+                edits.append((*twin, -value if negate else value))
+            for parent, k, v in edits:
+                if v is _DELETE:
+                    del parent[k]
+                else:
+                    parent[k] = copy.deepcopy(v)
+            break
     return record
 
 

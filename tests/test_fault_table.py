@@ -92,7 +92,7 @@ def _double_schwarz_derivative(monkeypatch):
 
     def scaled(smap, a, b):
         root = branch(smap, a, b)
-        return SqrtBranch(math.sqrt(2.0) * root.scale, root.pole, root.p0)
+        return SqrtBranch(math.sqrt(2.0) * root.scale, root.pole)
 
     monkeypatch.setattr(harmonia.geometry, "_closed_form_branch", scaled)
 

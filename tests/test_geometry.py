@@ -4,17 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from harmonia.errors import (
-    BranchPointOnPathError,
-    BranchSelectionError,
-    PoleError,
-)
+from harmonia.errors import BranchPointOnPathError, PoleError
 from harmonia.geometry import (
     BiPoint,
     PathSpec,
     SchwarzMap,
-    _circle_contact,
-    _line_contact,
     _segment_pole_distance,
     anti_conformal_reflect,
     reflect_bipoint,
@@ -22,6 +16,7 @@ from harmonia.geometry import (
     sqrt_schwarz_derivative,
 )
 from harmonia.numerics import integrate_path
+from harmonia.verification import _SUITE_MAPS
 
 MAPS = [
     SchwarzMap.unit_circle(),
@@ -236,10 +231,33 @@ def test_sqrt_branch_pole_on_path():
         sqrt_schwarz_derivative(smap, PathSpec.segment(-1.0 + 0j, 1.0 + 0j))
 
 
-def test_sqrt_branch_needs_curve_contact():
-    smap = SchwarzMap.unit_circle()
-    with pytest.raises(BranchSelectionError):
-        sqrt_schwarz_derivative(smap, PathSpec.segment(3.0 + 3.0j, 4.0 + 4.0j))
+# a segment that never nears the carrier of any suite map, nor its mirror
+_FAR_SEGMENT = PathSpec.segment(10.0 + 10.0j, 12.0 + 11.0j)
+
+
+@pytest.mark.parametrize("smap", _SUITE_MAPS, ids=_map_id)
+def test_a_branch_on_a_path_far_from_the_curve_squares_to_the_derivative(smap):
+    # the root is one closed form, so a path need not meet the curve
+    fwd = sqrt_schwarz_derivative(smap, _FAR_SEGMENT)
+    inv = sqrt_inverse_schwarz_derivative(smap, _FAR_SEGMENT)
+    nodes = []
+    integrate_path(lambda tau: nodes.append(tau) or 0j, _FAR_SEGMENT)
+    for tau in nodes:
+        assert abs(fwd(tau) ** 2 - smap.derivative(tau)) <= 1e-14 * abs(smap.derivative(tau))
+        want = smap.inverse_derivative(tau)
+        assert abs(inv(tau) ** 2 - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("smap", _SUITE_MAPS, ids=_map_id)
+def test_the_branch_sign_gives_the_outward_normal_on_the_whole_curve(smap):
+    # one branch, built on a path that never nears the curve, at every
+    # sample of the curve: i / sqrt(S') is the outward normal, and the
+    # inverse branch at S(z) is its reciprocal
+    fwd = sqrt_schwarz_derivative(smap, _FAR_SEGMENT)
+    inv = sqrt_inverse_schwarz_derivative(smap, _FAR_SEGMENT)
+    for z in smap.curve_points(16):
+        assert abs(1j / fwd(z) - smap.outward_normal(z)) <= 1e-14, z
+        assert abs(fwd(z) * inv(smap.value(z)) - 1.0) <= 1e-14, z
 
 
 def _continued_reference(deriv, path, residual_of, target_of):
@@ -326,23 +344,15 @@ def _mirror(path):
     ids=_map_id,
 )
 def test_closed_form_branch_matches_the_continued_branch(smap):
-    # at quadrature nodes and at points along the path, for both maps; the
-    # sign is checked where the path crosses the map's carrier
+    # at quadrature nodes and at points along the path, for both maps
     ref_forward, ref_inverse = _reference_pair(smap)
-    mirror_curve = (
-        SchwarzMap.line(smap.point.conjugate(), -smap.angle)
-        if smap.kind == "line"
-        else SchwarzMap.circle(smap.center.conjugate(), smap.radius)
-    )
     rng = np.random.default_rng(111)
     for path in _crossing_paths(smap, rng, 12):
-        for build, ref, p, carrier in (
-            (sqrt_schwarz_derivative, ref_forward, path, smap),
-            (sqrt_inverse_schwarz_derivative, ref_inverse, _mirror(path), mirror_curve),
+        for build, ref, p in (
+            (sqrt_schwarz_derivative, ref_forward, path),
+            (sqrt_inverse_schwarz_derivative, ref_inverse, _mirror(path)),
         ):
             branch, want = build(smap, p), ref(p)
-            (p0,) = branch.anchor_points
-            assert carrier.on_curve_residual(p0) < 1e-12 * (1.0 + abs(p0)), (p, p0)
             nodes = [p.start + i / 32 * (p.end - p.start) for i in range(33)]
             integrate_path(lambda tau: nodes.append(tau) or 0j, p)
             for tau in nodes:
@@ -361,34 +371,6 @@ def test_closed_form_branch_matches_the_continued_branch(smap):
 def test_segment_pole_distance_at_known_distances(a, b, pole, distance):
     assert _segment_pole_distance(a, b, pole) == distance
     assert _segment_pole_distance(b, a, pole) == pytest.approx(distance, rel=1e-15)
-
-
-@pytest.mark.parametrize(
-    "a, b, contact",
-    [
-        # wholly inside the circle |z - 3| = 3: the end farther from the centre
-        (5.0 + 0j, 3.0 + 1j, 5.0 + 0j),
-        (3.0 + 1j, 5.0 + 0j, 5.0 + 0j),
-        # wholly outside |z - 3| = 1: the point nearest the circle, inside the
-        # segment or clamped to an end
-        (6.0 - 1j, 6.0 + 1j, 6.0 + 0j),
-        (6.0 + 1j, 6.0 + 2j, 6.0 + 1j),
-    ],
-)
-def test_circle_contact_of_a_segment_that_never_crosses(a, b, contact):
-    radius = 3.0 if abs(a - 3.0) < 3.0 else 1.0
-    assert _circle_contact(a, b, 3.0 + 0j, radius) == contact
-
-
-def test_line_contact_of_a_segment_that_never_crosses():
-    # the line through 1 + 2j at angle 0.3; each end at a height h above it
-    point, angle = 1.0 + 2j, 0.3
-    along = cmath.exp(1j * angle)
-    for ha, hb in ((1.0, 0.25), (-0.5, -2.0)):
-        a, b = point + along * complex(0.5, ha), point + along * complex(2.0, hb)
-        nearer = a if abs(ha) <= abs(hb) else b
-        assert _line_contact(a, b, point, angle) == nearer
-        assert _line_contact(b, a, point, angle) == nearer
 
 
 def test_pathspec_validation():

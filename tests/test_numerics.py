@@ -56,13 +56,6 @@ def test_nonconvergence_names_the_panel():
     assert "error estimate 6.94e-18 exceeds the tolerance 2.33e-20" in message, message
 
 
-def test_adaptive_simpson_nonconvergence_raises():
-    # the interval holding the step at 1/3 never meets its tolerance, which
-    # halves with the interval; the rest converge at once
-    with pytest.raises(QuadratureConvergenceError, match="adaptive Simpson did not converge"):
-        numerics.adaptive_simpson(lambda x: 1.0 if x > 1 / 3 else 0.0, 0.0, 1.0)
-
-
 def test_nonconvergence_panel_ends_print_apart():
     # a step at 0.3 keeps bisecting to a panel 2^-32 long, whose ends agree
     # to more than six significant digits

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import harmonia.operators
 from harmonia.algebra import LogLaurentExpr
 from harmonia.errors import (
     BranchPointOnPathError,
@@ -338,6 +339,16 @@ def test_disk_operator_rejects_nonzero_mean():
         neumann_from_dirichlet_disk(TrigPolynomial((1.0,), (0.0,)), 0.5 + 0j)
 
 
+def test_disk_operator_takes_an_accepted_mean_as_zero():
+    # a mean inside the 1e-10 solvability tolerance is dropped, as the
+    # Fourier oracle drops it; its term mean/rho has no radial integral
+    for mean in (1e-12, -5e-11, 1e-10):
+        trig = TrigPolynomial((mean, 1.0, 0.3), (0.0, -0.4))
+        for z in (0.5 + 0j, 0.2 - 0.7j):
+            want = fourier_neumann_oracle(trig, abs(z), cmath.phase(z))
+            assert abs(neumann_from_dirichlet_disk(trig, z) - want) < 1e-14, (mean, z)
+
+
 def test_disk_operator_rejects_outside_disk():
     trig = TrigPolynomial((0.0, 1.0), (0.0,))
     with pytest.raises(DomainError):
@@ -357,6 +368,26 @@ def test_disk_operator_matches_fourier_oracle():
             assert abs(
                 neumann_from_dirichlet_disk(trig, z) - fourier_neumann_oracle(trig, r, th)
             ) < 1e-8
+
+
+def test_the_disk_radial_integral_is_one_gauss_kronrod_pass_off_the_origin(monkeypatch):
+    # data of degree 6, as the suite draws, make U(rho z)/rho a polynomial of
+    # degree 5, which 4 panels of 15 nodes integrate at once; the nodes are
+    # interior, so rho = 0, where U/rho is 0/0, is never sampled
+    radii = []
+    integrate = harmonia.operators.integrate_path
+
+    def counted(f, path):
+        return integrate(lambda rho: radii.append(rho) or f(rho), path)
+
+    monkeypatch.setattr(harmonia.operators, "integrate_path", counted)
+    trig = TrigPolynomial((0.0, 0.4, -0.3, 0.2, 0.1, -0.7, 0.5), (0.0, -0.2, 0.6, 0.3, -0.1, 0.2, 0.8))
+    for z in (0.05 + 0j, 0.5 + 0.2j, -0.9j, 1.0 + 0j):
+        radii.clear()
+        v = neumann_from_dirichlet_disk(trig, z)
+        assert len(radii) == 60, z
+        assert all(0.0 < rho.real < 1.0 and rho.imag == 0.0 for rho in radii), z
+        assert abs(v - fourier_neumann_oracle(trig, abs(z), cmath.phase(z))) < 1e-14, z
 
 
 # -- Schwarz-arc generalization ----------------------------------------------------
