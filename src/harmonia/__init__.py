@@ -21,6 +21,7 @@ from .errors import (
     NonSymmetricPairError,
     NonzeroMeanError,
     PoleError,
+    PowerUnderflowError,
     QuadratureConvergenceError,
     ResonanceError,
 )

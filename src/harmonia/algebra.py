@@ -31,7 +31,8 @@ equality.
 Expressions are immutable, so what is derived from one expression again
 and again is kept on it: whether it carries logarithms, its derivative,
 its Euler derivative ``z_derivative``, its primitive, and (bivariate) its
-last restriction to the circle and its ``mirrored`` flag.  Being
+last restriction to the circle, its ``mirrored`` flag and the flat term
+tuple that its integrand kernels read.  Being
 immutable, an expression is its own copy and deep copy, and it pickles as
 its terms and context.
 
@@ -53,7 +54,14 @@ from dataclasses import dataclass
 from operator import index, itemgetter
 from typing import Union
 
-from .errors import CutMismatchError, CutProximityError, DomainError, ResonanceError
+from .errors import (
+    CutMismatchError,
+    CutProximityError,
+    DomainError,
+    PoleError,
+    PowerUnderflowError,
+    ResonanceError,
+)
 from .records import BIVARIATE_TERM, TERM, read
 
 __all__ = [
@@ -127,6 +135,15 @@ def _merge(items) -> dict:
         key = (a if type(a) is int else _exponent(a), b if type(b) is int else _exponent(b))
         acc[key] = acc.get(key, 0j) + complex(c)
     return acc
+
+
+def _beyond_range(where: str) -> PowerUnderflowError:
+    """The error for a term loop in which ``w**k``, k < 0, divided by zero.
+
+    A point 0 is rejected before the loop, so w came from a nonzero value:
+    ``w**-k``, or w itself, underflowed to 0.
+    """
+    return PowerUnderflowError(f"a negative power {where} is beyond the float range")
 
 
 def _modulus_overflow(c: complex) -> ValueError:
@@ -440,16 +457,19 @@ class LogLaurentExpr(_SparseSum):
         if self._has_log:
             lg_out, lg_in = complex(math.log(rho), theta), complex(math.log(r), theta)
         out = inner = 0j
-        for (k, m), c in self._terms.items():
-            c_out = c_in = c
-            if k:
-                c_out *= z_out**k
-                c_in *= z_in**k
-            if m:
-                c_out *= lg_out**m
-                c_in *= lg_in**m
-            out += c_out
-            inner += c_in
+        try:
+            for (k, m), c in self._terms.items():
+                c_out = c_in = c
+                if k:
+                    c_out *= z_out**k
+                    c_in *= z_in**k
+                if m:
+                    c_out *= lg_out**m
+                    c_in *= lg_in**m
+                out += c_out
+                inner += c_in
+        except ZeroDivisionError:
+            raise _beyond_range(f"on the ray from z = {z_out!r} to z = {z_in!r}") from None
         return out - inner
 
     def _sum(self, z: complex, lg: complex | None) -> complex:
@@ -459,14 +479,19 @@ class LogLaurentExpr(_SparseSum):
         when k != 0, times lg**m when m != 0.  ``w**0`` is exactly 1 + 0j, and
         a product by it moves at most the sign of a zero part, which the
         running sum from 0j removes, so the value is the same bit for bit.
+        A negative power of a nonzero z beyond the float range raises
+        ``PowerUnderflowError``.
         """
         total = 0j
-        for (k, m), c in self._terms.items():
-            if k:
-                c *= z**k
-            if m:
-                c *= lg**m
-            total += c
+        try:
+            for (k, m), c in self._terms.items():
+                if k:
+                    c *= z**k
+                if m:
+                    c *= lg**m
+                total += c
+        except ZeroDivisionError:
+            raise _beyond_range(f"at z = {z!r}") from None
         return total
 
     def _real_at_one(self) -> float:
@@ -668,10 +693,23 @@ class LogLaurentExpr(_SparseSum):
                    cut_angle)
 
 
-class BivariateLaurentExpr(_SparseSum):
-    """A finite Laurent sum c * z**kz * zeta**kzeta in two complex variables."""
+def _reject_zero_power(exponents, z: complex, zeta: complex) -> None:
+    """Raise ``DomainError`` if a pair (kz, kzeta) of ``exponents`` takes a
+    negative power of a zero z or zeta."""
+    for kz, kzeta in exponents:
+        if (kz < 0 and z == 0) or (kzeta < 0 and zeta == 0):
+            raise DomainError("negative power evaluated at 0")
 
-    __slots__ = ("_circle", "_mirrored")
+
+class BivariateLaurentExpr(_SparseSum):
+    """A finite Laurent sum c * z**kz * zeta**kzeta in two complex variables.
+
+    Besides ``eval``, two kernel builders return the integrands of the arc
+    reflections as one closure each, which read the terms from a flat
+    ``(kz, kzeta, c)`` tuple built once per expression.
+    """
+
+    __slots__ = ("_circle", "_mirrored", "_flat")
     _EXPONENTS = ("kz", "kzeta")
 
     def __init__(self, terms=()):
@@ -682,6 +720,7 @@ class BivariateLaurentExpr(_SparseSum):
         _SparseSum.__init__(self, acc)
         object.__setattr__(self, "_circle", None)  # (cut angle, restriction)
         object.__setattr__(self, "_mirrored", None)
+        object.__setattr__(self, "_flat", None)
 
     @property
     def mirrored(self) -> bool:
@@ -719,27 +758,103 @@ class BivariateLaurentExpr(_SparseSum):
         """The sum of c * z**kz * zeta**kzeta at (z, zeta).
 
         The test for a negative power at 0, which raises ``DomainError``, runs
-        once per call and only when z or zeta is 0.  No power of a zero
-        exponent is computed: a term is (c * z**kz) * zeta**kzeta with each
-        factor left out when its exponent is 0, the same value bit for bit
-        (see ``LogLaurentExpr._sum``).
+        once per call and only when z or zeta is 0; a negative power of a
+        nonzero point beyond the float range raises ``PowerUnderflowError``.
+        No power of a zero exponent is computed: a term is
+        (c * z**kz) * zeta**kzeta with each factor left out when its exponent
+        is 0, the same value bit for bit (see ``LogLaurentExpr._sum``).
         """
         z = complex(z)
         zeta = complex(zeta)
         if z == 0 or zeta == 0:
-            for kz, kzeta in self._terms:
-                if (kz < 0 and z == 0) or (kzeta < 0 and zeta == 0):
-                    raise DomainError("negative power evaluated at 0")
+            _reject_zero_power(self._terms, z, zeta)
         total = 0j
-        for (kz, kzeta), c in self._terms.items():
-            if kz:
-                c *= z**kz
-            if kzeta:
-                c *= zeta**kzeta
-            total += c
+        try:
+            for (kz, kzeta), c in self._terms.items():
+                if kz:
+                    c *= z**kz
+                if kzeta:
+                    c *= zeta**kzeta
+                total += c
+        except ZeroDivisionError:
+            raise _beyond_range(f"at (z, zeta) = ({z!r}, {zeta!r})") from None
         return total
 
     __call__ = eval
+
+    def _flat_terms(self) -> tuple:
+        """The terms as (kz, kzeta, c) triples in the order ``eval`` reads
+        them, built on the first call and kept."""
+        if self._flat is None:
+            flat = tuple((kz, kzeta, c) for (kz, kzeta), c in self._terms.items())
+            object.__setattr__(self, "_flat", flat)
+        return self._flat
+
+    def schwarz_kernel(self, form: tuple, scale: complex, pole: complex | None):
+        """The integrand t -> self(t, S(t)) * sqrt(S'(t)) of the arc reflection.
+
+        ``form`` is a Schwarz map's centred form (P, conj(P), a, b, g, h), as
+        ``SchwarzMap.form`` gives it, and (``scale``, ``pole``) a root of S'
+        as ``SqrtBranch`` holds it.  The closure makes the float operations
+        of ``SchwarzMap.value``, ``eval`` and ``SqrtBranch.__call__`` in
+        their order, so each value is theirs bit for bit, and it raises
+        what they raise: ``PoleError`` where g w + h = 0, then the errors of
+        ``eval``.
+        """
+        terms, exponents = self._flat_terms(), self._terms
+        P, Pc, a, b, g, h = form
+
+        def kernel(t: complex) -> complex:
+            w = t - P
+            d = g * w + h
+            if not d:
+                raise PoleError(f"Schwarz map has a pole at {P - h / g if g else None}")
+            zeta = Pc + (a * w + b) / d
+            if t == 0 or zeta == 0:
+                _reject_zero_power(exponents, t, zeta)
+            total = 0j
+            try:
+                for kz, kzeta, c in terms:
+                    if kz:
+                        c *= t**kz
+                    if kzeta:
+                        c *= zeta**kzeta
+                    total += c
+            except ZeroDivisionError:
+                raise _beyond_range(f"at (z, zeta) = ({t!r}, {zeta!r})") from None
+            return total * (scale if pole is None else scale / (t - pole))
+
+        return kernel
+
+    def ray_kernel(self, direction: complex):
+        """The integrand t -> self(t e, 1/(t e)) / t along the ray of direction
+        e = e^{i theta}, at real t > 0 (the shadow quadrature of the circle
+        reflections).
+
+        The closure makes the float operations of that expression through
+        ``eval`` in their order, so each value is the same bit for bit, and
+        it raises what that expression raises.
+        """
+        terms, exponents = self._flat_terms(), self._terms
+
+        def kernel(t: complex) -> complex:
+            z = t * direction
+            zeta = 1.0 / z  # at z = 0 this raises ZeroDivisionError, as the expression does
+            if zeta == 0:
+                _reject_zero_power(exponents, z, zeta)
+            total = 0j
+            try:
+                for kz, kzeta, c in terms:
+                    if kz:
+                        c *= z**kz
+                    if kzeta:
+                        c *= zeta**kzeta
+                    total += c
+            except ZeroDivisionError:
+                raise _beyond_range(f"at (z, zeta) = ({z!r}, {zeta!r})") from None
+            return total / t
+
+        return kernel
 
     def restrict_to_circle(self, cut_angle: float = DEFAULT_CUT_ANGLE) -> LogLaurentExpr:
         """Substitute zeta = 1/z, the Schwarz function of the unit circle.

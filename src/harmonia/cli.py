@@ -325,10 +325,10 @@ def cmd_field(args: argparse.Namespace, cut: float) -> int:
         x, y = r * math.cos(th), r * math.sin(th)
         try:
             value, reason = evaluator(r, th), ""
+        except ArithmeticError as exc:  # PowerUnderflowError too: a range failure is bad input
+            raise ArithmeticError(f"at r = {r!r}, theta = {th!r}: {_error_text(exc)}") from None
         except HarmoniaError as exc:
             value, reason = None, _ROW_ERROR_REASONS.get(type(exc).__name__, "error")
-        except ArithmeticError as exc:
-            raise ArithmeticError(f"at r = {r!r}, theta = {th!r}: {_error_text(exc)}") from None
         else:
             if not math.isfinite(value):
                 raise ArithmeticError(f"the field at r = {r!r}, theta = {th!r} is not finite")

@@ -7,6 +7,7 @@ Everything derives from :class:`HarmoniaError`, which itself derives from
 __all__ = [
     "HarmoniaError",
     "DomainError",
+    "PowerUnderflowError",
     "CutProximityError",
     "CutMismatchError",
     "PoleError",
@@ -25,6 +26,13 @@ class HarmoniaError(ValueError):
 
 class DomainError(HarmoniaError):
     """Evaluation requested outside an expression's domain (e.g. at z = 0)."""
+
+
+class PowerUnderflowError(DomainError, ZeroDivisionError):
+    """A negative power of a nonzero point lies beyond the float range: the
+    positive power underflows to 0, and binary64 then divides by zero.  It
+    is also that ``ZeroDivisionError``, so a caller that treats arithmetic
+    failure as bad input (the CLI) keeps doing so."""
 
 
 class CutProximityError(DomainError):

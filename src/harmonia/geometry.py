@@ -129,6 +129,12 @@ class SchwarzMap:
     # -- map values ------------------------------------------------------------
 
     @property
+    def form(self) -> tuple:
+        """The centred form (P, conj(P), a, b, g, h): S(z) = conj(P) +
+        (a w + b)/(g w + h) with w = z - P."""
+        return self._form
+
+    @property
     def pole(self) -> complex | None:
         """Pole of S, or None for a line; the inverse map's is its conjugate."""
         P, _, _, _, g, h = self._form

@@ -27,7 +27,8 @@ data-dependent correction:
   only when a != 0.
 * Neumann data on a general Schwarz arc: the correction is a contour
   integral of phi(tau, S(tau)) sqrt(S'(tau)) evaluated by Gauss-Kronrod
-  (7, 15) panels, 4 to start, with the closed-form square root of S'.
+  (7, 15) panels, 4 to start, with the closed-form square root of S'; the
+  integrand is the data's ``schwarz_kernel``, one closure per integral.
 
 The circle corrections are exact; numeric quadrature is available as a
 shadow oracle behind ``verify_numeric``.
@@ -200,7 +201,7 @@ def _reflect_circle(
         data_term = prim.ray_change(theta, r) / params.b
         if verify_numeric:
             path = PathSpec.radial_ray(0.0, 1.0 / r, r)
-            numeric = integrate_path(lambda t: phi.eval(t * ez, 1.0 / (t * ez)) / t, path)
+            numeric = integrate_path(phi.ray_kernel(ez), path)
             shadow = -numeric / params.b
             if abs(shadow - data_term) > _SHADOW_TOL * max(1.0, abs(data_term)):
                 raise HarmoniaError(
@@ -236,7 +237,8 @@ def reflect_neumann_schwarz(
     else:
         seg = PathSpec.segment(reflected.z, p.z)
         branch = sqrt_schwarz_derivative(smap, seg)
-        correction = 1j * integrate_path(lambda t: phi.eval(t, smap.value(t)) * branch(t), seg)
+        kernel = phi.schwarz_kernel(smap.form, branch.scale, branch.pole)
+        correction = 1j * integrate_path(kernel, seg)
     value = eval_pair(v, p) + correction
     return ReflectionResult(
         point=p,

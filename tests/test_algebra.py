@@ -20,7 +20,13 @@ from harmonia.algebra import (
     branch_log,
     cut_distance,
 )
-from harmonia.errors import CutMismatchError, CutProximityError, DomainError, ResonanceError
+from harmonia.errors import (
+    CutMismatchError,
+    CutProximityError,
+    DomainError,
+    PowerUnderflowError,
+    ResonanceError,
+)
 from harmonia.records import MAX_JSON_LOGPOW
 
 
@@ -573,11 +579,17 @@ def _bivariate_with_caches():
     return phi, phi.restrict_to_circle
 
 
+def _bivariate_with_kernel_terms():
+    phi = BivariateLaurentExpr([(1.0, 2, 1), (0.5j, 0, -1)])
+    return phi, phi._flat_terms
+
+
 @pytest.mark.parametrize(
     "make, name",
     [(_log_with_caches, n) for n in ("_terms", "_cut_angle", "_has_log", "_derivative", "extra")]
     + [(_log_with_primitive, n) for n in ("_primitive", "_derivative", "_terms")]
-    + [(_bivariate_with_caches, n) for n in ("_terms", "_circle", "extra")],
+    + [(_bivariate_with_caches, n) for n in ("_terms", "_circle", "extra")]
+    + [(_bivariate_with_kernel_terms, n) for n in ("_flat", "_terms")],
 )
 def test_cached_expressions_stay_immutable(make, name):
     e, derive = make()
@@ -894,6 +906,28 @@ def test_bivariate_pole_test_reads_only_the_zero_variable():
     chi = BivariateLaurentExpr([(1.0, -2, 0), (1.0, 0, -1)])
     with pytest.raises(DomainError):
         chi.eval(1e-200, 0j)
+
+
+def test_a_negative_power_beyond_the_float_range_is_a_domain_error():
+    # z**-2 at a nonzero z whose square underflows divides by zero in binary64
+    cases = [
+        (lambda: expr((1.0, 1, 0), (1.0, -2, 0)).eval(1e-200), "at z = (1e-200+0j)"),
+        (lambda: expr((1.0, -2, 1)).eval(1e-200), "at z = (1e-200+0j)"),
+        (lambda: BivariateLaurentExpr([(1.0, 0, 1), (1.0, -2, 0)]).eval(1e-200, 1.0),
+         "at (z, zeta) = ((1e-200+0j), (1+0j))"),
+        (lambda: BivariateLaurentExpr([(1.0, 1, -3)]).eval(2.0, 1e-150j),
+         "at (z, zeta) = ((2+0j), 1e-150j)"),
+        (lambda: expr((1.0, -2, 0)).ray_change(0.0, 1e-300),
+         "on the ray from z = (9.999999999999999e+299+0j) to z = (1e-300+0j)"),
+        (lambda: expr((1.0, -2, 1), (1.0, 1, 0)).ray_change(0.5, 1e200),
+         "on the ray from z = "),
+    ]
+    for compute, where in cases:
+        with pytest.raises(PowerUnderflowError, match=re.escape(f"a negative power {where}")) as info:
+            compute()
+        assert isinstance(info.value, DomainError) and isinstance(info.value, ZeroDivisionError)
+    # a negative power that stays in range still evaluates
+    assert expr((1.0, -1, 0)).eval(1e-200) == 1e200
 
 
 # a finite coefficient whose modulus |c| is beyond the float range

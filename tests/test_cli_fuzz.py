@@ -68,24 +68,30 @@ def _twin(record, place):
         node = node[key]
 
 
-def _mutate(rng: random.Random, record):
+def _mutate(rng: random.Random, record, fixed=(), descend=0):
     """A copy of a JSON record with one or two values replaced or deleted.
 
-    Each mutation walks down from the root and stops at each level with
-    probability 0.4, so a top-level scalar such as a Robin coefficient is
-    hit about as often as a deep term coefficient.  A mutation of one part
-    of a pair, or of a place inside it, is made at the same place of the
-    other part too, with a numeric ``im`` negated, so the pair stays the
-    conjugate mirror that the reader requires and the case goes on to an
-    evaluation.
+    Each mutation walks down from the root, never into a top-level key in
+    ``fixed``.  Above depth ``descend`` it goes into every non-empty array
+    or object it picks; from there on it stops at each level with
+    probability 0.4, so a scalar such as a Robin coefficient is hit about
+    as often as a deep term coefficient.  A mutation of one part of a pair,
+    or of a place inside it, is made at the same place of the other part
+    too, with a numeric ``im`` negated, so the pair stays the conjugate
+    mirror that the reader requires and the case goes on to an evaluation.
     """
     record = copy.deepcopy(record)
     for _ in range(rng.randint(1, 2)):
         node, keys = record, []
         while node:
-            key = rng.choice(list(node) if isinstance(node, dict) else range(len(node)))
+            if node is record:
+                key = rng.choice([k for k in record if k not in fixed])
+            else:
+                key = rng.choice(list(node) if isinstance(node, dict) else range(len(node)))
             child = node[key]
-            if isinstance(child, (dict, list)) and child and rng.random() < 0.6:
+            if isinstance(child, (dict, list)) and child and (
+                len(keys) < descend or rng.random() < 0.6
+            ):
                 node = child
                 keys.append(key)
                 continue
@@ -125,8 +131,10 @@ def _case(rng: random.Random, path) -> list:
         if rng.random() < 0.5:
             argv.append("--check")
     else:
+        # a mutated kind or a deleted pair stops at the reader: leave the kind
+        # alone and walk into the terms, so more cases reach an evaluator
         source = {k: v for k, v in row.items() if k in _FIELD_KEYS}
-        payload = {"field": _mutate(rng, source)}
+        payload = {"field": _mutate(rng, source, fixed=("kind",), descend=2)}
         argv = ["field", "--input", str(path), "--grid", "0.6:1.4:3:-1.0:1.0:3", "--format", "json"]
     path.write_text(json.dumps(payload))  # json writes NaN and Infinity, and reads them back
     return argv

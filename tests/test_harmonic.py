@@ -12,7 +12,12 @@ import pytest
 import harmonia.algebra
 import harmonia.harmonic
 from harmonia.algebra import LogLaurentExpr, _SparseSum
-from harmonia.errors import CutProximityError, DomainError, NonSymmetricPairError
+from harmonia.errors import (
+    CutProximityError,
+    DomainError,
+    NonSymmetricPairError,
+    PowerUnderflowError,
+)
 from harmonia.geometry import BiPoint, SchwarzMap
 from harmonia.harmonic import (
     HarmonicPair,
@@ -493,6 +498,25 @@ PROBE = HarmonicPair(LogLaurentExpr([(1.0, -2, 0), (0.3, 1, 2), (0.5, 2, 1)]))
 def test_a_non_finite_argument_raises_a_domain_error_that_names_it(function, args, name):
     with pytest.raises(DomainError, match=rf"^{re.escape(name)} must be finite, got "):
         function(*args)
+
+
+@pytest.mark.parametrize(
+    "function, args, z",
+    [
+        (eval_real, (PROBE, 1e-200, 0.0), 1e-200),
+        (radial_derivative, (PROBE, 1e-300, 0.0), 1e-300),
+        (radial_derivative, (PROBE, 1e-160, 0.0), 1e-160),  # z**3 underflows in f'
+    ],
+    ids=["eval_real", "radial-1e-300", "radial-1e-160"],
+)
+def test_a_negative_power_beyond_the_float_range_raises_a_domain_error_that_names_the_point(
+    function, args, z
+):
+    message = f"a negative power at z = {complex(z)!r} is beyond the float range"
+    with pytest.raises(PowerUnderflowError, match=re.escape(message)) as info:
+        function(*args)
+    # the package's error, and still the ZeroDivisionError it replaces
+    assert isinstance(info.value, DomainError) and isinstance(info.value, ZeroDivisionError)
 
 
 @pytest.mark.parametrize("cut", [math.pi, 2.0, 5.0, -1.0])

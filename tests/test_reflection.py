@@ -2,12 +2,19 @@ import cmath
 import copy
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
 
 from harmonia.algebra import CUT_MARGIN, BivariateLaurentExpr, LogLaurentExpr, cut_distance
-from harmonia.errors import CutProximityError, DomainError, HarmoniaError, PoleError
+from harmonia.errors import (
+    CutProximityError,
+    DomainError,
+    HarmoniaError,
+    PoleError,
+    PowerUnderflowError,
+)
 from harmonia.geometry import (
     BiPoint,
     PathSpec,
@@ -25,6 +32,7 @@ from harmonia.reflection import (
     reflect_neumann_schwarz,
     reflect_robin_circle,
 )
+from harmonia.verification import _SUITE_MAPS
 from mirror_helpers import MIRROR_RADII, MIRROR_THETAS, outcome, seeded_expr, zeta_part
 
 UNIT = SchwarzMap.unit_circle()
@@ -799,3 +807,174 @@ def test_a_reflection_result_pickles_and_copies():
     for back in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result), copy.copy(result)):
         assert back == result and repr(back) == repr(result) and back.to_json() == result.to_json()
     assert pickle.loads(pickle.dumps(v)) == v
+
+
+# -- integrand kernels ---------------------------------------------------------
+
+
+def _kind(fn):
+    """fn()'s value to the bit (repr), or the type of what it raised."""
+    try:
+        return repr(fn())
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
+def _seeded_arc_data(rng, mirrored):
+    """Two to four terms with powers in -3..3 and one mixed term; with
+    ``mirrored``, each joined by its conjugate mirror."""
+    terms = [(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+              int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
+             for _ in range(int(rng.integers(2, 5)))]
+    terms.append((complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+                  int(rng.choice([-2, -1, 1, 2])), int(rng.choice([-2, -1, 1, 2]))))
+    if mirrored:
+        terms += [(c.conjugate(), kzeta, kz) for c, kz, kzeta in terms]
+    phi = BivariateLaurentExpr(terms)
+    assert phi.mirrored == mirrored
+    return phi
+
+
+def _both_sides(smap):
+    """Points off the curve on either side of it, 0.3 and 0.4 away (in radii
+    on a circle)."""
+    scale = smap.radius if smap.kind == "circle" else 1.0
+    for q in smap.curve_points(5):
+        n = smap.outward_normal(q)
+        for delta in (-0.3, 0.4):
+            yield q + delta * scale * n
+
+
+def _schwarz_reference(phi, smap, branch):
+    return lambda t: phi.eval(t, smap.value(t)) * branch(t)
+
+
+@pytest.mark.parametrize("mirrored", [True, False])
+@pytest.mark.parametrize("smap", _SUITE_MAPS, ids=["unit", "offcentre", "line"])
+def test_the_schwarz_kernel_is_the_integrand_node_by_node(smap, mirrored):
+    rng = np.random.default_rng(3301 + mirrored)
+    nodes_seen = 0
+    for _ in range(8):
+        phi = _seeded_arc_data(rng, mirrored)
+        for z in _both_sides(smap):
+            p = BiPoint(z, z.conjugate())
+            seg = PathSpec.segment(reflect_bipoint(smap, p).z, z)
+            branch = sqrt_schwarz_derivative(smap, seg)
+            reference = _schwarz_reference(phi, smap, branch)
+            kernel = phi.schwarz_kernel(smap.form, branch.scale, branch.pole)
+            nodes = []
+            want = integrate_path(lambda t: nodes.append(t) or reference(t), seg)
+            for t in nodes:
+                got, node_want = kernel(t), reference(t)
+                assert got == node_want and repr(got) == repr(node_want)
+            assert repr(integrate_path(kernel, seg)) == repr(want)
+            assert repr(reflect_neumann_schwarz(SADDLE, phi, smap, p).correction) == repr(1j * want)
+            nodes_seen += len(nodes)
+    assert nodes_seen >= 8 * 10 * 60
+
+
+@pytest.mark.parametrize("smap", _SUITE_MAPS[:2], ids=["unit", "offcentre"])
+def test_the_schwarz_kernel_raises_as_the_integrand_at_the_pole(smap):
+    phi = BivariateLaurentExpr([(1.0, 2, 0), (0.5 - 0.25j, -1, 1)])
+    branch = sqrt_schwarz_derivative(smap, PathSpec.segment(smap.pole + 3.0, smap.pole + 4.0))
+    reference = _schwarz_reference(phi, smap, branch)
+    kernel = phi.schwarz_kernel(smap.form, branch.scale, branch.pole)
+    for fn in (reference, kernel):
+        with pytest.raises(PoleError, match=re.escape(f"Schwarz map has a pole at {smap.pole}")):
+            fn(smap.pole)
+    # a segment through the pole; on the unit circle a node falls on it
+    seg = PathSpec.segment(smap.pole - 1.0, smap.pole + 7.0)
+    assert _kind(lambda: integrate_path(kernel, seg)) == _kind(
+        lambda: integrate_path(reference, seg)
+    )
+    if smap.pole == 0:
+        with pytest.raises(PoleError):
+            integrate_path(kernel, seg)
+
+
+@pytest.mark.parametrize("smap", _SUITE_MAPS, ids=["unit", "offcentre", "line"])
+def test_the_schwarz_kernel_raises_as_the_integrand_at_zero(smap):
+    branch = sqrt_schwarz_derivative(smap, PathSpec.segment(2.5 + 2.5j, 3.0 + 3.0j))
+    for terms in ([(1.0, -2, 0), (2.0, 1, 1)], [(1.0, 0, -2)], [(1.0, 1, -1), (0.5j, 0, 0)]):
+        phi = BivariateLaurentExpr(terms)
+        reference = _schwarz_reference(phi, smap, branch)
+        kernel = phi.schwarz_kernel(smap.form, branch.scale, branch.pole)
+        # t = 0, where S(t) = 0 (none on the unit circle), and points where a
+        # negative power of t or of S(t) underflows
+        points = [0j, 1e-200 + 0j, 1e300 + 0j] + ([smap.inverse_value(0j)] if smap.pole else [])
+        for t in points:
+            assert _kind(lambda: kernel(t)) == _kind(lambda: reference(t))
+    phi = BivariateLaurentExpr([(1.0, -1, 0)])
+    kernel = phi.schwarz_kernel(smap.form, branch.scale, branch.pole)
+    with pytest.raises(PoleError if smap.pole == 0 else DomainError):
+        kernel(0j)
+
+
+def _ray_reference(phi, ez):
+    return lambda t: phi.eval(t * ez, 1.0 / (t * ez)) / t
+
+
+@pytest.mark.parametrize("mirrored", [True, False])
+def test_the_ray_kernel_is_the_shadow_integrand_node_by_node(mirrored):
+    rng = np.random.default_rng(3303 + mirrored)
+    for _ in range(12):
+        phi = _seeded_arc_data(rng, mirrored)
+        for theta in (-2.9, -0.4, 0.0, 1.3, math.pi):
+            ez = cmath.exp(1j * theta)
+            reference, kernel = _ray_reference(phi, ez), phi.ray_kernel(ez)
+            for r in (0.3, 0.8, 1.7):
+                path = PathSpec.radial_ray(0.0, 1.0 / r, r)
+                nodes = []
+                want = integrate_path(lambda t: nodes.append(t) or reference(t), path)
+                assert len(nodes) >= 60
+                for t in nodes:
+                    assert repr(kernel(t)) == repr(reference(t))
+                assert repr(integrate_path(kernel, path)) == repr(want)
+
+
+def test_the_ray_kernel_raises_as_the_shadow_integrand():
+    for terms in ([(1.0, -1, 0)], [(1.0, 0, -3), (2.0, 1, 1)], [(1.0, -2, 2)]):
+        phi = BivariateLaurentExpr(terms)
+        for ez in (cmath.exp(0.7j), cmath.exp(0.25j * math.pi)):
+            reference, kernel = _ray_reference(phi, ez), phi.ray_kernel(ez)
+            # t = 0 divides by zero; at t = 1e300 zeta**-3 underflows; at
+            # t = 1e-200 z**-1 does not, z**-2 does; at t = 1.7e308 on the
+            # diagonal 1/z is 0, the sum of the parts in its divisor overflowing
+            for t in (0j, 1e300 + 0j, 1e-200 + 0j, 1e-160 + 0j, 1.7e308 + 0j):
+                assert _kind(lambda: kernel(t)) == _kind(lambda: reference(t))
+    diagonal = cmath.exp(0.25j * math.pi)
+    with pytest.raises(ZeroDivisionError):
+        BivariateLaurentExpr([(1.0, -1, 0)]).ray_kernel(diagonal)(0j)
+    with pytest.raises(DomainError, match="negative power evaluated at 0"):
+        BivariateLaurentExpr([(1.0, 0, -1)]).ray_kernel(diagonal)(1.7e308 + 0j)
+
+
+def test_each_expression_keeps_its_own_kernel_terms():
+    terms = [(1.0 + 0.5j, 2, -1), (0.25, 0, 1), (-1.0j, -1, 1)]
+    phi = BivariateLaurentExpr(terms)
+    ez = cmath.exp(0.3j)
+    assert phi.ray_kernel(ez)(0.5 + 0j) == _ray_reference(phi, ez)(0.5 + 0j)
+    twin = BivariateLaurentExpr(terms)
+    assert twin._flat is None
+    assert twin.ray_kernel(ez)(0.5 + 0j) == phi.ray_kernel(ez)(0.5 + 0j)
+    assert twin._flat == phi._flat and twin._flat is not phi._flat
+    # a fresh expression often takes the id of one just freed: whatever its
+    # id, its kernel reads its own terms
+    rng = np.random.default_rng(3305)
+    smap = _SUITE_MAPS[1]
+    branch = sqrt_schwarz_derivative(smap, PathSpec.segment(2.5 + 2.5j, 3.0 + 3.0j))
+    for _ in range(50):
+        phi = _seeded_arc_data(rng, bool(rng.integers(0, 2)))
+        t = complex(rng.uniform(1, 2), rng.uniform(1, 2))
+        assert phi.ray_kernel(ez)(t) == _ray_reference(phi, ez)(t)
+        kernel = phi.schwarz_kernel(smap.form, branch.scale, branch.pole)
+        assert kernel(t) == _schwarz_reference(phi, smap, branch)(t)
+        del phi, kernel
+
+
+def test_a_robin_reflection_whose_negative_powers_underflow_raises_domain_error():
+    w = HarmonicPair(LogLaurentExpr.monomial(0.5, 2))
+    phi = BivariateLaurentExpr([(1.5, 2, 0), (1.5, 0, 2)])
+    with pytest.raises(PowerUnderflowError, match="on the ray from") as info:
+        reflect_robin_circle(w, phi, RobinParams(1.0, 1.0), BiPoint.from_polar(1e-300, -1.0))
+    assert isinstance(info.value, DomainError)
