@@ -23,6 +23,7 @@ from .errors import (
     PoleError,
     PowerUnderflowError,
     QuadratureConvergenceError,
+    RangeError,
     ResonanceError,
 )
 from .geometry import (

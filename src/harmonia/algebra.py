@@ -60,6 +60,7 @@ from .errors import (
     DomainError,
     PoleError,
     PowerUnderflowError,
+    RangeError,
     ResonanceError,
 )
 from .records import BIVARIATE_TERM, TERM, read
@@ -137,13 +138,17 @@ def _merge(items) -> dict:
     return acc
 
 
-def _beyond_range(where: str) -> PowerUnderflowError:
-    """The error for a term loop in which ``w**k``, k < 0, divided by zero.
+def _beyond_range(exc: ArithmeticError, where: str) -> ArithmeticError:
+    """The error for a term loop whose powers left the float range.
 
-    A point 0 is rejected before the loop, so w came from a nonzero value:
-    ``w**-k``, or w itself, underflowed to 0.
+    A ``ZeroDivisionError`` is a ``w**k``, k < 0, that divided by zero: a
+    point 0 is rejected before the loop, so w came from a nonzero value, and
+    ``w**-k``, or w itself, underflowed to 0.  An ``OverflowError`` is a
+    power that overflowed.
     """
-    return PowerUnderflowError(f"a negative power {where} is beyond the float range")
+    if isinstance(exc, ZeroDivisionError):
+        return PowerUnderflowError(f"a negative power {where} is beyond the float range")
+    return RangeError(f"a power {where} is beyond the float range")
 
 
 def _modulus_overflow(c: complex) -> ValueError:
@@ -428,7 +433,7 @@ class LogLaurentExpr(_SparseSum):
             phase = cmath.phase(z)
             off = phase - self._cut_angle
             d = off % _TWO_PI
-            if min(d, _TWO_PI - d) < CUT_MARGIN:
+            if d < CUT_MARGIN or _TWO_PI - d < CUT_MARGIN:
                 raise CutProximityError(
                     f"point at angle {phase:.6g} is within {CUT_MARGIN:g} rad "
                     f"of the branch cut at {self._cut_angle:.6g}"
@@ -450,8 +455,17 @@ class LogLaurentExpr(_SparseSum):
         are not (the primitive of log-free data jumps by a constant there), so
         the caller guards what it must.
         """
-        theta = _fold_angle(float(theta), self._cut_angle)
-        ez = cmath.exp(1j * theta)
+        theta = float(theta)
+        return self._ray_change(theta, cmath.exp(1j * theta), r)
+
+    def _ray_change(self, theta: float, ez: complex, r: float) -> complex:
+        """``ray_change`` given ez = e^{i theta}, which a caller that holds it
+        passes in.  ez is recomputed only when folding theta into the branch
+        window moves it (theta = -pi on the cut at pi), so the value is the
+        same bit for bit."""
+        folded = _fold_angle(theta, self._cut_angle)
+        if folded != theta:
+            theta, ez = folded, cmath.exp(1j * folded)
         rho = 1.0 / r
         z_out, z_in = rho * ez, r * ez
         if self._has_log:
@@ -468,8 +482,8 @@ class LogLaurentExpr(_SparseSum):
                     c_in *= lg_in**m
                 out += c_out
                 inner += c_in
-        except ZeroDivisionError:
-            raise _beyond_range(f"on the ray from z = {z_out!r} to z = {z_in!r}") from None
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise _beyond_range(exc, f"on the ray from z = {z_out!r} to z = {z_in!r}") from None
         return out - inner
 
     def _sum(self, z: complex, lg: complex | None) -> complex:
@@ -480,7 +494,7 @@ class LogLaurentExpr(_SparseSum):
         a product by it moves at most the sign of a zero part, which the
         running sum from 0j removes, so the value is the same bit for bit.
         A negative power of a nonzero z beyond the float range raises
-        ``PowerUnderflowError``.
+        ``PowerUnderflowError``, and a power that overflows ``RangeError``.
         """
         total = 0j
         try:
@@ -490,8 +504,8 @@ class LogLaurentExpr(_SparseSum):
                 if m:
                     c *= lg**m
                 total += c
-        except ZeroDivisionError:
-            raise _beyond_range(f"at z = {z!r}") from None
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise _beyond_range(exc, f"at z = {z!r}") from None
         return total
 
     def _real_at_one(self) -> float:
@@ -759,7 +773,8 @@ class BivariateLaurentExpr(_SparseSum):
 
         The test for a negative power at 0, which raises ``DomainError``, runs
         once per call and only when z or zeta is 0; a negative power of a
-        nonzero point beyond the float range raises ``PowerUnderflowError``.
+        nonzero point beyond the float range raises ``PowerUnderflowError``,
+        and a power that overflows ``RangeError``.
         No power of a zero exponent is computed: a term is
         (c * z**kz) * zeta**kzeta with each factor left out when its exponent
         is 0, the same value bit for bit (see ``LogLaurentExpr._sum``).
@@ -776,8 +791,8 @@ class BivariateLaurentExpr(_SparseSum):
                 if kzeta:
                     c *= zeta**kzeta
                 total += c
-        except ZeroDivisionError:
-            raise _beyond_range(f"at (z, zeta) = ({z!r}, {zeta!r})") from None
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise _beyond_range(exc, f"at (z, zeta) = ({z!r}, {zeta!r})") from None
         return total
 
     __call__ = eval
@@ -820,8 +835,8 @@ class BivariateLaurentExpr(_SparseSum):
                     if kzeta:
                         c *= zeta**kzeta
                     total += c
-            except ZeroDivisionError:
-                raise _beyond_range(f"at (z, zeta) = ({t!r}, {zeta!r})") from None
+            except (ZeroDivisionError, OverflowError) as exc:
+                raise _beyond_range(exc, f"at (z, zeta) = ({t!r}, {zeta!r})") from None
             return total * (scale if pole is None else scale / (t - pole))
 
         return kernel
@@ -850,8 +865,8 @@ class BivariateLaurentExpr(_SparseSum):
                     if kzeta:
                         c *= zeta**kzeta
                     total += c
-            except ZeroDivisionError:
-                raise _beyond_range(f"at (z, zeta) = ({z!r}, {zeta!r})") from None
+            except (ZeroDivisionError, OverflowError) as exc:
+                raise _beyond_range(exc, f"at (z, zeta) = ({z!r}, {zeta!r})") from None
             return total / t
 
         return kernel

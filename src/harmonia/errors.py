@@ -8,6 +8,7 @@ __all__ = [
     "HarmoniaError",
     "DomainError",
     "PowerUnderflowError",
+    "RangeError",
     "CutProximityError",
     "CutMismatchError",
     "PoleError",
@@ -33,6 +34,13 @@ class PowerUnderflowError(DomainError, ZeroDivisionError):
     positive power underflows to 0, and binary64 then divides by zero.  It
     is also that ``ZeroDivisionError``, so a caller that treats arithmetic
     failure as bad input (the CLI) keeps doing so."""
+
+
+class RangeError(HarmoniaError, OverflowError):
+    """A power in a term loop overflows the float range at a finite point,
+    where binary64 raises a bare ``OverflowError``.  It is
+    also that ``OverflowError``, so a caller that treats arithmetic failure
+    as bad input (the CLI) keeps doing so."""
 
 
 class CutProximityError(DomainError):

@@ -27,6 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,9 +46,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BiPoint:
-    """A point (z, zeta) of C^2; the real slice is zeta = conj(z)."""
+class BiPoint(NamedTuple):
+    """A point (z, zeta) of C^2; the real slice is zeta = conj(z).
+
+    A named tuple: immutable, and it unpacks as ``z, zeta = p`` and has
+    ``len`` 2.  It compares and hashes as the tuple (z, zeta), so it equals
+    a plain tuple of the same two values.
+    """
 
     z: complex
     zeta: complex

@@ -115,7 +115,7 @@ def eval_pair(h: HarmonicPair, p: BiPoint) -> complex:
     conjugates, so f is evaluated once: the value is 2 Re f(z), with
     imaginary part 0.
     """
-    z, zeta = p.z, p.zeta
+    z, zeta = p
     if not (cmath.isfinite(z) and cmath.isfinite(zeta)):
         raise _not_finite(("p.z", z), ("p.zeta", zeta))
     if zeta == z.conjugate():

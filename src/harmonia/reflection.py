@@ -37,7 +37,7 @@ shadow oracle behind ``verify_numeric``.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import CUT_MARGIN, BivariateLaurentExpr, cut_distance
 from .errors import CutProximityError, DomainError, HarmoniaError
@@ -58,14 +58,15 @@ _SHADOW_TOL = 1e-9
 _NEUMANN = RobinParams(0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class ReflectionResult:
+class ReflectionResult(NamedTuple):
     """Value of a continuation formula at the reflected point.
 
     ``correction`` is the data-dependent integral term of the formula
     (for the Dirichlet identity, the sum of the two boundary-data
     evaluations); it vanishes on the complexified curve for the three
-    integral formulas.
+    integral formulas.  A named tuple, like ``BiPoint``: immutable, it
+    unpacks into its five fields in order, and it compares and hashes as
+    the tuple of them.
     """
 
     point: BiPoint
@@ -106,22 +107,18 @@ def reflect_dirichlet_study(
         data = complex(2.0 * phi.eval(q.z, p.zeta).real, 0.0)
     else:
         data = phi.eval(q.z, p.zeta) + phi.eval(p.z, q.zeta)
-    value = data - eval_pair(u, p)
-    return ReflectionResult(
-        point=p,
-        reflected_point=q,
-        value=value,
-        correction=data,
-        formula="dirichlet",
-    )
+    return ReflectionResult(p, q, data - eval_pair(u, p), data, "dirichlet")
 
 
 def _ray_coordinates(p: BiPoint) -> tuple:
-    r = abs(p.z)
+    """(r, theta) of z = r e^{i theta}, for a point within 1e-9 (1 + r) of
+    the real slice; a point exactly on it, zeta == conj(z), needs no test."""
+    z, zeta = p
+    r = abs(z)
     if r == 0:
         raise DomainError("reflection across the unit circle is singular at the origin")
-    theta = cmath.phase(p.z)
-    if abs(p.zeta - r * cmath.exp(-1j * theta)) > 1e-9 * (1.0 + r):
+    theta = cmath.phase(z)
+    if zeta != z.conjugate() and abs(zeta - r * cmath.exp(-1j * theta)) > 1e-9 * (1.0 + r):
         raise DomainError(
             "circle reflection expects a real-slice point (r e^{i theta}, r e^{-i theta})"
         )
@@ -192,13 +189,13 @@ def _reflect_circle(
                 raise CutProximityError(
                     f"ray angle {theta:.6g} is within {CUT_MARGIN:g} rad of the branch cut"
                 )
-            change = f.antiderivative_over_arg().ray_change(theta, r)
+            change = f.antiderivative_over_arg()._ray_change(theta, ez, r)
             self_term = -(params.a / params.b) * (2.0 * change.real)
         # -int_{1/r}^{r} phi(rho e^{i theta}, e^{-i theta}/rho) / rho d rho: the
         # circle restriction of phi is log-free, so its primitive jumps across the
         # cut by a constant only, which the difference along one ray cancels
         prim = phi.restrict_to_circle(w.part_z.cut_angle).antiderivative_over_arg()
-        data_term = prim.ray_change(theta, r) / params.b
+        data_term = prim._ray_change(theta, ez, r) / params.b
         if verify_numeric:
             path = PathSpec.radial_ray(0.0, 1.0 / r, r)
             numeric = integrate_path(phi.ray_kernel(ez), path)
@@ -211,13 +208,7 @@ def _reflect_circle(
     value = eval_pair(w, p)
     if params.a != 0:
         value += self_term
-    return ReflectionResult(
-        point=p,
-        reflected_point=reflected,
-        value=value + data_term,
-        correction=data_term,
-        formula=formula,
-    )
+    return ReflectionResult(p, reflected, value + data_term, data_term, formula)
 
 
 def reflect_neumann_schwarz(
@@ -239,11 +230,4 @@ def reflect_neumann_schwarz(
         branch = sqrt_schwarz_derivative(smap, seg)
         kernel = phi.schwarz_kernel(smap.form, branch.scale, branch.pole)
         correction = 1j * integrate_path(kernel, seg)
-    value = eval_pair(v, p) + correction
-    return ReflectionResult(
-        point=p,
-        reflected_point=reflected,
-        value=value,
-        correction=correction,
-        formula="neumann_arc",
-    )
+    return ReflectionResult(p, reflected, eval_pair(v, p) + correction, correction, "neumann_arc")

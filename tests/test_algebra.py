@@ -25,6 +25,7 @@ from harmonia.errors import (
     CutProximityError,
     DomainError,
     PowerUnderflowError,
+    RangeError,
     ResonanceError,
 )
 from harmonia.records import MAX_JSON_LOGPOW
@@ -928,6 +929,30 @@ def test_a_negative_power_beyond_the_float_range_is_a_domain_error():
         assert isinstance(info.value, DomainError) and isinstance(info.value, ZeroDivisionError)
     # a negative power that stays in range still evaluates
     assert expr((1.0, -1, 0)).eval(1e-200) == 1e200
+
+
+def test_a_power_that_overflows_is_the_range_error():
+    # a power whose result is infinite overflows in binary64, which raises a
+    # bare OverflowError; every term loop raises the package's error instead
+    phi = BivariateLaurentExpr([(1.0, 3, 0), (1.0, 0, 1)])
+    unit = harmonia.SchwarzMap.unit_circle()
+    cases = [
+        (lambda: expr((1.0, 2, 0)).eval(1e160), "at z = (1e+160+0j)"),
+        (lambda: expr((1.0, -2, 0), (0.5, 2, 1)).eval(complex(1e-300, 1e300)),
+         "at z = (1e-300+1e+300j)"),
+        (lambda: expr((1.0, 3, 0)).ray_change(0.0, 1e200),
+         "on the ray from z = (1e-200+0j) to z = (1e+200+0j)"),
+        (lambda: phi.eval(1e200, 1.0), "at (z, zeta) = ((1e+200+0j), (1+0j))"),
+        (lambda: phi.ray_kernel(1 + 0j)(1e200 + 0j), "at (z, zeta) = ((1e+200+0j), (1e-200+0j))"),
+        (lambda: phi.schwarz_kernel(unit.form, 1j, 0j)(1e200 + 0j),
+         "at (z, zeta) = ((1e+200+0j), (1e-200+0j))"),
+    ]
+    for compute, where in cases:
+        with pytest.raises(RangeError, match=re.escape(f"a power {where} is beyond")) as info:
+            compute()
+        assert isinstance(info.value, OverflowError) and not isinstance(info.value, DomainError)
+    # a power that stays in range still evaluates
+    assert expr((1.0, 2, 0)).eval(2.0**500) == 2.0**1000
 
 
 # a finite coefficient whose modulus |c| is beyond the float range

@@ -43,6 +43,11 @@ _VALUES = (
 )
 
 
+# finite numbers, small integers among them, which a term's coefficient and
+# exponents take: drawn more often inside a term, so that more mutated terms
+# pass the reader and reach an evaluator
+_FINITE = (1e308, -1e300, 1e-300, 0.0, 2.5, 0, 1, 2, -1, -3)
+
 _DELETE = object()
 _OTHER_PART = {"part_z": "part_zeta", "part_zeta": "part_z"}
 
@@ -68,14 +73,16 @@ def _twin(record, place):
         node = node[key]
 
 
-def _mutate(rng: random.Random, record, fixed=(), descend=0):
+def _mutate(rng: random.Random, record, fixed=(), descend=0, finite=0.0):
     """A copy of a JSON record with one or two values replaced or deleted.
 
     Each mutation walks down from the root, never into a top-level key in
     ``fixed``.  Above depth ``descend`` it goes into every non-empty array
     or object it picks; from there on it stops at each level with
     probability 0.4, so a scalar such as a Robin coefficient is hit about
-    as often as a deep term coefficient.  A mutation of one part of a pair,
+    as often as a deep term coefficient.  A value that replaces one inside
+    an array's element (a term's coefficient or exponent) is drawn from
+    ``_FINITE`` with probability ``finite``.  A mutation of one part of a pair,
     or of a place inside it, is made at the same place of the other part
     too, with a numeric ``im`` negated, so the pair stays the conjugate
     mirror that the reader requires and the case goes on to an evaluation.
@@ -95,7 +102,12 @@ def _mutate(rng: random.Random, record, fixed=(), descend=0):
                 node = child
                 keys.append(key)
                 continue
-            value = _DELETE if rng.random() < 0.25 else rng.choice(_VALUES)
+            if rng.random() < 0.25:
+                value = _DELETE
+            elif any(isinstance(k, int) for k in keys) and rng.random() < finite:
+                value = rng.choice(_FINITE)
+            else:
+                value = rng.choice(_VALUES)
             edits = [(node, key, value)]
             twin = _twin(record, keys + [key])
             if twin:
@@ -131,10 +143,11 @@ def _case(rng: random.Random, path) -> list:
         if rng.random() < 0.5:
             argv.append("--check")
     else:
-        # a mutated kind or a deleted pair stops at the reader: leave the kind
-        # alone and walk into the terms, so more cases reach an evaluator
+        # a mutated kind, a deleted pair or a term that is no object stops at
+        # the reader: leave the kind alone, walk into a term of each array and
+        # draw finite numbers there, so more cases reach an evaluator
         source = {k: v for k, v in row.items() if k in _FIELD_KEYS}
-        payload = {"field": _mutate(rng, source, fixed=("kind",), descend=2)}
+        payload = {"field": _mutate(rng, source, fixed=("kind",), descend=3, finite=0.75)}
         argv = ["field", "--input", str(path), "--grid", "0.6:1.4:3:-1.0:1.0:3", "--format", "json"]
     path.write_text(json.dumps(payload))  # json writes NaN and Infinity, and reads them back
     return argv

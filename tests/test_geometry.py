@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -71,6 +73,24 @@ def test_inverse_consistency_near_curve(smap):
             w = z + offset * smap.outward_normal(z)
             assert abs(smap.inverse_value(smap.value(w)) - w) < 1e-12
             assert abs(smap.value(smap.inverse_value(w)) - w) < 1e-12
+
+
+def test_a_bipoint_is_an_immutable_named_tuple():
+    p = BiPoint(1 + 2j, 1 - 2j)
+    for name in ("z", "zeta", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 0j)
+    assert repr(p) == "BiPoint(z=(1+2j), zeta=(1-2j))"
+    twin = BiPoint(z=1 + 2j, zeta=1 - 2j)
+    assert p == twin and hash(p) == hash(twin) and p != BiPoint(1 + 2j, 1 + 2j)
+    for back in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        assert back == p and type(back) is BiPoint
+    # the tuple (z, zeta): it unpacks, has len 2 and equals the plain tuple
+    z, zeta = p
+    assert (z, zeta) == (1 + 2j, 1 - 2j) and len(p) == 2
+    assert p == (1 + 2j, 1 - 2j) and hash(p) == hash((1 + 2j, 1 - 2j))
+    q = BiPoint.from_polar(2.0, 0.5)
+    assert type(q) is BiPoint and q == (2.0 * cmath.exp(0.5j), 2.0 * cmath.exp(-0.5j))
 
 
 def test_reflect_bipoint_unit_circle():

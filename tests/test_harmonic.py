@@ -15,8 +15,10 @@ from harmonia.algebra import LogLaurentExpr, _SparseSum
 from harmonia.errors import (
     CutProximityError,
     DomainError,
+    HarmoniaError,
     NonSymmetricPairError,
     PowerUnderflowError,
+    RangeError,
 )
 from harmonia.geometry import BiPoint, SchwarzMap
 from harmonia.harmonic import (
@@ -517,6 +519,17 @@ def test_a_negative_power_beyond_the_float_range_raises_a_domain_error_that_name
         function(*args)
     # the package's error, and still the ZeroDivisionError it replaces
     assert isinstance(info.value, DomainError) and isinstance(info.value, ZeroDivisionError)
+
+
+@pytest.mark.parametrize("x, y", [(1e-300, 1e300), (1e160, 0.0)], ids=["1e300j", "1e160"])
+def test_a_power_that_overflows_raises_the_range_error_that_names_the_point(x, y):
+    # z**-2 is in range at both points; 0.5 z**2 log z overflows
+    message = f"a power at z = {complex(x, y)!r} is beyond the float range"
+    with pytest.raises(RangeError, match=re.escape(message)) as info:
+        eval_real(PROBE, x, y)
+    # the package's error, and still the OverflowError it replaces
+    assert isinstance(info.value, HarmoniaError) and isinstance(info.value, OverflowError)
+    assert not isinstance(info.value, DomainError)
 
 
 @pytest.mark.parametrize("cut", [math.pi, 2.0, 5.0, -1.0])

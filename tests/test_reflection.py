@@ -7,13 +7,20 @@ import re
 import numpy as np
 import pytest
 
-from harmonia.algebra import CUT_MARGIN, BivariateLaurentExpr, LogLaurentExpr, cut_distance
+from harmonia.algebra import (
+    CUT_MARGIN,
+    BivariateLaurentExpr,
+    LogLaurentExpr,
+    _fold_angle,
+    cut_distance,
+)
 from harmonia.errors import (
     CutProximityError,
     DomainError,
     HarmoniaError,
     PoleError,
     PowerUnderflowError,
+    RangeError,
 )
 from harmonia.geometry import (
     BiPoint,
@@ -27,6 +34,8 @@ from harmonia.harmonic import HarmonicPair, RobinParams, eval_pair, field_scale
 from harmonia.numerics import integrate_path
 from harmonia.operators import neumann_from_dirichlet_pair, neumann_from_dirichlet_schwarz
 from harmonia.reflection import (
+    ReflectionResult,
+    _ray_coordinates,
     reflect_dirichlet_study,
     reflect_neumann_circle,
     reflect_neumann_schwarz,
@@ -203,14 +212,17 @@ def test_neumann_quadratic_data():
 
 def test_the_quadrature_shadow_raises_when_the_exact_correction_is_wrong(monkeypatch):
     # a 1e-6 relative error in the exact correction: the shadow quadrature of
-    # verify_numeric disagrees and raises, and without it nothing notices
+    # verify_numeric disagrees and raises, and without it nothing notices.  The
+    # circle reflections reach ray_change's term loop through _ray_change, which
+    # takes the e^{i theta} they hold
     phi = BivariateLaurentExpr([(1.0, 2, 0), (1.0, 0, 2), (2.0, 1, 1), (-2.0, 0, 0)])
     p = BiPoint.from_polar(0.7, 0.4)
     params = RobinParams(0.0, 1.0)
     exact = reflect_robin_circle(SADDLE, phi, params, p, verify_numeric=True)
-    ray_change = LogLaurentExpr.ray_change
+    ray_change = LogLaurentExpr._ray_change
     monkeypatch.setattr(
-        LogLaurentExpr, "ray_change", lambda e, theta, r: ray_change(e, theta, r) * (1 + 1e-6)
+        LogLaurentExpr, "_ray_change",
+        lambda e, theta, ez, r: ray_change(e, theta, ez, r) * (1 + 1e-6),
     )
     wrong = reflect_robin_circle(SADDLE, phi, params, p)
     assert wrong.correction == pytest.approx(exact.correction, rel=2e-6)
@@ -665,6 +677,99 @@ def test_reflection_result_serialization():
     assert rec["formula"] == "neumann_circle"
     assert set(rec) == {"formula", "point", "reflected", "value", "correction"}
     assert abs(rec["reflected"]["z"]["re"] - res.reflected_point.z.real) < 1e-15
+
+
+def test_a_reflection_result_is_an_immutable_named_tuple():
+    p, q = BiPoint(1 + 2j, 1 - 2j), BiPoint(0.5 + 0j, 0.5 + 0j)
+    res = ReflectionResult(p, q, 1.5 + 0j, 0.25j, "dirichlet")
+    for name in ("point", "reflected_point", "value", "correction", "formula", "other"):
+        with pytest.raises(AttributeError):
+            setattr(res, name, 0j)
+    assert repr(res) == (
+        "ReflectionResult(point=BiPoint(z=(1+2j), zeta=(1-2j)), "
+        "reflected_point=BiPoint(z=(0.5+0j), zeta=(0.5+0j)), value=(1.5+0j), "
+        "correction=0.25j, formula='dirichlet')"
+    )
+    assert res.to_json() == {
+        "formula": "dirichlet",
+        "point": {"z": {"re": 1.0, "im": 2.0}, "zeta": {"re": 1.0, "im": -2.0}},
+        "reflected": {"z": {"re": 0.5, "im": 0.0}, "zeta": {"re": 0.5, "im": 0.0}},
+        "value": {"re": 1.5, "im": 0.0},
+        "correction": {"re": 0.0, "im": 0.25},
+    }
+    twin = ReflectionResult(
+        point=p, reflected_point=q, value=1.5 + 0j, correction=0.25j, formula="dirichlet"
+    )
+    assert res == twin and hash(res) == hash(twin)
+    assert res != ReflectionResult(p, q, 1.5 + 0j, 0.25j, "neumann_circle")
+    # the tuple of its fields in order: it unpacks, has len 5 and equals
+    # the plain tuple, as a BiPoint does
+    point, reflected, value, correction, formula = res
+    assert (point, reflected, value, correction, formula) == (p, q, 1.5 + 0j, 0.25j, "dirichlet")
+    assert len(res) == 5 and res == (p, q, 1.5 + 0j, 0.25j, "dirichlet")
+
+
+def _ray_coordinates_tested(p):
+    """``_ray_coordinates`` with its tolerance test run at every point."""
+    r = abs(p.z)
+    if r == 0:
+        raise DomainError("origin")
+    theta = cmath.phase(p.z)
+    if abs(p.zeta - r * cmath.exp(-1j * theta)) > 1e-9 * (1.0 + r):
+        raise DomainError("off the slice")
+    return r, theta
+
+
+def test_a_point_exactly_on_the_slice_passes_the_ray_test_it_skips():
+    # the test is skipped where zeta == conj(z), which passes it at every
+    # scale, from subnormal to the top of the float range and at inf
+    radii = (5e-324, 1e-310, 1e-300, 1e-12, 0.8, 1.0, 2.0, 1e150, 1e300, 1.7e308, math.inf)
+    angles = (0.0, -0.0, 1e-300, 0.3, math.pi / 4, 2.0, math.pi, -math.pi, -1.0, -math.pi / 2)
+    for r in radii:
+        for th in angles:
+            for z in (r * cmath.exp(1j * th), complex(r * math.cos(th), r * math.sin(th))):
+                p = BiPoint(z, z.conjugate())
+                assert outcome(lambda: _ray_coordinates(p)) == outcome(
+                    lambda: _ray_coordinates_tested(p)
+                ), p
+    # off the slice the test runs: within 1e-9 (1 + r) it passes, beyond it
+    # the point is rejected
+    z = 0.7 * cmath.exp(0.4j)
+    for zeta, accepted in ((z.conjugate() * (1 + 1e-12), True), (1.05 * z.conjugate(), False)):
+        p = BiPoint(z, zeta)
+        assert outcome(lambda: _ray_coordinates(p)) == outcome(lambda: _ray_coordinates_tested(p))
+        assert (outcome(lambda: _ray_coordinates(p)) is DomainError) is not accepted
+
+
+@pytest.mark.parametrize(
+    "cut, z",
+    [
+        (math.pi, complex(-0.5, -0.0)),  # phase -pi, which folds to pi
+        (math.pi, complex(-2.0, -0.0)),
+        (2.0, 0.5 * cmath.exp(2.5j)),  # beyond the cut at 2.0: folds to 2.5 - 2 pi
+        (2.0, 0.5 * cmath.exp(-2.5j)),  # inside the window: no fold
+        (math.pi, 0.5 * cmath.exp(0.3j)),
+    ],
+)
+def test_a_circle_reflection_takes_the_ray_changes_of_the_folded_ray(cut, z):
+    # the reflection hands its e^{i theta} to the ray changes; where folding
+    # theta into the cut's window moves it, they recompute it, so every value
+    # is that of ray_change along the folded angle, e^{i theta} and all
+    # complex coefficients, so that e^{i theta}'s imaginary part reaches both terms
+    w = HarmonicPair(LogLaurentExpr([(0.5, 2, 0), (0.3 + 0.1j, 1, 0), (0.2j, -1, 0)], cut))
+    phi = BivariateLaurentExpr([(1.0, 2, 0), (0.3 + 0.2j, 1, 0), (0.5, 0, 3), (0.25j, 1, 1)])
+    params = RobinParams(0.7, 1.3)
+    p = BiPoint(z, z.conjugate())
+    r, theta = abs(z), _fold_angle(cmath.phase(z), cut)
+    prim = phi.restrict_to_circle(cut).antiderivative_over_arg()
+    data = prim.ray_change(theta, r) / params.b
+    change = w.part_z.antiderivative_over_arg().ray_change(theta, r)
+    value = eval_pair(w, p)
+    value += -(params.a / params.b) * (2.0 * change.real)
+    robin = reflect_robin_circle(w, phi, params, p)
+    assert repr((robin.correction, robin.value)) == repr((data, value + data))
+    neumann = reflect_neumann_circle(w, phi, p)
+    assert repr(neumann.correction) == repr(prim.ray_change(theta, r) / 1.0)
 
 
 # -- the mirrored route ----------------------------------------------------------

@@ -82,6 +82,7 @@ SMOKE = (
     # error lines that name the option or the grid point
     (["verify", "--seed", "-1"], None),
     (["field", "--example", "robin-reflect-cos2", "--grid", "1e-300:1e-299:2:-1:1:2"], None),
+    (["field", "--example", "robin-reflect-cos2", "--grid", "1e160:1e161:2:-1:1:2"], None),
 )
 
 
