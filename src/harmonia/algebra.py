@@ -129,9 +129,11 @@ def _exponent(x) -> int:
     raise ValueError(f"exponent {x!r} is not an integer")
 
 
-def _merge(items) -> dict:
-    """Sum the coefficients of (exponent pair, coefficient) items per pair."""
-    acc: dict = {}
+def _merge(items, acc: dict | None = None) -> dict:
+    """Sum the coefficients of (exponent pair, coefficient) items per pair,
+    into ``acc`` when one is given."""
+    if acc is None:
+        acc = {}
     for (a, b), c in items:
         key = (a if type(a) is int else _exponent(a), b if type(b) is int else _exponent(b))
         acc[key] = acc.get(key, 0j) + complex(c)
@@ -149,6 +151,13 @@ def _beyond_range(exc: ArithmeticError, where: str) -> ArithmeticError:
     if isinstance(exc, ZeroDivisionError):
         return PowerUnderflowError(f"a negative power {where} is beyond the float range")
     return RangeError(f"a power {where} is beyond the float range")
+
+
+def _not_finite(where: str) -> RangeError:
+    """The error for a term loop whose total is not finite at a finite point:
+    a product overflowed to inf, or a power whose parts both overflowed
+    gave NaN, where binary64 raises nothing."""
+    return RangeError(f"the sum {where} is beyond the float range")
 
 
 def _modulus_overflow(c: complex) -> ValueError:
@@ -178,10 +187,10 @@ class _SparseSum:
     exponent pairs and complex coefficients: it rejects non-finite
     coefficients and finite ones whose modulus overflows, and drops those
     below ``COEFF_EPS``.  It keeps the accumulator itself when nothing is
-    dropped, so the caller must not change that dict afterwards.  The public constructors merge and coerce
-    user input first; derived expressions come from ``_build``, which skips
-    that step.  ``LogLaurentExpr._plus_constant`` tests only the entry it
-    changes.
+    dropped, so the caller must not change that dict afterwards.  The public
+    constructors merge and coerce user input first; derived expressions come
+    from ``_like`` and ``_build``, which skip that step.
+    ``LogLaurentExpr._plus_constant`` tests only the entry it changes.
     Subclass slots other than ``_terms`` and the context are caches, which
     ==, hash, repr and JSON ignore.
     """
@@ -347,8 +356,22 @@ class LogLaurentExpr(_SparseSum):
     _EXPONENTS = ("k", "m")
 
     def __init__(self, terms: TermsLike = (), cut_angle: float = DEFAULT_CUT_ANGLE):
-        items = terms.items() if isinstance(terms, Mapping) else map(_log_term_item, terms)
-        acc = _merge(items)
+        if isinstance(terms, Mapping):
+            acc = _merge(terms.items())
+        else:
+            # a plain (c, k, m) tuple with int exponents is merged here; every
+            # other shape goes through _log_term_item and _merge, which coerce
+            # it or raise, in term order either way
+            acc = {}
+            get = acc.get
+            for t in terms:
+                if type(t) is tuple and len(t) == 3:
+                    c, k, m = t
+                    if type(k) is int and type(m) is int:
+                        key = (k, m)
+                        acc[key] = get(key, 0j) + complex(c)
+                        continue
+                _merge((_log_term_item(t),), acc)
         for _, m in acc:
             if m < 0:
                 raise ValueError(f"negative log power {m}")
@@ -367,7 +390,16 @@ class LogLaurentExpr(_SparseSum):
         object.__setattr__(self, "_primitive", None)
 
     def _like(self, acc: dict) -> "LogLaurentExpr":
-        return LogLaurentExpr._build(acc, self._cut_angle)
+        # _setup's work in one call: normalize, then set what _start sets
+        expr = object.__new__(LogLaurentExpr)
+        _SparseSum.__init__(expr, acc)
+        put = object.__setattr__
+        put(expr, "_cut_angle", self._cut_angle)
+        put(expr, "_has_log", any(map(itemgetter(1), expr._terms)))
+        put(expr, "_derivative", None)
+        put(expr, "_z_derivative", None)
+        put(expr, "_primitive", None)
+        return expr
 
     def _context(self) -> tuple:
         return (self._cut_angle,)
@@ -438,7 +470,10 @@ class LogLaurentExpr(_SparseSum):
                     f"point at angle {phase:.6g} is within {CUT_MARGIN:g} rad "
                     f"of the branch cut at {self._cut_angle:.6g}"
                 )
-            lg = complex(math.log(abs(z)), phase - _TWO_PI * math.ceil(off / _TWO_PI))
+            # in (-2 pi, 0] the fold moves phase by 0 (always so on the cut at pi)
+            if not -_TWO_PI < off <= 0.0:
+                phase -= _TWO_PI * math.ceil(off / _TWO_PI)
+            lg = complex(math.log(abs(z)), phase)
         return self._sum(z, lg)
 
     __call__ = eval
@@ -462,10 +497,12 @@ class LogLaurentExpr(_SparseSum):
         """``ray_change`` given ez = e^{i theta}, which a caller that holds it
         passes in.  ez is recomputed only when folding theta into the branch
         window moves it (theta = -pi on the cut at pi), so the value is the
-        same bit for bit."""
-        folded = _fold_angle(theta, self._cut_angle)
-        if folded != theta:
-            theta, ez = folded, cmath.exp(1j * folded)
+        same bit for bit.  A total that is not finite raises ``RangeError``."""
+        # in (-2 pi, 0] the fold moves theta by 0, as in eval
+        if not -_TWO_PI < theta - self._cut_angle <= 0.0:
+            folded = _fold_angle(theta, self._cut_angle)
+            if folded != theta:
+                theta, ez = folded, cmath.exp(1j * folded)
         rho = 1.0 / r
         z_out, z_in = rho * ez, r * ez
         if self._has_log:
@@ -484,7 +521,10 @@ class LogLaurentExpr(_SparseSum):
                 inner += c_in
         except (ZeroDivisionError, OverflowError) as exc:
             raise _beyond_range(exc, f"on the ray from z = {z_out!r} to z = {z_in!r}") from None
-        return out - inner
+        change = out - inner
+        if not cmath.isfinite(change):
+            raise _not_finite(f"on the ray from z = {z_out!r} to z = {z_in!r}")
+        return change
 
     def _sum(self, z: complex, lg: complex | None) -> complex:
         """The terms at z, given log z (None when the expression has no logs).
@@ -493,19 +533,37 @@ class LogLaurentExpr(_SparseSum):
         when k != 0, times lg**m when m != 0.  ``w**0`` is exactly 1 + 0j, and
         a product by it moves at most the sign of a zero part, which the
         running sum from 0j removes, so the value is the same bit for bit.
+        z**k is taken once per run of equal k (the Euler solver emits each
+        k's log powers as one run) and lg**m once per call for each m >= 2;
+        m = 1 multiplies by lg itself, which ``lg**1`` equals but for the
+        sign of a zero part, removed as above.
         A negative power of a nonzero z beyond the float range raises
-        ``PowerUnderflowError``, and a power that overflows ``RangeError``.
+        ``PowerUnderflowError``, and a power that overflows, or a total that
+        is not finite, ``RangeError``.
         """
         total = 0j
+        k_now = 0  # the k of zk
+        logs: dict = {}  # m -> lg**m for m >= 2
         try:
             for (k, m), c in self._terms.items():
                 if k:
-                    c *= z**k
+                    if k != k_now:
+                        k_now = k
+                        zk = z**k
+                    c *= zk
                 if m:
-                    c *= lg**m
+                    if m == 1:
+                        c *= lg
+                    else:
+                        lgm = logs.get(m)
+                        if lgm is None:
+                            lgm = logs[m] = lg**m
+                        c *= lgm
                 total += c
         except (ZeroDivisionError, OverflowError) as exc:
             raise _beyond_range(exc, f"at z = {z!r}") from None
+        if not cmath.isfinite(total):
+            raise _not_finite(f"at z = {z!r}")
         return total
 
     def _real_at_one(self) -> float:
@@ -793,6 +851,8 @@ class BivariateLaurentExpr(_SparseSum):
                 total += c
         except (ZeroDivisionError, OverflowError) as exc:
             raise _beyond_range(exc, f"at (z, zeta) = ({z!r}, {zeta!r})") from None
+        if not cmath.isfinite(total):
+            raise _not_finite(f"at (z, zeta) = ({z!r}, {zeta!r})")
         return total
 
     __call__ = eval
@@ -814,7 +874,9 @@ class BivariateLaurentExpr(_SparseSum):
         of ``SchwarzMap.value``, ``eval`` and ``SqrtBranch.__call__`` in
         their order, so each value is theirs bit for bit, and it raises
         what they raise: ``PoleError`` where g w + h = 0, then the errors of
-        ``eval``.
+        ``eval``, but for one: it does not test its total, so where ``eval``
+        raises ``RangeError`` for a sum that is not finite, the kernel
+        returns that value (a quadrature node's test would cost ~3% of it).
         """
         terms, exponents = self._flat_terms(), self._terms
         P, Pc, a, b, g, h = form
@@ -848,7 +910,9 @@ class BivariateLaurentExpr(_SparseSum):
 
         The closure makes the float operations of that expression through
         ``eval`` in their order, so each value is the same bit for bit, and
-        it raises what that expression raises.
+        it raises what that expression raises, but for the ``RangeError`` of
+        a sum that is not finite: like ``schwarz_kernel``, it returns that
+        value.
         """
         terms, exponents = self._flat_terms(), self._terms
 

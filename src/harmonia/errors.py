@@ -38,7 +38,9 @@ class PowerUnderflowError(DomainError, ZeroDivisionError):
 
 class RangeError(HarmoniaError, OverflowError):
     """A power in a term loop overflows the float range at a finite point,
-    where binary64 raises a bare ``OverflowError``.  It is
+    where binary64 raises a bare ``OverflowError``, or the loop's sum is not
+    finite there (a power whose two parts overflow gives NaN, and raises
+    nothing).  It is
     also that ``OverflowError``, so a caller that treats arithmetic failure
     as bad input (the CLI) keeps doing so."""
 

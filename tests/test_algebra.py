@@ -864,6 +864,35 @@ def test_log_sum_equals_the_loop_with_every_power():
             e.eval(0j)
 
 
+def _per_term_sum(e, z, lg):
+    """The sum, in ``_terms`` order, of c times z**k when k != 0 and times
+    lg**m when m != 0, each power taken afresh for each term."""
+    total = 0j
+    for (k, m), c in e._terms.items():
+        if k:
+            c *= z**k
+        if m:
+            c *= lg**m
+        total += c
+    return total
+
+
+def test_log_sum_reuses_each_power_bit_for_bit():
+    # _sum takes z**k once per run of equal k and lg**m once per m >= 2, and
+    # multiplies by lg itself for m = 1: the value is the per-term loop's to
+    # the bit, signed zeros included, on shuffled terms and on Euler-solver
+    # output, whose terms come in runs of one k with descending m
+    rng = np.random.default_rng(2103)
+    for _ in range(300):
+        e = _seeded_log_expr(rng)
+        for e in (e, e._solve_euler(float(rng.uniform(0.5, 2.0)), float(rng.choice([-1.0, 1.0])))):
+            for z in _seeded_points(rng):
+                if e.has_log() and cut_distance(cmath.phase(z), e.cut_angle) < 1e-3:
+                    continue
+                want = _per_term_sum(e, z, branch_log(z, e.cut_angle) if e.has_log() else None)
+                assert repr(e.eval(z)) == repr(want)
+
+
 def _outcome(f, *args):
     try:
         return f(*args)
@@ -955,6 +984,29 @@ def test_a_power_that_overflows_is_the_range_error():
     assert expr((1.0, 2, 0)).eval(2.0**500) == 2.0**1000
 
 
+def test_a_sum_that_is_not_finite_is_the_range_error():
+    # where both parts of a power overflow, inf - inf gives NaN, and where a
+    # product or the running sum overflows, inf: binary64 raises neither, so
+    # each term loop tests its total once and names the point
+    w = 1e200 * cmath.exp(0.5j)
+    ez = cmath.exp(0.5j)
+    cases = [
+        (lambda: expr((1.0, 2, 0)).eval(w), f"at z = {w!r}"),
+        (lambda: BivariateLaurentExpr([(1.0, 2, 0)]).eval(w, 1.0),
+         f"at (z, zeta) = ({w!r}, (1+0j))"),
+        (lambda: expr((1.0, 3, 0)).ray_change(0.5, 1e200),
+         f"on the ray from z = {(1.0 / 1e200) * ez!r} to z = {1e200 * ez!r}"),
+        (lambda: expr((1e300, 1, 0)).eval(1e10), "at z = (10000000000+0j)"),
+        (lambda: expr((1e308, 0, 0), (1e308, 1, 0)).eval(1.5), "at z = (1.5+0j)"),
+    ]
+    for compute, where in cases:
+        with pytest.raises(RangeError, match=re.escape(f"the sum {where} is beyond")) as info:
+            compute()
+        assert isinstance(info.value, OverflowError) and not isinstance(info.value, DomainError)
+    # the largest finite sums still evaluate
+    assert expr((1e308, 0, 0), (0.7e308, 1, 0)).eval(1.0) == 1.7e308
+
+
 # a finite coefficient whose modulus |c| is beyond the float range
 HUGE = complex(1.5e308, 1.5e308)
 
@@ -1036,6 +1088,25 @@ def test_a_bivariate_exponent_that_is_no_integer_is_named(form, place, bad):
     terms = [(1.0, kz, kzeta)] if form == "tuple" else {(kz, kzeta): 1.0}
     with pytest.raises(ValueError, match=re.escape(f"exponent {bad!r} is not an integer")):
         BivariateLaurentExpr(terms)
+
+
+def test_the_constructor_merges_every_term_shape_alike_and_in_order():
+    # a plain (c, k, m) tuple with int exponents is merged in the
+    # constructor's own loop, every other shape through _merge: the same
+    # sums in the same key order, and the first bad term in order raises
+    plain = [(0.5, 2, 1), (1j, -1, 0), (0.25, 2, 1), (2.0, 0, 3), (0.125, 1, 0)]
+    others = [LogLaurentTerm(0.5, 2, 1), [1j, -1, 0], (0.25, 2.0, 1), (2.0, np.int64(0), 3),
+              (0.125, 1)]
+    want = LogLaurentExpr(plain)
+    assert list(want._terms.items()) == [((2, 1), 0.75), ((-1, 0), 1j), ((0, 3), 2), ((1, 0), 0.125)]
+    for terms in (others, [others[0], plain[1], others[2], plain[3], others[4]]):
+        assert list(LogLaurentExpr(terms)._terms.items()) == list(want._terms.items())
+    with pytest.raises(ValueError, match=re.escape("exponent 2.5 is not an integer")):
+        LogLaurentExpr([(1.0, 1, -1), (1.0, 2.5, 0), (1.0, 2, "x")])
+    with pytest.raises(ValueError, match="negative log power -1"):
+        LogLaurentExpr([(1.0, 1, -1), (1.0, 2.0, 0)])
+    with pytest.raises(TypeError):
+        LogLaurentExpr([(1.0, 1, 0), (None, 2, 0)])
 
 
 @pytest.mark.parametrize("form", ["tuple", "term", "mapping"])

@@ -205,14 +205,23 @@ def test_field_overflow_is_exit_two(tmp_path, kind, k, m):
 
 
 def test_field_value_that_is_not_finite_is_exit_two(tmp_path, capsys):
-    # at r = 2 the two terms overflow to +inf and -inf, so the value is NaN
+    # at r = 2 the two terms overflow to +inf and -inf, so their sum is NaN,
+    # which the term loop rejects, naming the point
     terms = [{"re": 1e308, "k": 3}, {"re": -1e308, "k": 4}]
     path = tmp_path / "field.json"
     path.write_text(json.dumps({"field": {"kind": "pair", "pair": {"part_z": terms,
                                                                    "part_zeta": terms}}}))
     assert main(["field", "--input", str(path), "--grid", "0.5:2:2:0:1:2"]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: {path}: the field at r = 2.0, theta = 0.0 is not finite\n"
+    assert err == (f"error: {path}: at r = 2.0, theta = 0.0: overflow: "
+                   "the sum at z = (2+0j) is beyond the float range\n")
+    # a sum of 1e308 is finite, and the value 2 Re f overflows after it
+    terms = [{"re": 1e308, "k": 0}]
+    path.write_text(json.dumps({"field": {"kind": "pair", "pair": {"part_z": terms,
+                                                                   "part_zeta": terms}}}))
+    assert main(["field", "--input", str(path), "--grid", "0.5:2:2:0:1:2"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: the field at r = 0.5, theta = 0.0 is not finite\n"
 
 
 def test_field_coefficient_whose_modulus_overflows_is_named(tmp_path, capsys):
@@ -533,10 +542,10 @@ def test_reflect_input_non_finite_point_is_exit_two(formula, point, tmp_path, ca
 
 @pytest.mark.parametrize("formula", ["dirichlet", "neumann", "robin", "schwarz"])
 def test_reflect_nan_residual_fails_check(formula, tmp_path, capsys):
-    # at r = 2 the two terms overflow to +inf and -inf, so the value is NaN;
-    # a NaN residual must fail --check rather than pass it
+    # the value overflows to inf, so the residual is NaN; a NaN residual
+    # must fail --check rather than pass it
     payload = {
-        "solution": _OVERFLOWING_SOLUTION,
+        "solution": _DOUBLING_SOLUTION,
         "data": [{"re": 1.0, "im": 0.0, "kz": 0, "kzeta": 0}],
         "point": {"r": 2.0, "theta": 0.0},
     }
@@ -713,10 +722,17 @@ def test_field_unknown_kind_is_exit_two(tmp_path, capsys):
     assert "'bogus'" in _bad_input(capsys, "field", "--input", path)
 
 
-# at r = 2 its two terms overflow to +inf and -inf, so the value is NaN
+# at r = 2 its two terms overflow to +inf and -inf, so the sum is NaN,
+# which the term loop rejects
 _OVERFLOWING_SOLUTION = {
     "part_z": [{"re": 1e308, "im": 0.0, "k": 3, "m": 0}, {"re": -1e308, "im": 0.0, "k": 4, "m": 0}],
     "part_zeta": [{"re": 1e308, "im": 0.0, "k": 3, "m": 0}, {"re": -1e308, "im": 0.0, "k": 4, "m": 0}],
+}
+# its sum is 1e308, finite, and the value 2 Re f overflows to +inf after it,
+# so the value is inf and a residual inf - inf is NaN
+_DOUBLING_SOLUTION = {
+    "part_z": [{"re": 1e308, "im": 0.0, "k": 0, "m": 0}],
+    "part_zeta": [{"re": 1e308, "im": 0.0, "k": 0, "m": 0}],
 }
 
 
@@ -738,9 +754,9 @@ def test_non_finite_numbers_are_written_as_null(monkeypatch, tmp_path, capsys):
     (raised,) = (c for c in _strict_json(out)["checks"] if "error" in c)
     assert raised["name"] == "normal_vs_radial_derivative" and raised["max_residual"] is None
     monkeypatch.undo()
-    # reflect --check, where the value and the residual are NaN
+    # reflect --check, where the value is inf and the residual NaN
     payload = {
-        "solution": _OVERFLOWING_SOLUTION,
+        "solution": _DOUBLING_SOLUTION,
         "data": [{"re": 1.0, "im": 0.0, "kz": 0, "kzeta": 0}],
         "point": {"r": 2.0, "theta": 0.0},
     }
@@ -760,15 +776,31 @@ def test_the_json_writer_nulls_non_finite_numbers_only():
 
 @pytest.mark.parametrize("formula", ["dirichlet", "neumann", "robin", "schwarz"])
 def test_reflect_non_finite_result_is_exit_two(formula, tmp_path, capsys):
-    # without --check there is no residual to fail, so a NaN value is bad input
+    # without --check there is no residual to fail, so an inf value is bad input
     payload = {
-        "solution": _OVERFLOWING_SOLUTION,
+        "solution": _DOUBLING_SOLUTION,
         "data": [{"re": 1.0, "im": 0.0, "kz": 0, "kzeta": 0}],
         "point": {"r": 2.0, "theta": 0.0},
     }
     path = _write(tmp_path, "overflowing.json", payload)
     err = _bad_input(capsys, "reflect", "--formula", formula, "--input", path)
     assert path in err and "z = (2+0j)" in err and "not finite" in err
+
+
+@pytest.mark.parametrize("formula", ["dirichlet", "neumann", "robin", "schwarz"])
+@pytest.mark.parametrize("check", [[], ["--check"]])
+def test_reflect_solution_whose_sum_is_not_finite_is_exit_two(formula, check, tmp_path, capsys):
+    # a NaN sum raises in the term loop, before any residual is formed
+    payload = {
+        "solution": _OVERFLOWING_SOLUTION,
+        "data": [{"re": 1.0, "im": 0.0, "kz": 0, "kzeta": 0}],
+        "point": {"r": 2.0, "theta": 0.0},
+    }
+    path = _write(tmp_path, "overflowing.json", payload)
+    err = _bad_input(capsys, "reflect", "--formula", formula, "--input", path, *check)
+    # robin's self term sums along the ray first
+    assert err.startswith(f"error: {path}: at z = (2+0j), zeta = (2+0j): overflow: the sum ")
+    assert "is beyond the float range" in err
 
 
 @pytest.mark.parametrize(

@@ -48,6 +48,16 @@ _VALUES = (
 # pass the reader and reach an evaluator
 _FINITE = (1e308, -1e300, 1e-300, 0.0, 2.5, 0, 1, 2, -1, -3)
 
+# log powers, which the reader takes in [0, 1024]: drawn in place of
+# ``_FINITE`` for a term's "m", so that more mutated terms reach an
+# evaluator, where 1024 makes lg**1024 overflow
+_LOGPOWS = (0, 1, 2, 3, 1024)
+
+# keys the reader requires (a term's coefficient and exponents, a Robin
+# source's coefficients): deleted with probability 0.05, not 0.25, since
+# each deletion stops at the reader
+_REQUIRED = ("re", "k", "kz", "kzeta", "a", "b")
+
 _DELETE = object()
 _OTHER_PART = {"part_z": "part_zeta", "part_zeta": "part_z"}
 
@@ -82,10 +92,12 @@ def _mutate(rng: random.Random, record, fixed=(), descend=0, finite=0.0):
     probability 0.4, so a scalar such as a Robin coefficient is hit about
     as often as a deep term coefficient.  A value that replaces one inside
     an array's element (a term's coefficient or exponent) is drawn from
-    ``_FINITE`` with probability ``finite``.  A mutation of one part of a pair,
-    or of a place inside it, is made at the same place of the other part
-    too, with a numeric ``im`` negated, so the pair stays the conjugate
-    mirror that the reader requires and the case goes on to an evaluation.
+    ``_FINITE`` (``_LOGPOWS`` for a log power) with probability ``finite``.
+    A key in ``_REQUIRED`` is deleted less often than others.  A mutation
+    of one part of a pair, or of a place inside it, is made at the same
+    place of the other part too, with a numeric ``im`` negated, so the pair
+    stays the conjugate mirror that the reader requires and the case goes
+    on to an evaluation.
     """
     record = copy.deepcopy(record)
     for _ in range(rng.randint(1, 2)):
@@ -102,10 +114,10 @@ def _mutate(rng: random.Random, record, fixed=(), descend=0, finite=0.0):
                 node = child
                 keys.append(key)
                 continue
-            if rng.random() < 0.25:
+            if rng.random() < (0.05 if key in _REQUIRED else 0.25):
                 value = _DELETE
             elif any(isinstance(k, int) for k in keys) and rng.random() < finite:
-                value = rng.choice(_FINITE)
+                value = rng.choice(_LOGPOWS if key == "m" else _FINITE)
             else:
                 value = rng.choice(_VALUES)
             edits = [(node, key, value)]

@@ -15,6 +15,7 @@ import harmonia.geometry
 import harmonia.harmonic
 import harmonia.operators
 import harmonia.reflection
+from harmonia.algebra import LogLaurentExpr
 from harmonia.geometry import SqrtBranch
 from harmonia.harmonic import HarmonicPair, RobinParams
 from harmonia.verification import run_verification_suite
@@ -105,6 +106,52 @@ def _halve_mirrored_radial_derivative(monkeypatch):
     )
 
 
+def _drop_solve_robin_z_derivative(monkeypatch):
+    # solves a h + b z h' = g, losing the z f' of the right-hand side
+    monkeypatch.setattr(
+        harmonia.operators, "solve_robin_analytic", lambda f, g, p: g._solve_euler(p.a, p.b)
+    )
+
+
+def _flip_solve_robin_b(monkeypatch):
+    rsa = harmonia.operators.solve_robin_analytic
+    monkeypatch.setattr(
+        harmonia.operators,
+        "solve_robin_analytic",
+        lambda f, g, p: rsa(f, g, RobinParams(p.a, -p.b)),
+    )
+
+
+def _drop_pin_half(monkeypatch):
+    # the pin adds 0 - 2 Re f(1) to f, not half of it
+    partwise = harmonia.operators._partwise
+
+    def pinned_in_full(u, build, pin):
+        v = partwise(u, build, False)
+        if not pin:
+            return v
+        return HarmonicPair(v.part_z._plus_constant(0.0 - 2.0 * v.part_z.eval(1 + 0j).real))
+
+    monkeypatch.setattr(harmonia.operators, "_partwise", pinned_in_full)
+
+
+def _reuse_sum_power_across_k(monkeypatch):
+    # _sum keeps the z**k of the first k != 0 for every later k
+    def stale_power_sum(self, z, lg):
+        total, zk = 0j, None
+        for (k, m), c in self._terms.items():
+            if k:
+                if zk is None:
+                    zk = z**k
+                c *= zk
+            if m:
+                c *= lg**m
+            total += c
+        return total
+
+    monkeypatch.setattr(LogLaurentExpr, "_sum", stale_power_sum)
+
+
 FAULTS = [
     (
         "dtn_sign_flip",
@@ -133,6 +180,28 @@ FAULTS = [
         "mirrored_radial_derivative_halved",
         _halve_mirrored_radial_derivative,
         {"boundary_recovery_dirichlet", "boundary_recovery_robin", "normal_vs_radial_derivative"},
+    ),
+    ("solve_robin_drops_z_derivative", _drop_solve_robin_z_derivative, {"robin_ode_identity"}),
+    ("solve_robin_b_sign_flip", _flip_solve_robin_b, {"robin_ode_identity"}),
+    ("pin_half_dropped", _drop_pin_half, {"arc_circle_reduction"}),
+    (
+        "sum_power_reused_across_k",
+        _reuse_sum_power_across_k,
+        {
+            "arc_circle_reduction",
+            "boundary_recovery_dirichlet",
+            "boundary_recovery_robin",
+            "dirichlet_reflection_involution",
+            "disk_operator_vs_pair",
+            "eval_homomorphism",
+            "fourier_oracle_vs_pair",
+            "neumann_reflection_pipeline",
+            "quadrature_vs_exact_algebra",
+            "ray_restriction_consistency",
+            "reflection_fixed_points",
+            "robin_reflection_pipeline",
+            "robin_trace_linearity",
+        },
     ),
 ]
 

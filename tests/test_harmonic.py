@@ -532,6 +532,23 @@ def test_a_power_that_overflows_raises_the_range_error_that_names_the_point(x, y
     assert not isinstance(info.value, DomainError)
 
 
+@pytest.mark.parametrize(
+    "function, args, z",
+    [
+        (radial_derivative, (PROBE, 1e160, 0.0), 1e160),
+        (eval_real, (PROBE, 1e160, 1e300), 1e160 + 1e300j),
+    ],
+    ids=["radial-1e160", "eval_real-1e300j"],
+)
+def test_a_sum_that_is_not_finite_raises_the_range_error_that_names_the_point(function, args, z):
+    # no power overflows alone, but a power's two parts do, to inf - inf = NaN,
+    # or a product does; both returned NaN before the term loops tested their total
+    message = f"the sum at z = {complex(z)!r} is beyond the float range"
+    with pytest.raises(RangeError, match=re.escape(message)) as info:
+        function(*args)
+    assert isinstance(info.value, HarmoniaError) and isinstance(info.value, OverflowError)
+
+
 @pytest.mark.parametrize("cut", [math.pi, 2.0, 5.0, -1.0])
 def test_a_pair_and_its_dtn_output_are_real_at_every_accepted_cut(cut):
     rng = np.random.default_rng(31)

@@ -16,8 +16,8 @@ The list:
   with ``--check`` and with ``--point 0.8:0.3``;
 * every command above but ``verify`` again with ``HARMONIA_CUT_ANGLE=2.0``;
 * the commands of the CLI smoke step in ``.github/workflows/tests.yml``,
-  with their input files, among them two error lines that name the option
-  or the grid point.
+  with their input files, among them error lines that name the option or
+  the grid point.
 
 Each command runs with ``HARMONIA_CUT_ANGLE`` set to its ``cut_angle`` or
 unset, in a scratch directory that holds its input files, so an error line
@@ -83,6 +83,8 @@ SMOKE = (
     (["verify", "--seed", "-1"], None),
     (["field", "--example", "robin-reflect-cos2", "--grid", "1e-300:1e-299:2:-1:1:2"], None),
     (["field", "--example", "robin-reflect-cos2", "--grid", "1e160:1e161:2:-1:1:2"], None),
+    # a sum whose power overflows to NaN, named with its grid point
+    (["field", "--example", "dtn-saddle", "--grid", "1e200:1e201:2:0.5:0.8:2"], None),
 )
 
 
