@@ -1,6 +1,11 @@
 """Closed-form boundary-operator and reflection calculus for harmonic
 functions near circular and straight-line arcs, with independent numerical
-cross-checks."""
+cross-checks.
+
+Importing the package loads the calculus and its oracles.  The verification
+suite loads on first use of one of its four names here (PEP 562): each is
+the suite's own object, and none is bound in this namespace.
+"""
 
 from .algebra import (
     BivariateLaurentExpr,
@@ -61,6 +66,21 @@ from .reflection import (
     reflect_neumann_schwarz,
     reflect_robin_circle,
 )
-from .verification import CheckRecord, DEFAULT_SEED, VerificationReport, run_verification_suite
 
 __version__ = "0.1.0"
+
+_SUITE_NAMES = ("CheckRecord", "DEFAULT_SEED", "VerificationReport", "run_verification_suite")
+# every public name, so that a star import takes the suite's names too
+__all__ = [name for name in globals() if not name.startswith("_")] + list(_SUITE_NAMES)
+
+
+def __getattr__(name):
+    if name in _SUITE_NAMES:
+        from . import verification
+
+        return getattr(verification, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_SUITE_NAMES})

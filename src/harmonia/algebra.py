@@ -160,10 +160,10 @@ def _not_finite(where: str) -> RangeError:
     return RangeError(f"the sum {where} is beyond the float range")
 
 
-def _modulus_overflow(c: complex) -> ValueError:
+def _modulus_overflow(c: complex) -> RangeError:
     """The error for a finite coefficient whose modulus exceeds the float
     range, where ``abs`` raises a bare ``OverflowError``."""
-    return ValueError(f"coefficient {c!r} has a modulus beyond the float range")
+    return RangeError(f"coefficient {c!r} has a modulus beyond the float range")
 
 
 TermsLike = Union[
@@ -876,7 +876,9 @@ class BivariateLaurentExpr(_SparseSum):
         what they raise: ``PoleError`` where g w + h = 0, then the errors of
         ``eval``, but for one: it does not test its total, so where ``eval``
         raises ``RangeError`` for a sum that is not finite, the kernel
-        returns that value (a quadrature node's test would cost ~3% of it).
+        returns that value (a quadrature node's test would cost ~3% of it),
+        and ``numerics.integrate_path`` raises ``RangeError`` on the first
+        panel whose estimate it makes not finite.
         """
         terms, exponents = self._flat_terms(), self._terms
         P, Pc, a, b, g, h = form
@@ -912,7 +914,7 @@ class BivariateLaurentExpr(_SparseSum):
         ``eval`` in their order, so each value is the same bit for bit, and
         it raises what that expression raises, but for the ``RangeError`` of
         a sum that is not finite: like ``schwarz_kernel``, it returns that
-        value.
+        value, for ``integrate_path`` to raise on.
         """
         terms, exponents = self._flat_terms(), self._terms
 

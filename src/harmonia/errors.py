@@ -37,12 +37,14 @@ class PowerUnderflowError(DomainError, ZeroDivisionError):
 
 
 class RangeError(HarmoniaError, OverflowError):
-    """A power in a term loop overflows the float range at a finite point,
-    where binary64 raises a bare ``OverflowError``, or the loop's sum is not
-    finite there (a power whose two parts overflow gives NaN, and raises
-    nothing).  It is
-    also that ``OverflowError``, so a caller that treats arithmetic failure
-    as bad input (the CLI) keeps doing so."""
+    """A value beyond the float range.  A power in a term loop overflows at a
+    finite point, where binary64 raises a bare ``OverflowError``, or the
+    loop's sum is not finite there (a power whose two parts overflow gives
+    NaN, and raises nothing).  A coefficient has finite parts but a modulus
+    beyond the range.  Or a quadrature panel's error estimate is not finite,
+    as an integrand value of inf or NaN makes it.  It is also that
+    ``OverflowError``, so a caller that treats arithmetic failure as bad
+    input (the CLI) keeps doing so."""
 
 
 class CutProximityError(DomainError):

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import NonzeroMeanError, QuadratureConvergenceError
+from .errors import NonzeroMeanError, QuadratureConvergenceError, RangeError
 from .geometry import PathSpec
 
 __all__ = [
@@ -79,20 +79,29 @@ def integrate_path(f: Callable[[complex], complex], path: PathSpec) -> complex:
     The path starts as INITIAL_PANELS panels, over which ABS_TOL is split
     evenly.  A panel whose error estimate |K15 - G7| exceeds its tolerance
     is bisected, each half with half the tolerance, down to MAX_DEPTH
-    levels.
+    levels; beyond that it raises ``QuadratureConvergenceError``.  A panel
+    whose estimate is not finite (an integrand value of inf or NaN, or one
+    beyond the float range in the sum) raises ``RangeError`` at once.
     """
     start, velocity = path.start, path.end - path.start
 
     def panel(a: float, b: float, tol: float, depth: int) -> complex:
         centre = start + 0.5 * (a + b) * velocity
         kronrod, gauss = _gauss_kronrod(f, centre, 0.5 * (b - a) * velocity)
-        estimate = abs(kronrod - gauss)
+        try:
+            estimate = abs(kronrod - gauss)
+        except OverflowError:  # finite parts, but a modulus beyond the float range
+            estimate = math.inf
         if estimate <= tol:
             return kronrod
+        if not math.isfinite(estimate):
+            raise RangeError(
+                f"the integrand is beyond the float range on {_panel(path, a, b)}: "
+                f"error estimate {estimate}"
+            )
         if depth <= 0:
             raise QuadratureConvergenceError(
-                f"Gauss-Kronrod quadrature did not converge on the panel from "
-                f"z = {start + a * velocity!r} to z = {start + b * velocity!r}: error "
+                f"Gauss-Kronrod quadrature did not converge on {_panel(path, a, b)}: error "
                 f"estimate {estimate:.3g} exceeds the tolerance {tol:.3g}"
             )
         m, half = 0.5 * (a + b), 0.5 * tol
@@ -103,6 +112,11 @@ def integrate_path(f: Callable[[complex], complex], path: PathSpec) -> complex:
     for i in range(INITIAL_PANELS):
         total += panel(i / INITIAL_PANELS, (i + 1) / INITIAL_PANELS, tol, MAX_DEPTH)
     return total
+
+
+def _panel(path: PathSpec, a: float, b: float) -> str:
+    velocity = path.end - path.start
+    return f"the panel from z = {path.start + a * velocity!r} to z = {path.start + b * velocity!r}"
 
 
 def adaptive_simpson(g: Callable[[float], complex], a: float, b: float) -> complex:

@@ -12,7 +12,6 @@ keys; ("either", a, b) object a if the value holds a key of a, else b.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 
@@ -105,6 +104,8 @@ def write(record) -> str:
     RFC 8259 has no NaN or Infinity, and Python's json would write both as
     bare tokens.  ``allow_nan=False`` makes any one left over raise.
     """
+    import json  # here, so that importing the package loads no JSON encoder
+
     return json.dumps(_finite(record), indent=2, allow_nan=False)
 
 

@@ -1033,6 +1033,19 @@ def test_a_coefficient_whose_modulus_overflows_is_named(build):
         build()
 
 
+def test_a_coefficient_whose_modulus_overflows_raises_range_error():
+    # a RangeError is still the ValueError the tests above match, and the
+    # OverflowError that a caller treating arithmetic failure as bad input catches
+    big = complex(1e308, 1e308)
+    for build in (lambda: LogLaurentExpr([(HUGE, 0, 0)]),
+                  lambda: BivariateLaurentExpr([(1.0, 1, 0), (HUGE, 1, -1)]),
+                  lambda: expr((1.0, 0, 0))._plus_constant(HUGE),
+                  lambda: LogLaurentExpr({(1, 0): big})._scaled_sum(1.5, expr((2, 0, 0)), 1.0)):
+        with pytest.raises(RangeError) as info:
+            build()
+        assert isinstance(info.value, OverflowError)
+
+
 def test_a_scaled_coefficient_whose_modulus_overflows_is_named():
     big = complex(1e308, 1e308)  # its modulus 1.41e308 is in range, 1.5 times it is not
     scaled = big * complex(1.5)

@@ -232,7 +232,8 @@ def test_field_coefficient_whose_modulus_overflows_is_named(tmp_path, capsys):
     path.write_text(json.dumps({"field": {"kind": "pair", "pair": pair}}))
     assert main(["field", "--input", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: {path}: coefficient (1.5e+308+1.5e+308j) has a modulus beyond the float range\n"
+    assert err == (f"error: {path}: overflow: coefficient (1.5e+308+1.5e+308j) has a modulus "
+                   "beyond the float range\n")
 
 
 def test_field_requires_source(capsys):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from harmonia.algebra import BivariateLaurentExpr, LogLaurentExpr
-from harmonia.errors import NonzeroMeanError, QuadratureConvergenceError
+from harmonia.errors import NonzeroMeanError, QuadratureConvergenceError, RangeError
 from harmonia.geometry import PathSpec
 from harmonia.harmonic import HarmonicPair
 from harmonia import numerics, verification
@@ -67,6 +67,39 @@ def test_nonconvergence_panel_ends_print_apart():
     start, end = ends.groups()
     assert start != end, message
     assert complex(start).real < 0.3 <= complex(end).real, message
+
+
+def test_a_non_finite_integrand_raises_range_error_on_its_first_panel():
+    # z^2 / t along a ray out to t = 1e200: the kernel returns NaN where z^2
+    # overflows, so the first panel's estimate is NaN; bisecting it would
+    # take 30 levels to end in QuadratureConvergenceError
+    kernel = BivariateLaurentExpr([(1.0, 2, 0)]).ray_kernel(cmath.exp(0.5j))
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return kernel(t)
+
+    with pytest.raises(RangeError, match="on the panel from z = ") as exc:
+        integrate_path(f, PathSpec.radial_ray(0.5, 1e-200, 1e200))
+    assert len(calls) <= 15 * numerics.INITIAL_PANELS == 60
+    assert "error estimate nan" in str(exc.value)
+
+
+def test_an_estimate_whose_modulus_overflows_raises_range_error():
+    # every value is finite, but the Kronrod-only nodes (the last 8 of the
+    # 15 of each panel) read 0.5e308 (1 + i) and the Gauss nodes 0: on a
+    # panel of half-length 3, G7 = 0 and K15 ~ 1.5e308 (1 + i), finite parts
+    # whose modulus is beyond the float range
+    calls = []
+
+    def f(z):
+        calls.append(z)
+        return complex(0.5e308, 0.5e308) if len(calls) % 15 > 7 or len(calls) % 15 == 0 else 0j
+
+    with pytest.raises(RangeError, match=r"error estimate inf$"):
+        integrate_path(f, PathSpec.segment(0, 24))
+    assert len(calls) == 15
 
 
 def test_gauss_rule_is_seven_point_legendre():
