@@ -187,10 +187,12 @@ class _SparseSum:
     exponent pairs and complex coefficients: it rejects non-finite
     coefficients and finite ones whose modulus overflows, and drops those
     below ``COEFF_EPS``.  It keeps the accumulator itself when nothing is
-    dropped, so the caller must not change that dict afterwards.  The public
-    constructors merge and coerce user input first; derived expressions come
-    from ``_like`` and ``_build``, which skip that step.
-    ``LogLaurentExpr._plus_constant`` tests only the entry it changes.
+    dropped, so the caller must not change that dict afterwards.  Every
+    expression is built the same way: ``_SparseSum.__init__`` on its terms,
+    then the subclass's ``_start``, which sets the context and empties the
+    caches.  The public constructors merge and coerce user input first;
+    derived expressions come from ``_like`` and ``_build``, which skip that
+    step.  ``LogLaurentExpr._plus_constant`` tests only the entry it changes.
     Subclass slots other than ``_terms`` and the context are caches, which
     ==, hash, repr and JSON ignore.
     """
@@ -222,9 +224,10 @@ class _SparseSum:
     def _build(cls, acc: dict, *context):
         """An expression from an accumulator of int exponent pairs and complex
         coefficients, bypassing the public constructor; ``context`` is what
-        ``_setup`` takes after the accumulator."""
+        ``_start`` takes."""
         expr = object.__new__(cls)
-        expr._setup(acc, *context)
+        _SparseSum.__init__(expr, acc)
+        expr._start(*context)
         return expr
 
     def _context(self) -> tuple:
@@ -375,30 +378,22 @@ class LogLaurentExpr(_SparseSum):
         for _, m in acc:
             if m < 0:
                 raise ValueError(f"negative log power {m}")
-        self._setup(acc, float(cut_angle))
-
-    def _setup(self, acc: dict, cut_angle: float) -> None:
         _SparseSum.__init__(self, acc)
-        self._start(cut_angle, any(map(itemgetter(1), self._terms)))
+        self._start(float(cut_angle))
 
-    def _start(self, cut_angle: float, has_log: bool) -> None:
+    def _start(self, cut_angle: float) -> None:
         """Set the cut, the log flag and empty caches once the terms are set."""
-        object.__setattr__(self, "_cut_angle", cut_angle)
-        object.__setattr__(self, "_has_log", has_log)
-        object.__setattr__(self, "_derivative", None)
-        object.__setattr__(self, "_z_derivative", None)
-        object.__setattr__(self, "_primitive", None)
+        put = object.__setattr__
+        put(self, "_cut_angle", cut_angle)
+        put(self, "_has_log", any(map(itemgetter(1), self._terms)))
+        put(self, "_derivative", None)
+        put(self, "_z_derivative", None)
+        put(self, "_primitive", None)
 
     def _like(self, acc: dict) -> "LogLaurentExpr":
-        # _setup's work in one call: normalize, then set what _start sets
         expr = object.__new__(LogLaurentExpr)
         _SparseSum.__init__(expr, acc)
-        put = object.__setattr__
-        put(expr, "_cut_angle", self._cut_angle)
-        put(expr, "_has_log", any(map(itemgetter(1), expr._terms)))
-        put(expr, "_derivative", None)
-        put(expr, "_z_derivative", None)
-        put(expr, "_primitive", None)
+        expr._start(self._cut_angle)
         return expr
 
     def _context(self) -> tuple:
@@ -488,21 +483,14 @@ class LogLaurentExpr(_SparseSum):
         ``restrict_to_ray`` it rejects no ray near the cut: a difference of
         values along one ray can be continuous across the cut when the values
         are not (the primitive of log-free data jumps by a constant there), so
-        the caller guards what it must.
+        the caller guards what it must.  A total that is not finite raises
+        ``RangeError``.
         """
         theta = float(theta)
-        return self._ray_change(theta, cmath.exp(1j * theta), r)
-
-    def _ray_change(self, theta: float, ez: complex, r: float) -> complex:
-        """``ray_change`` given ez = e^{i theta}, which a caller that holds it
-        passes in.  ez is recomputed only when folding theta into the branch
-        window moves it (theta = -pi on the cut at pi), so the value is the
-        same bit for bit.  A total that is not finite raises ``RangeError``."""
         # in (-2 pi, 0] the fold moves theta by 0, as in eval
         if not -_TWO_PI < theta - self._cut_angle <= 0.0:
-            folded = _fold_angle(theta, self._cut_angle)
-            if folded != theta:
-                theta, ez = folded, cmath.exp(1j * folded)
+            theta = _fold_angle(theta, self._cut_angle)
+        ez = cmath.exp(1j * theta)
         rho = 1.0 / r
         z_out, z_in = rho * ez, r * ez
         if self._has_log:
@@ -746,7 +734,7 @@ class LogLaurentExpr(_SparseSum):
                 return self._like(acc)
         expr = object.__new__(LogLaurentExpr)
         object.__setattr__(expr, "_terms", acc)
-        expr._start(self._cut_angle, self._has_log)  # (0, 0) carries no log
+        expr._start(self._cut_angle)
         return expr
 
     def with_cut_angle(self, cut_angle: float) -> "LogLaurentExpr":
@@ -765,20 +753,41 @@ class LogLaurentExpr(_SparseSum):
                    cut_angle)
 
 
-def _reject_zero_power(exponents, z: complex, zeta: complex) -> None:
-    """Raise ``DomainError`` if a pair (kz, kzeta) of ``exponents`` takes a
-    negative power of a zero z or zeta."""
-    for kz, kzeta in exponents:
-        if (kz < 0 and z == 0) or (kzeta < 0 and zeta == 0):
-            raise DomainError("negative power evaluated at 0")
+def _bisum(terms: tuple, z: complex, zeta: complex) -> complex:
+    """The sum of c * z**kz * zeta**kzeta over flat (kz, kzeta, c) terms.
+
+    The one bivariate term loop: ``eval`` and both kernels call it.  A
+    negative power of a zero z or zeta raises ``DomainError``, tested only
+    when z or zeta is 0; a negative power of a nonzero point beyond the
+    float range raises ``PowerUnderflowError``, and a power that overflows
+    ``RangeError``.  No power of a zero exponent is computed: a term is
+    (c * z**kz) * zeta**kzeta with each factor left out when its exponent is
+    0, the same value bit for bit (see ``LogLaurentExpr._sum``).  The total
+    is not tested; ``eval`` tests it.
+    """
+    if z == 0 or zeta == 0:
+        for kz, kzeta, _ in terms:
+            if (kz < 0 and z == 0) or (kzeta < 0 and zeta == 0):
+                raise DomainError("negative power evaluated at 0")
+    total = 0j
+    try:
+        for kz, kzeta, c in terms:
+            if kz:
+                c *= z**kz
+            if kzeta:
+                c *= zeta**kzeta
+            total += c
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise _beyond_range(exc, f"at (z, zeta) = ({z!r}, {zeta!r})") from None
+    return total
 
 
 class BivariateLaurentExpr(_SparseSum):
     """A finite Laurent sum c * z**kz * zeta**kzeta in two complex variables.
 
     Besides ``eval``, two kernel builders return the integrands of the arc
-    reflections as one closure each, which read the terms from a flat
-    ``(kz, kzeta, c)`` tuple built once per expression.
+    reflections as one closure each.  All three sum the terms in ``_bisum``
+    from a flat ``(kz, kzeta, c)`` tuple built once per expression.
     """
 
     __slots__ = ("_circle", "_mirrored", "_flat")
@@ -786,10 +795,11 @@ class BivariateLaurentExpr(_SparseSum):
 
     def __init__(self, terms=()):
         items = terms.items() if isinstance(terms, Mapping) else map(_bivariate_term_item, terms)
-        self._setup(_merge(items))
+        _SparseSum.__init__(self, _merge(items))
+        self._start()
 
-    def _setup(self, acc: dict) -> None:
-        _SparseSum.__init__(self, acc)
+    def _start(self) -> None:
+        """Empty the caches once the terms are set."""
         object.__setattr__(self, "_circle", None)  # (cut angle, restriction)
         object.__setattr__(self, "_mirrored", None)
         object.__setattr__(self, "_flat", None)
@@ -827,30 +837,13 @@ class BivariateLaurentExpr(_SparseSum):
         return cls([(value, 0, 0)])
 
     def eval(self, z: complex, zeta: complex) -> complex:
-        """The sum of c * z**kz * zeta**kzeta at (z, zeta).
-
-        The test for a negative power at 0, which raises ``DomainError``, runs
-        once per call and only when z or zeta is 0; a negative power of a
-        nonzero point beyond the float range raises ``PowerUnderflowError``,
-        and a power that overflows ``RangeError``.
-        No power of a zero exponent is computed: a term is
-        (c * z**kz) * zeta**kzeta with each factor left out when its exponent
-        is 0, the same value bit for bit (see ``LogLaurentExpr._sum``).
+        """The sum of c * z**kz * zeta**kzeta at (z, zeta), from ``_bisum``,
+        which raises for a power of 0 or beyond the float range; a total that
+        is not finite raises ``RangeError``.
         """
         z = complex(z)
         zeta = complex(zeta)
-        if z == 0 or zeta == 0:
-            _reject_zero_power(self._terms, z, zeta)
-        total = 0j
-        try:
-            for (kz, kzeta), c in self._terms.items():
-                if kz:
-                    c *= z**kz
-                if kzeta:
-                    c *= zeta**kzeta
-                total += c
-        except (ZeroDivisionError, OverflowError) as exc:
-            raise _beyond_range(exc, f"at (z, zeta) = ({z!r}, {zeta!r})") from None
+        total = _bisum(self._flat_terms(), z, zeta)
         if not cmath.isfinite(total):
             raise _not_finite(f"at (z, zeta) = ({z!r}, {zeta!r})")
         return total
@@ -858,8 +851,8 @@ class BivariateLaurentExpr(_SparseSum):
     __call__ = eval
 
     def _flat_terms(self) -> tuple:
-        """The terms as (kz, kzeta, c) triples in the order ``eval`` reads
-        them, built on the first call and kept."""
+        """The terms as (kz, kzeta, c) triples in their dict order, the order
+        ``_bisum`` reads them in, built on the first call and kept."""
         if self._flat is None:
             flat = tuple((kz, kzeta, c) for (kz, kzeta), c in self._terms.items())
             object.__setattr__(self, "_flat", flat)
@@ -872,15 +865,16 @@ class BivariateLaurentExpr(_SparseSum):
         ``SchwarzMap.form`` gives it, and (``scale``, ``pole``) a root of S'
         as ``SqrtBranch`` holds it.  The closure makes the float operations
         of ``SchwarzMap.value``, ``eval`` and ``SqrtBranch.__call__`` in
-        their order, so each value is theirs bit for bit, and it raises
-        what they raise: ``PoleError`` where g w + h = 0, then the errors of
-        ``eval``, but for one: it does not test its total, so where ``eval``
-        raises ``RangeError`` for a sum that is not finite, the kernel
-        returns that value (a quadrature node's test would cost ~3% of it),
-        and ``numerics.integrate_path`` raises ``RangeError`` on the first
-        panel whose estimate it makes not finite.
+        their order, with ``eval``'s term loop ``_bisum``, so each value is
+        theirs bit for bit, and it raises what they raise: ``PoleError``
+        where g w + h = 0, then the errors of ``_bisum``.  Unlike ``eval``
+        it does not test its total, so where ``eval`` raises ``RangeError``
+        for a sum that is not finite, the kernel returns that value (a
+        quadrature node's test would cost ~3% of it), and
+        ``numerics.integrate_path`` raises ``RangeError`` on the first panel
+        whose estimate it makes not finite.
         """
-        terms, exponents = self._flat_terms(), self._terms
+        terms = self._flat_terms()
         P, Pc, a, b, g, h = form
 
         def kernel(t: complex) -> complex:
@@ -889,19 +883,7 @@ class BivariateLaurentExpr(_SparseSum):
             if not d:
                 raise PoleError(f"Schwarz map has a pole at {P - h / g if g else None}")
             zeta = Pc + (a * w + b) / d
-            if t == 0 or zeta == 0:
-                _reject_zero_power(exponents, t, zeta)
-            total = 0j
-            try:
-                for kz, kzeta, c in terms:
-                    if kz:
-                        c *= t**kz
-                    if kzeta:
-                        c *= zeta**kzeta
-                    total += c
-            except (ZeroDivisionError, OverflowError) as exc:
-                raise _beyond_range(exc, f"at (z, zeta) = ({t!r}, {zeta!r})") from None
-            return total * (scale if pole is None else scale / (t - pole))
+            return _bisum(terms, t, zeta) * (scale if pole is None else scale / (t - pole))
 
         return kernel
 
@@ -911,29 +893,18 @@ class BivariateLaurentExpr(_SparseSum):
         reflections).
 
         The closure makes the float operations of that expression through
-        ``eval`` in their order, so each value is the same bit for bit, and
-        it raises what that expression raises, but for the ``RangeError`` of
-        a sum that is not finite: like ``schwarz_kernel``, it returns that
-        value, for ``integrate_path`` to raise on.
+        ``eval`` in their order, with ``eval``'s term loop ``_bisum``, so each
+        value is the same bit for bit, and it raises what that expression
+        raises, but for the ``RangeError`` of a sum that is not finite: like
+        ``schwarz_kernel``, it returns that value, for ``integrate_path`` to
+        raise on.
         """
-        terms, exponents = self._flat_terms(), self._terms
+        terms = self._flat_terms()
 
         def kernel(t: complex) -> complex:
             z = t * direction
-            zeta = 1.0 / z  # at z = 0 this raises ZeroDivisionError, as the expression does
-            if zeta == 0:
-                _reject_zero_power(exponents, z, zeta)
-            total = 0j
-            try:
-                for kz, kzeta, c in terms:
-                    if kz:
-                        c *= z**kz
-                    if kzeta:
-                        c *= zeta**kzeta
-                    total += c
-            except (ZeroDivisionError, OverflowError) as exc:
-                raise _beyond_range(exc, f"at (z, zeta) = ({z!r}, {zeta!r})") from None
-            return total / t
+            # at z = 0, 1/z raises ZeroDivisionError, as the expression does
+            return _bisum(terms, z, 1.0 / z) / t
 
         return kernel
 

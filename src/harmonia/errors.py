@@ -40,11 +40,12 @@ class RangeError(HarmoniaError, OverflowError):
     """A value beyond the float range.  A power in a term loop overflows at a
     finite point, where binary64 raises a bare ``OverflowError``, or the
     loop's sum is not finite there (a power whose two parts overflow gives
-    NaN, and raises nothing).  A coefficient has finite parts but a modulus
-    beyond the range.  Or a quadrature panel's error estimate is not finite,
-    as an integrand value of inf or NaN makes it.  It is also that
-    ``OverflowError``, so a caller that treats arithmetic failure as bad
-    input (the CLI) keeps doing so."""
+    NaN, and raises nothing).  A harmonic evaluator's result, 2 Re f or the
+    sum of two sides, is not finite though f's sum is.  A coefficient has
+    finite parts but a modulus beyond the range.  Or a quadrature panel's
+    error estimate is not finite, as an integrand value of inf or NaN makes
+    it.  It is also that ``OverflowError``, so a caller that treats
+    arithmetic failure as bad input (the CLI) keeps doing so."""
 
 
 class CutProximityError(DomainError):

@@ -16,7 +16,10 @@ point: its zeta point is the conjugate ray by construction, so it is
 the curve, where S(z) = conj(z), so it is 2 Re(n f'(z)) along the outward
 normal n.  A point off the slice (intermediate points in C^2 often are)
 evaluates both sides.  Each of these raises ``DomainError`` for a
-non-finite argument, once per call.
+non-finite argument, once per call.  f's own sums are tested finite in
+``algebra``, but doubling one (2 Re f) or adding the two sides can still
+overflow, so each tests its result once and raises ``RangeError`` naming
+the point: a finite argument gives a finite value or an error.
 
 JSON keeps both parts: ``to_json`` writes the zeta-part as the conjugate
 mirror of the z-part, and reading a record requires its zeta-part to equal
@@ -30,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 from .algebra import DEFAULT_CUT_ANGLE, LogLaurentExpr, branch_log
-from .errors import DomainError, NonSymmetricPairError
+from .errors import DomainError, NonSymmetricPairError, RangeError
 from .geometry import BiPoint, SchwarzMap
 from .records import PAIR, read
 
@@ -108,6 +111,12 @@ def _not_finite(*named) -> DomainError:
     return DomainError(f"{name} must be finite, got {value!r}")
 
 
+def _out_of_range(what: str) -> RangeError:
+    """The error for a result of finite sums of f that left the float range;
+    ``what`` names the result and its point."""
+    return RangeError(f"{what} is beyond the float range")
+
+
 def eval_pair(h: HarmonicPair, p: BiPoint) -> complex:
     """f(z) + conj(f(conj(zeta))) at a C^2 point.
 
@@ -119,8 +128,12 @@ def eval_pair(h: HarmonicPair, p: BiPoint) -> complex:
     if not (cmath.isfinite(z) and cmath.isfinite(zeta)):
         raise _not_finite(("p.z", z), ("p.zeta", zeta))
     if zeta == z.conjugate():
-        return complex(2.0 * h.part_z.eval(z).real, 0.0)
-    return h.part_z.eval(z) + h.part_z.eval(zeta.conjugate()).conjugate()
+        value = complex(2.0 * h.part_z.eval(z).real, 0.0)
+    else:
+        value = h.part_z.eval(z) + h.part_z.eval(zeta.conjugate()).conjugate()
+    if not cmath.isfinite(value):
+        raise _out_of_range(f"the value at (z, zeta) = ({z!r}, {zeta!r})")
+    return value
 
 
 def eval_real(h: HarmonicPair, x: float, y: float) -> float:
@@ -131,7 +144,10 @@ def eval_real(h: HarmonicPair, x: float, y: float) -> float:
     z = complex(x, y)
     if z == 0:
         raise DomainError("real-slice evaluation at the origin")
-    return 2.0 * h.part_z.eval(z).real
+    value = 2.0 * h.part_z.eval(z).real
+    if not math.isfinite(value):
+        raise _out_of_range(f"the value at z = {z!r}")
+    return value
 
 
 def field_scale(h: HarmonicPair, x: float, y: float) -> float:
@@ -165,8 +181,10 @@ def radial_derivative(h: HarmonicPair, r: float, theta: float) -> complex:
     if not (math.isfinite(r) and math.isfinite(theta)):
         raise _not_finite(("r", r), ("theta", theta))
     ez = cmath.exp(1j * theta)
-    along_z = h.part_z.differentiate().eval(r * ez) * ez
-    return complex(2.0 * along_z.real, 0.0)
+    value = 2.0 * (h.part_z.differentiate().eval(r * ez) * ez).real
+    if not math.isfinite(value):
+        raise _out_of_range(f"the radial derivative at r = {r!r}, theta = {theta!r}")
+    return complex(value, 0.0)
 
 
 def normal_derivative_schwarz(h: HarmonicPair, smap: SchwarzMap, z: complex) -> complex:
@@ -181,7 +199,10 @@ def normal_derivative_schwarz(h: HarmonicPair, smap: SchwarzMap, z: complex) -> 
         raise _not_finite(("z", z))
     if smap.on_curve_residual(z) > 1e-8 * (1.0 + abs(z)):
         raise DomainError(f"{z} does not lie on the carrier curve")
-    return complex(2.0 * (smap.outward_normal(z) * h.part_z.differentiate().eval(z)).real, 0.0)
+    value = 2.0 * (smap.outward_normal(z) * h.part_z.differentiate().eval(z)).real
+    if not math.isfinite(value):
+        raise _out_of_range(f"the normal derivative at z = {z!r}")
+    return complex(value, 0.0)
 
 
 def robin_trace_circle(h: HarmonicPair, params: RobinParams, theta: float) -> complex:

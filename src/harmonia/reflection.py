@@ -189,13 +189,13 @@ def _reflect_circle(
                 raise CutProximityError(
                     f"ray angle {theta:.6g} is within {CUT_MARGIN:g} rad of the branch cut"
                 )
-            change = f.antiderivative_over_arg()._ray_change(theta, ez, r)
+            change = f.antiderivative_over_arg().ray_change(theta, r)
             self_term = -(params.a / params.b) * (2.0 * change.real)
         # -int_{1/r}^{r} phi(rho e^{i theta}, e^{-i theta}/rho) / rho d rho: the
         # circle restriction of phi is log-free, so its primitive jumps across the
         # cut by a constant only, which the difference along one ray cancels
         prim = phi.restrict_to_circle(w.part_z.cut_angle).antiderivative_over_arg()
-        data_term = prim._ray_change(theta, ez, r) / params.b
+        data_term = prim.ray_change(theta, r) / params.b
         if verify_numeric:
             path = PathSpec.radial_ray(0.0, 1.0 / r, r)
             numeric = integrate_path(phi.ray_kernel(ez), path)

@@ -215,10 +215,20 @@ def test_field_value_that_is_not_finite_is_exit_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == (f"error: {path}: at r = 2.0, theta = 0.0: overflow: "
                    "the sum at z = (2+0j) is beyond the float range\n")
-    # a sum of 1e308 is finite, and the value 2 Re f overflows after it
+    # a sum of 1e308 is finite, and the value 2 Re f overflows after it,
+    # which eval_real rejects, naming the point
     terms = [{"re": 1e308, "k": 0}]
     path.write_text(json.dumps({"field": {"kind": "pair", "pair": {"part_z": terms,
                                                                    "part_zeta": terms}}}))
+    assert main(["field", "--input", str(path), "--grid", "0.5:2:2:0:1:2"]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {path}: at r = 0.5, theta = 0.0: overflow: "
+                   "the value at z = (0.5+0j) is beyond the float range\n")
+    # a reflection's value and correction are finite, and their sum overflows,
+    # which the command's own test names
+    source = {"kind": "reflect_neumann", "v": _OVERFLOWING_RESULT["solution"],
+              "data": _OVERFLOWING_RESULT["data"]}
+    path.write_text(json.dumps({"field": source}))
     assert main(["field", "--input", str(path), "--grid", "0.5:2:2:0:1:2"]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {path}: the field at r = 0.5, theta = 0.0 is not finite\n"
@@ -543,18 +553,12 @@ def test_reflect_input_non_finite_point_is_exit_two(formula, point, tmp_path, ca
 
 @pytest.mark.parametrize("formula", ["dirichlet", "neumann", "robin", "schwarz"])
 def test_reflect_nan_residual_fails_check(formula, tmp_path, capsys):
-    # the value overflows to inf, so the residual is NaN; a NaN residual
-    # must fail --check rather than pass it
-    payload = {
-        "solution": _DOUBLING_SOLUTION,
-        "data": [{"re": 1.0, "im": 0.0, "kz": 0, "kzeta": 0}],
-        "point": {"r": 2.0, "theta": 0.0},
-    }
-    path = tmp_path / "nan_residual.json"
-    path.write_text(json.dumps(payload))
-    code, out = run_main(capsys, "reflect", "--formula", formula, "--input", str(path), "--check")
+    # the result overflows to inf, so the residual is not finite; a residual
+    # that is not finite must fail --check rather than pass it
+    path = _write(tmp_path, "nan_residual.json", _OVERFLOWING_RESULT)
+    code, out = run_main(capsys, "reflect", "--formula", formula, "--input", path, "--check")
     assert code == 1
-    assert json.loads(out)["check_residual"] is None  # JSON writes NaN as null
+    assert json.loads(out)["check_residual"] is None  # JSON writes inf and NaN as null
 
 
 def test_library_rejection_is_exit_two(capsys):
@@ -729,11 +733,19 @@ _OVERFLOWING_SOLUTION = {
     "part_z": [{"re": 1e308, "im": 0.0, "k": 3, "m": 0}, {"re": -1e308, "im": 0.0, "k": 4, "m": 0}],
     "part_zeta": [{"re": 1e308, "im": 0.0, "k": 3, "m": 0}, {"re": -1e308, "im": 0.0, "k": 4, "m": 0}],
 }
-# its sum is 1e308, finite, and the value 2 Re f overflows to +inf after it,
-# so the value is inf and a residual inf - inf is NaN
+# its sum is 1e308, finite, and the value 2 Re f overflows after it, which
+# eval_pair rejects, naming the point
 _DOUBLING_SOLUTION = {
     "part_z": [{"re": 1e308, "im": 0.0, "k": 0, "m": 0}],
     "part_zeta": [{"re": 1e308, "im": 0.0, "k": 0, "m": 0}],
+}
+# every value and correction at r = 2 is finite (2 Re f = 1.6e308), and the
+# reflection's sum of them overflows under each formula (robin's self term
+# alone does), so the result is inf and a residual against it is not finite
+_OVERFLOWING_RESULT = {
+    "solution": {"part_z": [{"re": 0.8e308, "k": 0}], "part_zeta": [{"re": 0.8e308, "k": 0}]},
+    "data": [{"re": -0.2e308, "kz": 0, "kzeta": 0}],
+    "point": {"r": 2.0, "theta": 0.0},
 }
 
 
@@ -755,14 +767,16 @@ def test_non_finite_numbers_are_written_as_null(monkeypatch, tmp_path, capsys):
     (raised,) = (c for c in _strict_json(out)["checks"] if "error" in c)
     assert raised["name"] == "normal_vs_radial_derivative" and raised["max_residual"] is None
     monkeypatch.undo()
-    # reflect --check, where the value is inf and the residual NaN
+    # reflect --check, where the value and the residual are NaN: with b =
+    # 1e-300 the robin self term overflows to +inf and the data term to -inf
     payload = {
-        "solution": _DOUBLING_SOLUTION,
-        "data": [{"re": 1.0, "im": 0.0, "kz": 0, "kzeta": 0}],
+        "solution": {"part_z": [{"re": 1e10, "k": 0}], "part_zeta": [{"re": 1e10, "k": 0}]},
+        "data": [{"re": 1e10, "kz": 0, "kzeta": 0}],
+        "params": {"a": 1.0, "b": 1e-300},
         "point": {"r": 2.0, "theta": 0.0},
     }
     path = _write(tmp_path, "overflowing.json", payload)
-    code, out = run_main(capsys, "reflect", "--formula", "neumann", "--input", path, "--check")
+    code, out = run_main(capsys, "reflect", "--formula", "robin", "--input", path, "--check")
     assert code == 1
     record = _strict_json(out)
     assert record["check_residual"] is None and record["value"]["re"] is None
@@ -777,7 +791,7 @@ def test_the_json_writer_nulls_non_finite_numbers_only():
 
 @pytest.mark.parametrize("formula", ["dirichlet", "neumann", "robin", "schwarz"])
 def test_reflect_non_finite_result_is_exit_two(formula, tmp_path, capsys):
-    # without --check there is no residual to fail, so an inf value is bad input
+    # a value 2 Re f that overflows raises in eval_pair, naming the point
     payload = {
         "solution": _DOUBLING_SOLUTION,
         "data": [{"re": 1.0, "im": 0.0, "kz": 0, "kzeta": 0}],
@@ -785,7 +799,12 @@ def test_reflect_non_finite_result_is_exit_two(formula, tmp_path, capsys):
     }
     path = _write(tmp_path, "overflowing.json", payload)
     err = _bad_input(capsys, "reflect", "--formula", formula, "--input", path)
-    assert path in err and "z = (2+0j)" in err and "not finite" in err
+    assert err == (f"error: {path}: at z = (2+0j), zeta = (2+0j): overflow: "
+                   "the value at (z, zeta) = ((2+0j), (2+0j)) is beyond the float range\n")
+    # without --check there is no residual to fail, so an inf result is bad input
+    path = _write(tmp_path, "overflowing_result.json", _OVERFLOWING_RESULT)
+    err = _bad_input(capsys, "reflect", "--formula", formula, "--input", path)
+    assert err == f"error: {path}: at z = (2+0j), zeta = (2+0j): the result is not finite\n"
 
 
 @pytest.mark.parametrize("formula", ["dirichlet", "neumann", "robin", "schwarz"])

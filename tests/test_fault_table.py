@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+import harmonia.algebra
 import harmonia.geometry
 import harmonia.harmonic
 import harmonia.operators
@@ -152,6 +153,21 @@ def _reuse_sum_power_across_k(monkeypatch):
     monkeypatch.setattr(LogLaurentExpr, "_sum", stale_power_sum)
 
 
+def _drop_bisum_zeta(monkeypatch):
+    # the one bivariate term loop sums c * z**kz, losing each zeta**kzeta: the
+    # Dirichlet reflections reach it through eval, the arc correction through
+    # schwarz_kernel
+    def zeta_dropped(terms, z, zeta):
+        total = 0j
+        for kz, kzeta, c in terms:
+            if kz:
+                c *= z**kz
+            total += c
+        return total
+
+    monkeypatch.setattr(harmonia.algebra, "_bisum", zeta_dropped)
+
+
 FAULTS = [
     (
         "dtn_sign_flip",
@@ -202,6 +218,11 @@ FAULTS = [
             "robin_reflection_pipeline",
             "robin_trace_linearity",
         },
+    ),
+    (
+        "bisum_drops_zeta",
+        _drop_bisum_zeta,
+        {"arc_circle_reduction", "dirichlet_reflection_involution", "reflection_fixed_points"},
     ),
 ]
 

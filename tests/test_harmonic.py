@@ -549,6 +549,32 @@ def test_a_sum_that_is_not_finite_raises_the_range_error_that_names_the_point(fu
     assert isinstance(info.value, HarmoniaError) and isinstance(info.value, OverflowError)
 
 
+HUGE = HarmonicPair(LogLaurentExpr.constant(1e308))
+HUGE_LINEAR = HarmonicPair(LogLaurentExpr.monomial(1e308, 1))
+
+
+@pytest.mark.parametrize(
+    "function, args, what",
+    [
+        (eval_real, (HUGE, 2.0, 0.0), "the value at z = (2+0j)"),
+        (eval_pair, (HUGE, BiPoint(2 + 0j, 2 + 0j)), "the value at (z, zeta) = ((2+0j), (2+0j))"),
+        (eval_pair, (HUGE, BiPoint(2 + 0j, 3 + 0j)), "the value at (z, zeta) = ((2+0j), (3+0j))"),
+        (radial_derivative, (HUGE_LINEAR, 1.0, 0.0), "the radial derivative at r = 1.0, theta = 0.0"),
+        (normal_derivative_schwarz, (HUGE_LINEAR, SchwarzMap.unit_circle(), 1 + 0j),
+         "the normal derivative at z = (1+0j)"),
+    ],
+    ids=["eval_real", "eval_pair-slice", "eval_pair-off-slice", "radial", "normal"],
+)
+def test_a_result_beyond_the_float_range_raises_the_range_error_that_names_the_point(
+    function, args, what
+):
+    # f's sum, 1e308 (or its derivative's), is finite; 2 Re f, or the sum of
+    # the two sides off the slice, overflows after it
+    with pytest.raises(RangeError, match=f"^{re.escape(what)} is beyond the float range$") as info:
+        function(*args)
+    assert isinstance(info.value, OverflowError)
+
+
 @pytest.mark.parametrize("cut", [math.pi, 2.0, 5.0, -1.0])
 def test_a_pair_and_its_dtn_output_are_real_at_every_accepted_cut(cut):
     rng = np.random.default_rng(31)

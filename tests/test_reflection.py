@@ -212,17 +212,14 @@ def test_neumann_quadratic_data():
 
 def test_the_quadrature_shadow_raises_when_the_exact_correction_is_wrong(monkeypatch):
     # a 1e-6 relative error in the exact correction: the shadow quadrature of
-    # verify_numeric disagrees and raises, and without it nothing notices.  The
-    # circle reflections reach ray_change's term loop through _ray_change, which
-    # takes the e^{i theta} they hold
+    # verify_numeric disagrees and raises, and without it nothing notices
     phi = BivariateLaurentExpr([(1.0, 2, 0), (1.0, 0, 2), (2.0, 1, 1), (-2.0, 0, 0)])
     p = BiPoint.from_polar(0.7, 0.4)
     params = RobinParams(0.0, 1.0)
     exact = reflect_robin_circle(SADDLE, phi, params, p, verify_numeric=True)
-    ray_change = LogLaurentExpr._ray_change
+    ray_change = LogLaurentExpr.ray_change
     monkeypatch.setattr(
-        LogLaurentExpr, "_ray_change",
-        lambda e, theta, ez, r: ray_change(e, theta, ez, r) * (1 + 1e-6),
+        LogLaurentExpr, "ray_change", lambda e, theta, r: ray_change(e, theta, r) * (1 + 1e-6)
     )
     wrong = reflect_robin_circle(SADDLE, phi, params, p)
     assert wrong.correction == pytest.approx(exact.correction, rel=2e-6)

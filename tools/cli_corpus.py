@@ -85,6 +85,10 @@ SMOKE = (
     (["field", "--example", "robin-reflect-cos2", "--grid", "1e160:1e161:2:-1:1:2"], None),
     # a sum whose power overflows to NaN, named with its grid point
     (["field", "--example", "dtn-saddle", "--grid", "1e200:1e201:2:0.5:0.8:2"], None),
+    # a finite sum whose value 2 Re f overflows, named with its grid point
+    (["field", "--input", "input.json"],
+     {"field": {"kind": "pair", "pair": {"part_z": [{"re": 1e308, "k": 0}],
+                                         "part_zeta": [{"re": 1e308, "k": 0}]}}}),
 )
 
 
