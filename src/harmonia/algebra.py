@@ -50,9 +50,8 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from operator import index, itemgetter
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import (
     CutMismatchError,
@@ -106,9 +105,9 @@ def _fold_angle(theta: float, cut_angle: float) -> float:
     return theta - _TWO_PI * math.ceil((theta - cut_angle) / _TWO_PI)
 
 
-@dataclass(frozen=True)
-class LogLaurentTerm:
-    """A single term c * z**power * (log z)**logpow."""
+class LogLaurentTerm(NamedTuple):
+    """A single term c * z**power * (log z)**logpow: a named tuple, so it
+    unpacks, equals and hashes as the plain tuple (coeff, power, logpow)."""
 
     coeff: complex
     power: int
@@ -127,17 +126,6 @@ def _exponent(x) -> int:
         except TypeError:
             pass
     raise ValueError(f"exponent {x!r} is not an integer")
-
-
-def _merge(items, acc: dict | None = None) -> dict:
-    """Sum the coefficients of (exponent pair, coefficient) items per pair,
-    into ``acc`` when one is given."""
-    if acc is None:
-        acc = {}
-    for (a, b), c in items:
-        key = (a if type(a) is int else _exponent(a), b if type(b) is int else _exponent(b))
-        acc[key] = acc.get(key, 0j) + complex(c)
-    return acc
 
 
 def _beyond_range(exc: ArithmeticError, where: str) -> ArithmeticError:
@@ -328,25 +316,6 @@ class _SparseSum:
         ]
 
 
-def _log_term_item(t) -> tuple:
-    if isinstance(t, LogLaurentTerm):
-        return (t.power, t.logpow), t.coeff
-    if len(t) == 3:
-        c, k, m = t
-        return (k, m), c
-    if len(t) == 2:
-        c, k = t
-        return (k, 0), c
-    raise ValueError(f"term {t!r} is not (coeff, power) or (coeff, power, logpow)")
-
-
-def _bivariate_term_item(t) -> tuple:
-    if len(t) != 3:
-        raise ValueError(f"term {t!r} is not (coeff, zpow, zetapow)")
-    c, kz, kzeta = t
-    return (kz, kzeta), c
-
-
 class LogLaurentExpr(_SparseSum):
     """A normalized finite sum of log-Laurent terms.
 
@@ -360,21 +329,19 @@ class LogLaurentExpr(_SparseSum):
 
     def __init__(self, terms: TermsLike = (), cut_angle: float = DEFAULT_CUT_ANGLE):
         if isinstance(terms, Mapping):
-            acc = _merge(terms.items())
-        else:
-            # a plain (c, k, m) tuple with int exponents is merged here; every
-            # other shape goes through _log_term_item and _merge, which coerce
-            # it or raise, in term order either way
-            acc = {}
-            get = acc.get
-            for t in terms:
-                if type(t) is tuple and len(t) == 3:
-                    c, k, m = t
-                    if type(k) is int and type(m) is int:
-                        key = (k, m)
-                        acc[key] = get(key, 0j) + complex(c)
-                        continue
-                _merge((_log_term_item(t),), acc)
+            terms = ((c, k, m) for (k, m), c in terms.items())
+        acc: dict = {}
+        get = acc.get
+        for t in terms:
+            n = len(t)
+            if n == 3:
+                c, k, m = t
+            elif n == 2:
+                (c, k), m = t, 0
+            else:
+                raise ValueError(f"term {t!r} is not (coeff, power) or (coeff, power, logpow)")
+            key = (k if type(k) is int else _exponent(k), m if type(m) is int else _exponent(m))
+            acc[key] = get(key, 0j) + complex(c)
         for _, m in acc:
             if m < 0:
                 raise ValueError(f"negative log power {m}")
@@ -794,8 +761,17 @@ class BivariateLaurentExpr(_SparseSum):
     _EXPONENTS = ("kz", "kzeta")
 
     def __init__(self, terms=()):
-        items = terms.items() if isinstance(terms, Mapping) else map(_bivariate_term_item, terms)
-        _SparseSum.__init__(self, _merge(items))
+        if isinstance(terms, Mapping):
+            terms = ((c, kz, kzeta) for (kz, kzeta), c in terms.items())
+        acc: dict = {}
+        get = acc.get
+        for t in terms:
+            if len(t) != 3:
+                raise ValueError(f"term {t!r} is not (coeff, zpow, zetapow)")
+            c, p, q = t
+            key = (p if type(p) is int else _exponent(p), q if type(q) is int else _exponent(q))
+            acc[key] = get(key, 0j) + complex(c)
+        _SparseSum.__init__(self, acc)
         self._start()
 
     def _start(self) -> None:
@@ -843,7 +819,7 @@ class BivariateLaurentExpr(_SparseSum):
         """
         z = complex(z)
         zeta = complex(zeta)
-        total = _bisum(self._flat_terms(), z, zeta)
+        total = _bisum(self._flat_terms() if self._flat is None else self._flat, z, zeta)
         if not cmath.isfinite(total):
             raise _not_finite(f"at (z, zeta) = ({z!r}, {zeta!r})")
         return total

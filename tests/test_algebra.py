@@ -1104,9 +1104,10 @@ def test_a_bivariate_exponent_that_is_no_integer_is_named(form, place, bad):
 
 
 def test_the_constructor_merges_every_term_shape_alike_and_in_order():
-    # a plain (c, k, m) tuple with int exponents is merged in the
-    # constructor's own loop, every other shape through _merge: the same
-    # sums in the same key order, and the first bad term in order raises
+    # every shape goes through the constructor's one loop, which reads a
+    # term by its length and coerces an exponent only when it is not an
+    # int: the same sums in the same key order, and the first bad term in
+    # order raises
     plain = [(0.5, 2, 1), (1j, -1, 0), (0.25, 2, 1), (2.0, 0, 3), (0.125, 1, 0)]
     others = [LogLaurentTerm(0.5, 2, 1), [1j, -1, 0], (0.25, 2.0, 1), (2.0, np.int64(0), 3),
               (0.125, 1)]
@@ -1120,6 +1121,33 @@ def test_the_constructor_merges_every_term_shape_alike_and_in_order():
         LogLaurentExpr([(1.0, 1, -1), (1.0, 2.0, 0)])
     with pytest.raises(TypeError):
         LogLaurentExpr([(1.0, 1, 0), (None, 2, 0)])
+
+
+def test_a_log_laurent_term_is_its_coeff_power_logpow_tuple():
+    t = LogLaurentTerm(0.5 - 1j, -2, 3)
+    assert t == (0.5 - 1j, -2, 3) and hash(t) == hash((0.5 - 1j, -2, 3))
+    c, k, m = t
+    assert (c, k, m) == (t.coeff, t.power, t.logpow) and len(t) == 3
+    assert LogLaurentTerm(2.0, 1) == (2.0, 1, 0)
+    assert {t: 1}[(0.5 - 1j, -2, 3)] == 1
+    with pytest.raises(AttributeError):
+        t.coeff = 1.0
+
+
+@pytest.mark.parametrize(
+    "e",
+    [
+        expr((1.0 - 2j, 3, 2), (0.5, -1, 0), (0.25j, 0, 1)),
+        LogLaurentExpr([(2.0, 1, 4), (-1.5, 1, 0), (1e-3, -4, 2)], 2.0),
+        expr((1.0, 2, 1)).antiderivative_over_arg().z_derivative(),
+    ],
+    ids=["mixed", "cut-at-2", "derived"],
+)
+def test_an_expression_is_rebuilt_from_its_terms(e):
+    assert e.has_log()
+    back = LogLaurentExpr(e.terms, e.cut_angle)
+    assert back == e and list(back._terms) == sorted(e._terms)
+    assert LogLaurentExpr(list(map(tuple, e.terms)), e.cut_angle) == back
 
 
 @pytest.mark.parametrize("form", ["tuple", "term", "mapping"])

@@ -1,4 +1,4 @@
-"""Calls per op of every library function match ``tools/call_counts.json``.
+"""Calls and opcodes per op of every library function match ``tools/call_counts.json``.
 
 The table is written by ``tools/call_counts.py --write``; a change that moves
 a count regenerates it, and its diff names each moved count.
@@ -15,8 +15,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 @pytest.mark.skipif(
     sys.version_info[:2] != (3, 11),
-    reason="the table counts calls as Python 3.11 makes them; 3.12 inlines "
-    "comprehensions (PEP 709), so other versions count differently",
+    reason="the table counts calls and opcodes as Python 3.11 makes them; 3.12 "
+    "inlines comprehensions (PEP 709), so other versions count differently",
 )
 def test_calls_per_op_match_the_committed_table():
     proc = subprocess.run(

@@ -8,6 +8,7 @@ regenerates the corpus; its diff then names every moved line.
 
 import difflib
 import importlib.util
+import json
 import os
 import warnings
 
@@ -47,3 +48,24 @@ def test_every_command_reproduces_the_committed_corpus():
     if note:
         # equal bytes on another stamp pass, but say that they were compared there
         warnings.warn(f"outputs compared on another stamp{note}")
+
+
+def _int_exponents(value):
+    """``value`` with every exponent written as an int."""
+    if isinstance(value, dict):
+        return {key: int(v) if key in ("k", "m", "kz", "kzeta") else _int_exponents(v)
+                for key, v in value.items()}
+    if isinstance(value, list):
+        return [_int_exponents(v) for v in value]
+    return value
+
+
+def test_integral_float_exponents_print_what_integer_exponents_print():
+    tool = _corpus_tool()
+    for argv, contents in tool.FLOAT_EXPONENTS:
+        twin = _int_exponents(contents)
+        assert json.dumps(twin) != json.dumps(contents)
+        got, want = (tool.run({"argv": argv, "cut_angle": None,
+                               "files": {"input.json": json.dumps(c)}}) for c in (contents, twin))
+        assert got["exit"] == want["exit"] == 0
+        assert (got["stdout"], got["stderr"]) == (want["stdout"], want["stderr"]), argv

@@ -17,7 +17,10 @@ The list:
 * every command above but ``verify`` again with ``HARMONIA_CUT_ANGLE=2.0``;
 * the commands of the CLI smoke step in ``.github/workflows/tests.yml``,
   with their input files, among them error lines that name the option or
-  the grid point.
+  the grid point;
+* ``field --input`` and ``reflect --input`` on files that write exponents
+  as integral floats (``"k": 2.0``), which print what the same files with
+  integer exponents print (``tests/test_cli_corpus.py`` holds this).
 
 Each command runs with ``HARMONIA_CUT_ANGLE`` set to its ``cut_angle`` or
 unset, in a scratch directory that holds its input files, so an error line
@@ -90,6 +93,18 @@ SMOKE = (
      {"field": {"kind": "pair", "pair": {"part_z": [{"re": 1e308, "k": 0}],
                                          "part_zeta": [{"re": 1e308, "k": 0}]}}}),
 )
+# (argv, input file contents) of commands whose files write exponents as
+# integral floats, which the readers take as the integers
+FLOAT_EXPONENTS = (
+    (["field", "--input", "input.json"],
+     {"field": {"kind": "pair", "pair": {
+         "part_z": [{"re": 0.5, "k": 2.0, "m": 1.0}, {"re": 0.25, "im": -0.5, "k": -1.0}],
+         "part_zeta": [{"re": 0.5, "k": 2.0, "m": 1.0}, {"re": 0.25, "im": 0.5, "k": -1.0}],
+     }}}),
+    (["reflect", "--formula", "neumann", "--input", "input.json", "--check"],
+     {"solution": _PAIR,
+      "data": [{"re": 1.0, "kz": 2.0, "kzeta": 0}, {"re": 1.0, "kz": 0, "kzeta": 2.0}]}),
+)
 
 
 def _fixture_ids() -> list:
@@ -108,7 +123,7 @@ def command_list() -> list:
     verify = [["verify", "--format", "json", "--seed", str(s)] for s in VERIFY_SEEDS]
     commands = [{"argv": argv, "cut_angle": None} for argv in plain[:3] + verify + plain[3:]]
     commands += [{"argv": argv, "cut_angle": CUT_ANGLE} for argv in plain]
-    for argv, contents in SMOKE:
+    for argv, contents in SMOKE + FLOAT_EXPONENTS:
         entry = {"argv": argv, "cut_angle": None}
         if contents is not None:
             entry["files"] = {"input.json": json.dumps(contents)}
